@@ -30,7 +30,7 @@ from .finite import (
     modnear_ring_check,
     native_addition,
 )
-from .induced import DEFAULT_SUM_NORM_CEILING, exotic_add_q
+from .induced import DEFAULT_SUM_NORM_CEILING, check_norm_ceiling, exotic_add_q
 from .maps import (
     EndoBijectionSpecQ,
     check_qmc_equivalence,
@@ -181,6 +181,7 @@ def _cmd_factor_rat(args, cfg):
 
 def _cmd_factor_quad(args, cfg):
     x = QuadRat(QuadInt(int(args.a), int(args.b)), int(args.den))
+    check_norm_ceiling(x, cfg.norm_ceiling, "input")
     f = factor_quad(x)
     return {"input": x.to_json(), "result": f.to_json()}, True
 
@@ -193,6 +194,7 @@ def _cmd_sigma(args, cfg):
 
 def _cmd_sigma_inv(args, cfg):
     x = QuadRat(QuadInt(int(args.a), int(args.b)), int(args.den))
+    check_norm_ceiling(x, cfg.norm_ceiling, "input")
     q = sigma_invert(default_correspondence(), x)
     return {"input": x.to_json(), "result": str(q)}, True
 
@@ -237,7 +239,7 @@ def _cmd_char_map(args, cfg):
 
 def _cmd_enumerate_additions(args, cfg):
     F = _field_arg(args.field)
-    res = enumerate_additions(F, triples=args.triples, seed=cfg.seed)
+    res = enumerate_additions(F)
     payload = res.to_json()
     payload["report"] = res.report.to_json()
     return payload, res.report.ok
@@ -337,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--height-bound", type=int, default=None, dest="height_bound",
                         help="largest accepted numerator/denominator")
     common.add_argument("--norm-ceiling", type=int, default=None, dest="norm_ceiling",
-                        help="largest image norm the exotic addition will factor")
+                        help="largest norm that exotic-add, sigma-inv and factor-quad will factor")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = argparse.ArgumentParser(
@@ -403,8 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate-additions", parents=[common],
                         help="all exponent additions on a finite field")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--triples", type=int, default=None,
-                    help="sample size for the cubic axiom sweeps (default: exhaustive)")
     sp.set_defaults(handler=_cmd_enumerate_additions)
 
     sp = sub.add_parser("isom-check", parents=[common],

@@ -39,6 +39,7 @@ __all__ = [
     "check_ringisom",
     "find_add_witness",
     "verify_exotic_field_axioms",
+    "check_norm_ceiling",
     "DEFAULT_SUM_NORM_CEILING",
 ]
 
@@ -94,15 +95,22 @@ def induced_neg(s: InducedStructure, alpha):
     return s.backward(s.neg(s.forward(alpha)))
 
 
-def _guarded_invert(
-    corr: PrimeCorrespondence, x: QuadRat, norm_ceiling: int, trial_cap: int | None
-) -> Fraction:
+def check_norm_ceiling(x: QuadRat, norm_ceiling: int, what: str = "sum image") -> None:
+    """Refuse x before factoring it when its norm's numerator or denominator
+    exceeds norm_ceiling; factoring a large semiprime norm has no useful
+    time bound."""
     n = x.norm()
     if abs(n.numerator) > norm_ceiling or n.denominator > norm_ceiling:
         raise ResourceLimitError(
-            f"sum image has norm {n}, above the ceiling {norm_ceiling}",
+            f"{what} has norm {n}, above the ceiling {norm_ceiling}",
             ceiling=norm_ceiling,
         )
+
+
+def _guarded_invert(
+    corr: PrimeCorrespondence, x: QuadRat, norm_ceiling: int, trial_cap: int | None
+) -> Fraction:
+    check_norm_ceiling(x, norm_ceiling)
     return sigma_invert(corr, x, trial_cap=trial_cap)
 
 

@@ -1,35 +1,17 @@
-"""Array kernels for exhaustive and sampled checks over operation tables.
+"""Array kernels for exhaustive checks over operation tables.
 
 Everything here answers one question shape: does an identity hold at every
 point of a finite index table, and if not, at which first witness? Tables
-are m-by-m integer arrays mapping index pairs to indices.
-
-Two interchangeable backends produce identical answers: numba-jitted loops
-and a vectorized pure-numpy path. NEARFIELDS_KERNELS={auto,numba,numpy}
-selects one (auto prefers numba when importable); every public kernel also
-takes an explicit backend argument, which the benchmark script uses to
-compare the two.
+are m-by-m integer arrays mapping index pairs to indices. Each kernel
+evaluates both sides of its identity on the whole (m, m, m) index cube with
+numpy fancy indexing and returns the lexicographically first failing index
+triple, or None. The largest table swept is the 81-member modnear-ring, so
+a sweep covers at most 81**3 = 531,441 triples.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via NEARFIELDS_KERNELS=numpy
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 __all__ = [
     "HAS_NUMBA",
@@ -37,126 +19,21 @@ __all__ = [
     "assoc_witness",
     "left_distrib_witness",
     "right_distrib_witness",
-    "assoc_witness_sampled",
-    "left_distrib_witness_sampled",
-    "right_distrib_witness_sampled",
     "hom_left_distrib_witness",
 ]
 
+# Read by the benchmark's environment stamp; there is one kernel path.
+HAS_NUMBA = False
 
-def backend(override: str | None = None) -> str:
-    """Resolve the active backend name ('numba' or 'numpy')."""
-    choice = override or os.environ.get("NEARFIELDS_KERNELS", "auto")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("NEARFIELDS_KERNELS=numba but numba is not importable")
-    if choice not in ("numba", "numpy"):
-        raise RuntimeError(f"unknown kernel backend {choice!r}")
-    return choice
+
+def backend() -> str:
+    """Name of the kernel path, read by the benchmark's environment stamp."""
+    return "numpy"
 
 
 def _table(t) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(t, dtype=np.int64))
 
-
-def _wit(found: np.ndarray):
-    return tuple(int(v) for v in found[1:]) if found[0] else None
-
-
-# --- numba loops ------------------------------------------------------------
-
-@njit(cache=True)
-def _assoc_nb(t):
-    m = t.shape[0]
-    out = np.zeros(4, dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            tij = t[i, j]
-            for k in range(m):
-                if t[tij, k] != t[i, t[j, k]]:
-                    out[0], out[1], out[2], out[3] = 1, i, j, k
-                    return out
-    return out
-
-
-@njit(cache=True)
-def _ldist_nb(mul, add):
-    m = mul.shape[0]
-    out = np.zeros(4, dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if mul[i, add[j, k]] != add[mul[i, j], mul[i, k]]:
-                    out[0], out[1], out[2], out[3] = 1, i, j, k
-                    return out
-    return out
-
-
-@njit(cache=True)
-def _rdist_nb(mul, add):
-    m = mul.shape[0]
-    out = np.zeros(4, dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if mul[add[i, j], k] != add[mul[i, k], mul[j, k]]:
-                    out[0], out[1], out[2], out[3] = 1, i, j, k
-                    return out
-    return out
-
-
-@njit(cache=True)
-def _assoc_sampled_nb(t, ii, jj, kk):
-    out = np.zeros(4, dtype=np.int64)
-    for s in range(ii.shape[0]):
-        i, j, k = ii[s], jj[s], kk[s]
-        if t[t[i, j], k] != t[i, t[j, k]]:
-            out[0], out[1], out[2], out[3] = 1, i, j, k
-            return out
-    return out
-
-
-@njit(cache=True)
-def _ldist_sampled_nb(mul, add, ii, jj, kk):
-    out = np.zeros(4, dtype=np.int64)
-    for s in range(ii.shape[0]):
-        i, j, k = ii[s], jj[s], kk[s]
-        if mul[i, add[j, k]] != add[mul[i, j], mul[i, k]]:
-            out[0], out[1], out[2], out[3] = 1, i, j, k
-            return out
-    return out
-
-
-@njit(cache=True)
-def _rdist_sampled_nb(mul, add, ii, jj, kk):
-    out = np.zeros(4, dtype=np.int64)
-    for s in range(ii.shape[0]):
-        i, j, k = ii[s], jj[s], kk[s]
-        if mul[add[i, j], k] != add[mul[i, k], mul[j, k]]:
-            out[0], out[1], out[2], out[3] = 1, i, j, k
-            return out
-    return out
-
-
-@njit(cache=True)
-def _hom_ldist_nb(maps, add_native, add_box):
-    # h(f + g) == h(f) boxplus h(g), pointwise over the common domain.
-    n, m = maps.shape
-    out = np.zeros(4, dtype=np.int64)
-    for hi in range(n):
-        for fi in range(n):
-            for gi in range(n):
-                for x in range(m):
-                    fx = maps[fi, x]
-                    gx = maps[gi, x]
-                    if maps[hi, add_native[fx, gx]] != add_box[maps[hi, fx], maps[hi, gx]]:
-                        out[0], out[1], out[2], out[3] = 1, hi, fi, gi
-                        return out
-    return out
-
-
-# --- numpy paths ------------------------------------------------------------
 
 def _first_false(eq: np.ndarray):
     if eq.all():
@@ -164,114 +41,37 @@ def _first_false(eq: np.ndarray):
     return tuple(int(v) for v in np.argwhere(~eq)[0])
 
 
-def _assoc_np(t):
+def assoc_witness(t):
+    """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None."""
+    t = _table(t)
     return _first_false(t[t] == t[:, t])
 
 
-def _ldist_np(mul, add):
-    lhs = mul[:, add]
-    rhs = add[mul[:, :, None], mul[:, None, :]]
-    return _first_false(lhs == rhs)
+def left_distrib_witness(mul, add):
+    """First failure of mul[i, add[j,k]] == add[mul[i,j], mul[i,k]]."""
+    mul, add = _table(mul), _table(add)
+    return _first_false(mul[:, add] == add[mul[:, :, None], mul[:, None, :]])
 
 
-def _rdist_np(mul, add):
-    lhs = mul[add, :]
-    rhs = add[mul[:, None, :], mul[None, :, :]]  # [i,j,k] = add[mul[i,k], mul[j,k]]
-    return _first_false(lhs == rhs)
+def right_distrib_witness(mul, add):
+    """First failure of mul[add[i,j], k] == add[mul[i,k], mul[j,k]]."""
+    mul, add = _table(mul), _table(add)
+    return _first_false(mul[add, :] == add[mul[:, None, :], mul[None, :, :]])
 
 
-def _assoc_sampled_np(t, ii, jj, kk):
-    eq = t[t[ii, jj], kk] == t[ii, t[jj, kk]]
-    if eq.all():
-        return None
-    s = int(np.flatnonzero(~eq)[0])
-    return (int(ii[s]), int(jj[s]), int(kk[s]))
+def hom_left_distrib_witness(maps, add_native, add_box):
+    """First (h, f, g) where h(f + g) != h(f) boxplus h(g) pointwise.
 
-
-def _ldist_sampled_np(mul, add, ii, jj, kk):
-    eq = mul[ii, add[jj, kk]] == add[mul[ii, jj], mul[ii, kk]]
-    if eq.all():
-        return None
-    s = int(np.flatnonzero(~eq)[0])
-    return (int(ii[s]), int(jj[s]), int(kk[s]))
-
-
-def _rdist_sampled_np(mul, add, ii, jj, kk):
-    eq = mul[add[ii, jj], kk] == add[mul[ii, kk], mul[jj, kk]]
-    if eq.all():
-        return None
-    s = int(np.flatnonzero(~eq)[0])
-    return (int(ii[s]), int(jj[s]), int(kk[s]))
-
-
-def _hom_ldist_np(maps, add_native, add_box):
-    n = maps.shape[0]
-    for hi in range(n):
-        h = maps[hi]
+    maps is an (n, m) array of maps on a common m-point domain; + is the
+    add_native table applied pointwise, boxplus the add_box table. One h
+    at a time keeps the working set at n*n*m instead of n**3 * m.
+    """
+    maps, add_native, add_box = _table(maps), _table(add_native), _table(add_box)
+    sums = add_native[maps[:, None, :], maps[None, :, :]]  # (n, n, m): f + g
+    for hi, h in enumerate(maps):
         hf = h[maps]  # (n, m)
-        lhs = h[add_native[maps[:, None, :], maps[None, :, :]]]
-        rhs = add_box[hf[:, None, :], hf[None, :, :]]
-        eq = (lhs == rhs).all(axis=2)
+        eq = (h[sums] == add_box[hf[:, None, :], hf[None, :, :]]).all(axis=2)
         if not eq.all():
             fi, gi = (int(v) for v in np.argwhere(~eq)[0])
             return (hi, fi, gi)
     return None
-
-
-# --- public dispatchers -----------------------------------------------------
-
-def assoc_witness(t, backend_name: str | None = None):
-    """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None."""
-    t = _table(t)
-    if backend(backend_name) == "numba":
-        return _wit(_assoc_nb(t))
-    return _assoc_np(t)
-
-
-def left_distrib_witness(mul, add, backend_name: str | None = None):
-    """First failure of mul[i, add[j,k]] == add[mul[i,j], mul[i,k]]."""
-    mul, add = _table(mul), _table(add)
-    if backend(backend_name) == "numba":
-        return _wit(_ldist_nb(mul, add))
-    return _ldist_np(mul, add)
-
-
-def right_distrib_witness(mul, add, backend_name: str | None = None):
-    """First failure of mul[add[i,j], k] == add[mul[i,k], mul[j,k]]."""
-    mul, add = _table(mul), _table(add)
-    if backend(backend_name) == "numba":
-        return _wit(_rdist_nb(mul, add))
-    return _rdist_np(mul, add)
-
-
-def assoc_witness_sampled(t, ii, jj, kk, backend_name: str | None = None):
-    t, ii, jj, kk = _table(t), _table(ii), _table(jj), _table(kk)
-    if backend(backend_name) == "numba":
-        return _wit(_assoc_sampled_nb(t, ii, jj, kk))
-    return _assoc_sampled_np(t, ii, jj, kk)
-
-
-def left_distrib_witness_sampled(mul, add, ii, jj, kk, backend_name: str | None = None):
-    mul, add, ii, jj, kk = _table(mul), _table(add), _table(ii), _table(jj), _table(kk)
-    if backend(backend_name) == "numba":
-        return _wit(_ldist_sampled_nb(mul, add, ii, jj, kk))
-    return _ldist_sampled_np(mul, add, ii, jj, kk)
-
-
-def right_distrib_witness_sampled(mul, add, ii, jj, kk, backend_name: str | None = None):
-    mul, add, ii, jj, kk = _table(mul), _table(add), _table(ii), _table(jj), _table(kk)
-    if backend(backend_name) == "numba":
-        return _wit(_rdist_sampled_nb(mul, add, ii, jj, kk))
-    return _rdist_sampled_np(mul, add, ii, jj, kk)
-
-
-def hom_left_distrib_witness(maps, add_native, add_box, backend_name: str | None = None):
-    """First (h, f, g) where h(f + g) != h(f) boxplus h(g) pointwise.
-
-    maps is an (n, m) array of maps on a common m-point domain; + is the
-    add_native table applied pointwise, boxplus the add_box table.
-    """
-    maps, add_native, add_box = _table(maps), _table(add_native), _table(add_box)
-    if backend(backend_name) == "numba":
-        return _wit(_hom_ldist_nb(maps, add_native, add_box))
-    return _hom_ldist_np(maps, add_native, add_box)

@@ -88,7 +88,7 @@ def build_elementary(
     return ElementaryNVS(field, psi, psi_inv, phi, box_add, box_smul)
 
 
-def verify_nvs_axioms(s: ElementaryNVS, *, backend: str | None = None) -> Report:
+def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     """Exhaustive run of the elementary near-vector-space axioms.
 
     Also re-derives the transport identities psi(a (.) b) = phi(a) psi(b)
@@ -100,7 +100,7 @@ def verify_nvs_axioms(s: ElementaryNVS, *, backend: str | None = None) -> Report
     rep = Report("elementary near-vector-space axioms")
     A, S = s.box_add, s.box_smul
 
-    wit = assoc_witness(A, backend_name=backend)
+    wit = assoc_witness(A)
     rep.add("add_associative", wit is None, witness=wit)
     rep.add("add_commutative", bool(np.array_equal(A, A.T)))
     rep.add("add_zero", bool(np.array_equal(A[F.zero], np.arange(m))))
@@ -117,7 +117,7 @@ def verify_nvs_axioms(s: ElementaryNVS, *, backend: str | None = None) -> Report
     assoc = np.array_equal(lhs, rhs)
     wit = None if assoc else tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
     rep.add("action_associative", assoc, witness=wit)
-    wit = left_distrib_witness(S, A, backend_name=backend)
+    wit = left_distrib_witness(S, A)
     rep.add("action_distributes", wit is None, witness=wit)
 
     bad = None
@@ -178,9 +178,7 @@ def _box_one(s: ElementaryNVS) -> np.ndarray:
     return K_inv[s.box_add[np.ix_(K, K)]]
 
 
-def addition_at(
-    s: ElementaryNVS, gamma: int, *, verify: bool = True, backend: str | None = None
-) -> AdditionTable:
+def addition_at(s: ElementaryNVS, gamma: int, *, verify: bool = True) -> AdditionTable:
     """The addition the space induces at the vector gamma (.) 1:
     alpha (+)_gamma beta = (alpha gamma (+)_1 beta gamma) gamma^-1.
 
@@ -195,12 +193,12 @@ def addition_at(
     g_col = F.mul[:, gamma]
     table = F.mul[t1[np.ix_(g_col, g_col)], F.inv[gamma]]
     if verify:
-        if assoc_witness(table, backend_name=backend) is not None:
+        if assoc_witness(table) is not None:
             raise DomainError("induced addition is not associative")
         ok = (
             np.array_equal(table, table.T)
             and np.array_equal(table[F.zero], np.arange(F.m))
-            and left_distrib_witness(F.mul, table, backend_name=backend) is None
+            and left_distrib_witness(F.mul, table) is None
         )
         if not ok:
             raise DomainError("induced addition fails the near-field laws")

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 Rat = Fraction
 
@@ -135,7 +135,11 @@ class SignedFactorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for |n| < 3.3e24."""
+    """Deterministic primality test for n < 3.3e24.
+
+    Inputs with a prime factor up to 37 are settled at any size; any other
+    input at or above the bound raises ResourceLimitError naming it.
+    """
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -144,7 +148,10 @@ def is_prime(n: int) -> bool:
     if any(n % p == 0 for p in small):
         return False
     if n >= _MR_VALID_BELOW:
-        raise DomainError(f"primality test not deterministic at {n}")
+        raise ResourceLimitError(
+            f"primality test is deterministic only below {_MR_VALID_BELOW}, got {n}",
+            ceiling=_MR_VALID_BELOW,
+        )
     d = n - 1
     r = 0
     while d % 2 == 0:

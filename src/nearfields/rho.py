@@ -351,12 +351,7 @@ def char_map(
     return CharMapResult(characteristic, table, subfield, evidence_bounded, rep)
 
 
-def check_bij_plus(
-    field: FiniteField,
-    sigma: np.ndarray,
-    *,
-    backend: str | None = None,
-) -> Report:
+def check_bij_plus(field: FiniteField, sigma: np.ndarray) -> Report:
     """Left-distributivity criterion for an addition pulled back through a
     bijection sigma of a finite field.
 
@@ -372,7 +367,7 @@ def check_bij_plus(
     sigma_inv = np.argsort(sigma)
     add_sigma = sigma_inv[field.add[np.ix_(sigma, sigma)]]
     rep = Report("pulled-back addition near-field criterion")
-    wit = left_distrib_witness(field.mul, add_sigma, backend_name=backend)
+    wit = left_distrib_witness(field.mul, add_sigma)
     rep.add("left_distributive", wit is None, witness=wit)
     rep.counts["triples"] = field.m**3
     if wit is not None:

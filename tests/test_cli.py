@@ -140,6 +140,29 @@ def test_height_gate_and_norm_ceiling(capsys):
     assert code == 2 and err
 
 
+def test_norm_ceiling_gates_sigma_inv_and_factor_quad(capsys):
+    # (8 + 2w)/5 has norm 100/25 = 4: admitted at ceiling 4, refused at 3.
+    pinned = {
+        "sigma-inv": '{"command":"sigma-inv","input":[8,2,5],"ok":true,"result":"6/5","schema":1}\n',
+        "factor-quad": '{"command":"factor-quad","input":[8,2,5],"ok":true,'
+        '"result":{"factors":[[[2,0],1],[[-1,1],1],[[0,1],-1]],"unit":1},"schema":1}\n',
+    }
+    for command, expected in pinned.items():
+        argv = [command, "--json", "8", "2", "--den", "5"]
+        for extra in ([], ["--norm-ceiling", "4"]):
+            code, out, err = _run(capsys, argv + extra)
+            assert code == 0 and out == expected and err == "", (argv, extra)
+        code, out, err = _run(capsys, argv + ["--norm-ceiling", "3"])
+        assert code == 2 and out == "", argv
+        assert "norm 4" in err and "ceiling 3" in err, err
+        # The norm is the square of a 41-digit semiprime: far past the default
+        # ceiling, so the command refuses before any factoring starts.
+        semiprime = str(100000000000000000039 * 100000000000000000129)
+        code, out, err = _run(capsys, [command, semiprime, "0"])
+        assert code == 2 and out == "", command
+        assert f"ceiling {10**12}" in err, err
+
+
 def test_config_file_defaults_and_flag_precedence(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9, "trials": 40, "output": "json"}))

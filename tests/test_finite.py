@@ -95,12 +95,6 @@ def test_enumerate_all_supported_fields():
         assert res.units == sorted(a for g in expected for a in g)
 
 
-def test_enumerate_sampled_mode():
-    res = enumerate_additions(make_field(5, 2), triples=20_000, seed=11)
-    assert res.report.ok
-    assert res.classes == EXPECTED_CLASSES[(5, 2)]
-
-
 def test_isomorphism_witnesses_f9():
     f9 = make_field(3, 2)
     nat = addition_from_exponent(f9, 1)

@@ -3,9 +3,11 @@ import threading
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from nearfields.errors import DomainError
+from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.rationals import (
+    _MR_VALID_BELOW,
     SignedFactorization,
     factor_int,
     factor_rat,
@@ -63,6 +65,24 @@ def test_is_prime_small():
     primes = set(primes_upto(500))
     for n in range(-3, 500):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_refuses_past_deterministic_bound():
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    bound = _MR_VALID_BELOW
+    # Inputs with a factor up to 37 are settled before the bound applies.
+    assert is_prime(37 * bound) is False
+    n = bound
+    while any(n % p == 0 for p in small):
+        n += 1
+    with pytest.raises(ResourceLimitError) as exc:
+        is_prime(n)
+    assert exc.value.ceiling == bound
+    assert str(bound) in str(exc.value)
+    below = bound - 1
+    while any(below % p == 0 for p in small):
+        below -= 1
+    assert is_prime(below) == sympy.isprime(below)
 
 
 def test_round_trip_random():
