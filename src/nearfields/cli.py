@@ -5,7 +5,9 @@ package behind reproducible seeds. Reports go to standard output (JSON with
 --json, plain text otherwise), diagnostics to standard error. Exit status:
 0 for success/pass, 1 for a verification failure (the report carries a
 witness), 2 for usage or domain errors, including inputs beyond the
-configured resource ceilings.
+configured resource ceilings. The tuning flags (--seed, --trials,
+--height-bound, --norm-ceiling) exist only on the subcommands that read
+them, so a flag that would be ignored is a usage error instead.
 """
 
 from __future__ import annotations
@@ -332,15 +334,20 @@ def _render_text(payload: dict, out) -> None:
     walk(payload, 0)
 
 
+def _flag(name: str, text: str) -> argparse.ArgumentParser:
+    """A parent parser holding one integer option, for the subcommands that use it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(name, type=int, default=None, help=text)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="PRNG seed")
-    common.add_argument("--trials", type=int, default=None, help="sample count for sampled checks")
-    common.add_argument("--height-bound", type=int, default=None, dest="height_bound",
-                        help="largest accepted numerator/denominator")
-    common.add_argument("--norm-ceiling", type=int, default=None, dest="norm_ceiling",
-                        help="largest norm that exotic-add, sigma-inv and factor-quad will factor")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
+    seed = _flag("--seed", "PRNG seed")
+    trials = _flag("--trials", "sample count for sampled checks")
+    height = _flag("--height-bound", "largest accepted numerator/denominator")
+    ceiling = _flag("--norm-ceiling", "largest norm this command will factor")
 
     p = argparse.ArgumentParser(
         prog="nearfields",
@@ -356,25 +363,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("q")
     sp.set_defaults(handler=_cmd_factor_rat)
 
-    sp = sub.add_parser("factor-quad", parents=[common],
+    sp = sub.add_parser("factor-quad", parents=[common, ceiling],
                         help="factor a nonzero quadratic integer (a + b*w)/den")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--den", default="1")
     sp.set_defaults(handler=_cmd_factor_quad)
 
-    sp = sub.add_parser("sigma", parents=[common], help="image of a rational under sigma")
+    sp = sub.add_parser("sigma", parents=[common, height], help="image of a rational under sigma")
     sp.add_argument("q")
     sp.set_defaults(handler=_cmd_sigma)
 
-    sp = sub.add_parser("sigma-inv", parents=[common],
+    sp = sub.add_parser("sigma-inv", parents=[common, ceiling],
                         help="rational preimage of (a + b*w)/den under sigma")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--den", default="1")
     sp.set_defaults(handler=_cmd_sigma_inv)
 
-    sp = sub.add_parser("exotic-add", parents=[common], help="exotic sum of two rationals")
+    sp = sub.add_parser("exotic-add", parents=[common, height, ceiling],
+                        help="exotic sum of two rationals")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.set_defaults(handler=_cmd_exotic_add)
@@ -393,11 +401,11 @@ def _build_parser() -> argparse.ArgumentParser:
     carrier.add_argument("--addition", default=None,
                          help="native (default), a=K for finite fields, exotic for q")
 
-    sp = sub.add_parser("verify-rho", parents=[common, carrier],
+    sp = sub.add_parser("verify-rho", parents=[common, seed, trials, height, ceiling, carrier],
                         help="check the near-field-addition-map axioms")
     sp.set_defaults(handler=_cmd_verify_rho)
 
-    sp = sub.add_parser("char-map", parents=[common, carrier],
+    sp = sub.add_parser("char-map", parents=[common, seed, height, ceiling, carrier],
                         help="characteristic map and prime subfield")
     sp.add_argument("--bound", type=int, default=20)
     sp.set_defaults(handler=_cmd_char_map)

@@ -1,7 +1,11 @@
 """Multiplicative maps between scalar groups.
 
 The centerpiece is the prime correspondence: the k-th rational prime paired
-with the k-th canonical prime of Z[w] in (norm, a, b) order. Extending the
+with the k-th canonical prime of Z[w] in (norm, a, b) order. One segmented
+sieve feeds both sides: a split prime p gives two canonical primes of norm
+p, an inert q one of norm q**2 and 19 one of norm 19, so the canonical side
+is just a sorted array of norms, and each prime's coordinates are recovered
+from its norm and its rank within that norm when asked for. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
@@ -24,8 +28,15 @@ import numpy as np
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .finite import FiniteField
-from .quadratic import QuadInt, QuadRat, factor_quad, is_canonical_prime
-from .rationals import Rat, factor_rat, is_prime, prime_mask, primes_upto
+from .quadratic import (
+    _SPLIT_RESIDUES_MOD_19,
+    QuadInt,
+    QuadRat,
+    _split_pair,
+    factor_quad,
+    is_canonical_prime,
+)
+from .rationals import Rat, factor_rat, is_prime, prime_mask
 from .report import Report
 
 __all__ = [
@@ -48,84 +59,60 @@ __all__ = [
 
 DEFAULT_CORRESPONDENCE_CEILING = 50_000_000
 
-_QR_MOD_19 = frozenset({1, 4, 5, 6, 7, 9, 11, 16, 17})
+_SPLITS = np.zeros(19, dtype=bool)  # _SPLITS[p % 19]: the prime p != 19 splits
+_SPLITS[sorted(_SPLIT_RESIDUES_MOD_19)] = True
+
+# Numbers sieved per prime_mask call, so no growth step holds a mask the
+# size of its whole range.
+_SEGMENT = 1 << 21
 
 
-def _enumerate_canonical(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All canonical primes with norm <= limit, sorted by (norm, a, b).
-
-    Split and ramified primes have b >= 1 and prime norm; they are found by
-    scanning the lattice per b with a sieve mask deciding norm primality.
-    Inert rational primes q (non-residues mod 19) enter as (q, 0), norm q*q.
-    The quadratic-character split rule used here is cross-validated against
-    the norm-equation search in the tests.
-    """
-    mask = prime_mask(limit)
-    norms, aa, bb = [], [], []
-    for b in range(1, math.isqrt(4 * limit // 19) + 1):
-        disc = 4 * limit - 19 * b * b
-        half = math.isqrt(disc)
-        a = np.arange((-b - half) // 2, (-b + half) // 2 + 1, dtype=np.int64)
-        n = a * a + a * b + 5 * b * b
-        sel = (n <= limit) & mask[np.minimum(n, limit)]
-        if sel.any():
-            norms.append(n[sel])
-            aa.append(a[sel])
-            bb.append(np.full(int(sel.sum()), b, dtype=np.int64))
-    for q in primes_upto(math.isqrt(limit)):
-        if q != 19 and q % 19 not in _QR_MOD_19:
-            norms.append(np.array([q * q], dtype=np.int64))
-            aa.append(np.array([q], dtype=np.int64))
-            bb.append(np.array([0], dtype=np.int64))
-    if not norms:
-        return (np.empty(0, dtype=np.int64),) * 3
-    n = np.concatenate(norms)
-    a = np.concatenate(aa)
-    b = np.concatenate(bb)
-    order = np.lexsort((b, a, n))
-    return n[order], a[order], b[order]
+def _primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo < p <= hi, ascending, as int64."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(lo + 1, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT - 1, hi)
+        parts.append(np.flatnonzero(prime_mask(stop, start)).astype(np.int64) + start)
+    return np.concatenate(parts)
 
 
-def _first_primes(count: int) -> np.ndarray:
-    """The first `count` primes as an int64 array.
-
-    Goes through a throwaway mask rather than the shared prime cache so a
-    large correspondence does not pin millions of Python ints in memory.
-    """
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    k = max(count, 6)
-    bound = int(k * (math.log(k) + math.log(math.log(k)))) + 10
-    while True:
-        primes = np.flatnonzero(prime_mask(bound)).astype(np.int64)
-        if len(primes) >= count:
-            return primes[:count]
-        bound *= 2
+def _canonical_at(norms: np.ndarray, i: int) -> QuadInt:
+    """The canonical prime of rank i, from its norm and its rank among the
+    (at most two) primes of that norm."""
+    n = int(norms[i])
+    q = math.isqrt(n)
+    if q * q == n:  # the inert q is the only prime of norm q**2
+        return QuadInt(q, 0)
+    return _split_pair(n)[int(i > 0 and norms[i - 1] == n)]
 
 
 class PrimeCorrespondence:
     """The rank pairing between rational primes and canonical primes.
 
-    Grows lazily and append-only: raising the norm ceiling never reorders
-    the existing pairs, because enumeration is sorted by norm first. Lookups
-    read atomic snapshots, extension holds a lock; safe under threads.
+    Holds two int64 arrays: the norms of the canonical primes, sorted, one
+    entry per prime, and the rational primes in order; the k-th of each are
+    paired. Grows lazily and append-only: raising the norm ceiling sieves
+    only the new segment of integers, and never reorders the existing pairs,
+    because canonical primes are ordered by norm first. Lookups read atomic
+    snapshots, growth holds a lock; safe under threads.
     """
 
     def __init__(self, *, max_norm: int = DEFAULT_CORRESPONDENCE_CEILING):
         self.max_norm = max_norm
         self._lock = threading.RLock()
-        self._capacity = 0
-        # parallel arrays, sorted by (norm, a, b); rat[k] pairs with row k
-        self._data = (np.empty(0, dtype=np.int64),) * 4  # norms, a, b, rat
+        self._capacity = 0  # every canonical prime of norm <= capacity is stored
+        self._sieved = 1  # every rational prime <= sieved is stored
+        # (norms, rational primes); the second may run ahead of the first
+        self._data = (np.empty(0, dtype=np.int64),) * 2
 
     @property
     def pair_count(self) -> int:
         return len(self._data[0])
 
     def pairs(self, count: int | None = None) -> list[tuple[int, QuadInt]]:
-        norms, aa, bb, rat = self._data
-        k = len(rat) if count is None else min(count, len(rat))
-        return [(int(rat[i]), QuadInt(int(aa[i]), int(bb[i]))) for i in range(k)]
+        norms, rat = self._data
+        k = len(norms) if count is None else min(count, len(norms))
+        return [(int(rat[i]), _canonical_at(norms, i)) for i in range(k)]
 
     def extend_to_norm(self, limit: int) -> None:
         if limit > self.max_norm:
@@ -134,35 +121,58 @@ class PrimeCorrespondence:
                 ceiling=self.max_norm,
             )
         with self._lock:
-            if limit <= self._capacity:
+            old = self._capacity
+            if limit <= old:
                 return
-            limit = min(max(limit, 2 * self._capacity, 10_000), self.max_norm)
-            norms, aa, bb = _enumerate_canonical(limit)
-            count = len(norms)
-            rat = _first_primes(count)
-            self._data = (norms, aa, bb, rat)
+            limit = min(max(limit, 2 * old, 10_000), self.max_norm)
+            norms, rat = self._data
+            sieved = self._sieved
+            if limit > sieved:
+                rat = np.concatenate([rat, _primes_between(sieved, limit)])
+                sieved = limit
+            # canonical primes with norm in (old, limit]: split p twice, 19
+            # once, inert q once at q**2
+            lo, hi = np.searchsorted(rat, [old, limit], side="right")
+            p = rat[lo:hi]
+            lo, hi = np.searchsorted(rat, [math.isqrt(old), math.isqrt(limit)], side="right")
+            q = rat[lo:hi]
+            q = q[~_SPLITS[q % 19] & (q != 19)]
+            fresh = np.concatenate([np.repeat(p[_SPLITS[p % 19]], 2), p[p == 19], q * q])
+            fresh.sort()
+            norms = np.concatenate([norms, fresh])
+            # the rational side needs as many primes as there are pairs
+            while len(rat) < len(norms):
+                top = sieved + int(1.1 * (len(norms) - len(rat)) * math.log(sieved)) + 100
+                rat = np.concatenate([rat, _primes_between(sieved, top)])
+                sieved = top
+            self._data = (norms, rat)
+            self._sieved = sieved
             self._capacity = limit
 
-    def _grow_until(self, predicate) -> None:
-        while not predicate():
-            if self._capacity >= self.max_norm:
-                raise ResourceLimitError(
-                    f"correspondence exhausted at norm ceiling {self.max_norm}",
-                    ceiling=self.max_norm,
-                )
-            self.extend_to_norm(min(max(2 * self._capacity, 10_000), self.max_norm))
+    def _grow_until(self, ready) -> None:
+        """Grow until ready(norms, rat) holds, or refuse at the ceiling."""
+        if ready(*self._data):
+            return
+        with self._lock:
+            while not ready(*self._data):
+                if self._capacity >= self.max_norm:
+                    raise ResourceLimitError(
+                        f"correspondence exhausted at norm ceiling {self.max_norm}",
+                        ceiling=self.max_norm,
+                    )
+                self.extend_to_norm(min(max(2 * self._capacity, 10_000), self.max_norm))
 
     def image_of_prime(self, p: int) -> QuadInt:
         """The canonical prime paired with the rational prime p."""
         if not is_prime(p):
             raise DomainError(f"{p} is not a rational prime")
         # rank of p is its index in the rational prime sequence
-        self._grow_until(lambda: len(self._data[3]) and self._data[3][-1] >= p)
-        norms, aa, bb, rat = self._data
+        self._grow_until(lambda norms, rat: len(norms) and rat[len(norms) - 1] >= p)
+        norms, rat = self._data
         r = int(np.searchsorted(rat, p))
-        if r >= len(rat) or rat[r] != p:
+        if rat[r] != p:
             raise IntegrityError(f"prime {p} missing from rational sequence")
-        return QuadInt(int(aa[r]), int(bb[r]))
+        return _canonical_at(norms, r)
 
     def preimage_of_prime(self, pi: QuadInt) -> int:
         """The rational prime paired with a canonical prime pi."""
@@ -175,13 +185,13 @@ class PrimeCorrespondence:
                 ceiling=self.max_norm,
             )
         self.extend_to_norm(n)
-        norms, aa, bb, rat = self._data
-        i = int(np.searchsorted(norms, n))
-        while i < len(norms) and norms[i] == n:
-            if aa[i] == pi.a and bb[i] == pi.b:
-                return int(rat[i])
-            i += 1
-        raise IntegrityError(f"canonical prime {pi!r} missing at norm {n}")
+        norms, rat = self._data
+        # of the two split primes of norm n, (a, b) and (-a - b, b), the one
+        # with the larger a comes second
+        i = int(np.searchsorted(norms, n)) + (pi.b > 0 and 2 * pi.a + pi.b > 0)
+        if i >= len(norms) or norms[i] != n:
+            raise IntegrityError(f"canonical prime {pi!r} missing at norm {n}")
+        return int(rat[i])
 
 
 _default: PrimeCorrespondence | None = None

@@ -5,7 +5,11 @@ under multiplication: (a + b*w)(c + d*w) = (ac - 5bd) + (ad + bc + bd)*w.
 The ring is a principal ideal domain whose only units are 1 and -1, which
 keeps associate bookkeeping to a single sign. It is not Euclidean, so there
 is no gcd algorithm to lean on; factoring routes through the rational norm
-a**2 + ab + 5b**2 and a bounded norm-equation search instead.
+a**2 + ab + 5b**2 instead. A rational prime p splits, stays inert or (for
+p = 19) ramifies according to its residue mod 19; the two primes over a split
+p come from a square root of -19 mod p (Tonelli-Shanks) and Cornacchia's
+reduction of x**2 + 19y**2 = 4p (Cohen, A Course in Computational Algebraic
+Number Theory, Algs. 1.5.1 and 1.5.3), in O(log p) steps.
 
 Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import DomainError, IntegrityError
@@ -306,6 +311,9 @@ def norm_equation(m: int) -> QuadInt | None:
     """Smallest-b solution of a**2 + ab + 5b**2 = m with b >= 1, or None.
 
     Bounded search: 4m = (2a+b)**2 + 19 b**2 caps |b| at isqrt(4m/19).
+    O(sqrt(m)) steps. The package splits primes by Cornacchia's reduction
+    instead (see primes_above) and keeps this search as an independent
+    reference for it.
     """
     if m < 5:
         return None
@@ -319,6 +327,66 @@ def norm_equation(m: int) -> QuadInt | None:
         if (c - b) % 2 == 0:
             return QuadInt((-b + c) // 2, b)
     return None
+
+
+# -19 = 1 mod 4, so by reciprocity a prime p != 19 splits in Z[w] exactly
+# when p mod 19 is a nonzero square; for p = 2 the rule gives inert, which
+# agrees with -19 = 5 mod 8. 19 ramifies.
+_SPLIT_RESIDUES_MOD_19 = frozenset(x * x % 19 for x in range(1, 19))
+
+
+def _is_inert(p: int) -> bool:
+    """Whether the rational prime p stays prime in Z[w]."""
+    return p != 19 and p % 19 not in _SPLIT_RESIDUES_MOD_19
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+@lru_cache(maxsize=1 << 12)
+def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
+    """The canonical primes of norm p, smaller a first, for p split or 19.
+
+    Cornacchia: reduce (2p, x) by Euclid, x a square root of -19 mod p of
+    odd parity, until the remainder drops to 2*sqrt(p) or below; it is the x
+    of x**2 + 19y**2 = 4p, and (+-x - y)/2 + y*w are the two primes. For
+    p = 19 both coincide. The caller vouches that p is such a prime. The
+    small primes of everyday rationals recur in every sigma, so recent
+    answers are kept; the cache is bounded.
+    """
+    x = _sqrt_mod(-19, p)
+    if x % 2 == 0:
+        x = p - x
+    r0, bound = 2 * p, math.isqrt(4 * p)
+    while x > bound:
+        r0, x = x, r0 % x
+    y2, rem = divmod(4 * p - x * x, 19)
+    y = math.isqrt(y2)
+    if rem or y * y != y2:
+        raise IntegrityError(f"Cornacchia found no x**2 + 19y**2 = 4*{p}")
+    return QuadInt((-x - y) // 2, y), QuadInt((x - y) // 2, y)
 
 
 def _is_unit(x: QuadInt) -> bool:
@@ -335,7 +403,7 @@ def _is_prime_element(x: QuadInt) -> bool:
     # is prime here exactly when q is inert.
     if x.b == 0:
         q = abs(x.a)
-        return is_prime(q) and q != 19 and norm_equation(q) is None
+        return is_prime(q) and _is_inert(q)
     return False
 
 
@@ -366,19 +434,18 @@ class Splitting:
 
 
 def primes_above(p: int) -> Splitting:
-    """Canonical primes over a rational prime, with the splitting kind."""
+    """Canonical primes over a rational prime, with the splitting kind.
+
+    The kind is read off p mod 19; a split p gets its two primes from
+    _split_pair, in (norm, a, b) order.
+    """
     if not is_prime(p):
         raise DomainError(f"{p} is not a rational prime")
-    sol = norm_equation(p)
     if p == 19:
-        assert sol is not None
-        return Splitting("ramified", (canonical_associate(sol),))
-    if sol is None:
+        return Splitting("ramified", _split_pair(p)[:1])
+    if _is_inert(p):
         return Splitting("inert", (QuadInt(p, 0),))
-    pi = canonical_associate(sol)
-    pibar = canonical_associate(sol.conj())
-    pair = tuple(sorted((pi, pibar), key=canonical_key))
-    return Splitting("split", pair)
+    return Splitting("split", _split_pair(p))
 
 
 def _exact_div(x: QuadInt, y: QuadInt) -> QuadInt | None:

@@ -58,12 +58,8 @@ class _PrimeCache:
             if limit <= self._limit:
                 return
             limit = max(limit, 2 * self._limit, 1 << 16)
-            mask = np.ones(limit + 1, dtype=bool)
-            mask[:2] = False
-            for p in range(2, math.isqrt(limit) + 1):
-                if mask[p]:
-                    mask[p * p :: p] = False
-            primes = np.flatnonzero(mask).tolist()
+            lo = self._limit + 1
+            primes = self._primes + (np.flatnonzero(prime_mask(limit, lo)) + lo).tolist()
             # Swap in atomically; readers hold a snapshot reference.
             self._primes = primes
             self._limit = limit
@@ -267,16 +263,20 @@ def primes_upto(n: int) -> list[int]:
     return _CACHE.upto(n)
 
 
-def prime_mask(n: int) -> np.ndarray:
-    """Boolean array of length n + 1 with mask[k] iff k is prime.
+def prime_mask(n: int, lo: int = 0) -> np.ndarray:
+    """Boolean array of length n - lo + 1 with mask[k] iff lo + k is prime.
 
-    Built fresh per call rather than cached: the callers that need a mask
-    (bulk norm-primality tests) need it once per growth step, and keeping a
-    large mask alive between calls would cost far more than resieving.
+    The default lo = 0 gives the whole range 0..n. A positive lo sieves only
+    the segment [lo, n], striking multiples of the primes up to isqrt(n), so
+    a table that grows by segments never resieves what it already holds.
+    Built fresh per call rather than cached: keeping a large mask alive
+    between calls would cost far more than resieving.
     """
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
+    mask = np.ones(n - lo + 1, dtype=bool)
+    mask[: max(2 - lo, 0)] = False
+    root = math.isqrt(n)
+    if root >= 2:
+        for p in np.flatnonzero(prime_mask(root)).tolist():
+            start = max(p * p, -(-lo // p) * p)
+            mask[start - lo :: p] = False
     return mask

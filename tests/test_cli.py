@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nearfields.cli import main
+from nearfields.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,3 +191,59 @@ def test_reports_go_to_stdout_errors_to_stderr(capsys):
     assert code == 0 and out and err == ""
     code, out, err = _run(capsys, ["enumerate-additions", "--field", "f99"])
     assert code == 2 and out == "" and err != ""
+
+
+# Which subcommands take each tuning flag; every other subcommand rejects it.
+FLAG_COMMANDS = {
+    "--seed": {"verify-rho", "char-map"},
+    "--trials": {"verify-rho"},
+    "--height-bound": {"sigma", "exotic-add", "verify-rho", "char-map"},
+    "--norm-ceiling": {"factor-quad", "sigma-inv", "exotic-add", "verify-rho", "char-map"},
+}
+
+MINIMAL_ARGV = {
+    "factor-int": ["12"],
+    "factor-rat": ["1/2"],
+    "factor-quad": ["8", "2"],
+    "sigma": ["6/5"],
+    "sigma-inv": ["8", "2"],
+    "exotic-add": ["1", "2"],
+    "endoq": ["12"],
+    "verify-rho": ["--carrier", "f4"],
+    "char-map": ["--carrier", "f4"],
+    "enumerate-additions": ["--field", "f4"],
+    "isom-check": ["--field", "f9", "--a1", "1", "--a2", "5"],
+    "modnear-check": [],
+    "nvs-verify": ["--field", "f9", "--psi", "id", "--phi", "id"],
+    "qmc-check": ["--field", "f9", "--map", "id"],
+    "epsilon": ["--alpha", "2", "--z", "1"],
+}
+
+
+def test_tuning_flags_only_where_they_apply(capsys):
+    parser = _build_parser()
+    for command, argv in MINIMAL_ARGV.items():
+        for flag, takers in FLAG_COMMANDS.items():
+            if command in takers:
+                args = parser.parse_args([command, *argv, flag, "7"])
+                assert getattr(args, flag[2:].replace("-", "_")) == 7
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, *argv, flag, "7"])
+                assert exc.value.code == 2, (command, flag)
+                assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["factor-int", "12", "--seed", "3"])
+    assert exc.value.code == 2
+
+
+def test_config_file_keys_reach_commands_without_the_flag(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "trials": 40, "height_bound": 1, "norm_ceiling": 3}))
+    monkeypatch.setenv("NEARFIELDS_CONFIG", str(cfg))
+    code, out, err = _run(capsys, ["exotic-add", "1", "2"])
+    assert code == 2 and "exceeds the bound 1" in err
+    code, out, err = _run(capsys, ["factor-quad", "8", "2", "--den", "5"])
+    assert code == 2 and "ceiling 3" in err
+    code, out, err = _run(capsys, ["factor-int", "--json", "12"])
+    assert code == 0 and json.loads(out)["result"]["factors"] == [[2, 2], [3, 1]]

@@ -3,6 +3,7 @@ calculus: endobijections of Q, quasi-multiplicative checks, epsilon maps."""
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -166,6 +167,65 @@ def test_correspondence_thread_safety():
     lookup = dict(FROZEN_PAIRS)
     for p, pi in results:
         assert (pi.a, pi.b) == lookup[p]
+
+
+def test_concurrent_growth_matches_serial_build():
+    ceiling = 2 * 10**6
+    serial = PrimeCorrespondence(max_norm=ceiling)
+    serial.extend_to_norm(ceiling)
+    pairs = serial.pairs()
+    rng = np.random.default_rng(4)
+    # the last pair forces growth to the ceiling, whichever thread gets it
+    picks = [pairs[int(i)] for i in rng.integers(0, len(pairs), 200)] + [pairs[-1]]
+    shared = PrimeCorrespondence(max_norm=ceiling)
+    start = threading.Barrier(4, timeout=60)
+    found, errors = [], []
+
+    def work(k):
+        start.wait()
+        try:
+            for p, pi in picks[k::4]:
+                # half the threads grow through preimages first, half through images
+                if k % 2:
+                    p_back = shared.preimage_of_prime(pi)
+                    pi_back = shared.image_of_prime(p)
+                else:
+                    pi_back = shared.image_of_prime(p)
+                    p_back = shared.preimage_of_prime(pi)
+                found.append((p, pi, p_back, pi_back))
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so growth steps interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(found) == len(picks)
+    for p, pi, p_back, pi_back in found:
+        assert (p_back, pi_back) == (p, pi)
+    assert shared.pair_count == serial.pair_count
+    assert shared.pairs() == pairs
+
+
+def test_uneven_growth_matches_one_step():
+    q = 173  # inert (173 = 2 mod 19), with q**2 past the first doubling
+    stepped = PrimeCorrespondence()
+    for limit in (500, 361, q * q - 1, q * q, 19, 2 * 10**5, 10**6):
+        stepped.extend_to_norm(limit)
+    whole = PrimeCorrespondence()
+    whole.extend_to_norm(10**6)
+    assert stepped.pair_count == whole.pair_count
+    got = stepped.pairs()
+    assert got == whole.pairs()
+    assert [pi for _, pi in got].count(QuadInt(q, 0)) == 1
 
 
 def test_endo_bijection_examples():

@@ -95,7 +95,8 @@ def test_primes_above_examples():
 def test_splitting_trichotomy_first_100_primes():
     # Independent oracle: an odd prime q != 19 splits iff q is a nonzero
     # square mod 19 (quadratic reciprocity for discriminant -19); 2 needs the
-    # same rule via its residue. Cross-checks the norm-equation search.
+    # same rule via its residue. Also checks that the two split primes are
+    # conjugates; tests/test_oracles.py holds the independent references.
     squares = {x * x % 19 for x in range(1, 19)}
     for p in primes_upto(542):  # first 100 primes
         s = primes_above(p)
