@@ -107,11 +107,9 @@ def check_norm_ceiling(x: QuadRat, norm_ceiling: int, what: str = "sum image") -
         )
 
 
-def _guarded_invert(
-    corr: PrimeCorrespondence, x: QuadRat, norm_ceiling: int, trial_cap: int | None
-) -> Fraction:
+def _guarded_invert(corr: PrimeCorrespondence, x: QuadRat, norm_ceiling: int) -> Fraction:
     check_norm_ceiling(x, norm_ceiling)
-    return sigma_invert(corr, x, trial_cap=trial_cap)
+    return sigma_invert(corr, x)
 
 
 def exotic_add_q(
@@ -120,7 +118,6 @@ def exotic_add_q(
     *,
     corr: PrimeCorrespondence | None = None,
     norm_ceiling: int = DEFAULT_SUM_NORM_CEILING,
-    trial_cap: int | None = None,
 ) -> Fraction:
     """The exotic sum: sigma^-1(sigma(alpha) + sigma(beta)), exactly.
 
@@ -137,7 +134,7 @@ def exotic_add_q(
     s = sigma_apply(corr, a) + sigma_apply(corr, b)
     if s.is_zero():
         return Fraction(0)
-    return _guarded_invert(corr, s, norm_ceiling, trial_cap)
+    return _guarded_invert(corr, s, norm_ceiling)
 
 
 def exotic_neg_q(alpha: Rat | int) -> Fraction:
@@ -150,14 +147,13 @@ def exotic_structure(
     corr: PrimeCorrespondence | None = None,
     *,
     norm_ceiling: int = DEFAULT_SUM_NORM_CEILING,
-    trial_cap: int | None = None,
 ) -> InducedStructure:
     """(Q, exotic addition, native multiplication) as an InducedStructure."""
     corr = corr if corr is not None else default_correspondence()
     return InducedStructure(
         name="Q with exotic addition",
         forward=lambda q: sigma_apply(corr, q),
-        backward=lambda x: _guarded_invert(corr, x, norm_ceiling, trial_cap),
+        backward=lambda x: _guarded_invert(corr, x, norm_ceiling),
         add=lambda x, y: x + y,
         mul=lambda x, y: x * y,
         neg=lambda x: QuadRat(QuadInt(0, 0)) - x,

@@ -120,6 +120,8 @@ class PrimeCorrespondence:
                 f"correspondence needs norm {limit}, above the ceiling {self.max_norm}",
                 ceiling=self.max_norm,
             )
+        if limit <= self._capacity:
+            return
         with self._lock:
             old = self._capacity
             if limit <= old:
@@ -147,6 +149,8 @@ class PrimeCorrespondence:
                 sieved = top
             self._data = (norms, rat)
             self._sieved = sieved
+            # Published last: a reader that skips the lock on seeing the new
+            # capacity must also see the arrays that hold it.
             self._capacity = limit
 
     def _grow_until(self, ready) -> None:
@@ -164,15 +168,19 @@ class PrimeCorrespondence:
 
     def image_of_prime(self, p: int) -> QuadInt:
         """The canonical prime paired with the rational prime p."""
-        if not is_prime(p):
+        rat = self._data[1]
+        r = int(np.searchsorted(rat, p))  # p's rank, if p is prime
+        if r == len(rat):
+            # past every sieved prime: test p, then grow until it is paired
+            if not is_prime(p):
+                raise DomainError(f"{p} is not a rational prime")
+            self._grow_until(lambda norms, rat: len(norms) and rat[len(norms) - 1] >= p)
+            r = int(np.searchsorted(self._data[1], p))
+        elif rat[r] != p:  # the sieved primes settle any p up to the last of them
             raise DomainError(f"{p} is not a rational prime")
-        # rank of p is its index in the rational prime sequence
-        self._grow_until(lambda norms, rat: len(norms) and rat[len(norms) - 1] >= p)
-        norms, rat = self._data
-        r = int(np.searchsorted(rat, p))
-        if rat[r] != p:
-            raise IntegrityError(f"prime {p} missing from rational sequence")
-        return _canonical_at(norms, r)
+        # growth only appends, so the rank stays put
+        self._grow_until(lambda norms, rat: len(norms) > r)
+        return _canonical_at(self._data[0], r)
 
     def preimage_of_prime(self, pi: QuadInt) -> int:
         """The rational prime paired with a canonical prime pi."""
@@ -225,13 +233,13 @@ def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
     return QuadRat(num, den)
 
 
-def sigma_invert(corr: PrimeCorrespondence, x: QuadRat | QuadInt, *, trial_cap: int | None = None) -> Rat:
+def sigma_invert(corr: PrimeCorrespondence, x: QuadRat | QuadInt) -> Rat:
     """sigma^-1(x) for x in the image subfield."""
     if isinstance(x, QuadInt):
         x = QuadRat(x)
     if x.is_zero():
         return Fraction(0)
-    f = factor_quad(x, trial_cap=trial_cap)
+    f = factor_quad(x)
     out = Fraction(f.unit)
     for pi, e in f.exponents.items():
         out *= Fraction(corr.preimage_of_prime(pi)) ** e

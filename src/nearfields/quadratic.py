@@ -486,9 +486,9 @@ class KFactorization:
         return {"unit": self.unit, "factors": [[pi.to_json(), e] for pi, e in items]}
 
 
-def _factor_integral(z: QuadInt, trial_cap: int | None) -> tuple[int, dict[QuadInt, int]]:
+def _factor_integral(z: QuadInt) -> tuple[int, dict[QuadInt, int]]:
     out: dict[QuadInt, int] = {}
-    rational = factor_int(z.norm(), trial_cap=trial_cap)
+    rational = factor_int(z.norm())
     for p in sorted(rational.exponents):
         for pi in primes_above(p).primes:
             while True:
@@ -502,15 +502,15 @@ def _factor_integral(z: QuadInt, trial_cap: int | None) -> tuple[int, dict[QuadI
     return z.a, out
 
 
-def factor_quad(x: QuadInt | QuadRat, *, trial_cap: int | None = None) -> KFactorization:
+def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
     """Unique factorization into canonical primes; denominators go negative."""
     if isinstance(x, QuadInt):
         x = QuadRat(x, 1)
     if x.is_zero():
         raise DomainError("zero has no factorization")
-    unit, exps = _factor_integral(x.num, trial_cap)
+    unit, exps = _factor_integral(x.num)
     if x.den > 1:
-        du, dexps = _factor_integral(QuadInt(x.den, 0), trial_cap)
+        du, dexps = _factor_integral(QuadInt(x.den, 0))
         unit *= du
         for pi, e in dexps.items():
             new = exps.get(pi, 0) - e

@@ -5,9 +5,10 @@ the lowest-terms, positive-denominator normal form everything here relies
 on. This module adds the multiplicative view of a nonzero rational: a sign
 together with a finite map from primes to nonzero integer exponents.
 
-Factoring is trial division against a shared, lock-protected sieve, which
-settles inputs up to about 1e12 outright (smallest factor of the cofactor
-exceeds the 1e6 default cap, so the cofactor is prime). Past the cap, a
+Factoring is trial division by a fixed table of the primes up to the cap
+(default 1e6), sieved once on first use and never grown, which settles
+inputs up to about 1e12 outright (once no prime up to the cap divides the
+cofactor and the cofactor is at most cap**2, it is prime). Past that, a
 deterministic Miller-Rabin test and Brent's rho splitter take over; both
 remain exponential-time methods, there is nothing sub-exponential here.
 """
@@ -15,10 +16,9 @@ remain exponential-time methods, there is nothing sub-exponential here.
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,60 +45,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-class _PrimeCache:
-    """Growable prime table backed by a numpy sieve, safe under threads."""
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._limit = 0
-        self._primes: list[int] = []
-
-    def extend(self, limit: int) -> None:
-        with self._lock:
-            if limit <= self._limit:
-                return
-            limit = max(limit, 2 * self._limit, 1 << 16)
-            lo = self._limit + 1
-            primes = self._primes + (np.flatnonzero(prime_mask(limit, lo)) + lo).tolist()
-            # Swap in atomically; readers hold a snapshot reference.
-            self._primes = primes
-            self._limit = limit
-
-    def upto(self, n: int) -> list[int]:
-        self.extend(n)
-        primes = self._primes
-        return primes[: bisect_right(primes, n)]
-
-    def iter_upto(self, cap: int):
-        i = 0
-        while True:
-            primes = self._primes
-            while i < len(primes):
-                p = primes[i]
-                if p > cap:
-                    return
-                yield p
-                i += 1
-            if self._limit >= cap:
-                return
-            self.extend(min(cap, 4 * max(self._limit, 1 << 14)))
-
-    def nth(self, k: int) -> int:
-        if k < 1:
-            raise DomainError("prime indexing starts at 1")
-        if k < 6:
-            return [2, 3, 5, 7, 11][k - 1]
-        # Rosser-Schoenfeld upper bound for the k-th prime, k >= 6.
-        bound = int(k * (math.log(k) + math.log(math.log(k)))) + 10
-        while True:
-            self.extend(bound)
-            primes = self._primes
-            if len(primes) >= k:
-                return primes[k - 1]
-            bound *= 2
-
-
-_CACHE = _PrimeCache()
+@lru_cache(maxsize=8)
+def _trial_primes(cap: int) -> tuple[int, ...]:
+    """The primes up to cap, ascending; sieved once per cap and then shared."""
+    return tuple(primes_upto(cap))
 
 
 @dataclass(frozen=True)
@@ -138,10 +88,9 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_BASES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_BASES):
         return False
     if n >= _MR_VALID_BELOW:
         raise ResourceLimitError(
@@ -218,19 +167,20 @@ def factor_int(n: int, *, trial_cap: int | None = None) -> SignedFactorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     factors: dict[int, int] = {}
-    exhausted_cap = True
-    for p in _CACHE.iter_upto(cap):
+    for p in _trial_primes(cap):
         if p * p > m:
-            exhausted_cap = False
             break
         while m % p == 0:
             m //= p
             factors[p] = factors.get(p, 0) + 1
-    if m > 1:
-        if not exhausted_cap or m <= cap * cap:
-            factors[m] = factors.get(m, 0) + 1
-        else:
+    else:
+        # every prime up to cap is divided out; a cofactor past cap**2 may
+        # still be composite
+        if m > cap * cap:
             _factor_hard(m, factors)
+            return SignedFactorization(sign, factors)
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
     return SignedFactorization(sign, factors)
 
 
@@ -253,14 +203,20 @@ def rebuild(f: SignedFactorization) -> Rat:
 
 def nth_prime(k: int) -> int:
     """The k-th prime, 1-indexed: nth_prime(1) == 2."""
-    return _CACHE.nth(k)
+    if k < 1:
+        raise DomainError("prime indexing starts at 1")
+    if k < 6:
+        return (2, 3, 5, 7, 11)[k - 1]
+    # Rosser-Schoenfeld: the k-th prime is below k (ln k + ln ln k) for k >= 6.
+    bound = int(k * (math.log(k) + math.log(math.log(k)))) + 1
+    return primes_upto(bound)[k - 1]
 
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
     if n < 2:
         return []
-    return _CACHE.upto(n)
+    return np.flatnonzero(prime_mask(n)).tolist()
 
 
 def prime_mask(n: int, lo: int = 0) -> np.ndarray:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nearfields import maps
 from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import make_field
 from nearfields.maps import (
@@ -28,6 +29,7 @@ from nearfields.maps import (
     sigma_invert,
 )
 from nearfields.quadratic import QuadInt, QuadRat
+from nearfields.rationals import is_prime
 
 # First thirteen pairs, fixed as regression anchors. The same list is
 # recomputed below by brute force, with no shared code.
@@ -118,6 +120,35 @@ def test_image_and_preimage_round_trip():
         corr.image_of_prime(10)
     with pytest.raises(DomainError):
         corr.preimage_of_prime(QuadInt(4, 0))
+
+
+def test_image_of_prime_refuses_non_primes(monkeypatch):
+    tested = []
+    monkeypatch.setattr(maps, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    corr = PrimeCorrespondence(max_norm=10**4)
+    # nothing is sieved yet, so a primality test decides
+    for n in (0, 1, -3, 10):
+        with pytest.raises(DomainError):
+            corr.image_of_prime(n)
+    assert tested == [0, 1, -3, 10]
+    corr.extend_to_norm(10**4)
+    tested.clear()
+    # up to the last sieved prime the rank lookup decides on its own; 9971 =
+    # 13**2 * 59 lies between the last paired prime, 9923, and the last
+    # sieved one, 9973
+    for n in (0, 1, -3, 10, 9971):
+        with pytest.raises(DomainError):
+            corr.image_of_prime(n)
+    assert corr.image_of_prime(9923).norm() <= 10**4
+    assert tested == []
+    with pytest.raises(ResourceLimitError):
+        corr.image_of_prime(9973)
+    # past what the ceiling can reach: a composite is still not a prime,
+    # while a prime is refused at the ceiling
+    with pytest.raises(DomainError):
+        corr.image_of_prime(10**6 + 1)  # 101 * 9901
+    with pytest.raises(ResourceLimitError):
+        corr.image_of_prime(1_000_003)
 
 
 def test_resource_ceiling():

@@ -61,6 +61,42 @@ def test_factor_int_rho_path_with_small_trial_cap(monkeypatch):
     assert len(rho_calls) >= 40
 
 
+def test_factor_int_with_a_raised_trial_cap_needs_no_rho(monkeypatch):
+    rho_calls = _count_rho_splits(monkeypatch)
+    rng = random.Random(9)
+    cases = []
+    for _ in range(6):
+        p = sympy.nextprime(rng.randint(10**6, 19 * 10**5))
+        q = sympy.nextprime(rng.randint(10**6, 19 * 10**5))
+        cases.append(p * q)
+    for n in cases:
+        assert _as_dict(factor_int(n, trial_cap=2 * 10**6)) == sympy.factorint(n), n
+    assert rho_calls == []
+    # the same inputs do need rho under the default cap of 10**6
+    assert _as_dict(factor_int(cases[0])) == sympy.factorint(cases[0])
+    assert rho_calls
+
+
+def test_factor_int_with_trial_caps_of_one_and_two():
+    rng = random.Random(11)
+    cases = [1, -1, 2, 4, 9, 12, 25, 2**20, 3**5 * 7, 999_983 * 8, 999_983**2]
+    cases += [rng.randint(-(10**9), 10**9) or 1 for _ in range(50)]
+    for cap in (1, 2):
+        for n in cases:
+            assert _as_dict(factor_int(n, trial_cap=cap)) == sympy.factorint(n), (cap, n)
+
+
+def test_primes_upto_matches_sympy_primerange():
+    for n in (0, 1, 2, 3, 4, 10**6, 10**6 + 3):
+        assert rationals.primes_upto(n) == list(sympy.primerange(n + 1)), n
+
+
+def test_nth_prime_matches_sympy_prime():
+    # k >= 6 sieves to the Rosser-Schoenfeld bound; 78,498 is pi(10**6)
+    for k in (1, 2, 3, 4, 5, 6, 7, 78_498, 10**5):
+        assert rationals.nth_prime(k) == sympy.prime(k), k
+
+
 @pytest.fixture(scope="module")
 def corr():
     c = PrimeCorrespondence()

@@ -9,6 +9,7 @@ from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.rationals import (
     _MR_VALID_BELOW,
     SignedFactorization,
+    _trial_primes,
     factor_int,
     factor_rat,
     is_prime,
@@ -139,6 +140,8 @@ def test_json_shape():
 
 
 def test_cache_under_threads():
+    # start from no trial table, so the threads race on its first build
+    _trial_primes.cache_clear()
     results = []
 
     def work(seed):
@@ -153,5 +156,6 @@ def test_cache_under_threads():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert results == [True] * 8
