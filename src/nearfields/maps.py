@@ -32,6 +32,7 @@ from .quadratic import (
     _SPLIT_RESIDUES_MOD_19,
     QuadInt,
     QuadRat,
+    _in_canonical_form,
     _split_pair,
     factor_quad,
     is_canonical_prime,
@@ -183,22 +184,35 @@ class PrimeCorrespondence:
         return _canonical_at(self._data[0], r)
 
     def preimage_of_prime(self, pi: QuadInt) -> int:
-        """The rational prime paired with a canonical prime pi."""
-        if not is_canonical_prime(pi):
-            raise DomainError(f"{pi!r} is not a canonical prime")
+        """The rational prime paired with a canonical prime pi.
+
+        Up to the capacity the stored norms settle validity on their own:
+        each is a prime, whose canonical elements are the (at most two)
+        canonical primes of that norm, or the square of an inert q, whose
+        only canonical element is q itself. So a canonical-form pi whose
+        norm is stored at its rank is a canonical prime, and any other pi
+        is not. Only a pi past the capacity is tested for primality, before
+        the ceiling check and growth.
+        """
         n = pi.norm()
-        if n > self.max_norm:
-            raise ResourceLimitError(
-                f"canonical prime norm {n} above the ceiling {self.max_norm}",
-                ceiling=self.max_norm,
-            )
-        self.extend_to_norm(n)
+        if n > self._capacity:
+            if not is_canonical_prime(pi):
+                raise DomainError(f"{pi!r} is not a canonical prime")
+            if n > self.max_norm:
+                raise ResourceLimitError(
+                    f"canonical prime norm {n} above the ceiling {self.max_norm}",
+                    ceiling=self.max_norm,
+                )
+            self.extend_to_norm(n)
+        elif not _in_canonical_form(pi):
+            raise DomainError(f"{pi!r} is not a canonical prime")
+        # capacity is read before the arrays, which are published first
         norms, rat = self._data
         # of the two split primes of norm n, (a, b) and (-a - b, b), the one
         # with the larger a comes second
         i = int(np.searchsorted(norms, n)) + (pi.b > 0 and 2 * pi.a + pi.b > 0)
         if i >= len(norms) or norms[i] != n:
-            raise IntegrityError(f"canonical prime {pi!r} missing at norm {n}")
+            raise DomainError(f"{pi!r} is not a canonical prime")
         return int(rat[i])
 
 
@@ -240,10 +254,14 @@ def sigma_invert(corr: PrimeCorrespondence, x: QuadRat | QuadInt) -> Rat:
     if x.is_zero():
         return Fraction(0)
     f = factor_quad(x)
-    out = Fraction(f.unit)
+    num = den = 1
     for pi, e in f.exponents.items():
-        out *= Fraction(corr.preimage_of_prime(pi)) ** e
-    return out
+        p = corr.preimage_of_prime(pi)
+        if e > 0:
+            num *= p**e
+        else:
+            den *= p**-e
+    return Fraction(f.unit * num, den)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,20 @@
 w satisfies w**2 = w - 5, so integer pairs (a, b) representing a + b*w close
 under multiplication: (a + b*w)(c + d*w) = (ac - 5bd) + (ad + bc + bd)*w.
 The ring is a principal ideal domain whose only units are 1 and -1, which
-keeps associate bookkeeping to a single sign. It is not Euclidean, so there
-is no gcd algorithm to lean on; factoring routes through the rational norm
-a**2 + ab + 5b**2 instead. A rational prime p splits, stays inert or (for
-p = 19) ramifies according to its residue mod 19; the two primes over a split
-p come from a square root of -19 mod p (Tonelli-Shanks) and Cornacchia's
-reduction of x**2 + 19y**2 = 4p (Cohen, A Course in Computational Algebraic
-Number Theory, Algs. 1.5.1 and 1.5.3), in O(log p) steps.
+keeps associate bookkeeping to a single sign. A rational prime p splits,
+stays inert or (for p = 19) ramifies according to its residue mod 19; the two
+primes over a split p come from a square root of -19 mod p (Tonelli-Shanks)
+and Cornacchia's reduction of x**2 + 19y**2 = 4p (Cohen, A Course in
+Computational Algebraic Number Theory, Algs. 1.5.1 and 1.5.3), in O(log p)
+steps.
+
+The ring is not Euclidean, so there is no gcd algorithm to lean on, and
+factoring tries no division in it. An element splits into its content, a
+rational integer whose primes map straight to primes of Z[w], and a
+primitive part. The primes dividing the primitive part lie over the rational
+primes of its norm a**2 + ab + 5b**2, and over a split p only one of the two
+can; reducing modulo p along Z[w]/pi = Z/p tells which. Rebuilding the
+primitive part from the primes found proves the factorization exact.
 
 Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
@@ -106,8 +113,9 @@ class QuadInt:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conj(self) -> "QuadInt":
@@ -389,10 +397,6 @@ def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
     return QuadInt((-x - y) // 2, y), QuadInt((x - y) // 2, y)
 
 
-def _is_unit(x: QuadInt) -> bool:
-    return x.norm() == 1
-
-
 def _is_prime_element(x: QuadInt) -> bool:
     n = x.norm()
     if n <= 1:
@@ -407,19 +411,20 @@ def _is_prime_element(x: QuadInt) -> bool:
     return False
 
 
-def is_canonical_prime(x: QuadInt) -> bool:
-    if not _is_prime_element(x):
-        return False
+def _in_canonical_form(x: QuadInt) -> bool:
+    """Whether x is the representative of {x, -x} with b > 0, or b == 0 and a > 0."""
     return x.b > 0 or (x.b == 0 and x.a > 0)
+
+
+def is_canonical_prime(x: QuadInt) -> bool:
+    return _in_canonical_form(x) and _is_prime_element(x)
 
 
 def canonical_associate(x: QuadInt) -> QuadInt:
     """The representative of {x, -x} with b > 0, or b == 0 and a > 0."""
     if not _is_prime_element(x):
         raise DomainError(f"{x!r} is not a prime element")
-    if x.b > 0 or (x.b == 0 and x.a > 0):
-        return x
-    return -x
+    return x if _in_canonical_form(x) else -x
 
 
 @dataclass(frozen=True)
@@ -446,15 +451,6 @@ def primes_above(p: int) -> Splitting:
     if _is_inert(p):
         return Splitting("inert", (QuadInt(p, 0),))
     return Splitting("split", _split_pair(p))
-
-
-def _exact_div(x: QuadInt, y: QuadInt) -> QuadInt | None:
-    """x / y when it lands in the ring, else None."""
-    n = y.norm()
-    z = x * y.conj()
-    if z.a % n or z.b % n:
-        return None
-    return QuadInt(z.a // n, z.b // n)
 
 
 @dataclass(frozen=True)
@@ -486,39 +482,72 @@ class KFactorization:
         return {"unit": self.unit, "factors": [[pi.to_json(), e] for pi, e in items]}
 
 
-def _factor_integral(z: QuadInt) -> tuple[int, dict[QuadInt, int]]:
-    out: dict[QuadInt, int] = {}
-    rational = factor_int(z.norm())
-    for p in sorted(rational.exponents):
-        for pi in primes_above(p).primes:
-            while True:
-                q = _exact_div(z, pi)
-                if q is None:
-                    break
-                z = q
-                out[pi] = out.get(pi, 0) + 1
-    if not _is_unit(z):
-        raise IntegrityError(f"norm-guided division left non-unit {z!r}")
-    return z.a, out
+def _add_rational(n: int, sign: int, out: dict[QuadInt, int]) -> int:
+    """Add sign times the exponents of the canonical primes of the integer
+    n >= 1 to out, and return the unit u with n = u * prod(pi**e).
+
+    Straight from factor_int(n): a split p = -pi*pi', 19 = -pi19**2, and an
+    inert q is itself a canonical prime.
+    """
+    unit = 1
+    for p, e in factor_int(n).exponents.items():
+        s = primes_above(p)
+        if s.kind != "inert" and e % 2:
+            unit = -unit
+        k = 2 * e if s.kind == "ramified" else e
+        for pi in s.primes:
+            out[pi] = out.get(pi, 0) + sign * k
+    return unit
+
+
+def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
+    """Add the exponents of z = a + b*w, gcd(a, b) = 1, to out, and return
+    the unit u with z = u * prod(pi**e).
+
+    Only primes over the rational primes of N(z) divide z. No rational
+    prime does, so no inert one can be among them, and at most one of the
+    two primes over a split p can: pi divides z exactly when z maps to 0
+    under Z[w]/pi = Z/p, w -> r = -pi.a / pi.b mod p, and it then takes all
+    of p's exponent in N(z). The rebuilt product must equal z or -z, which
+    proves the factorization exact.
+    """
+    rebuilt = QuadInt(1, 0)
+    for p, e in factor_int(a * a + a * b + 5 * b * b).exponents.items():
+        s = primes_above(p)
+        if s.kind == "inert":
+            raise IntegrityError(f"inert {p} divides the norm of primitive {QuadInt(a, b)!r}")
+        pi = s.primes[0]
+        if s.kind == "split" and (a - b * pi.a * pow(pi.b, -1, p)) % p:
+            pi = s.primes[1]
+        out[pi] = out.get(pi, 0) + e
+        rebuilt = rebuilt * pi**e
+    if rebuilt.a == a and rebuilt.b == b:
+        return 1
+    if rebuilt.a == -a and rebuilt.b == -b:
+        return -1
+    raise IntegrityError(f"primes over the norm rebuild {rebuilt!r}, not +-{QuadInt(a, b)!r}")
 
 
 def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
-    """Unique factorization into canonical primes; denominators go negative."""
+    """Unique factorization into canonical primes; denominators go negative.
+
+    The numerator splits into its content c, a rational integer, and the
+    primitive part num / c; c and the denominator factor as rational
+    integers, the primitive part by its norm. No division in Z[w] is tried.
+    """
     if isinstance(x, QuadInt):
         x = QuadRat(x, 1)
     if x.is_zero():
         raise DomainError("zero has no factorization")
-    unit, exps = _factor_integral(x.num)
+    num = x.num
+    c = num.content()
+    exps: dict[QuadInt, int] = {}
+    unit = _add_primitive(num.a // c, num.b // c, exps)
+    if c > 1:
+        unit *= _add_rational(c, 1, exps)
     if x.den > 1:
-        du, dexps = _factor_integral(QuadInt(x.den, 0))
-        unit *= du
-        for pi, e in dexps.items():
-            new = exps.get(pi, 0) - e
-            if new:
-                exps[pi] = new
-            else:
-                exps.pop(pi, None)
-    return KFactorization(unit, exps)
+        unit *= _add_rational(x.den, -1, exps)
+    return KFactorization(unit, {pi: e for pi, e in exps.items() if e})
 
 
 def rebuild_quad(f: KFactorization) -> QuadRat:

@@ -40,9 +40,28 @@ __all__ = [
 
 TRIAL_CAP = 10**6
 
-# Deterministic Miller-Rabin witness set, valid below 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin. psi_k, the least strong pseudoprime to each of
+# the first k prime bases, bounds where those k bases settle primality
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86 (2017)); each n is tested to the shortest prefix with n < psi_k.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PREFIXES = tuple(
+    (psi, _MR_BASES[:k])
+    for psi, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),  # = psi_8
+        (3_825_123_056_546_413_051, 9),  # = psi_10 = psi_11
+        (318_665_857_834_031_151_167_461, 12),
+        (3_317_044_064_679_887_385_961_981, 13),
+    )
+)
+_MR_VALID_BELOW = _MR_PREFIXES[-1][0]
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
 
 
 @lru_cache(maxsize=8)
@@ -83,16 +102,17 @@ class SignedFactorization:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24.
 
-    Inputs with a prime factor up to 37 are settled at any size; any other
+    Inputs with a prime factor up to 41 are settled at any size; any other
     input at or above the bound raises ResourceLimitError naming it.
     """
-    if n < 2:
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return False
-    if n in _MR_BASES:
-        return True
-    if any(n % p == 0 for p in _MR_BASES):
-        return False
-    if n >= _MR_VALID_BELOW:
+    for psi, bases in _MR_PREFIXES:
+        if n < psi:
+            break
+    else:
         raise ResourceLimitError(
             f"primality test is deterministic only below {_MR_VALID_BELOW}, got {n}",
             ceiling=_MR_VALID_BELOW,
@@ -102,7 +122,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nearfields import maps
+from nearfields import maps, quadratic
 from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import make_field
 from nearfields.maps import (
@@ -28,7 +28,7 @@ from nearfields.maps import (
     sigma_apply,
     sigma_invert,
 )
-from nearfields.quadratic import QuadInt, QuadRat
+from nearfields.quadratic import QuadInt, QuadRat, primes_above
 from nearfields.rationals import is_prime
 
 # First thirteen pairs, fixed as regression anchors. The same list is
@@ -149,6 +149,70 @@ def test_image_of_prime_refuses_non_primes(monkeypatch):
         corr.image_of_prime(10**6 + 1)  # 101 * 9901
     with pytest.raises(ResourceLimitError):
         corr.image_of_prime(1_000_003)
+
+
+class _CountingLock:
+    """Stands in for a correspondence's lock and counts entries."""
+
+    def __init__(self, lock):
+        self.lock, self.entered = lock, 0
+
+    def __enter__(self):
+        self.entered += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_preimage_of_prime_refusals_below_capacity(monkeypatch):
+    corr = PrimeCorrespondence(max_norm=10**4)
+    corr.extend_to_norm(10**4)
+    back = {a: p for p, a in corr.pairs()}
+    pi, other = primes_above(43).primes  # 43 splits, and 43**2 <= 10**4
+    square = pi * pi
+    if square.b < 0:
+        square = -square  # the canonical form of pi**2, so its norm is looked up
+    assert square.b > 0
+    tested, grown = [], []
+    counting = lambda n: tested.append(n) or is_prime(n)  # noqa: E731
+    monkeypatch.setattr(maps, "is_prime", counting)
+    monkeypatch.setattr(quadratic, "is_prime", counting)
+    monkeypatch.setattr(corr, "extend_to_norm", grown.append)
+    corr._lock = _CountingLock(corr._lock)
+    refused = [
+        QuadInt(4, 0),  # norm 16 = 2**4, 2 inert
+        QuadInt(-2, 0),  # the negated associate of the inert prime 2
+        QuadInt(0, 0),
+        QuadInt(1, 0),  # a unit
+        QuadInt(5, 0),  # 5 splits, so 25 is no stored norm
+        -pi,  # the negated associate
+        pi.conj(),  # the conjugate, an associate of the other prime over 43
+        square,
+    ]
+    for x in refused:
+        with pytest.raises(DomainError):
+            corr.preimage_of_prime(x)
+    # both primes over 43, the inert 2 and the ramified prime over 19
+    # still map back, on the same lookup
+    assert other == -pi.conj()
+    for x in (pi, other, QuadInt(2, 0), QuadInt(-1, 2)):
+        assert corr.preimage_of_prime(x) == back[x]
+    assert tested == [] and grown == [] and corr._lock.entered == 0
+
+
+def test_preimage_of_prime_past_capacity():
+    corr = PrimeCorrespondence(max_norm=10**4)
+    corr.extend_to_norm(10**4)
+    # 101 splits, so QuadInt(101, 0) is composite; its norm 10201 is past
+    # both the capacity and the ceiling, and it is still not a prime
+    with pytest.raises(DomainError):
+        corr.preimage_of_prime(QuadInt(101, 0))
+    big = primes_above(10037)  # 10037 = 5 mod 19 splits
+    assert big.kind == "split"
+    with pytest.raises(ResourceLimitError) as exc:
+        corr.preimage_of_prime(big.primes[0])
+    assert exc.value.ceiling == 10**4
 
 
 def test_resource_ceiling():

@@ -6,16 +6,35 @@ outside reference to agree with.
 """
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import cornacchia
 
-from nearfields import rationals
-from nearfields.errors import ResourceLimitError
-from nearfields.maps import DEFAULT_CORRESPONDENCE_CEILING, PrimeCorrespondence
-from nearfields.quadratic import QuadInt, norm_equation, primes_above
-from nearfields.rationals import factor_int
+from nearfields import quadratic, rationals
+from nearfields.errors import IntegrityError, ResourceLimitError
+from nearfields.induced import DEFAULT_SUM_NORM_CEILING
+from nearfields.maps import (
+    DEFAULT_CORRESPONDENCE_CEILING,
+    PrimeCorrespondence,
+    default_correspondence,
+    sigma_apply,
+)
+from nearfields.quadratic import (
+    KFactorization,
+    QuadInt,
+    QuadRat,
+    factor_quad,
+    is_canonical_prime,
+    norm_equation,
+    primes_above,
+    rebuild_quad,
+)
+from nearfields.rationals import factor_int, is_prime
 
 CORR_NORM = 10**5
 
@@ -202,3 +221,220 @@ def test_primes_above_matches_sympy_kronecker_and_cornacchia():
         x, y = _cornacchia_4p(p)
         want = sorted({((-x - y) // 2, y), ((x - y) // 2, y)})
         assert [(pi.a, pi.b) for pi in s.primes] == want, p
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86 (2017); OEIS A014233). psi_8 = psi_7 and psi_10 = psi_11 = psi_9.
+PSI = {
+    1: 2_047,
+    2: 1_373_653,
+    3: 25_326_001,
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,
+    13: 3_317_044_064_679_887_385_961_981,
+}
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > a passes the strong (Miller-Rabin) test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_rejects_each_strong_pseudoprime_psi_k():
+    bases = list(sympy.primerange(2, 42))
+    for k, psi in PSI.items():
+        # psi_k is composite, yet passes the strong test to the first k bases
+        assert not sympy.isprime(psi)
+        assert all(_strong_probable_prime(psi, a) for a in bases[:k]), k
+        if psi < rationals._MR_VALID_BELOW:
+            assert is_prime(psi) is False, k
+    # psi_13 is where the 13 bases stop being deterministic
+    assert PSI[13] == rationals._MR_VALID_BELOW
+    with pytest.raises(ResourceLimitError):
+        is_prime(PSI[13])
+
+
+def test_factor_int_splits_psi_12():
+    assert _as_dict(factor_int(PSI[12])) == {399_165_290_221: 1, 798_330_580_441: 1}
+    assert _as_dict(factor_int(PSI[12])) == sympy.factorint(PSI[12])
+
+
+def test_is_prime_matches_sympy_isprime():
+    rng = random.Random(20240229)
+    cases = [rng.randint(-3, 10 ** rng.randint(1, 24)) for _ in range(20_000)]
+    # both sides of each switch to a longer prefix of bases
+    for psi in list(PSI.values())[:-1]:
+        cases += range(psi - 300, psi + 300)
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def _exact_div(x, y):
+    """x / y when it lands in Z[w], else None."""
+    n = y.norm()
+    z = x * y.conj()
+    if z.a % n or z.b % n:
+        return None
+    return QuadInt(z.a // n, z.b // n)
+
+
+def _sympy_primes_above(p):
+    """Canonical primes over p from sympy's Kronecker symbol and Cornacchia."""
+    if sympy.kronecker_symbol(-19, p) == -1:
+        return [QuadInt(p, 0)]
+    x, y = _cornacchia_4p(p)
+    return [QuadInt(a, b) for a, b in sorted({((-x - y) // 2, y), ((x - y) // 2, y)})]
+
+
+def _division_factor(z):
+    """unit, exponents of z in Z[w] by trial division: every prime over a
+    rational prime of the norm (factored by sympy) is divided out while it
+    divides, and what is left must be a unit."""
+    out = {}
+    for p in sorted(sympy.factorint(z.norm())):
+        for pi in _sympy_primes_above(p):
+            while (q := _exact_div(z, pi)) is not None:
+                z = q
+                out[pi] = out.get(pi, 0) + 1
+    assert z.norm() == 1, z
+    return z.a, out
+
+
+def _oracle_factor_quad(x):
+    """Norm-guided division, numerator and denominator apart."""
+    unit, exps = _division_factor(x.num)
+    du, dexps = _division_factor(QuadInt(x.den, 0))
+    for pi, e in dexps.items():
+        exps[pi] = exps.get(pi, 0) - e
+    return KFactorization(unit * du, {pi: e for pi, e in exps.items() if e})
+
+
+def _check_factor_quad(x):
+    f = factor_quad(x)
+    assert f == _oracle_factor_quad(x), x
+    assert rebuild_quad(f) == x
+    assert all(is_canonical_prime(pi) for pi in f.exponents), x
+    return f
+
+
+PI19 = QuadInt(-1, 2)
+
+
+def _random_primitive(rng, bound):
+    while True:
+        z = QuadInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if z.content() == 1:
+            return z
+
+
+def test_factor_quad_matches_division_on_contents_and_denominators():
+    rng = random.Random(20221119)
+    squares = {x * x % 19 for x in range(1, 19)}
+    primes = list(sympy.primerange(3, 2000))
+    split = [p for p in primes if p != 19 and p % 19 in squares]
+    inert = [2] + [p for p in primes if p != 19 and p % 19 not in squares]
+    dens = [d for d in range(1, 501) if d % 19]
+    over_pi19 = 0
+    for _ in range(150):
+        p, q, k = rng.choice(split), rng.choice(inert), rng.randint(1, 3)
+        # the content holds a split p, so both primes over it, an inert q and 19**k
+        c = p * q * 19**k
+        f = _check_factor_quad(QuadRat(_random_primitive(rng, 10**4) * c, rng.randint(1, 500)))
+        pi, pi2 = primes_above(p).primes
+        assert f.exponents.get(pi, 0) != 0 or f.exponents.get(pi2, 0) != 0
+        # a denominator with a split, an inert and a 19 factor, over a
+        # numerator prime to 19
+        num = _random_primitive(rng, 10**4)
+        if num.norm() % 19:
+            _check_factor_quad(QuadRat(num, p * q * 19 * rng.randint(1, 50)))
+        # a primitive numerator over pi19
+        z = PI19 * _random_primitive(rng, 10**4)
+        if z.content() == 1:
+            f = _check_factor_quad(QuadRat(z, rng.choice(dens)))
+            assert f.exponents[PI19] == 1
+            over_pi19 += 1
+    assert over_pi19 > 100
+
+
+def test_factor_quad_units_and_signs():
+    for x in (QuadRat(-1), QuadRat(1), QuadRat(-1, 7), QuadRat(-1, 19), QuadRat(-19, 4)):
+        _check_factor_quad(x)
+    assert factor_quad(QuadInt(-1, 0)) == KFactorization(-1, {})
+    rng = random.Random(3)
+    negatives = 0
+    for _ in range(300):
+        z = _random_primitive(rng, 10**5) * rng.choice([1, 2, 3, 19, 5 * 7])
+        f = _check_factor_quad(QuadRat(-z))
+        assert f.unit == -factor_quad(z).unit
+        negatives += f.unit == -1
+    assert 50 < negatives < 250
+
+
+def _qsum_inputs(seed, count):
+    """The first count input pairs of the qsum-h1e4 benchmark workload."""
+    height = 10**4
+    rng = np.random.default_rng(seed)
+    nums = rng.integers(-height, height + 1, size=(4000, 2))
+    dens = rng.integers(1, height + 1, size=(4000, 2))
+    pairs = [
+        (Fraction(int(n0), int(d0)), Fraction(int(n1), int(d1)))
+        for (n0, n1), (d0, d1) in zip(nums.tolist(), dens.tolist())
+    ]
+    return pairs[:count]
+
+
+def test_factor_quad_matches_division_on_sum_images():
+    # every one of these images has a norm within the sum-norm ceiling, so
+    # exotic_add_q would factor each of them
+    corr = default_correspondence()
+    for a, b in _qsum_inputs(0, 2000):
+        image = sigma_apply(corr, a) + sigma_apply(corr, b)
+        norm = image.norm()
+        assert abs(norm.numerator) <= DEFAULT_SUM_NORM_CEILING and norm.denominator <= DEFAULT_SUM_NORM_CEILING
+        _check_factor_quad(image)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-(10**7), 10**7),
+    st.integers(-(10**7), 10**7),
+    st.integers(1, 10**6),
+    st.sampled_from([1, 2, 3, 5, 19, 361, 7 * 11]),
+)
+def test_factor_quad_property(a, b, den, c):
+    if a == 0 and b == 0:
+        return
+    _check_factor_quad(QuadRat(QuadInt(a * c, b * c), den))
+
+
+def test_factor_quad_refuses_a_factorization_it_cannot_rebuild(monkeypatch):
+    z = QuadInt(3, 2)  # primitive, norm 5 * 7
+    assert sympy.factorint(z.norm()) == {5: 1, 7: 1}
+    real = quadratic.factor_int
+    # a norm factorization that loses a prime leaves a product short of z
+    monkeypatch.setattr(
+        quadratic, "factor_int",
+        lambda n: rationals.SignedFactorization(1, {p: e for p, e in real(n).exponents.items() if p != 7}),
+    )
+    with pytest.raises(IntegrityError):
+        factor_quad(z)
+    monkeypatch.setattr(quadratic, "factor_int", real)
+    # an inert prime over the norm of a primitive element is impossible
+    monkeypatch.setattr(quadratic, "primes_above", lambda p: quadratic.Splitting("inert", (QuadInt(p, 0),)))
+    with pytest.raises(IntegrityError):
+        factor_quad(z)

@@ -7,6 +7,7 @@ import sympy
 
 from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.rationals import (
+    _MR_BASES,
     _MR_VALID_BELOW,
     SignedFactorization,
     _trial_primes,
@@ -69,10 +70,10 @@ def test_is_prime_small():
 
 
 def test_is_prime_refuses_past_deterministic_bound():
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = _MR_BASES
     bound = _MR_VALID_BELOW
-    # Inputs with a factor up to 37 are settled before the bound applies.
-    assert is_prime(37 * bound) is False
+    # Inputs with a factor among the bases are settled before the bound applies.
+    assert is_prime(small[-1] * bound) is False
     n = bound
     while any(n % p == 0 for p in small):
         n += 1
