@@ -9,6 +9,9 @@ from its norm and its rank within that norm when asked for. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
+The images of the rational primes up to rationals.TRIAL_CAP are memoized
+per correspondence as they are found (refusals are not, so a ceiling is
+asked again each time), and sigma multiplies them on plain integers.
 
 Also here: finitely supported multiplicative endobijections of Q (prime
 permutation with sign and inversion twists), the five-way equivalence test
@@ -33,11 +36,13 @@ from .quadratic import (
     QuadInt,
     QuadRat,
     _in_canonical_form,
+    _mul,
+    _pow,
     _split_pair,
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import Rat, factor_rat, is_prime, prime_mask
+from .rationals import TRIAL_CAP, Rat, factor_rat, is_prime, prime_mask
 from .report import Report
 
 __all__ = [
@@ -105,6 +110,7 @@ class PrimeCorrespondence:
         self._sieved = 1  # every rational prime <= sieved is stored
         # (norms, rational primes); the second may run ahead of the first
         self._data = (np.empty(0, dtype=np.int64),) * 2
+        self._images: dict[int, QuadInt] = {}  # p -> image, for primes p <= TRIAL_CAP
 
     @property
     def pair_count(self) -> int:
@@ -168,7 +174,18 @@ class PrimeCorrespondence:
                 self.extend_to_norm(min(max(2 * self._capacity, 10_000), self.max_norm))
 
     def image_of_prime(self, p: int) -> QuadInt:
-        """The canonical prime paired with the rational prime p."""
+        """The canonical prime paired with the rational prime p.
+
+        Images of the primes up to TRIAL_CAP, which are the ones factoring
+        everyday rationals yields again and again, are kept once found: at
+        most 78,498 entries, and valid for good since growth only appends.
+        A refusal is not kept, so a repeat call asks the rank lookup again
+        and refuses again, or answers once the correspondence has grown.
+        Threads that miss on the same p together store equal images.
+        """
+        pi = self._images.get(p)
+        if pi is not None:
+            return pi
         rat = self._data[1]
         r = int(np.searchsorted(rat, p))  # p's rank, if p is prime
         if r == len(rat):
@@ -181,7 +198,10 @@ class PrimeCorrespondence:
             raise DomainError(f"{p} is not a rational prime")
         # growth only appends, so the rank stays put
         self._grow_until(lambda norms, rat: len(norms) > r)
-        return _canonical_at(self._data[0], r)
+        pi = _canonical_at(self._data[0], r)
+        if p <= TRIAL_CAP:
+            self._images[p] = pi
+        return pi
 
     def preimage_of_prime(self, pi: QuadInt) -> int:
         """The rational prime paired with a canonical prime pi.
@@ -230,21 +250,26 @@ def default_correspondence() -> PrimeCorrespondence:
 
 
 def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
-    """sigma(q): multiplicative extension of the prime pairing; fixes 0, 1, -1."""
+    """sigma(q): multiplicative extension of the prime pairing; fixes 0, 1, -1.
+
+    The numerator a + b*w and the denominator are carried as plain integers
+    and become one QuadRat at the end; pi**-e is conj(pi)**e / N(pi)**e.
+    """
     q = Fraction(q)
     if q == 0:
         return QuadRat(QuadInt(0, 0))
     f = factor_rat(q)
-    num = QuadInt(f.sign, 0)
-    den = 1
+    a, b, den = f.sign, 0, 1
     for p, e in f.exponents.items():
         pi = corr.image_of_prime(p)
-        if e > 0:
-            num = num * pi**e
-        else:
-            num = num * pi.conj() ** -e
+        c, d = pi.a, pi.b
+        if e < 0:
             den *= pi.norm() ** -e
-    return QuadRat(num, den)
+            c, d, e = c + d, -d, -e
+        if e > 1:
+            c, d = _pow(c, d, e)
+        a, b = _mul(a, b, c, d)
+    return QuadRat(QuadInt(a, b), den)
 
 
 def sigma_invert(corr: PrimeCorrespondence, x: QuadRat | QuadInt) -> Rat:

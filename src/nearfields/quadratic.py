@@ -38,10 +38,6 @@ __all__ = [
     "QuadRat",
     "KFactorization",
     "Splitting",
-    "quad_add",
-    "quad_mul",
-    "quad_conj",
-    "norm",
     "canonical_associate",
     "is_canonical_prime",
     "primes_above",
@@ -50,6 +46,23 @@ __all__ = [
     "canonical_key",
     "norm_equation",
 ]
+
+
+def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b*w)(c + d*w) as a pair: the ring's product, w**2 = w - 5."""
+    return a * c - 5 * b * d, a * d + b * c + b * d
+
+
+def _pow(a: int, b: int, k: int) -> tuple[int, int]:
+    """(a + b*w)**k for k >= 0 as a pair, by square-and-multiply."""
+    out = 1, 0
+    while k:
+        if k & 1:
+            out = _mul(*out, a, b)
+        k >>= 1
+        if k:
+            a, b = _mul(a, b, a, b)
+    return out
 
 
 class QuadInt:
@@ -100,23 +113,14 @@ class QuadInt:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self._a, self._b, other._a, other._b
-        return QuadInt(a * c - 5 * b * d, a * d + b * c + b * d)
+        return QuadInt(*_mul(self._a, self._b, other._a, other._b))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative powers leave the ring")
-        out = QuadInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return QuadInt(*_pow(self._a, self._b, k))
 
     def conj(self) -> "QuadInt":
         return QuadInt(self._a + self._b, -self._b)
@@ -294,22 +298,6 @@ def _coerce_rat(x) -> QuadRat | None:
     return None
 
 
-def quad_add(x: QuadInt, y: QuadInt) -> QuadInt:
-    return x + y
-
-
-def quad_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    return x * y
-
-
-def quad_conj(x: QuadInt) -> QuadInt:
-    return x.conj()
-
-
-def norm(x: QuadInt | QuadRat):
-    return x.norm()
-
-
 def canonical_key(pi: QuadInt) -> tuple[int, int, int]:
     """Total order on canonical primes: by norm, then (a, b) lexicographic."""
     return (pi.norm(), pi.a, pi.b)
@@ -381,8 +369,9 @@ def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
     odd parity, until the remainder drops to 2*sqrt(p) or below; it is the x
     of x**2 + 19y**2 = 4p, and (+-x - y)/2 + y*w are the two primes. For
     p = 19 both coincide. The caller vouches that p is such a prime. The
-    small primes of everyday rationals recur in every sigma, so recent
-    answers are kept; the cache is bounded.
+    primes of the norms met in factoring recur from one sum to the next,
+    so primes_above is served from a bounded cache of recent answers; sigma
+    does not need it, since the correspondence memoizes its small images.
     """
     x = _sqrt_mod(-19, p)
     if x % 2 == 0:

@@ -5,12 +5,13 @@ the lowest-terms, positive-denominator normal form everything here relies
 on. This module adds the multiplicative view of a nonzero rational: a sign
 together with a finite map from primes to nonzero integer exponents.
 
-Factoring is trial division by a fixed table of the primes up to the cap
-(default 1e6), sieved once on first use and never grown, which settles
-inputs up to about 1e12 outright (once no prime up to the cap divides the
-cofactor and the cofactor is at most cap**2, it is prime). Past that, a
-deterministic Miller-Rabin test and Brent's rho splitter take over; both
-remain exponential-time methods, there is nothing sub-exponential here.
+Factoring is one loop, _exponents, behind both factor_int and factor_rat:
+trial division by a fixed table of the primes up to the cap (default 1e6),
+sieved once on first use and never grown, which settles inputs up to about
+1e12 outright (once no prime up to the cap divides the cofactor and the
+cofactor is at most cap**2, it is prime). Past that, a deterministic
+Miller-Rabin test and Brent's rho splitter take over; both remain
+exponential-time methods, there is nothing sub-exponential here.
 """
 
 from __future__ import annotations
@@ -179,13 +180,14 @@ def _factor_hard(m: int, out: dict[int, int]) -> None:
         stack.append(v // d)
 
 
-def factor_int(n: int, *, trial_cap: int | None = None) -> SignedFactorization:
-    """Factor a nonzero integer into a sign and prime exponents."""
-    if n == 0:
-        raise DomainError("zero has no factorization")
-    cap = TRIAL_CAP if trial_cap is None else trial_cap
-    sign = 1 if n > 0 else -1
-    m = abs(n)
+def _exponents(m: int, cap: int) -> dict[int, int]:
+    """The prime exponents of an integer m >= 1, the one factoring loop.
+
+    Trial division by the primes up to cap stops once p**2 exceeds what is
+    left, which is then 1 or a prime. If every prime up to cap divides out
+    and more than cap**2 is left, the cofactor may still be composite, and
+    Miller-Rabin and rho take over.
+    """
     factors: dict[int, int] = {}
     for p in _trial_primes(cap):
         if p * p > m:
@@ -194,14 +196,20 @@ def factor_int(n: int, *, trial_cap: int | None = None) -> SignedFactorization:
             m //= p
             factors[p] = factors.get(p, 0) + 1
     else:
-        # every prime up to cap is divided out; a cofactor past cap**2 may
-        # still be composite
         if m > cap * cap:
             _factor_hard(m, factors)
-            return SignedFactorization(sign, factors)
+            return factors
     if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return SignedFactorization(sign, factors)
+        factors[m] = 1
+    return factors
+
+
+def factor_int(n: int, *, trial_cap: int | None = None) -> SignedFactorization:
+    """Factor a nonzero integer into a sign and prime exponents."""
+    if n == 0:
+        raise DomainError("zero has no factorization")
+    cap = TRIAL_CAP if trial_cap is None else trial_cap
+    return SignedFactorization(1 if n > 0 else -1, _exponents(abs(n), cap))
 
 
 def factor_rat(q: Rat | int) -> SignedFactorization:
@@ -209,11 +217,11 @@ def factor_rat(q: Rat | int) -> SignedFactorization:
     q = Fraction(q)
     if q == 0:
         raise DomainError("zero has no factorization")
-    top = factor_int(q.numerator)
-    exps = dict(top.exponents)
-    for p, e in factor_int(q.denominator).exponents.items():
-        exps[p] = exps.get(p, 0) - e  # cannot cancel: q is in lowest terms
-    return SignedFactorization(top.sign, exps)
+    exps = _exponents(abs(q.numerator), TRIAL_CAP)
+    if q.denominator > 1:
+        for p, e in _exponents(q.denominator, TRIAL_CAP).items():
+            exps[p] = -e  # a new key: q is in lowest terms
+    return SignedFactorization(1 if q.numerator > 0 else -1, exps)
 
 
 def rebuild(f: SignedFactorization) -> Rat:

@@ -126,14 +126,16 @@ def add_from_rho(r: RhoMap) -> Callable[[Any, Any], Any]:
     return add
 
 
-def _pairs_for(r: RhoMap, sampler, trials: int, rng):
+def _pairs_for(r: RhoMap, sampler, rng):
+    """Every pair of a finite carrier once; sampled pairs, without end, of
+    an infinite one."""
     c = r.carrier
     if c.is_finite:
         for a in c.elements:
             for b in c.elements:
                 yield a, b
     else:
-        for _ in range(trials):
+        while True:
             yield sampler(rng), sampler(rng)
 
 
@@ -150,10 +152,17 @@ def verify_rho_axioms(
 
     Commutativity already follows from the four properties; it is checked
     anyway as a cheap cross-validation of the derivation.
+
+    A finite carrier is checked on every pair. On an infinite one, a pair
+    that overruns a resource ceiling is skipped and redrawn until trials
+    pairs are checked; past max_skips skips the ResourceLimitError is
+    raised, naming its ceiling, rather than passing on fewer pairs.
     """
     c = r.carrier
     if not c.is_finite and sampler is None:
         raise DomainError("infinite carriers need a sampler")
+    if not c.is_finite and trials < 1:
+        raise DomainError("infinite carriers need at least one trial")
     rep = Report(f"rho axioms on {c.name}")
     rep.add("identity_property", r(c.zero) == c.one)
     rep.add("inverse_property", r(c.minus_one) == c.zero)
@@ -161,7 +170,7 @@ def verify_rho_axioms(
     add = add_from_rho(r)
     bad3 = bad4 = bad_inv = bad_comm = None
     checked = skips = 0
-    for a, b in _pairs_for(r, sampler, trials, rng):
+    for a, b in _pairs_for(r, sampler, rng):
         try:
             if a != c.zero and r(c.inv(a)) != c.mul(c.inv(a), r(a)) and bad3 is None:
                 bad3 = a
@@ -180,6 +189,8 @@ def verify_rho_axioms(
                 raise
             continue
         checked += 1
+        if checked == trials and not c.is_finite:
+            break
     rep.add("abelian_property", bad3 is None, witness=bad3)
     rep.add("associative_property", bad4 is None, witness=bad4)
     rep.add("inverse_formula", bad_inv is None, witness=bad_inv)

@@ -140,6 +140,18 @@ def test_height_gate_and_norm_ceiling(capsys):
     assert code == 2 and err
 
 
+def test_verify_rho_refuses_rather_than_pass_on_skipped_pairs(capsys):
+    # At sum-norm ceiling 1 nearly every exotic sum is refused; the check
+    # must not pass on the few pairs that need no sum.
+    argv = ["verify-rho", "--carrier", "q", "--addition", "exotic", "--trials", "50"]
+    code, out, err = _run(capsys, argv + ["--norm-ceiling", "1", "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "ceiling 1" in err, err
+    code, out, _ = _run(capsys, argv + ["--json"])
+    assert code == 0
+    assert json.loads(out)["report"]["counts"] == {"pairs": 50, "skipped": 0}
+
+
 def test_norm_ceiling_gates_sigma_inv_and_factor_quad(capsys):
     # (8 + 2w)/5 has norm 100/25 = 4: admitted at ceiling 4, refused at 3.
     pinned = {

@@ -29,7 +29,7 @@ from nearfields.maps import (
     sigma_invert,
 )
 from nearfields.quadratic import QuadInt, QuadRat, primes_above
-from nearfields.rationals import is_prime
+from nearfields.rationals import TRIAL_CAP, factor_int, is_prime, primes_upto
 
 # First thirteen pairs, fixed as regression anchors. The same list is
 # recomputed below by brute force, with no shared code.
@@ -233,6 +233,78 @@ def test_sigma_examples():
     assert sigma_apply(corr, 2) == QuadRat(QuadInt(2, 0))
     assert sigma_apply(corr, Fraction(6, 5)) == QuadRat(QuadInt(8, 2), 5)
     assert sigma_invert(corr, QuadRat(QuadInt(8, 2), 5)) == Fraction(6, 5)
+
+
+def _sigma_by_quadrat(corr, q):
+    """sigma(q) as a product of QuadRat powers of prime images: a negative
+    exponent divides, and exponents are spent one factor at a time."""
+    out = QuadRat(-1 if q < 0 else 1)
+    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
+        for p, e in factor_int(n).exponents.items():
+            pi = QuadRat(corr.image_of_prime(p))
+            for _ in range(e):
+                out = out * pi if sign > 0 else out / pi
+    return out
+
+
+def test_sigma_apply_matches_a_product_of_quadrat_powers():
+    corr = default_correspondence()
+    F = Fraction
+    cases = [
+        F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 4),  # 2 is inert
+        F(19), F(1, 19), F(-19**3, 7), F(7, 19**2),  # 19 ramifies
+        F(3 * 5 * 7, 11), F(-11**2, 3**3 * 5), F(43**4, 47**2),  # split primes
+        F(2**3 * 3, 19 * 5**2), F(-(13**2) * 19, 2**5 * 23),  # inert 13 and 23
+        F(2**200, 3**150), F(-(3**150), 2**200), F(19**90, 7**121),
+        F(999_983, 999_979**3),  # the last primes under the trial cap
+    ]
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        cases.append(F(int(rng.integers(-10**6, 10**6)) or 1, int(rng.integers(1, 10**6))))
+    for q in cases:
+        assert sigma_apply(corr, q) == _sigma_by_quadrat(corr, q), q
+        assert sigma_invert(corr, sigma_apply(corr, q)) == q, q
+
+
+def test_image_of_prime_memo_holds_only_small_primes_it_found():
+    corr = PrimeCorrespondence(max_norm=10**4)
+    corr.extend_to_norm(10**4)
+    pi = corr.image_of_prime(9923)
+    assert corr._images == {9923: pi}
+    # refusals are never kept: each repeat asks again and refuses again
+    for n, error in ((9971, DomainError), (10, DomainError), (9973, ResourceLimitError)):
+        for _ in range(3):
+            with pytest.raises(error):
+                corr.image_of_prime(n)
+        assert n not in corr._images
+    with pytest.raises(ResourceLimitError):
+        corr.image_of_prime(1_000_003)
+    assert corr._images == {9923: pi}
+    # a prime past the trial cap is answered but not kept
+    big = PrimeCorrespondence()
+    pi = big.image_of_prime(1_000_003)
+    assert big.image_of_prime(1_000_003) == pi
+    assert 1_000_003 not in big._images
+    assert big.image_of_prime(999_983) == big._images[999_983]
+
+
+def test_memoized_images_equal_a_fresh_correspondence(monkeypatch):
+    primes = primes_upto(TRIAL_CAP)
+    rng = np.random.default_rng(31)
+    sample = [primes[i] for i in rng.choice(len(primes), size=300, replace=False)]
+    sample += [2, 3, 19, primes[-1]]
+    corr = PrimeCorrespondence()
+    first = [corr.image_of_prime(p) for p in sample]
+    lookups = []
+    real = maps._canonical_at
+    monkeypatch.setattr(maps, "_canonical_at", lambda *a: lookups.append(a) or real(*a))
+    assert [corr.image_of_prime(p) for p in sample] == first
+    assert lookups == []  # all served from the memo
+    fresh = PrimeCorrespondence()
+    assert [fresh.image_of_prime(p) for p in sample] == first
+    assert len(lookups) == len(sample)
+    for p, pi in zip(sample, first):
+        assert fresh.preimage_of_prime(pi) == p
 
 
 def test_sigma_round_trips_random():

@@ -34,7 +34,7 @@ from nearfields.quadratic import (
     primes_above,
     rebuild_quad,
 )
-from nearfields.rationals import factor_int, is_prime
+from nearfields.rationals import factor_int, factor_rat, is_prime
 
 CORR_NORM = 10**5
 
@@ -68,6 +68,34 @@ def test_factor_int_matches_sympy_factorint(monkeypatch):
     for n in cases:
         assert _as_dict(factor_int(n)) == sympy.factorint(n), n
     assert len(rho_calls) >= 12
+
+
+def test_factor_rat_matches_sympy_factorrat(monkeypatch):
+    rho_calls = _count_rho_splits(monkeypatch)
+    built = []
+    real = rationals.SignedFactorization
+    monkeypatch.setattr(
+        rationals, "SignedFactorization", lambda *a: built.append(a) or real(*a)
+    )
+    rng = random.Random(61)
+    cases = [Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(19**5, 2**64)]
+    cases += [
+        Fraction(rng.randint(-(10**12), 10**12) or 1, rng.randint(1, 10**12))
+        for _ in range(300)
+    ]
+    # Past the trial cap: a prime cofactor, and semiprimes that need rho,
+    # on either side of the fraction bar.
+    for _ in range(8):
+        p = sympy.nextprime(rng.randint(10**6, 10**8))
+        q = sympy.nextprime(rng.randint(10**6, 10**8))
+        r = sympy.nextprime(rng.randint(10**6, 10**12))
+        cases.append(Fraction(-p * q * rng.choice([1, 6, 49]), r))
+        cases.append(Fraction(r * rng.choice([1, 5, 11**3]), p * q))
+    for x in cases:
+        built.clear()
+        assert _as_dict(factor_rat(x)) == sympy.factorrat(sympy.Rational(x.numerator, x.denominator)), x
+        assert len(built) == 1, x
+    assert len(rho_calls) >= 16
 
 
 def test_factor_int_rho_path_with_small_trial_cap(monkeypatch):

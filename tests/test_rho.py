@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nearfields.errors import DomainError, IntegrityError
+from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import exotic_add_q
 from nearfields.rho import (
@@ -90,6 +90,25 @@ def test_add_rho_round_trips_rational_exotic():
         b = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40)))
         assert add(a, b) == exotic_add_q(a, b)
     assert add(Fraction(0), Fraction(7, 3)) == Fraction(7, 3)
+
+
+def test_rho_axioms_on_q_redraw_refused_pairs():
+    # At sum-norm ceiling 1000, 3 of the first 23 pairs of height 12 are
+    # refused; each is redrawn, so all 20 trials are checked.
+    ceiling = 1000
+    r = rho_from_add(rational_carrier(), lambda a, b: exotic_add_q(a, b, norm_ceiling=ceiling))
+    sampler = lambda rng: Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
+    rep = verify_rho_axioms(r, sampler=sampler, trials=20, rng=np.random.default_rng(0))
+    assert rep.ok
+    assert rep.counts == {"pairs": 20, "skipped": 3}
+    # past max_skips the refusal propagates, naming its ceiling
+    with pytest.raises(ResourceLimitError) as err:
+        verify_rho_axioms(
+            r, sampler=sampler, trials=20, rng=np.random.default_rng(0), max_skips=2
+        )
+    assert err.value.ceiling == ceiling
+    with pytest.raises(DomainError):
+        verify_rho_axioms(r, sampler=sampler, trials=0, rng=np.random.default_rng(0))
 
 
 def test_repeated_add():
