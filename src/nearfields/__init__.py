@@ -78,7 +78,6 @@ from .quadratic import (
     canonical_associate,
     factor_quad,
     is_canonical_prime,
-    norm_equation,
     primes_above,
     rebuild_quad,
 )
@@ -119,7 +118,7 @@ __all__ = [
     "is_prime", "nth_prime", "primes_upto",
     # the quadratic ring
     "QuadInt", "QuadRat", "KFactorization", "factor_quad", "rebuild_quad",
-    "canonical_associate", "is_canonical_prime", "norm_equation", "primes_above",
+    "canonical_associate", "is_canonical_prime", "primes_above",
     # multiplicative maps
     "DEFAULT_CORRESPONDENCE_CEILING", "PrimeCorrespondence", "default_correspondence",
     "sigma_apply", "sigma_invert", "EndoBijectionSpecQ", "endo_q_apply",

@@ -178,13 +178,13 @@ def _box_one(s: ElementaryNVS) -> np.ndarray:
     return K_inv[s.box_add[np.ix_(K, K)]]
 
 
-def addition_at(s: ElementaryNVS, gamma: int, *, verify: bool = True) -> AdditionTable:
+def addition_at(s: ElementaryNVS, gamma: int) -> AdditionTable:
     """The addition the space induces at the vector gamma (.) 1:
     alpha (+)_gamma beta = (alpha gamma (+)_1 beta gamma) gamma^-1.
 
-    With verify on, the table is checked to be an abelian group addition
-    left-distributed over by multiplication, which is what makes the
-    carrier a near-field under it.
+    The table is checked to be an abelian group addition left-distributed
+    over by multiplication, which is what makes the carrier a near-field
+    under it; DomainError if it is not.
     """
     F = s.field
     if gamma == F.zero:
@@ -192,16 +192,15 @@ def addition_at(s: ElementaryNVS, gamma: int, *, verify: bool = True) -> Additio
     t1 = _box_one(s)
     g_col = F.mul[:, gamma]
     table = F.mul[t1[np.ix_(g_col, g_col)], F.inv[gamma]]
-    if verify:
-        if assoc_witness(table) is not None:
-            raise DomainError("induced addition is not associative")
-        ok = (
-            np.array_equal(table, table.T)
-            and np.array_equal(table[F.zero], np.arange(F.m))
-            and left_distrib_witness(F.mul, table) is None
-        )
-        if not ok:
-            raise DomainError("induced addition fails the near-field laws")
+    if assoc_witness(table) is not None:
+        raise DomainError("induced addition is not associative")
+    ok = (
+        np.array_equal(table, table.T)
+        and np.array_equal(table[F.zero], np.arange(F.m))
+        and left_distrib_witness(F.mul, table) is None
+    )
+    if not ok:
+        raise DomainError("induced addition fails the near-field laws")
     return AdditionTable(field=F, table=table, provenance=f"gamma={gamma}", exponent=None)
 
 

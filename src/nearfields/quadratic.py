@@ -44,13 +44,25 @@ __all__ = [
     "factor_quad",
     "rebuild_quad",
     "canonical_key",
-    "norm_equation",
 ]
+
+# The ring's constants. w = (1 + sqrt(DISCRIMINANT))/2 is a root of
+# x**2 - x + W_NORM, so w**2 = w - W_NORM. The one ramified prime is
+# RAMIFIED = -DISCRIMINANT; every other prime splits or stays inert by its
+# residue mod RAMIFIED.
+DISCRIMINANT = -19
+W_NORM = (1 - DISCRIMINANT) // 4
+RAMIFIED = -DISCRIMINANT
 
 
 def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """(a + b*w)(c + d*w) as a pair: the ring's product, w**2 = w - 5."""
-    return a * c - 5 * b * d, a * d + b * c + b * d
+    """(a + b*w)(c + d*w) as a pair: the ring's product."""
+    return a * c - W_NORM * b * d, a * d + b * c + b * d
+
+
+def _norm(a: int, b: int) -> int:
+    """The norm of a + b*w: (a + b*w)(a + b - b*w)."""
+    return a * a + a * b + W_NORM * b * b
 
 
 def _pow(a: int, b: int, k: int) -> tuple[int, int]:
@@ -126,7 +138,7 @@ class QuadInt:
         return QuadInt(self._a + self._b, -self._b)
 
     def norm(self) -> int:
-        return self._a * self._a + self._a * self._b + 5 * self._b * self._b
+        return _norm(self._a, self._b)
 
     def content(self) -> int:
         return math.gcd(self._a, self._b)
@@ -303,37 +315,15 @@ def canonical_key(pi: QuadInt) -> tuple[int, int, int]:
     return (pi.norm(), pi.a, pi.b)
 
 
-def norm_equation(m: int) -> QuadInt | None:
-    """Smallest-b solution of a**2 + ab + 5b**2 = m with b >= 1, or None.
-
-    Bounded search: 4m = (2a+b)**2 + 19 b**2 caps |b| at isqrt(4m/19).
-    O(sqrt(m)) steps. The package splits primes by Cornacchia's reduction
-    instead (see primes_above) and keeps this search as an independent
-    reference for it.
-    """
-    if m < 5:
-        return None
-    for b in range(1, math.isqrt(4 * m // 19) + 1):
-        disc = 4 * m - 19 * b * b
-        if disc < 0:
-            break
-        c = math.isqrt(disc)
-        if c * c != disc:
-            continue
-        if (c - b) % 2 == 0:
-            return QuadInt((-b + c) // 2, b)
-    return None
-
-
 # -19 = 1 mod 4, so by reciprocity a prime p != 19 splits in Z[w] exactly
 # when p mod 19 is a nonzero square; for p = 2 the rule gives inert, which
 # agrees with -19 = 5 mod 8. 19 ramifies.
-_SPLIT_RESIDUES_MOD_19 = frozenset(x * x % 19 for x in range(1, 19))
+_SPLIT_RESIDUES = frozenset(x * x % RAMIFIED for x in range(1, RAMIFIED))
 
 
 def _is_inert(p: int) -> bool:
     """Whether the rational prime p stays prime in Z[w]."""
-    return p != 19 and p % 19 not in _SPLIT_RESIDUES_MOD_19
+    return p != RAMIFIED and p % RAMIFIED not in _SPLIT_RESIDUES
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -373,13 +363,13 @@ def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
     so primes_above is served from a bounded cache of recent answers; sigma
     does not need it, since the correspondence memoizes its small images.
     """
-    x = _sqrt_mod(-19, p)
+    x = _sqrt_mod(DISCRIMINANT, p)
     if x % 2 == 0:
         x = p - x
     r0, bound = 2 * p, math.isqrt(4 * p)
     while x > bound:
         r0, x = x, r0 % x
-    y2, rem = divmod(4 * p - x * x, 19)
+    y2, rem = divmod(4 * p - x * x, RAMIFIED)
     y = math.isqrt(y2)
     if rem or y * y != y2:
         raise IntegrityError(f"Cornacchia found no x**2 + 19y**2 = 4*{p}")
@@ -435,7 +425,7 @@ def primes_above(p: int) -> Splitting:
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not a rational prime")
-    if p == 19:
+    if p == RAMIFIED:
         return Splitting("ramified", _split_pair(p)[:1])
     if _is_inert(p):
         return Splitting("inert", (QuadInt(p, 0),))
@@ -501,7 +491,7 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     proves the factorization exact.
     """
     rebuilt = QuadInt(1, 0)
-    for p, e in factor_int(a * a + a * b + 5 * b * b).exponents.items():
+    for p, e in factor_int(_norm(a, b)).exponents.items():
         s = primes_above(p)
         if s.kind == "inert":
             raise IntegrityError(f"inert {p} divides the norm of primitive {QuadInt(a, b)!r}")

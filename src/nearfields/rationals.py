@@ -6,7 +6,7 @@ on. This module adds the multiplicative view of a nonzero rational: a sign
 together with a finite map from primes to nonzero integer exponents.
 
 Factoring is one loop, _exponents, behind both factor_int and factor_rat:
-trial division by a fixed table of the primes up to the cap (default 1e6),
+trial division by a fixed table of the primes up to TRIAL_CAP = 1e6,
 sieved once on first use and never grown, which settles inputs up to about
 1e12 outright (once no prime up to the cap divides the cofactor and the
 cofactor is at most cap**2, it is prime). Past that, a deterministic
@@ -186,7 +186,8 @@ def _exponents(m: int, cap: int) -> dict[int, int]:
     Trial division by the primes up to cap stops once p**2 exceeds what is
     left, which is then 1 or a prime. If every prime up to cap divides out
     and more than cap**2 is left, the cofactor may still be composite, and
-    Miller-Rabin and rho take over.
+    Miller-Rabin and rho take over. The package always passes TRIAL_CAP;
+    the tests pass other caps to reach each branch.
     """
     factors: dict[int, int] = {}
     for p in _trial_primes(cap):
@@ -204,12 +205,11 @@ def _exponents(m: int, cap: int) -> dict[int, int]:
     return factors
 
 
-def factor_int(n: int, *, trial_cap: int | None = None) -> SignedFactorization:
+def factor_int(n: int) -> SignedFactorization:
     """Factor a nonzero integer into a sign and prime exponents."""
     if n == 0:
         raise DomainError("zero has no factorization")
-    cap = TRIAL_CAP if trial_cap is None else trial_cap
-    return SignedFactorization(1 if n > 0 else -1, _exponents(abs(n), cap))
+    return SignedFactorization(1 if n > 0 else -1, _exponents(abs(n), TRIAL_CAP))
 
 
 def factor_rat(q: Rat | int) -> SignedFactorization:

@@ -13,6 +13,7 @@ a bijection of a finite field.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -38,6 +39,10 @@ __all__ = [
     "char_map",
     "check_bij_plus",
 ]
+
+# char_map checks chi on every in-range pair when there are at most this
+# many, and on a seeded sample of this many otherwise.
+RING_HOM_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,6 @@ def verify_rho_axioms(
     sampler=None,
     trials: int = 300,
     rng=None,
-    max_skips: int = 10_000,
 ) -> Report:
     """The four defining properties, plus bijectivity with its inverse
     formula, plus commutativity of the induced addition.
@@ -155,8 +159,9 @@ def verify_rho_axioms(
 
     A finite carrier is checked on every pair. On an infinite one, a pair
     that overruns a resource ceiling is skipped and redrawn until trials
-    pairs are checked; past max_skips skips the ResourceLimitError is
-    raised, naming its ceiling, rather than passing on fewer pairs.
+    pairs are checked. A verdict may not rest on fewer checked pairs than
+    skipped ones, so once the skips exceed trials the ResourceLimitError
+    is raised, naming its ceiling.
     """
     c = r.carrier
     if not c.is_finite and sampler is None:
@@ -185,7 +190,7 @@ def verify_rho_axioms(
                 bad_comm = (a, b)
         except ResourceLimitError:
             skips += 1
-            if skips > max_skips:
+            if skips > trials:
                 raise
             continue
         checked += 1
@@ -241,20 +246,17 @@ class CharMapResult:
         raise DomainError(f"{n} outside the tabulated range")
 
 
-def char_map(
-    r: RhoMap,
-    bound: int,
-    *,
-    ring_hom_cap: int = 4000,
-    seed: int = 0,
-) -> CharMapResult:
+def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     """Tabulate chi(n) = sgn(n) rho^|n|(0) for |n| <= bound and analyze it.
 
     The characteristic is the least n > 0 with chi(n) = 0 when one exists
     within the bound (it must then be prime), otherwise 0 with the
     evidence_bounded flag raised. chi is verified to be additive and
     multiplicative on the tabulated range, exhaustively when the number of
-    in-range pairs is at most ring_hom_cap, on a seeded sample otherwise.
+    in-range pairs is at most RING_HOM_CAP, on a seeded sample otherwise.
+    A pair whose evaluation overruns a resource ceiling is skipped, and
+    chi_additive or chi_multiplicative fails when its pairs have more
+    skipped than checked.
     Finite carriers additionally get the prime-subfield checks: the chi
     image is a commutative multiplicative subgroup distributing over the
     induced addition on both sides, and the field order is a power of the
@@ -294,25 +296,26 @@ def char_map(
         (n, m) for n in in_range for m in in_range if -bound <= n * m <= bound
     ]
     rng = np.random.default_rng(seed)
-    bad_add = bad_mul = None
     skips = 0
-    for name, pairs, bad_slot in (("add", add_pairs, 0), ("mul", mul_pairs, 1)):
-        if len(pairs) > ring_hom_cap:
-            idx = rng.choice(len(pairs), size=ring_hom_cap, replace=False)
+    for name, check, pairs, op, combine in (
+        ("add", "chi_additive", add_pairs, add, operator.add),
+        ("mul", "chi_multiplicative", mul_pairs, c.mul, operator.mul),
+    ):
+        if len(pairs) > RING_HOM_CAP:
+            idx = rng.choice(len(pairs), size=RING_HOM_CAP, replace=False)
             pairs = [pairs[i] for i in idx]
+        bad = None
+        skipped = 0
         for n, m in pairs:
             try:
-                if name == "add":
-                    if add(chi[n], chi[m]) != chi[n + m] and bad_add is None:
-                        bad_add = (n, m)
-                else:
-                    if c.mul(chi[n], chi[m]) != chi[n * m] and bad_mul is None:
-                        bad_mul = (n, m)
+                if op(chi[n], chi[m]) != chi[combine(n, m)] and bad is None:
+                    bad = (n, m)
             except ResourceLimitError:
-                skips += 1
+                skipped += 1
+        checked = len(pairs) - skipped
+        rep.add(check, bad is None and skipped <= checked, witness=bad)
         rep.counts[f"{name}_pairs"] = len(pairs)
-    rep.add("chi_additive", bad_add is None, witness=bad_add)
-    rep.add("chi_multiplicative", bad_mul is None, witness=bad_mul)
+        skips += skipped
     rep.counts["skipped"] = skips
 
     if c.is_finite:

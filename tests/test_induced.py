@@ -23,7 +23,12 @@ from nearfields.induced import (
     induced_neg,
     verify_exotic_field_axioms,
 )
-from nearfields.maps import default_correspondence, sigma_apply, sigma_invert
+from nearfields.maps import (
+    PrimeCorrespondence,
+    default_correspondence,
+    sigma_apply,
+    sigma_invert,
+)
 from nearfields.quadratic import QuadInt, QuadRat
 
 
@@ -136,6 +141,27 @@ def test_ringisom_sigma_all_true():
     assert rep.counts["pairs"] == 60
 
 
+def test_ringisom_refuses_rather_than_pass_on_skipped_pairs():
+    # At sum-norm ceiling 1 nearly every pair is refused, so the skips
+    # overtake the 50 trials and the refusal propagates.
+    corr = default_correspondence()
+    src = StructureOps(
+        "Q exotic", add=lambda a, b: exotic_add_q(a, b, norm_ceiling=1), mul=lambda a, b: a * b
+    )
+    dst = StructureOps("quadratic field", add=lambda x, y: x + y, mul=lambda x, y: x * y)
+    with pytest.raises(ResourceLimitError) as err:
+        check_ringisom(
+            lambda q: sigma_apply(corr, q),
+            lambda x: sigma_invert(corr, x),
+            src,
+            dst,
+            _rational_sampler(60),
+            50,
+            rng=np.random.default_rng(1),
+        )
+    assert err.value.ceiling == 1
+
+
 def test_ringisom_identity_all_false():
     src = StructureOps("Q native", add=lambda a, b: a + b, mul=lambda a, b: a * b)
     dst = StructureOps("Q exotic", add=exotic_add_q, mul=lambda a, b: a * b)
@@ -181,3 +207,22 @@ def test_field_axiom_suite_small_run():
     assert rep.ok, rep.failures()
     assert rep.counts["trials"] == 60
     assert rep.counts["materialized_commutativity"] >= 40
+
+
+def test_field_axiom_suite_fails_when_most_sums_are_skipped():
+    # At sum-norm ceiling 1 the cross-order and distributivity re-checks
+    # skip nearly every triple; nested associativity keeps its own ceiling.
+    rep = verify_exotic_field_axioms(trials=200, norm_ceiling=1)
+    assert [c.name for c in rep.failures()] == [
+        "commutativity_materialized",
+        "distributivity_materialized",
+    ]
+    assert rep.counts["skipped_commutativity"] > rep.counts["materialized_commutativity"]
+    assert rep.counts["skipped_distributivity"] > rep.counts["materialized_distributivity"]
+    # On a correspondence capped at norm 10 the nested sums of the
+    # associativity pool mostly need primes past it.
+    rep = verify_exotic_field_axioms(
+        trials=100, height=1, corr=PrimeCorrespondence(max_norm=10)
+    )
+    assert [c.name for c in rep.failures()] == ["associativity_materialized"]
+    assert rep.counts["skipped_associativity"] > rep.counts["materialized_associativity"]

@@ -336,6 +336,23 @@ def test_correspondence_thread_safety():
         assert (pi.a, pi.b) == lookup[p]
 
 
+def test_growth_publishes_capacity_after_the_arrays():
+    # Readers skip the lock once the capacity covers what they need, so the
+    # arrays holding a new capacity must already be in place when it appears.
+    class Recording(PrimeCorrespondence):
+        def __setattr__(self, name, value):
+            if name == "_capacity":
+                vars(self).setdefault("published", []).append((value, vars(self).get("_data")))
+            super().__setattr__(name, value)
+
+    corr = Recording()
+    for limit in (10_000, 50_000, 10**6):
+        corr.extend_to_norm(limit)
+        capacity, data = corr.published[-1]
+        assert capacity == corr._capacity >= limit
+        assert data is corr._data
+
+
 def test_concurrent_growth_matches_serial_build():
     ceiling = 2 * 10**6
     serial = PrimeCorrespondence(max_norm=ceiling)

@@ -5,6 +5,7 @@ and the prime correspondence so that a rewrite of any of them has an
 outside reference to agree with.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from nearfields.quadratic import (
     QuadRat,
     factor_quad,
     is_canonical_prime,
-    norm_equation,
     primes_above,
     rebuild_quad,
 )
@@ -98,13 +98,18 @@ def test_factor_rat_matches_sympy_factorrat(monkeypatch):
     assert len(rho_calls) >= 16
 
 
+# The factoring loop behind factor_int and factor_rat, at trial caps other
+# than the package's TRIAL_CAP, to reach the rho path or its absence.
+_exponents = rationals._exponents
+
+
 def test_factor_int_rho_path_with_small_trial_cap(monkeypatch):
     rho_calls = _count_rho_splits(monkeypatch)
     rng = random.Random(5)
     for _ in range(40):
         n = sympy.nextprime(rng.randint(10**3, 10**6)) * sympy.nextprime(rng.randint(10**3, 10**6))
         n *= rng.choice([1, 7, 7**2 * 101])
-        assert _as_dict(factor_int(n, trial_cap=50)) == sympy.factorint(n), n
+        assert _exponents(n, 50) == sympy.factorint(n), n
     assert len(rho_calls) >= 40
 
 
@@ -117,7 +122,7 @@ def test_factor_int_with_a_raised_trial_cap_needs_no_rho(monkeypatch):
         q = sympy.nextprime(rng.randint(10**6, 19 * 10**5))
         cases.append(p * q)
     for n in cases:
-        assert _as_dict(factor_int(n, trial_cap=2 * 10**6)) == sympy.factorint(n), n
+        assert _exponents(n, 2 * 10**6) == sympy.factorint(n), n
     assert rho_calls == []
     # the same inputs do need rho under the default cap of 10**6
     assert _as_dict(factor_int(cases[0])) == sympy.factorint(cases[0])
@@ -130,7 +135,7 @@ def test_factor_int_with_trial_caps_of_one_and_two():
     cases += [rng.randint(-(10**9), 10**9) or 1 for _ in range(50)]
     for cap in (1, 2):
         for n in cases:
-            assert _as_dict(factor_int(n, trial_cap=cap)) == sympy.factorint(n), (cap, n)
+            assert _exponents(abs(n), cap) == sympy.factorint(abs(n)), (cap, n)
 
 
 def test_primes_upto_matches_sympy_primerange():
@@ -203,6 +208,35 @@ def test_round_trip_and_refusal_at_the_default_ceiling():
     with pytest.raises(ResourceLimitError) as exc:
         corr.image_of_prime(sympy.nextprime(last))
     assert exc.value.ceiling == DEFAULT_CORRESPONDENCE_CEILING
+
+
+def norm_equation(m):
+    """Smallest-b solution of a**2 + ab + 5b**2 = m with b >= 1, or None.
+
+    Bounded search: 4m = (2a+b)**2 + 19 b**2 caps |b| at isqrt(4m/19).
+    O(sqrt(m)) steps. The package splits primes by Cornacchia's reduction
+    instead (see primes_above); this search is an independent reference.
+    """
+    if m < 5:
+        return None
+    for b in range(1, math.isqrt(4 * m // 19) + 1):
+        disc = 4 * m - 19 * b * b
+        if disc < 0:
+            break
+        c = math.isqrt(disc)
+        if c * c != disc:
+            continue
+        if (c - b) % 2 == 0:
+            return QuadInt((-b + c) // 2, b)
+    return None
+
+
+def test_norm_equation_bounds():
+    assert norm_equation(5) == QuadInt(0, 1)
+    assert norm_equation(2) is None
+    assert norm_equation(19) == QuadInt(-1, 2)
+    # 19 needs b = 2, the inclusive endpoint of the |b| bound.
+    assert norm_equation(4) is None
 
 
 def _canonical(a, b):

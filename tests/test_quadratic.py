@@ -11,7 +11,6 @@ from nearfields.quadratic import (
     canonical_associate,
     factor_quad,
     is_canonical_prime,
-    norm_equation,
     primes_above,
     rebuild_quad,
 )
@@ -182,14 +181,6 @@ def test_quadrat_field_ops():
             assert (x / y) * y == x
     one = QuadRat(QuadInt(1, 0))
     assert one / QuadRat(W) * QuadRat(W) == one
-
-
-def test_norm_equation_bounds():
-    assert norm_equation(5) == QuadInt(0, 1)
-    assert norm_equation(2) is None
-    assert norm_equation(19) == QuadInt(-1, 2)
-    # 19 needs b = 2, the inclusive endpoint of the |b| bound.
-    assert norm_equation(4) is None
 
 
 def test_json_shapes():

@@ -92,23 +92,49 @@ def test_add_rho_round_trips_rational_exotic():
     assert add(Fraction(0), Fraction(7, 3)) == Fraction(7, 3)
 
 
+def _rho_with_sum_ceiling(ceiling):
+    return rho_from_add(
+        rational_carrier(), lambda a, b: exotic_add_q(a, b, norm_ceiling=ceiling)
+    )
+
+
+def _rational_sampler(height):
+    return lambda rng: Fraction(
+        int(rng.integers(-height, height + 1)), int(rng.integers(1, height + 1))
+    )
+
+
 def test_rho_axioms_on_q_redraw_refused_pairs():
     # At sum-norm ceiling 1000, 3 of the first 23 pairs of height 12 are
     # refused; each is redrawn, so all 20 trials are checked.
-    ceiling = 1000
-    r = rho_from_add(rational_carrier(), lambda a, b: exotic_add_q(a, b, norm_ceiling=ceiling))
-    sampler = lambda rng: Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
+    sampler = _rational_sampler(12)
+    r = _rho_with_sum_ceiling(1000)
     rep = verify_rho_axioms(r, sampler=sampler, trials=20, rng=np.random.default_rng(0))
     assert rep.ok
     assert rep.counts == {"pairs": 20, "skipped": 3}
-    # past max_skips the refusal propagates, naming its ceiling
+    # At ceiling 100, 5 trials take 5 skips, as many as may be absorbed;
+    # 10 trials reach an 11th skip first, and the refusal propagates,
+    # naming its ceiling.
+    r = _rho_with_sum_ceiling(100)
+    rep = verify_rho_axioms(r, sampler=sampler, trials=5, rng=np.random.default_rng(0))
+    assert rep.ok
+    assert rep.counts == {"pairs": 5, "skipped": 5}
     with pytest.raises(ResourceLimitError) as err:
-        verify_rho_axioms(
-            r, sampler=sampler, trials=20, rng=np.random.default_rng(0), max_skips=2
-        )
-    assert err.value.ceiling == ceiling
+        verify_rho_axioms(r, sampler=sampler, trials=10, rng=np.random.default_rng(0))
+    assert err.value.ceiling == 100
     with pytest.raises(DomainError):
         verify_rho_axioms(r, sampler=sampler, trials=0, rng=np.random.default_rng(0))
+
+
+def test_rho_axioms_on_q_refuse_rather_than_pass_on_skipped_pairs():
+    # At sum-norm ceiling 1 nearly every pair is refused; only pairs that
+    # need no sum (first operand 0) slip through.
+    r = _rho_with_sum_ceiling(1)
+    with pytest.raises(ResourceLimitError) as err:
+        verify_rho_axioms(
+            r, sampler=_rational_sampler(60), trials=50, rng=np.random.default_rng(1)
+        )
+    assert err.value.ceiling == 1
 
 
 def test_repeated_add():
@@ -170,9 +196,23 @@ def test_char_map_validation_and_integrity():
         char_map(bad, 8)
 
 
+def test_char_map_fails_when_most_add_pairs_are_skipped():
+    # An add that refuses non-integer operands still builds chi, which only
+    # needs 1 (+) n, but refuses 304 of the 469 add pairs at bound 12.
+    def add(a, b):
+        if a.denominator != 1 or b.denominator != 1:
+            raise ResourceLimitError("non-integer operand", ceiling=1)
+        return exotic_add_q(a, b)
+
+    res = char_map(rho_from_add(rational_carrier(), add), 12)
+    assert [res.chi(n) for n in range(1, 13)] == CHI_CHAIN
+    assert [c.name for c in res.report.failures()] == ["chi_additive"]
+    assert res.report.counts == {"bound": 12, "add_pairs": 469, "mul_pairs": 189, "skipped": 304}
+
+
 def test_chi_ring_hom_on_sampled_grid():
     r = rho_from_add(rational_carrier(), exotic_add_q)
-    res = char_map(r, 20, ring_hom_cap=1500)
+    res = char_map(r, 20)
     assert res.report.ok
     # spot-check additivity through the public route as well
     assert exotic_add_q(res.chi(3), res.chi(4)) == res.chi(7)
