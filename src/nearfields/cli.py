@@ -183,7 +183,7 @@ def _cmd_factor_rat(args, cfg):
 
 def _cmd_factor_quad(args, cfg):
     x = QuadRat(QuadInt(int(args.a), int(args.b)), int(args.den))
-    check_norm_ceiling(x, cfg.norm_ceiling, "input")
+    check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
     f = factor_quad(x)
     return {"input": x.to_json(), "result": f.to_json()}, True
 
@@ -196,7 +196,7 @@ def _cmd_sigma(args, cfg):
 
 def _cmd_sigma_inv(args, cfg):
     x = QuadRat(QuadInt(int(args.a), int(args.b)), int(args.den))
-    check_norm_ceiling(x, cfg.norm_ceiling, "input")
+    check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
     q = sigma_invert(default_correspondence(), x)
     return {"input": x.to_json(), "result": str(q)}, True
 

@@ -8,9 +8,12 @@ addition on Q that keeps the native multiplication (sigma is multiplicative)
 yet makes Q a field isomorphic to the quadratic one. That addition is
 exotic_add_q.
 
-Everything here is exact. Evaluating the exotic addition costs two rational
-factorizations and one quadratic-integer factorization, so operand sizes are
-guarded by ceilings and overruns raise ResourceLimitError rather than churn.
+Everything here is exact. The exotic sum factors each operand once over Z,
+takes out their common factor gamma (multiplication distributes over the
+exotic sum, so gamma*x (+) gamma*y = gamma*(x (+) y)), and factors in Z[w]
+only the image sum of the two coprime integer cofactors, which has no
+denominator. Operand sizes are guarded by ceilings, and overruns raise
+ResourceLimitError rather than churn.
 """
 
 from __future__ import annotations
@@ -22,9 +25,15 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ResourceLimitError
-from .maps import PrimeCorrespondence, default_correspondence, sigma_apply, sigma_invert
+from .maps import (
+    PrimeCorrespondence,
+    _sigma_pair,
+    default_correspondence,
+    sigma_apply,
+    sigma_invert,
+)
 from .quadratic import QuadInt, QuadRat
-from .rationals import Rat
+from .rationals import Rat, factor_rat
 from .report import Report
 
 __all__ = [
@@ -96,11 +105,10 @@ def induced_neg(s: InducedStructure, alpha):
     return s.backward(s.neg(s.forward(alpha)))
 
 
-def check_norm_ceiling(x: QuadRat, norm_ceiling: int, what: str = "sum image") -> None:
-    """Refuse x before factoring it when its norm's numerator or denominator
-    exceeds norm_ceiling; factoring a large semiprime norm has no useful
-    time bound."""
-    n = x.norm()
+def check_norm_ceiling(n: Fraction, norm_ceiling: int, what: str = "sum image") -> None:
+    """Refuse an element of norm n before factoring it when the numerator
+    or denominator of n exceeds norm_ceiling; factoring a large semiprime
+    norm has no useful time bound."""
     if abs(n.numerator) > norm_ceiling or n.denominator > norm_ceiling:
         raise ResourceLimitError(
             f"{what} has norm {n}, above the ceiling {norm_ceiling}",
@@ -109,7 +117,7 @@ def check_norm_ceiling(x: QuadRat, norm_ceiling: int, what: str = "sum image") -
 
 
 def _guarded_invert(corr: PrimeCorrespondence, x: QuadRat, norm_ceiling: int) -> Fraction:
-    check_norm_ceiling(x, norm_ceiling)
+    check_norm_ceiling(x.norm(), norm_ceiling)
     return sigma_invert(corr, x)
 
 
@@ -122,6 +130,13 @@ def exotic_add_q(
 ) -> Fraction:
     """The exotic sum: sigma^-1(sigma(alpha) + sigma(beta)), exactly.
 
+    Each operand is factored once. Their common factor gamma, with
+    v_p(gamma) = min(v_p(alpha), v_p(beta)), leaves coprime integer
+    cofactors x and y, whose images sum to S = sigma(x) + sigma(y) in Z[w].
+    Since sigma is multiplicative, the sum is gamma * sigma^-1(S), and only
+    S is factored in Z[w]. The ceiling gate sees the norm of the whole image
+    sum, N(sigma(gamma)) * N(S).
+
     Raises ResourceLimitError when the image sum is too large to factor
     (norm over norm_ceiling) or involves a prime outside the extendable
     correspondence range; the exception carries the ceiling hit.
@@ -132,10 +147,38 @@ def exotic_add_q(
         return b
     if b == 0:
         return a
-    s = sigma_apply(corr, a) + sigma_apply(corr, b)
+    fa, fb = factor_rat(a), factor_rat(b)
+    gamma: dict[int, int] = {}
+    x: dict[int, int] = {}
+    y: dict[int, int] = {}
+    for p in fa.exponents.keys() | fb.exponents.keys():
+        i, j = fa.exponents.get(p, 0), fb.exponents.get(p, 0)
+        m = min(i, j)
+        if m:
+            gamma[p] = m
+        if i > m:
+            x[p] = i - m
+        if j > m:
+            y[p] = j - m
+    # gamma and the norm of its image. With the cofactors below, every
+    # operand prime is imaged before the zero test, so a sum to 0 still
+    # refuses where sigma(alpha) or sigma(beta) would.
+    g_num = g_den = n_num = n_den = 1
+    for p, e in gamma.items():
+        n = corr.image_of_prime(p).norm()
+        if e > 0:
+            g_num *= p**e
+            n_num *= n**e
+        else:
+            g_den *= p**-e
+            n_den *= n**-e
+    xa, xb, _ = _sigma_pair(corr, fa.sign, x)
+    ya, yb, _ = _sigma_pair(corr, fb.sign, y)
+    s = QuadInt(xa + ya, xb + yb)
     if s.is_zero():
         return Fraction(0)
-    return _guarded_invert(corr, s, norm_ceiling)
+    check_norm_ceiling(Fraction(n_num * s.norm(), n_den), norm_ceiling)
+    return Fraction(g_num, g_den) * sigma_invert(corr, s)
 
 
 def exotic_neg_q(alpha: Rat | int) -> Fraction:

@@ -252,18 +252,13 @@ def default_correspondence() -> PrimeCorrespondence:
         return _default
 
 
-def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
-    """sigma(q): multiplicative extension of the prime pairing; fixes 0, 1, -1.
-
-    The numerator a + b*w and the denominator are carried as plain integers
-    and become one QuadRat at the end; pi**-e is conj(pi)**e / N(pi)**e.
-    """
-    q = Fraction(q)
-    if q == 0:
-        return QuadRat(QuadInt(0, 0))
-    f = factor_rat(q)
-    a, b, den = f.sign, 0, 1
-    for p, e in f.exponents.items():
+def _sigma_pair(
+    corr: PrimeCorrespondence, sign: int, exponents: dict[int, int]
+) -> tuple[int, int, int]:
+    """sigma(sign * prod(p**e)) as plain integers (a, b, den), the value
+    being (a + b*w) / den, not reduced; pi**-e is conj(pi)**e / N(pi)**e."""
+    a, b, den = sign, 0, 1
+    for p, e in exponents.items():
         pi = corr.image_of_prime(p)
         c, d = pi.a, pi.b
         if e < 0:
@@ -272,6 +267,20 @@ def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
         if e > 1:
             c, d = _pow(c, d, e)
         a, b = _mul(a, b, c, d)
+    return a, b, den
+
+
+def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
+    """sigma(q): multiplicative extension of the prime pairing; fixes 0, 1, -1.
+
+    The numerator a + b*w and the denominator are carried as plain integers
+    and become one QuadRat at the end.
+    """
+    q = Fraction(q)
+    if q == 0:
+        return QuadRat(QuadInt(0, 0))
+    f = factor_rat(q)
+    a, b, den = _sigma_pair(corr, f.sign, f.exponents)
     return QuadRat(QuadInt(a, b), den)
 
 

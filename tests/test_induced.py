@@ -3,14 +3,19 @@ isomorphism checker."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfields.errors import ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import (
+    DEFAULT_SUM_NORM_CEILING,
     InducedStructure,
     StructureOps,
     check_ringisom,
@@ -66,6 +71,118 @@ def test_exotic_add_norm_ceiling():
     with pytest.raises(ResourceLimitError) as exc:
         exotic_add_q(Fraction(9973, 2), Fraction(9967, 3), norm_ceiling=10)
     assert exc.value.ceiling == 10
+
+
+# Primes that operands share through their common factor gamma.
+_SHARED = (2, 3, 5, 7, 11, 13, 19)
+
+
+@st.composite
+def _gamma_pairs(draw, height):
+    """(gamma*x, gamma*y). gamma is a product of up to three shared primes
+    over another such product, or over 1 when x and gamma are integers; y
+    is a fresh fraction, an integer, x or -x."""
+    shared = st.lists(st.sampled_from(_SHARED), max_size=3).map(math.prod)
+    nonzero = st.integers(-height, height).filter(bool)
+    integral = draw(st.booleans())
+    gamma = Fraction(draw(shared), 1 if integral else draw(shared))
+    x = Fraction(draw(nonzero), 1 if integral else draw(st.integers(1, height)))
+    y = draw(
+        st.one_of(
+            st.builds(Fraction, nonzero, st.integers(1, height)),
+            st.builds(Fraction, nonzero),
+            st.just(x),
+            st.just(-x),
+        )
+    )
+    return gamma * x, gamma * y
+
+
+def _outcome(call):
+    """The sum call() returns, or the ceiling its refusal names."""
+    try:
+        return call()
+    except ResourceLimitError as err:
+        return ("refused", err.ceiling)
+
+
+def _both_paths(a, b, corr, norm_ceiling):
+    """a (+) b by exotic_add_q and by the generic pullback of
+    exotic_structure, which factors the whole image sum."""
+    oracle = exotic_structure(corr, norm_ceiling=norm_ceiling)
+    return (
+        _outcome(lambda: exotic_add_q(a, b, corr=corr, norm_ceiling=norm_ceiling)),
+        _outcome(lambda: induced_add(oracle, a, b)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_gamma_pairs(60))
+def test_exotic_add_matches_the_pullback_oracle(pair):
+    got, want = _both_paths(*pair, default_correspondence(), DEFAULT_SUM_NORM_CEILING)
+    assert got == want
+
+
+# A correspondence small enough, and a sum-norm ceiling low enough, that
+# both refuse often. Its 33 pairs image every prime up to 137.
+_SMALL_MAX_NORM = 150
+_SMALL_CEILING = 2000
+_SMALL_CORR = PrimeCorrespondence(max_norm=_SMALL_MAX_NORM)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_gamma_pairs(30))
+def test_exotic_add_refuses_like_the_oracle_on_a_small_correspondence(pair):
+    got, want = _both_paths(*pair, _SMALL_CORR, _SMALL_CEILING)
+    assert got == want
+
+
+def test_exotic_add_to_zero_refuses_an_operand_past_the_correspondence():
+    # 139 is the 34th prime and has no image among the 33 pairs, so the
+    # sum refuses at max_norm even though the image sum would be 0
+    a = Fraction(139, 2)
+    got, want = _both_paths(a, -a, _SMALL_CORR, _SMALL_CEILING)
+    assert got == want == ("refused", _SMALL_MAX_NORM)
+
+
+def _canonical_norm_above(p):
+    """Norm of a canonical prime over p: p when p = 19 or -19 is a square
+    mod p (Euler's criterion), p**2 when p is inert."""
+    splits = p == 19 or (p != 2 and pow(-19 % p, (p - 1) // 2, p) == 1)
+    return p if splits else p * p
+
+
+def _justified_ceiling(a, b):
+    """The ceiling a refusal of a (+) b must name, or None for a sum: the
+    sum-norm ceiling when the image norm is past it, else max_norm when
+    some prime of the image norm has a canonical prime past max_norm."""
+    image = sigma_apply(_SMALL_CORR, a) + sigma_apply(_SMALL_CORR, b)
+    if image.is_zero():
+        return None
+    norm = image.norm()
+    if abs(norm.numerator) > _SMALL_CEILING or norm.denominator > _SMALL_CEILING:
+        return _SMALL_CEILING
+    primes = sympy.factorint(image.num.norm() * image.den)
+    if max((_canonical_norm_above(p) for p in primes), default=1) > _SMALL_MAX_NORM:
+        return _SMALL_MAX_NORM
+    return None
+
+
+# Operands whose images the small correspondence holds, with numerators
+# kept away from 0 so that image norms reach both ceilings.
+_numerator = st.builds(lambda n, s: n * s, st.integers(16, 130), st.sampled_from([1, -1]))
+_operand = st.builds(Fraction, _numerator, st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_operand, _operand)
+def test_exotic_add_refuses_exactly_past_a_ceiling(a, b):
+    got = _outcome(lambda: exotic_add_q(a, b, corr=_SMALL_CORR, norm_ceiling=_SMALL_CEILING))
+    ceiling = _justified_ceiling(a, b)
+    if ceiling is None:
+        assert isinstance(got, Fraction)
+    else:
+        assert got == ("refused", ceiling)
 
 
 def test_find_add_witness():

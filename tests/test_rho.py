@@ -12,6 +12,7 @@ from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import exotic_add_q
 from nearfields.rho import (
+    RING_HOM_CAP,
     CharMapResult,
     RhoMap,
     add_from_rho,
@@ -210,14 +211,62 @@ def test_char_map_fails_when_most_add_pairs_are_skipped():
     assert res.report.counts == {"bound": 12, "add_pairs": 469, "mul_pairs": 189, "skipped": 304}
 
 
-def test_chi_ring_hom_on_sampled_grid():
+def test_chi_ring_hom_on_exhaustive_grid():
     r = rho_from_add(rational_carrier(), exotic_add_q)
     res = char_map(r, 20)
     assert res.report.ok
+    # 1,261 add pairs at bound 20: under the cap, so every pair is checked
+    assert res.report.counts["add_pairs"] == 1261 < RING_HOM_CAP
     # spot-check additivity through the public route as well
     assert exotic_add_q(res.chi(3), res.chi(4)) == res.chi(7)
     assert exotic_add_q(res.chi(5), res.chi(-2)) == res.chi(3)
     assert res.chi(2) * res.chi(6) == res.chi(12)
+
+
+def _native_rho(bound, refuse=0):
+    """rho of native + on Q whose add refuses `refuse` calls after the
+    `bound` calls that tabulate chi, so the refusals land in the first
+    pairs chi_additive checks."""
+    calls = 0
+
+    def add(a, b):
+        nonlocal calls
+        calls += 1
+        if bound < calls <= bound + refuse:
+            raise ResourceLimitError("refused by the test", ceiling=1)
+        return a + b
+
+    return rho_from_add(rational_carrier(), add)
+
+
+# At bound 40 there are 3*40*41 + 1 = 4,921 add pairs, past RING_HOM_CAP.
+SAMPLED_BOUND = 40
+
+
+def test_chi_ring_hom_on_sampled_grid():
+    res = char_map(_native_rho(SAMPLED_BOUND), SAMPLED_BOUND)
+    assert res.report.ok, res.report.failures()
+    assert res.report.counts["add_pairs"] == RING_HOM_CAP
+    assert res.chi(-SAMPLED_BOUND) == -SAMPLED_BOUND
+
+
+def test_char_map_passes_when_skips_equal_checks():
+    # 4,000 sampled add pairs: 2,000 skipped and 2,000 checked
+    half = RING_HOM_CAP // 2
+    res = char_map(_native_rho(SAMPLED_BOUND, half), SAMPLED_BOUND)
+    assert res.report.ok, res.report.failures()
+    assert res.report.counts["add_pairs"] == RING_HOM_CAP
+    assert res.report.counts["skipped"] == half
+
+
+def test_char_map_fails_when_skips_exceed_checks_by_one():
+    # skipped - checked has the parity of the pair count: even for the
+    # 4,000 sampled pairs, odd for every exhaustive grid (3B**2 + 3B + 1).
+    # So the exhaustive grid at bound 12: 235 of 469 skipped, 234 checked.
+    res = char_map(_native_rho(12, 235), 12)
+    assert [c.name for c in res.report.failures()] == ["chi_additive"]
+    assert res.report.counts["add_pairs"] == 469
+    assert res.report.counts["skipped"] == 235
 
 
 def test_bij_plus_scalings_and_power():
