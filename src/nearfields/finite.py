@@ -166,19 +166,6 @@ class FiniteField:
         """Units of Z/(m-1): the valid addition exponents."""
         return [a for a in range(1, self.m - 1) if math.gcd(a, self.m - 1) == 1]
 
-    def element_str(self, i: int) -> str:
-        c = self.coeffs[i]
-        terms = []
-        for e, a in enumerate(c):
-            if a == 0:
-                continue
-            if e == 0:
-                terms.append(str(a))
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                terms.append(xs if a == 1 else f"{a}{xs}")
-        return "+".join(terms) if terms else "0"
-
     def __repr__(self):
         return f"FiniteField({self.p}, {self.n})"
 

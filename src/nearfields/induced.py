@@ -313,13 +313,15 @@ def verify_exotic_field_axioms(
 ) -> Report:
     """Field-axiom suite for (Q, exotic +, native *) on seeded random triples.
 
-    Two tiers. Every axiom is decided exactly for every triple on the image
-    side: sigma is a bijection (round-tripped here on every sampled value),
-    so an identity holds for the exotic operations iff it holds for the
-    images in the quadratic field, where the arithmetic is cheap. On top of
-    that, identities are re-verified through full materialized exotic sums
-    wherever the factorizations fit the resource ceilings; sums whose image
-    leaves the correspondence range are counted as skips, not ignored. A
+    The exotic operations make Q a field because sigma carries them onto
+    the operations of the quadratic field, so the suite checks sigma itself:
+    it is round-tripped on every sampled value, and, forward through
+    factor_rat only, sigma(alpha * beta) = sigma(alpha) * sigma(beta) on
+    every triple and sigma(alpha (+) beta) = sigma(alpha) + sigma(beta) on
+    every materialized sum of two sampled operands. On top of that,
+    identities are verified through full materialized exotic sums wherever
+    the factorizations fit the resource ceilings; sums whose image leaves
+    the correspondence range are counted as skips, not ignored. A
     materialized check fails when it skipped more samples than it checked,
     and floors, keyed by form, set how many times each must actually fire.
     Nested associativity is materialized on integers of height at most
@@ -333,33 +335,28 @@ def verify_exotic_field_axioms(
     rep = Report("exotic field axioms on Q")
     rep.counts["trials"] = trials
 
-    # Tier one: exact decisions via images.
-    bad_rt = bad_assoc = bad_comm = bad_dist = None
-    for alpha, beta, gamma in triples:
-        A, B, C = (sigma_apply(corr, x) for x in (alpha, beta, gamma))
-        if sigma_invert(corr, A) != alpha and bad_rt is None:
-            bad_rt = alpha
-        if (A + B) + C != A + (B + C):
-            bad_assoc = bad_assoc or (alpha, beta, gamma)
-        if A + B != B + A:
-            bad_comm = bad_comm or (alpha, beta)
-        if C * (A + B) != C * A + C * B or (A + B) * C != A * C + B * C:
-            bad_dist = bad_dist or (alpha, beta, gamma)
-    rep.add("sigma_round_trip", bad_rt is None, witness=bad_rt)
-    rep.add("associativity_image", bad_assoc is None, witness=bad_assoc)
-    rep.add("commutativity_image", bad_comm is None, witness=bad_comm)
-    rep.add("distributivity_image", bad_dist is None, witness=bad_dist)
+    def additive(total: Fraction, image: QuadRat) -> bool:
+        # every prime of a true sum is paired, so a refusal here is a failure
+        try:
+            return sigma_apply(corr, total) == image
+        except ResourceLimitError:
+            return False
 
-    # Tier two: materialized identities. Zero, negation and the doubling
+    # sigma is checked on every triple. Zero, negation and the doubling
     # identity never leave the correspondence range at these heights; the
-    # cross-order and distributivity re-checks can, so they carry floors.
+    # cross-order and distributivity checks can, so they carry floors.
     two_box = exotic_add_q(1, 1, corr=corr)
-    bad_zero = bad_neg = bad_double = None
+    bad_rt = bad_mul = bad_add = bad_zero = bad_neg = bad_double = None
     comm_hits = comm_skips = 0
     bad_comm_mat = None
     dist_hits = dist_skips = 0
     bad_dist_mat = None
     for alpha, beta, gamma in triples:
+        A, B, C = (sigma_apply(corr, x) for x in (alpha, beta, gamma))
+        if sigma_invert(corr, A) != alpha and bad_rt is None:
+            bad_rt = alpha
+        if sigma_apply(corr, alpha * beta) != A * B:
+            bad_mul = bad_mul or (alpha, beta)
         if exotic_add_q(alpha, 0, corr=corr) != alpha:
             bad_zero = bad_zero or alpha
         if exotic_add_q(alpha, -alpha, corr=corr) != 0:
@@ -373,6 +370,8 @@ def verify_exotic_field_axioms(
             dist_skips += 1
             continue
         comm_hits += 1
+        if not additive(lhs, A + B):
+            bad_add = bad_add or (alpha, beta)
         if exotic_add_q(beta, alpha, corr=corr, norm_ceiling=norm_ceiling) != lhs:
             bad_comm_mat = bad_comm_mat or (alpha, beta)
         if gamma == 0:
@@ -385,11 +384,16 @@ def verify_exotic_field_axioms(
             dist_skips += 1
             continue
         dist_hits += 1
+        if not additive(rhs, C * A + C * B):
+            bad_add = bad_add or (gamma * alpha, gamma * beta)
         if gamma * lhs != rhs:
             bad_dist_mat = bad_dist_mat or (alpha, beta, gamma)
+    rep.add("sigma_round_trip", bad_rt is None, witness=bad_rt)
+    rep.add("sigma_multiplicative", bad_mul is None, witness=bad_mul)
     rep.add("zero_element", bad_zero is None, witness=bad_zero)
     rep.add("additive_inverse", bad_neg is None, witness=bad_neg)
     rep.add("doubling_identity", bad_double is None, witness=bad_double)
+    rep.add("sigma_additive", bad_add is None, witness=bad_add)
     rep.add(
         "commutativity_materialized",
         bad_comm_mat is None and comm_skips <= comm_hits,

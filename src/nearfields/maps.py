@@ -2,10 +2,12 @@
 
 The centerpiece is the prime correspondence: the k-th rational prime paired
 with the k-th canonical prime of Z[w] in (norm, a, b) order. One segmented
-sieve feeds both sides: a split prime p gives two canonical primes of norm
-p, an inert q one of norm q**2 and 19 one of norm 19, so the canonical side
-is just a sorted array of norms, and each prime's coordinates are recovered
-from its norm and its rank within that norm when asked for. Extending the
+sieve feeds both sides: quadratic turns the sieved rational primes into the
+sorted norms of the canonical primes, so the canonical side is just an array
+of norms, and quadratic recovers each prime from its norm and its place
+within that norm when asked for; how Z[w] splits a rational prime is known
+there only. Growth, its doubling rule and the refusal at the norm ceiling
+all live in PrimeCorrespondence.extend_to_norm. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
@@ -32,14 +34,14 @@ import numpy as np
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .finite import FiniteField
 from .quadratic import (
-    RAMIFIED,
-    _SPLIT_RESIDUES,
     QuadInt,
     QuadRat,
+    _canonical_norms,
     _in_canonical_form,
     _mul,
+    _place_in_norm,
     _pow,
-    _split_pair,
+    _primes_of_norm,
     factor_quad,
     is_canonical_prime,
 )
@@ -66,9 +68,6 @@ __all__ = [
 
 DEFAULT_CORRESPONDENCE_CEILING = 50_000_000
 
-_SPLITS = np.zeros(RAMIFIED, dtype=bool)  # _SPLITS[p % RAMIFIED]: the prime p splits
-_SPLITS[sorted(_SPLIT_RESIDUES)] = True
-
 # Numbers sieved per prime_mask call, so no growth step holds a mask the
 # size of its whole range.
 _SEGMENT = 1 << 21
@@ -84,13 +83,10 @@ def _primes_between(lo: int, hi: int) -> np.ndarray:
 
 
 def _canonical_at(norms: np.ndarray, i: int) -> QuadInt:
-    """The canonical prime of rank i, from its norm and its rank among the
+    """The canonical prime of rank i, from its norm and its place among the
     (at most two) primes of that norm."""
     n = int(norms[i])
-    q = math.isqrt(n)
-    if q * q == n:  # the inert q is the only prime of norm q**2
-        return QuadInt(q, 0)
-    return _split_pair(n)[int(i > 0 and norms[i - 1] == n)]
+    return _primes_of_norm(n)[int(i > 0 and norms[i - 1] == n)]
 
 
 class PrimeCorrespondence:
@@ -106,7 +102,7 @@ class PrimeCorrespondence:
 
     def __init__(self, *, max_norm: int = DEFAULT_CORRESPONDENCE_CEILING):
         self.max_norm = max_norm
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._capacity = 0  # every canonical prime of norm <= capacity is stored
         self._sieved = 1  # every rational prime <= sieved is stored
         # (norms, rational primes); the second may run ahead of the first
@@ -123,9 +119,12 @@ class PrimeCorrespondence:
         return [(int(rat[i]), _canonical_at(norms, i)) for i in range(k)]
 
     def extend_to_norm(self, limit: int) -> None:
+        """Store every canonical prime of norm <= limit, growing to at least
+        twice the capacity (and 10,000) at a time, never past the ceiling;
+        refuse a limit past the ceiling. The only place that grows."""
         if limit > self.max_norm:
             raise ResourceLimitError(
-                f"correspondence needs norm {limit}, above the ceiling {self.max_norm}",
+                f"correspondence needs norms past its ceiling {self.max_norm}",
                 ceiling=self.max_norm,
             )
         if limit <= self._capacity:
@@ -140,18 +139,7 @@ class PrimeCorrespondence:
             if limit > sieved:
                 rat = np.concatenate([rat, _primes_between(sieved, limit)])
                 sieved = limit
-            # canonical primes with norm in (old, limit]: split p twice, 19
-            # once, inert q once at q**2
-            lo, hi = np.searchsorted(rat, [old, limit], side="right")
-            p = rat[lo:hi]
-            lo, hi = np.searchsorted(rat, [math.isqrt(old), math.isqrt(limit)], side="right")
-            q = rat[lo:hi]
-            q = q[~_SPLITS[q % RAMIFIED] & (q != RAMIFIED)]
-            fresh = np.concatenate(
-                [np.repeat(p[_SPLITS[p % RAMIFIED]], 2), p[p == RAMIFIED], q * q]
-            )
-            fresh.sort()
-            norms = np.concatenate([norms, fresh])
+            norms = np.concatenate([norms, _canonical_norms(rat, old, limit)])
             # the rational side needs as many primes as there are pairs
             while len(rat) < len(norms):
                 top = sieved + int(1.1 * (len(norms) - len(rat)) * math.log(sieved)) + 100
@@ -163,25 +151,14 @@ class PrimeCorrespondence:
             # capacity must also see the arrays that hold it.
             self._capacity = limit
 
-    def _grow_until(self, ready) -> None:
-        """Grow until ready(norms, rat) holds, or refuse at the ceiling."""
-        if ready(*self._data):
-            return
-        with self._lock:
-            while not ready(*self._data):
-                if self._capacity >= self.max_norm:
-                    raise ResourceLimitError(
-                        f"correspondence exhausted at norm ceiling {self.max_norm}",
-                        ceiling=self.max_norm,
-                    )
-                self.extend_to_norm(min(max(2 * self._capacity, 10_000), self.max_norm))
-
     def image_of_prime(self, p: int) -> QuadInt:
         """The canonical prime paired with the rational prime p.
 
-        Images of the primes up to TRIAL_CAP, which are the ones factoring
-        everyday rationals yields again and again, are kept once found: at
-        most 78,498 entries, and valid for good since growth only appends.
+        Grows the correspondence one extend_to_norm step at a time until p
+        is paired; that step refuses at the ceiling. Images of the primes up
+        to TRIAL_CAP, which are the ones factoring everyday rationals yields
+        again and again, are kept once found: at most 78,498 entries, and
+        valid for good since growth only appends.
         A refusal is not kept, so a repeat call asks the rank lookup again
         and refuses again, or answers once the correspondence has grown.
         Threads that miss on the same p together store equal images.
@@ -189,19 +166,20 @@ class PrimeCorrespondence:
         pi = self._images.get(p)
         if pi is not None:
             return pi
-        rat = self._data[1]
+        capacity = self._capacity  # read before the arrays, which are published first
+        norms, rat = self._data
         r = int(np.searchsorted(rat, p))  # p's rank, if p is prime
-        if r == len(rat):
-            # past every sieved prime: test p, then grow until it is paired
+        if r == len(rat):  # past every sieved prime, a primality test decides
             if not is_prime(p):
                 raise DomainError(f"{p} is not a rational prime")
-            self._grow_until(lambda norms, rat: len(norms) and rat[len(norms) - 1] >= p)
-            r = int(np.searchsorted(self._data[1], p))
         elif rat[r] != p:  # the sieved primes settle any p up to the last of them
             raise DomainError(f"{p} is not a rational prime")
-        # growth only appends, so the rank stays put
-        self._grow_until(lambda norms, rat: len(norms) > r)
-        pi = _canonical_at(self._data[0], r)
+        while r >= len(norms):  # not paired yet: grow one step, or refuse
+            self.extend_to_norm(capacity + 1)
+            capacity = self._capacity
+            norms, rat = self._data
+            r = int(np.searchsorted(rat, p))
+        pi = _canonical_at(norms, r)
         if p <= TRIAL_CAP:
             self._images[p] = pi
         return pi
@@ -215,25 +193,18 @@ class PrimeCorrespondence:
         only canonical element is q itself. So a canonical-form pi whose
         norm is stored at its rank is a canonical prime, and any other pi
         is not. Only a pi past the capacity is tested for primality, before
-        the ceiling check and growth.
+        growth, which refuses a norm past the ceiling.
         """
         n = pi.norm()
         if n > self._capacity:
             if not is_canonical_prime(pi):
                 raise DomainError(f"{pi!r} is not a canonical prime")
-            if n > self.max_norm:
-                raise ResourceLimitError(
-                    f"canonical prime norm {n} above the ceiling {self.max_norm}",
-                    ceiling=self.max_norm,
-                )
             self.extend_to_norm(n)
         elif not _in_canonical_form(pi):
             raise DomainError(f"{pi!r} is not a canonical prime")
         # capacity is read before the arrays, which are published first
         norms, rat = self._data
-        # of the two split primes of norm n, (a, b) and (-a - b, b), the one
-        # with the larger a comes second
-        i = int(np.searchsorted(norms, n)) + (pi.b > 0 and 2 * pi.a + pi.b > 0)
+        i = int(np.searchsorted(norms, n)) + _place_in_norm(pi)
         if i >= len(norms) or norms[i] != n:
             raise DomainError(f"{pi!r} is not a canonical prime")
         return int(rat[i])

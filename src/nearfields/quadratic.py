@@ -21,6 +21,10 @@ primitive part from the primes found proves the factorization exact.
 Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
 separately, so a split rational prime owns two distinct canonical primes.
+Canonical primes are ordered by (norm, a, b). The splitting law and that
+order are known here only: the prime correspondence in maps stores the
+canonical primes as a sorted array of norms built by _canonical_norms, and
+reads a prime back through _primes_of_norm and _place_in_norm.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, IntegrityError
 from .rationals import Rat, factor_int, is_prime
@@ -93,10 +99,6 @@ class QuadInt:
     @property
     def b(self) -> int:
         return self._b
-
-    @classmethod
-    def from_int(cls, n: int) -> "QuadInt":
-        return cls(n, 0)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -218,12 +220,6 @@ class QuadRat:
 
     def is_zero(self) -> bool:
         return self._num.is_zero()
-
-    def as_rat(self) -> Rat | None:
-        """The value as a Fraction when it lies in the rational subfield."""
-        if self._num.b != 0:
-            return None
-        return Fraction(self._num.a, self._den)
 
     def norm(self) -> Fraction:
         return Fraction(self._num.norm(), self._den * self._den)
@@ -351,17 +347,13 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-@lru_cache(maxsize=1 << 12)
 def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
     """The canonical primes of norm p, smaller a first, for p split or 19.
 
     Cornacchia: reduce (2p, x) by Euclid, x a square root of -19 mod p of
     odd parity, until the remainder drops to 2*sqrt(p) or below; it is the x
     of x**2 + 19y**2 = 4p, and (+-x - y)/2 + y*w are the two primes. For
-    p = 19 both coincide. The caller vouches that p is such a prime. The
-    primes of the norms met in factoring recur from one sum to the next,
-    so primes_above is served from a bounded cache of recent answers; sigma
-    does not need it, since the correspondence memoizes its small images.
+    p = 19 both coincide. The caller vouches that p is such a prime.
     """
     x = _sqrt_mod(DISCRIMINANT, p)
     if x % 2 == 0:
@@ -374,6 +366,48 @@ def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
     if rem or y * y != y2:
         raise IntegrityError(f"Cornacchia found no x**2 + 19y**2 = 4*{p}")
     return QuadInt((-x - y) // 2, y), QuadInt((x - y) // 2, y)
+
+
+def _place_in_norm(x: QuadInt) -> int:
+    """Where the canonical prime x comes among the canonical primes of its
+    norm: 1 for the second of a split pair, else 0. The pair is (a, b) and
+    (-a - b, b), and the one with the larger a, 2a + b > 0, comes second."""
+    return int(x.b > 0 and 2 * x.a + x.b > 0)
+
+
+@lru_cache(maxsize=1 << 12)
+def _primes_of_norm(n: int) -> tuple[QuadInt, ...]:
+    """The canonical primes of norm n, in (norm, a, b) order: two for a
+    split prime n, one for 19, and q itself for n = q**2, q inert. The
+    caller vouches that n is such a norm. The norms met in factoring recur
+    from one sum to the next, so this is a bounded cache of recent answers;
+    sigma does not need it, since the correspondence memoizes its small
+    images.
+    """
+    q = math.isqrt(n)
+    if q * q == n:  # the inert q is the only prime of norm q**2
+        return (QuadInt(q, 0),)
+    pair = _split_pair(n)
+    return pair[:1] if n == RAMIFIED else pair
+
+
+def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The norms in (lo, hi] of the canonical primes, one entry per prime,
+    sorted; primes holds the rational primes in order, up to hi at least.
+
+    A split p gives two canonical primes of norm p, 19 one of norm 19 and
+    an inert q one of norm q**2.
+    """
+    splits = np.zeros(RAMIFIED, dtype=bool)  # splits[p % RAMIFIED]: the prime p splits
+    splits[sorted(_SPLIT_RESIDUES)] = True
+    i, j = np.searchsorted(primes, [lo, hi], side="right")
+    p = primes[i:j]
+    i, j = np.searchsorted(primes, [math.isqrt(lo), math.isqrt(hi)], side="right")
+    q = primes[i:j]
+    q = q[~splits[q % RAMIFIED] & (q != RAMIFIED)]
+    norms = np.concatenate([np.repeat(p[splits[p % RAMIFIED]], 2), p[p == RAMIFIED], q * q])
+    norms.sort()
+    return norms
 
 
 def _is_prime_element(x: QuadInt) -> bool:
@@ -420,16 +454,13 @@ class Splitting:
 def primes_above(p: int) -> Splitting:
     """Canonical primes over a rational prime, with the splitting kind.
 
-    The kind is read off p mod 19; a split p gets its two primes from
-    _split_pair, in (norm, a, b) order.
+    The kind is read off p mod 19, and the primes are those of norm p, or
+    of norm p**2 for an inert p, in (norm, a, b) order.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not a rational prime")
-    if p == RAMIFIED:
-        return Splitting("ramified", _split_pair(p)[:1])
-    if _is_inert(p):
-        return Splitting("inert", (QuadInt(p, 0),))
-    return Splitting("split", _split_pair(p))
+    kind = "ramified" if p == RAMIFIED else "inert" if _is_inert(p) else "split"
+    return Splitting(kind, _primes_of_norm(p * p if kind == "inert" else p))
 
 
 @dataclass(frozen=True)

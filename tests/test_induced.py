@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearfields import induced
 from nearfields.errors import ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import (
@@ -29,8 +30,10 @@ from nearfields.induced import (
     verify_exotic_field_axioms,
 )
 from nearfields.maps import (
+    EndoBijectionSpecQ,
     PrimeCorrespondence,
     default_correspondence,
+    endo_q_apply,
     sigma_apply,
     sigma_invert,
 )
@@ -324,6 +327,25 @@ def test_field_axiom_suite_small_run():
     assert rep.ok, rep.failures()
     assert rep.counts["trials"] == 60
     assert rep.counts["materialized_commutativity"] >= 40
+
+
+def test_field_axiom_suite_fails_on_a_wrong_exotic_sum(monkeypatch):
+    # Both substitutes are field additions with the native product, so
+    # every axiom holds for them; only sigma's additivity tells them apart.
+    real = exotic_add_q
+    swap = EndoBijectionSpecQ(perm={2: 3, 3: 2})
+    twist = lambda q: endo_q_apply(swap, q)  # noqa: E731
+    substitutes = {
+        "native": lambda a, b, **kw: Fraction(a) + Fraction(b),
+        "twisted": lambda a, b, **kw: twist(real(twist(a), twist(b), **kw)),
+    }
+    assert substitutes["twisted"](1, 2) == 5 and real(1, 2) == 13
+    for name, add in substitutes.items():
+        monkeypatch.setattr(induced, "exotic_add_q", add)
+        rep = verify_exotic_field_axioms(trials=300, seed=0)
+        assert [c.name for c in rep.failures()] == ["sigma_additive"], name
+    monkeypatch.setattr(induced, "exotic_add_q", real)
+    assert verify_exotic_field_axioms(trials=300, seed=0).ok
 
 
 def test_field_axiom_suite_fails_when_most_sums_are_skipped():

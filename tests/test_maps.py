@@ -216,13 +216,23 @@ def test_preimage_of_prime_past_capacity():
 
 
 def test_resource_ceiling():
-    corr = PrimeCorrespondence(max_norm=100)
-    with pytest.raises(ResourceLimitError) as exc:
-        corr.extend_to_norm(10_000)
-    assert exc.value.ceiling == 100
-    with pytest.raises(ResourceLimitError):
+    # extend_to_norm raises the one refusal, whichever path reaches it
+    corr = PrimeCorrespondence(max_norm=10**4)
+    calls = [
+        lambda: corr.extend_to_norm(10**5),
+        lambda: corr.image_of_prime(9973),  # paired past the last norm under 10**4
+        lambda: corr.preimage_of_prime(primes_above(10037).primes[0]),  # norm 10037
         # 103 is inert (103 = 8 mod 19), so its norm 103**2 tops the ceiling
-        corr.preimage_of_prime(QuadInt(103, 0))
+        lambda: corr.preimage_of_prime(QuadInt(103, 0)),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ResourceLimitError) as exc:
+            call()
+        assert exc.value.ceiling == 10**4
+        messages.add(str(exc.value))
+    assert messages == {"correspondence needs norms past its ceiling 10000"}
+    assert corr._capacity == 10**4
 
 
 def test_sigma_examples():
@@ -336,21 +346,43 @@ def test_correspondence_thread_safety():
         assert (pi.a, pi.b) == lookup[p]
 
 
+class _Recording(PrimeCorrespondence):
+    """Records each capacity as it is published, with the arrays then held."""
+
+    def __setattr__(self, name, value):
+        if name == "_capacity":
+            vars(self).setdefault("published", []).append((value, vars(self).get("_data")))
+        super().__setattr__(name, value)
+
+    @property
+    def capacities(self) -> list[int]:
+        return [c for c, _ in self.published[1:]]  # after the 0 set on construction
+
+
 def test_growth_publishes_capacity_after_the_arrays():
     # Readers skip the lock once the capacity covers what they need, so the
     # arrays holding a new capacity must already be in place when it appears.
-    class Recording(PrimeCorrespondence):
-        def __setattr__(self, name, value):
-            if name == "_capacity":
-                vars(self).setdefault("published", []).append((value, vars(self).get("_data")))
-            super().__setattr__(name, value)
-
-    corr = Recording()
+    corr = _Recording()
     for limit in (10_000, 50_000, 10**6):
         corr.extend_to_norm(limit)
         capacity, data = corr.published[-1]
         assert capacity == corr._capacity >= limit
         assert data is corr._data
+
+
+def test_growth_steps():
+    # an image doubles the capacity, from 10,000, until its prime is paired
+    corr = _Recording()
+    corr.image_of_prime(1_000_003)
+    assert corr.capacities == [10_000 * 2**k for k in range(8)]  # up to 1,280,000
+    assert corr.pair_count == 98_532
+    # a preimage asks for its prime's norm at once
+    pi = primes_above(1_000_033).primes[0]
+    assert pi.norm() == 1_000_033
+    corr = _Recording()
+    corr.preimage_of_prime(pi)
+    assert corr.capacities == [1_000_033]
+    assert corr.pair_count == 78_443
 
 
 def test_concurrent_growth_matches_serial_build():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nearfields.errors import DomainError
@@ -8,6 +9,9 @@ from nearfields.quadratic import (
     KFactorization,
     QuadInt,
     QuadRat,
+    _canonical_norms,
+    _place_in_norm,
+    _primes_of_norm,
     canonical_associate,
     factor_quad,
     is_canonical_prime,
@@ -109,6 +113,27 @@ def test_splitting_trichotomy_first_100_primes():
             assert s.kind == "inert", p
             assert s.primes == (QuadInt(p, 0),)
         assert all(is_canonical_prime(pi) for pi in s.primes)
+
+
+def test_norm_helpers_agree_with_primes_above():
+    # The correspondence's view of the splitting law (norms in bulk, a
+    # prime back from its norm and place) against primes_above, prime by
+    # prime, for every canonical prime of norm up to 10**4.
+    limit = 10**4
+    primes = np.array(primes_upto(limit), dtype=np.int64)
+    canonical = sorted(
+        ((pi.norm(), pi.a, pi.b), pi)
+        for p in primes_upto(limit)
+        for pi in primes_above(p).primes
+        if pi.norm() <= limit
+    )
+    assert _canonical_norms(primes, 0, limit).tolist() == [key[0] for key, _ in canonical]
+    # a cut just under 97**2 (97 inert) lands that norm in the later range
+    cut = 97**2 - 1
+    split = np.concatenate([_canonical_norms(primes, 0, cut), _canonical_norms(primes, cut, limit)])
+    assert split.tolist() == [key[0] for key, _ in canonical]
+    for (n, _, _), pi in canonical:
+        assert _primes_of_norm(n)[_place_in_norm(pi)] == pi
 
 
 def test_factor_quad_examples():
