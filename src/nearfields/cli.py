@@ -64,8 +64,11 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
-        if self.height_bound < 1 or self.norm_ceiling < 1 or self.trials < 1:
-            raise DomainError("bounds and trial counts must be positive")
+        for f in dc_fields(self):
+            if type(getattr(self, f.name)) is not type(f.default):
+                raise DomainError(f"{f.name} must be {type(f.default).__name__}")
+        if self.seed < 0 or self.height_bound < 1 or self.norm_ceiling < 1 or self.trials < 1:
+            raise DomainError("the seed must be non-negative, bounds and trial counts positive")
         if self.output not in ("text", "json"):
             raise DomainError(f"unknown output mode {self.output!r}")
 
@@ -75,8 +78,13 @@ def _load_config(args) -> RunConfig:
     values = {}
     path = os.environ.get(CONFIG_ENV)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read {CONFIG_ENV}={path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DomainError(f"{CONFIG_ENV}={path} must hold a JSON object")
         allowed = {f.name for f in dc_fields(RunConfig)}
         unknown = set(raw) - allowed
         if unknown:
@@ -91,6 +99,15 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
+def _num(kind, text: str):
+    """kind(text) for a command-line value; one that does not parse is a
+    usage error, not a library fault."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"cannot read {text!r} as {kind.__name__}") from None
+
+
 def _field_arg(name: str) -> FiniteField:
     if name not in _FIELDS:
         raise DomainError(f"unknown field {name!r}; choose from {sorted(_FIELDS)}")
@@ -103,14 +120,14 @@ def _map_arg(field: FiniteField, spec: str) -> np.ndarray:
         return np.arange(field.m, dtype=np.int64)
     kind, _, rest = spec.partition(":")
     if kind == "pow" and rest:
-        return field.power_table(int(rest))
+        return field.power_table(_num(int, rest))
     if kind == "scale" and rest:
-        c = int(rest)
+        c = _num(int, rest)
         if not 0 <= c < field.m:
             raise DomainError(f"scale index {c} outside the carrier")
         return field.scale_table(c)
     if kind == "table" and rest:
-        t = np.array([int(x) for x in rest.split(",")], dtype=np.int64)
+        t = np.array([_num(int, x) for x in rest.split(",")], dtype=np.int64)
         if len(t) != field.m:
             raise DomainError(f"table needs {field.m} entries, got {len(t)}")
         return t
@@ -123,11 +140,12 @@ def _prime_dict(spec: str | None) -> dict[int, int]:
     out = {}
     for part in spec.split(","):
         k, _, v = part.partition(":")
-        out[int(k)] = int(v)
+        out[_num(int, k)] = _num(int, v)
     return out
 
 
-def _gate_height(q: Fraction, bound: int) -> Fraction:
+def _gate_height(text: str, bound: int) -> Fraction:
+    q = _num(Fraction, text)
     if max(abs(q.numerator), q.denominator) > bound:
         raise DomainError(
             f"operand height {max(abs(q.numerator), q.denominator)} exceeds the bound {bound}"
@@ -144,9 +162,9 @@ def _carrier_and_add(args, cfg: RunConfig):
         if spec == "native":
             table = native_addition(F).table
         elif spec.startswith("a="):
-            table = addition_from_exponent(F, int(spec[2:])).table
+            table = addition_from_exponent(F, _num(int, spec[2:])).table
         elif spec.startswith("table:"):
-            vals = [int(x) for x in spec[6:].split(",")]
+            vals = [_num(int, x) for x in spec[6:].split(",")]
             if len(vals) != F.m * F.m:
                 raise DomainError(f"addition table needs {F.m * F.m} entries, got {len(vals)}")
             table = np.array(vals, dtype=np.int64).reshape(F.m, F.m)
@@ -172,38 +190,38 @@ def _carrier_and_add(args, cfg: RunConfig):
 
 
 def _cmd_factor_int(args, cfg):
-    f = factor_int(int(args.n))
+    f = factor_int(_num(int, args.n))
     return {"input": args.n, "result": f.to_json()}, True
 
 
 def _cmd_factor_rat(args, cfg):
-    f = factor_rat(Fraction(args.q))
+    f = factor_rat(_num(Fraction, args.q))
     return {"input": args.q, "result": f.to_json()}, True
 
 
 def _cmd_factor_quad(args, cfg):
-    x = QuadRat(QuadInt(int(args.a), int(args.b)), int(args.den))
+    x = QuadRat(QuadInt(_num(int, args.a), _num(int, args.b)), _num(int, args.den))
     check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
     f = factor_quad(x)
     return {"input": x.to_json(), "result": f.to_json()}, True
 
 
 def _cmd_sigma(args, cfg):
-    q = _gate_height(Fraction(args.q), cfg.height_bound)
+    q = _gate_height(args.q, cfg.height_bound)
     img = sigma_apply(default_correspondence(), q)
     return {"input": str(q), "result": img.to_json(), "pretty": str(img)}, True
 
 
 def _cmd_sigma_inv(args, cfg):
-    x = QuadRat(QuadInt(int(args.a), int(args.b)), int(args.den))
+    x = QuadRat(QuadInt(_num(int, args.a), _num(int, args.b)), _num(int, args.den))
     check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
     q = sigma_invert(default_correspondence(), x)
     return {"input": x.to_json(), "result": str(q)}, True
 
 
 def _cmd_exotic_add(args, cfg):
-    a = _gate_height(Fraction(args.a), cfg.height_bound)
-    b = _gate_height(Fraction(args.b), cfg.height_bound)
+    a = _gate_height(args.a, cfg.height_bound)
+    b = _gate_height(args.b, cfg.height_bound)
     s = exotic_add_q(a, b, norm_ceiling=cfg.norm_ceiling)
     return {"input": [str(a), str(b)], "result": str(s)}, True
 
@@ -212,7 +230,7 @@ def _cmd_endoq(args, cfg):
     spec = EndoBijectionSpecQ(
         perm=_prime_dict(args.perm), eta=_prime_dict(args.eta), nu=_prime_dict(args.nu)
     )
-    q = Fraction(args.q)
+    q = _num(Fraction, args.q)
     return {"input": str(q), "result": str(endo_q_apply(spec, q))}, True
 
 
@@ -250,7 +268,7 @@ def _cmd_enumerate_additions(args, cfg):
 def _cmd_isom_check(args, cfg):
     F = _field_arg(args.field)
     def table(spec):
-        return native_addition(F) if spec == "native" else addition_from_exponent(F, int(spec))
+        return native_addition(F) if spec == "native" else addition_from_exponent(F, _num(int, spec))
     t1, t2 = table(args.a1), table(args.a2)
     k = check_isomorphic_additions(F, t1, t2)
     return {
@@ -289,8 +307,8 @@ def _cmd_qmc_check(args, cfg):
 
 
 def _cmd_epsilon(args, cfg):
-    alpha = complex(args.alpha)
-    z = complex(args.z)
+    alpha = _num(complex, args.alpha)
+    z = _num(complex, args.z)
     w = eval_epsilon(alpha, z, conjugate=args.conjugate)
     beta = epsilon_inverse_param(alpha, conjugate=args.conjugate)
     back = eval_epsilon(beta, w, conjugate=args.conjugate)
@@ -405,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="check the near-field-addition-map axioms")
     sp.set_defaults(handler=_cmd_verify_rho)
 
-    sp = sub.add_parser("char-map", parents=[common, seed, height, ceiling, carrier],
+    sp = sub.add_parser("char-map", parents=[common, seed, ceiling, carrier],
                         help="characteristic map and prime subfield")
     sp.add_argument("--bound", type=int, default=20)
     sp.set_defaults(handler=_cmd_char_map)

@@ -18,7 +18,8 @@ ResourceLimitError rather than churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -321,9 +322,11 @@ def verify_exotic_field_axioms(
     every materialized sum of two sampled operands. On top of that,
     identities are verified through full materialized exotic sums wherever
     the factorizations fit the resource ceilings; sums whose image leaves
-    the correspondence range are counted as skips, not ignored. A
-    materialized check fails when it skipped more samples than it checked,
-    and floors, keyed by form, set how many times each must actually fire.
+    the correspondence range are counted as skips, not ignored. Each of the
+    three materialized checks (commutativity, distributivity, associativity)
+    goes through Report.add_sampled, so it fails when it skipped more
+    samples than it checked, and floors, keyed by form, set how many times
+    each must actually fire.
     Nested associativity is materialized on integers of height at most
     ASSOC_POOL_HEIGHT, where the intermediate sums stay factorable.
     """
@@ -344,36 +347,35 @@ def verify_exotic_field_axioms(
 
     # sigma is checked on every triple. Zero, negation and the doubling
     # identity never leave the correspondence range at these heights; the
-    # cross-order and distributivity checks can, so they carry floors.
+    # cross-order, distributivity and nested associativity checks can, so
+    # they are counted by form and carry floors. bad keeps each check's
+    # first witness, keyed by check name (by form for the materialized ones).
     two_box = exotic_add_q(1, 1, corr=corr)
-    bad_rt = bad_mul = bad_add = bad_zero = bad_neg = bad_double = None
-    comm_hits = comm_skips = 0
-    bad_comm_mat = None
-    dist_hits = dist_skips = 0
-    bad_dist_mat = None
+    bad: dict[str, Any] = {}
+    hits: Counter[str] = Counter()
+    skips: Counter[str] = Counter()
     for alpha, beta, gamma in triples:
         A, B, C = (sigma_apply(corr, x) for x in (alpha, beta, gamma))
-        if sigma_invert(corr, A) != alpha and bad_rt is None:
-            bad_rt = alpha
+        if sigma_invert(corr, A) != alpha:
+            bad.setdefault("sigma_round_trip", alpha)
         if sigma_apply(corr, alpha * beta) != A * B:
-            bad_mul = bad_mul or (alpha, beta)
+            bad.setdefault("sigma_multiplicative", (alpha, beta))
         if exotic_add_q(alpha, 0, corr=corr) != alpha:
-            bad_zero = bad_zero or alpha
+            bad.setdefault("zero_element", alpha)
         if exotic_add_q(alpha, -alpha, corr=corr) != 0:
-            bad_neg = bad_neg or alpha
+            bad.setdefault("additive_inverse", alpha)
         if exotic_add_q(alpha, alpha, corr=corr) != two_box * alpha:
-            bad_double = bad_double or alpha
+            bad.setdefault("doubling_identity", alpha)
         try:
             lhs = exotic_add_q(alpha, beta, corr=corr, norm_ceiling=norm_ceiling)
         except ResourceLimitError:
-            comm_skips += 1
-            dist_skips += 1
+            skips.update(("commutativity", "distributivity"))
             continue
-        comm_hits += 1
+        hits["commutativity"] += 1
         if not additive(lhs, A + B):
-            bad_add = bad_add or (alpha, beta)
+            bad.setdefault("sigma_additive", (alpha, beta))
         if exotic_add_q(beta, alpha, corr=corr, norm_ceiling=norm_ceiling) != lhs:
-            bad_comm_mat = bad_comm_mat or (alpha, beta)
+            bad.setdefault("commutativity", (alpha, beta))
         if gamma == 0:
             continue
         try:
@@ -381,36 +383,14 @@ def verify_exotic_field_axioms(
                 gamma * alpha, gamma * beta, corr=corr, norm_ceiling=norm_ceiling
             )
         except ResourceLimitError:
-            dist_skips += 1
+            skips["distributivity"] += 1
             continue
-        dist_hits += 1
+        hits["distributivity"] += 1
         if not additive(rhs, C * A + C * B):
-            bad_add = bad_add or (gamma * alpha, gamma * beta)
+            bad.setdefault("sigma_additive", (gamma * alpha, gamma * beta))
         if gamma * lhs != rhs:
-            bad_dist_mat = bad_dist_mat or (alpha, beta, gamma)
-    rep.add("sigma_round_trip", bad_rt is None, witness=bad_rt)
-    rep.add("sigma_multiplicative", bad_mul is None, witness=bad_mul)
-    rep.add("zero_element", bad_zero is None, witness=bad_zero)
-    rep.add("additive_inverse", bad_neg is None, witness=bad_neg)
-    rep.add("doubling_identity", bad_double is None, witness=bad_double)
-    rep.add("sigma_additive", bad_add is None, witness=bad_add)
-    rep.add(
-        "commutativity_materialized",
-        bad_comm_mat is None and comm_skips <= comm_hits,
-        witness=bad_comm_mat,
-    )
-    rep.add(
-        "distributivity_materialized",
-        bad_dist_mat is None and dist_skips <= dist_hits,
-        witness=bad_dist_mat,
-    )
-    rep.counts["materialized_commutativity"] = comm_hits
-    rep.counts["materialized_distributivity"] = dist_hits
-    rep.counts["skipped_commutativity"] = comm_skips
-    rep.counts["skipped_distributivity"] = dist_skips
+            bad.setdefault("distributivity", (alpha, beta, gamma))
 
-    assoc_hits = assoc_skips = 0
-    bad_assoc_mat = None
     for _ in range(trials):
         t = tuple(
             Fraction(int(rng.integers(-ASSOC_POOL_HEIGHT, ASSOC_POOL_HEIGHT + 1)))
@@ -420,18 +400,21 @@ def verify_exotic_field_axioms(
             left = exotic_add_q(exotic_add_q(t[0], t[1], corr=corr), t[2], corr=corr)
             right = exotic_add_q(t[0], exotic_add_q(t[1], t[2], corr=corr), corr=corr)
         except ResourceLimitError:
-            assoc_skips += 1
+            skips["associativity"] += 1
             continue
-        assoc_hits += 1
+        hits["associativity"] += 1
         if left != right:
-            bad_assoc_mat = bad_assoc_mat or t
-    rep.add(
-        "associativity_materialized",
-        bad_assoc_mat is None and assoc_skips <= assoc_hits,
-        witness=bad_assoc_mat,
-    )
-    rep.counts["materialized_associativity"] = assoc_hits
-    rep.counts["skipped_associativity"] = assoc_skips
+            bad.setdefault("associativity", t)
+
+    for name in ("sigma_round_trip", "sigma_multiplicative", "zero_element",
+                 "additive_inverse", "doubling_identity", "sigma_additive"):
+        rep.add(name, name not in bad, witness=bad.get(name))
+    for form in ("commutativity", "distributivity", "associativity"):
+        rep.add_sampled(
+            f"{form}_materialized", bad.get(form), checked=hits[form], skipped=skips[form]
+        )
+        rep.counts[f"materialized_{form}"] = hits[form]
+        rep.counts[f"skipped_{form}"] = skips[form]
 
     for name, floor in floors.items():
         have = rep.counts.get(f"materialized_{name}", 0)

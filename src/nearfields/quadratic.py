@@ -155,7 +155,8 @@ class QuadInt:
         return self._a == other._a and self._b == other._b
 
     def __hash__(self):
-        return hash((self._a, self._b))
+        # equal values hash alike: a rational one as its int
+        return hash(self._a) if self._b == 0 else hash((self._a, self._b))
 
     def __repr__(self):
         return f"QuadInt({self._a}, {self._b})"
@@ -282,7 +283,10 @@ class QuadRat:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        # equal values hash alike: a rational one as its Fraction, den 1 as num
+        if self._num.b == 0:
+            return hash(Fraction(self._num.a, self._den))
+        return hash(self._num) if self._den == 1 else hash((self._num, self._den))
 
     def __repr__(self):
         return f"QuadRat({self._num!r}, {self._den})"
@@ -446,9 +450,6 @@ class Splitting:
 
     kind: str
     primes: tuple[QuadInt, ...]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "primes": [pi.to_json() for pi in self.primes]}
 
 
 def primes_above(p: int) -> Splitting:

@@ -2,7 +2,8 @@
 
 Every verifier returns a Report: a list of named checks, each carrying an
 optional witness for failures and a free-form detail string. Reports are
-JSON-friendly so the command line can emit them verbatim.
+JSON-friendly so the command line can emit them verbatim. add_sampled is
+the one place that rules on a check whose samples were partly skipped.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ class Report:
         check = Check(name, bool(ok), witness, detail)
         self.checks.append(check)
         return check
+
+    def add_sampled(self, name: str, witness: object, *, checked: int, skipped: int) -> Check:
+        """A check over a fixed list of samples, some skipped at a resource
+        ceiling: it fails on a witness, or when it skipped more than it checked."""
+        return self.add(name, witness is None and skipped <= checked, witness=witness)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

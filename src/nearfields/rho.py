@@ -273,11 +273,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     chi.update({-n: c.neg(pos[n]) for n in range(1, bound + 1)})
     table = sorted(chi.items())
 
-    characteristic = 0
-    for n in range(1, bound + 1):
-        if pos[n] == c.zero:
-            characteristic = n
-            break
+    characteristic = next((n for n in range(1, bound + 1) if pos[n] == c.zero), 0)
     if characteristic:
         if not is_prime(characteristic):
             raise IntegrityError(
@@ -312,8 +308,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
                     bad = (n, m)
             except ResourceLimitError:
                 skipped += 1
-        checked = len(pairs) - skipped
-        rep.add(check, bad is None and skipped <= checked, witness=bad)
+        rep.add_sampled(check, bad, checked=len(pairs) - skipped, skipped=skipped)
         rep.counts[f"{name}_pairs"] = len(pairs)
         skips += skipped
     rep.counts["skipped"] = skips
@@ -330,20 +325,13 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
         comm = all(c.mul(a, b) == c.mul(b, a) for a in units for b in units)
         rep.add("core_multiplicative_subgroup", closed and has_inv and c.one in units)
         rep.add("core_commutative", comm)
-        bad = None
-        for s in core:
-            for a in c.elements:
-                for b in c.elements:
-                    t = add(a, b)
-                    if c.mul(s, t) != add(c.mul(s, a), c.mul(s, b)) or c.mul(
-                        t, s
-                    ) != add(c.mul(a, s), c.mul(b, s)):
-                        bad = (s, a, b)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        def distributes(s, a, b):
+            t = add(a, b)
+            left = c.mul(s, t) == add(c.mul(s, a), c.mul(s, b))
+            return left and c.mul(t, s) == add(c.mul(a, s), c.mul(b, s))
+
+        triples = ((s, a, b) for s in core for a in c.elements for b in c.elements)
+        bad = next((x for x in triples if not distributes(*x)), None)
         rep.add("core_two_sided_distributive", bad is None, witness=bad)
         size = len(c.elements)
         power_of_p = size > 1

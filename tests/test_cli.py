@@ -122,6 +122,33 @@ def test_usage_errors_exit_two(capsys):
         assert out == "" and err.startswith("error:"), argv
 
 
+def test_malformed_input_exits_two(capsys, tmp_path, monkeypatch):
+    # Exit 1 means a failed verification; input that does not parse is a
+    # usage error, reported on stderr without a traceback.
+    cases = [
+        ["factor-int", "abc"],
+        ["exotic-add", "x", "1"],
+        ["exotic-add", "1/0", "1"],
+        ["epsilon", "--alpha", "zz", "--z", "1"],
+        ["endoq", "12", "--perm", "2"],
+        ["nvs-verify", "--field", "f9", "--psi", "pow:x", "--phi", "id"],
+        ["verify-rho", "--carrier", "f9", "--addition", "a=x"],
+        ["verify-rho", "--carrier", "q", "--seed", "-1"],
+    ]
+    for argv in cases:
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error:"), argv
+    cfg = tmp_path / "cfg.json"
+    for content in (None, "{", '{"seed": "x"}', "[1]"):
+        if content is not None:
+            cfg.write_text(content)
+        monkeypatch.setenv("NEARFIELDS_CONFIG", str(cfg))
+        code, out, err = _run(capsys, ["verify-rho", "--carrier", "q"])
+        assert code == 2, content
+        assert out == "" and err.startswith("error:"), content
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -209,7 +236,7 @@ def test_reports_go_to_stdout_errors_to_stderr(capsys):
 FLAG_COMMANDS = {
     "--seed": {"verify-rho", "char-map"},
     "--trials": {"verify-rho"},
-    "--height-bound": {"sigma", "exotic-add", "verify-rho", "char-map"},
+    "--height-bound": {"sigma", "exotic-add", "verify-rho"},
     "--norm-ceiling": {"factor-quad", "sigma-inv", "exotic-add", "verify-rho", "char-map"},
 }
 

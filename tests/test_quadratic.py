@@ -193,6 +193,20 @@ def test_quadrat_normal_form():
         QuadRat(W, 0)
 
 
+def test_hash_agrees_with_equality():
+    # Equal values must hash alike, or a set holds one value twice.
+    rng = random.Random(7)
+    for _ in range(100):
+        a, b, d = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99)
+        equal = [(QuadInt(a, 0), a), (QuadRat(QuadInt(a, 0), d), Fraction(a, d)),
+                 (QuadRat(QuadInt(a, b)), QuadInt(a, b)), (QuadRat(QuadInt(a, 0)), a)]
+        for x, y in equal:
+            assert x == y and hash(x) == hash(y), (x, y)
+    assert len({5, QuadInt(5, 0), QuadRat(QuadInt(5, 0)), Fraction(5)}) == 1
+    assert len({Fraction(1, 2), QuadRat(QuadInt(1, 0), 2)}) == 1
+    assert len({QuadRat(QuadInt(3, 1)), QuadInt(3, 1), QuadRat(QuadInt(3, 1), 2)}) == 2
+
+
 def test_quadrat_field_ops():
     rng = random.Random(6)
     for _ in range(150):
