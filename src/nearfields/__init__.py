@@ -11,8 +11,8 @@ Entry points by theme:
 - rationals / quadratic: factorization in Z, in Q, and in the quadratic ring.
 - maps: the prime correspondence, sigma, endobijections of Q*,
   quasi-multiplicative maps, the complex epsilon family.
-- induced: the exotic addition on Q, pullback structures, ring-isomorphism
-  and field-axiom verifiers.
+- induced: the exotic addition on Q, ring-isomorphism and field-axiom
+  verifiers.
 - rho: near-field addition maps, the characteristic map, additions recovered
   from unary data.
 - finite / nvs: complete enumeration of exponent additions on small fields,
@@ -35,16 +35,10 @@ from .finite import (
 )
 from .induced import (
     DEFAULT_SUM_NORM_CEILING,
-    InducedStructure,
     StructureOps,
     check_ringisom,
     exotic_add_q,
-    exotic_neg_q,
-    exotic_structure,
     find_add_witness,
-    induced_add,
-    induced_mul,
-    induced_neg,
     verify_exotic_field_axioms,
 )
 from .maps import (
@@ -75,7 +69,6 @@ from .quadratic import (
     KFactorization,
     QuadInt,
     QuadRat,
-    canonical_associate,
     factor_quad,
     is_canonical_prime,
     primes_above,
@@ -87,9 +80,7 @@ from .rationals import (
     factor_int,
     factor_rat,
     is_prime,
-    nth_prime,
     primes_upto,
-    rebuild,
 )
 from .report import Check, Report
 from .rho import (
@@ -114,19 +105,18 @@ __all__ = [
     "DomainError", "IntegrityError", "ResourceLimitError",
     "Check", "Report",
     # integers and rationals
-    "Rat", "SignedFactorization", "factor_int", "factor_rat", "rebuild",
-    "is_prime", "nth_prime", "primes_upto",
+    "Rat", "SignedFactorization", "factor_int", "factor_rat",
+    "is_prime", "primes_upto",
     # the quadratic ring
     "QuadInt", "QuadRat", "KFactorization", "factor_quad", "rebuild_quad",
-    "canonical_associate", "is_canonical_prime", "primes_above",
+    "is_canonical_prime", "primes_above",
     # multiplicative maps
     "DEFAULT_CORRESPONDENCE_CEILING", "PrimeCorrespondence", "default_correspondence",
     "sigma_apply", "sigma_invert", "EndoBijectionSpecQ", "endo_q_apply",
     "check_multiplicative", "QmcResult", "check_qmc_equivalence",
     "QuasiMultSpec", "qm_compose", "qm_invert", "eval_epsilon", "epsilon_inverse_param",
-    # induced structures on Q
-    "DEFAULT_SUM_NORM_CEILING", "exotic_add_q", "exotic_neg_q", "exotic_structure",
-    "InducedStructure", "StructureOps", "induced_add", "induced_mul", "induced_neg",
+    # the exotic addition on Q
+    "DEFAULT_SUM_NORM_CEILING", "exotic_add_q", "StructureOps",
     "check_ringisom", "find_add_witness", "verify_exotic_field_axioms",
     # near-field addition maps
     "Carrier", "RhoMap", "field_carrier", "rational_carrier",

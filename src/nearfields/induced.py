@@ -1,12 +1,11 @@
-"""Operations transported through a bijection, and the exotic addition on Q.
+"""The exotic addition on Q, and the verifiers of the field it makes.
 
-A bijection sigma from a carrier onto a target ring pulls the target's
-operations back: alpha (+) beta = sigma^-1(sigma(alpha) + sigma(beta)), and
-likewise for multiplication. With sigma the prime-correspondence bijection
-from maps, the pullback of addition on the quadratic field gives a new
-addition on Q that keeps the native multiplication (sigma is multiplicative)
-yet makes Q a field isomorphic to the quadratic one. That addition is
-exotic_add_q.
+With sigma the prime-correspondence bijection from maps, the exotic sum
+alpha (+) beta = sigma^-1(sigma(alpha) + sigma(beta)) pulls the addition of
+the quadratic field back to Q. It keeps the native multiplication (sigma is
+multiplicative) yet makes Q a field isomorphic to the quadratic one. That
+addition is exotic_add_q; check_ringisom and verify_exotic_field_axioms
+check the isomorphism and the field axioms on seeded samples.
 
 Everything here is exact. The exotic sum factors each operand once over Z,
 takes out their common factor gamma (multiplication distributes over the
@@ -38,13 +37,7 @@ from .rationals import Rat, factor_rat
 from .report import Report
 
 __all__ = [
-    "InducedStructure",
-    "induced_add",
-    "induced_mul",
-    "induced_neg",
-    "exotic_structure",
     "exotic_add_q",
-    "exotic_neg_q",
     "StructureOps",
     "check_ringisom",
     "find_add_witness",
@@ -57,55 +50,6 @@ DEFAULT_SUM_NORM_CEILING = 10**12
 ASSOC_POOL_HEIGHT = 12
 
 
-@dataclass
-class InducedStructure:
-    """A carrier with operations pulled back through a bijection.
-
-    forward/backward are the bijection and its inverse; add, mul, neg and
-    the constants live on the target side. The induced zero and one are
-    backward images of the target constants.
-    """
-
-    name: str
-    forward: Callable[[Any], Any]
-    backward: Callable[[Any], Any]
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    neg: Callable[[Any], Any]
-    target_zero: Any
-    target_one: Any
-
-    def zero(self):
-        return self.backward(self.target_zero)
-
-    def one(self):
-        return self.backward(self.target_one)
-
-    def self_check(self, samples) -> Report:
-        rep = Report(f"induced structure on {self.name}")
-        bad = None
-        for x in samples:
-            if self.backward(self.forward(x)) != x:
-                bad = x
-                break
-        rep.add("round_trip", bad is None, witness=bad)
-        rep.add("zero_fixed", self.forward(self.zero()) == self.target_zero)
-        rep.add("one_fixed", self.forward(self.one()) == self.target_one)
-        return rep
-
-
-def induced_add(s: InducedStructure, alpha, beta):
-    return s.backward(s.add(s.forward(alpha), s.forward(beta)))
-
-
-def induced_mul(s: InducedStructure, alpha, beta):
-    return s.backward(s.mul(s.forward(alpha), s.forward(beta)))
-
-
-def induced_neg(s: InducedStructure, alpha):
-    return s.backward(s.neg(s.forward(alpha)))
-
-
 def check_norm_ceiling(n: Fraction, norm_ceiling: int, what: str = "sum image") -> None:
     """Refuse an element of norm n before factoring it when the numerator
     or denominator of n exceeds norm_ceiling; factoring a large semiprime
@@ -115,11 +59,6 @@ def check_norm_ceiling(n: Fraction, norm_ceiling: int, what: str = "sum image") 
             f"{what} has norm {n}, above the ceiling {norm_ceiling}",
             ceiling=norm_ceiling,
         )
-
-
-def _guarded_invert(corr: PrimeCorrespondence, x: QuadRat, norm_ceiling: int) -> Fraction:
-    check_norm_ceiling(x.norm(), norm_ceiling)
-    return sigma_invert(corr, x)
 
 
 def exotic_add_q(
@@ -180,31 +119,6 @@ def exotic_add_q(
         return Fraction(0)
     check_norm_ceiling(Fraction(n_num * s.norm(), n_den), norm_ceiling)
     return Fraction(g_num, g_den) * sigma_invert(corr, s)
-
-
-def exotic_neg_q(alpha: Rat | int) -> Fraction:
-    """The additive inverse for the exotic sum is the usual negation,
-    because sigma is odd (it fixes -1 and is multiplicative)."""
-    return -Fraction(alpha)
-
-
-def exotic_structure(
-    corr: PrimeCorrespondence | None = None,
-    *,
-    norm_ceiling: int = DEFAULT_SUM_NORM_CEILING,
-) -> InducedStructure:
-    """(Q, exotic addition, native multiplication) as an InducedStructure."""
-    corr = corr if corr is not None else default_correspondence()
-    return InducedStructure(
-        name="Q with exotic addition",
-        forward=lambda q: sigma_apply(corr, q),
-        backward=lambda x: _guarded_invert(corr, x, norm_ceiling),
-        add=lambda x, y: x + y,
-        mul=lambda x, y: x * y,
-        neg=lambda x: QuadRat(QuadInt(0, 0)) - x,
-        target_zero=QuadRat(QuadInt(0, 0)),
-        target_one=QuadRat(QuadInt(1, 0)),
-    )
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,9 @@ class PrimeCorrespondence:
     def pair_count(self) -> int:
         return len(self._data[0])
 
-    def pairs(self, count: int | None = None) -> list[tuple[int, QuadInt]]:
+    def pairs(self) -> list[tuple[int, QuadInt]]:
         norms, rat = self._data
-        k = len(norms) if count is None else min(count, len(norms))
-        return [(int(rat[i]), _canonical_at(norms, i)) for i in range(k)]
+        return [(int(rat[i]), _canonical_at(norms, i)) for i in range(len(norms))]
 
     def extend_to_norm(self, limit: int) -> None:
         """Store every canonical prime of norm <= limit, growing to at least

@@ -10,8 +10,7 @@ twists the scalar action. The derived operations are
 and every structural claim about them (abelian group, action laws,
 freeness, quasi-kernel generation, the one-parameter family of additions
 recovered from scalar multiples of 1) is checked exhaustively, never
-assumed. Only finite carriers live here; the rational analogue is
-exercised through the induced-structure machinery.
+assumed. Only finite carriers live here.
 """
 
 from __future__ import annotations

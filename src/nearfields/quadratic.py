@@ -44,7 +44,6 @@ __all__ = [
     "QuadRat",
     "KFactorization",
     "Splitting",
-    "canonical_associate",
     "is_canonical_prime",
     "primes_above",
     "factor_quad",
@@ -435,13 +434,6 @@ def _in_canonical_form(x: QuadInt) -> bool:
 
 def is_canonical_prime(x: QuadInt) -> bool:
     return _in_canonical_form(x) and _is_prime_element(x)
-
-
-def canonical_associate(x: QuadInt) -> QuadInt:
-    """The representative of {x, -x} with b > 0, or b == 0 and a > 0."""
-    if not _is_prime_element(x):
-        raise DomainError(f"{x!r} is not a prime element")
-    return x if _in_canonical_form(x) else -x
 
 
 @dataclass(frozen=True)

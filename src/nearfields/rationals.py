@@ -32,8 +32,6 @@ __all__ = [
     "SignedFactorization",
     "factor_int",
     "factor_rat",
-    "rebuild",
-    "nth_prime",
     "primes_upto",
     "prime_mask",
     "is_prime",
@@ -222,22 +220,6 @@ def factor_rat(q: Rat | int) -> SignedFactorization:
         for p, e in _exponents(q.denominator, TRIAL_CAP).items():
             exps[p] = -e  # a new key: q is in lowest terms
     return SignedFactorization(1 if q.numerator > 0 else -1, exps)
-
-
-def rebuild(f: SignedFactorization) -> Rat:
-    """Inverse of factor_rat."""
-    return f.value()
-
-
-def nth_prime(k: int) -> int:
-    """The k-th prime, 1-indexed: nth_prime(1) == 2."""
-    if k < 1:
-        raise DomainError("prime indexing starts at 1")
-    if k < 6:
-        return (2, 3, 5, 7, 11)[k - 1]
-    # Rosser-Schoenfeld: the k-th prime is below k (ln k + ln ln k) for k >= 6.
-    bound = int(k * (math.log(k) + math.log(math.log(k)))) + 1
-    return primes_upto(bound)[k - 1]
 
 
 def primes_upto(n: int) -> list[int]:

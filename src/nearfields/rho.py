@@ -43,6 +43,9 @@ __all__ = [
 # char_map checks chi on every in-range pair when there are at most this
 # many, and on a seeded sample of this many otherwise.
 RING_HOM_CAP = 4000
+# char_map builds every in-range add and mul pair, about 3 * bound**2 of
+# them, so it refuses a bound above this before evaluating rho.
+CHAR_MAP_MAX_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -257,6 +260,8 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     A pair whose evaluation overruns a resource ceiling is skipped, and
     chi_additive or chi_multiplicative fails when its pairs have more
     skipped than checked.
+    A bound above CHAR_MAP_MAX_BOUND raises ResourceLimitError before rho
+    is evaluated.
     Finite carriers additionally get the prime-subfield checks: the chi
     image is a commutative multiplicative subgroup distributing over the
     induced addition on both sides, and the field order is a power of the
@@ -264,6 +269,11 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     """
     if bound < 2:
         raise DomainError("bound must be at least 2")
+    if bound > CHAR_MAP_MAX_BOUND:
+        raise ResourceLimitError(
+            f"bound {bound} is above the ceiling {CHAR_MAP_MAX_BOUND}",
+            ceiling=CHAR_MAP_MAX_BOUND,
+        )
     c = r.carrier
     rep = Report(f"characteristic map on {c.name}")
     pos = [c.zero]

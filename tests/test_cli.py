@@ -179,6 +179,12 @@ def test_verify_rho_refuses_rather_than_pass_on_skipped_pairs(capsys):
     assert json.loads(out)["report"]["counts"] == {"pairs": 50, "skipped": 0}
 
 
+def test_char_map_refuses_a_bound_past_its_ceiling(capsys):
+    code, out, err = _run(capsys, ["char-map", "--carrier", "f9", "--bound", "1001"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "ceiling 1000" in err, err
+
+
 def test_norm_ceiling_gates_sigma_inv_and_factor_quad(capsys):
     # (8 + 2w)/5 has norm 100/25 = 4: admitted at ceiling 4, refused at 3.
     pinned = {

@@ -143,12 +143,6 @@ def test_primes_upto_matches_sympy_primerange():
         assert rationals.primes_upto(n) == list(sympy.primerange(n + 1)), n
 
 
-def test_nth_prime_matches_sympy_prime():
-    # k >= 6 sieves to the Rosser-Schoenfeld bound; 78,498 is pi(10**6)
-    for k in (1, 2, 3, 4, 5, 6, 7, 78_498, 10**5):
-        assert rationals.nth_prime(k) == sympy.prime(k), k
-
-
 @pytest.fixture(scope="module")
 def corr():
     c = PrimeCorrespondence()

@@ -12,7 +12,6 @@ from nearfields.quadratic import (
     _canonical_norms,
     _place_in_norm,
     _primes_of_norm,
-    canonical_associate,
     factor_quad,
     is_canonical_prime,
     primes_above,
@@ -62,16 +61,11 @@ def test_norm_form_positive_definite():
     assert sorted(units) == [(-1, 0), (1, 0)]
 
 
-def test_canonical_associate():
-    assert canonical_associate(-W) == W
-    assert canonical_associate(QuadInt(-2, 0)) == QuadInt(2, 0)
-    assert canonical_associate(QuadInt(1, -1)) == QuadInt(-1, 1)
-    with pytest.raises(DomainError):
-        canonical_associate(QuadInt(4, 0))  # composite
-    with pytest.raises(DomainError):
-        canonical_associate(QuadInt(5, 0))  # 5 splits, not prime here
+def test_is_canonical_prime():
     assert is_canonical_prime(W)
     assert not is_canonical_prime(-W)
+    assert not is_canonical_prime(QuadInt(4, 0))  # composite
+    assert not is_canonical_prime(QuadInt(5, 0))  # 5 splits, not prime here
     assert not is_canonical_prime(QuadInt(0, 0))
 
 
@@ -107,7 +101,7 @@ def test_splitting_trichotomy_first_100_primes():
             assert s.kind == "split", p
             pi, pibar = s.primes
             assert pi != pibar
-            assert canonical_associate(pi.conj()) == pibar
+            assert pibar in (pi.conj(), -pi.conj())
             assert pi.norm() == pibar.norm() == p
         else:
             assert s.kind == "inert", p

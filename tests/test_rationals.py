@@ -14,9 +14,7 @@ from nearfields.rationals import (
     factor_int,
     factor_rat,
     is_prime,
-    nth_prime,
     primes_upto,
-    rebuild,
 )
 
 
@@ -44,16 +42,7 @@ def test_factor_rat_examples():
 
 def test_rebuild_round_trip_examples():
     for q in [Fraction(6, 35), Fraction(-9, 4), Fraction(1), Fraction(19), Fraction(-1, 360)]:
-        assert rebuild(factor_rat(q)) == q
-
-
-def test_nth_prime():
-    assert nth_prime(1) == 2
-    assert nth_prime(4) == 7
-    assert nth_prime(10) == 29
-    assert nth_prime(1229) == 9973
-    with pytest.raises(DomainError):
-        nth_prime(0)
+        assert factor_rat(q).value() == q
 
 
 def test_primes_upto_matches_nth():
@@ -94,7 +83,7 @@ def test_round_trip_random():
         den = rng.randint(1, 10**6)
         q = Fraction(num, den)
         f = factor_rat(q)
-        assert rebuild(f) == q
+        assert f.value() == q
         assert all(e != 0 for e in f.exponents.values())
         assert all(is_prime(p) for p in f.exponents)
         assert f.sign == (1 if q > 0 else -1)
@@ -150,7 +139,7 @@ def test_cache_under_threads():
         out = []
         for _ in range(50):
             q = Fraction(rng.randint(1, 10**5), rng.randint(1, 10**5))
-            out.append(rebuild(factor_rat(q)) == q)
+            out.append(factor_rat(q).value() == q)
         results.append(all(out))
 
     threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]

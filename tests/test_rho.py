@@ -12,6 +12,7 @@ from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import exotic_add_q
 from nearfields.rho import (
+    CHAR_MAP_MAX_BOUND,
     RING_HOM_CAP,
     CharMapResult,
     RhoMap,
@@ -195,6 +196,21 @@ def test_char_map_validation_and_integrity():
     bad = RhoMap(field_carrier(F), lambda x: int(fake[x]), fake)
     with pytest.raises(IntegrityError):
         char_map(bad, 8)
+
+
+def test_char_map_refuses_a_bound_past_its_ceiling_before_evaluating_rho():
+    calls = 0
+
+    def rho(alpha):
+        nonlocal calls
+        calls += 1
+        return alpha + 1
+
+    r = RhoMap(rational_carrier(), rho)
+    with pytest.raises(ResourceLimitError, match="1000") as exc:
+        char_map(r, CHAR_MAP_MAX_BOUND + 1)
+    assert exc.value.ceiling == CHAR_MAP_MAX_BOUND == 1000
+    assert calls == 0
 
 
 def test_char_map_fails_when_most_add_pairs_are_skipped():
