@@ -43,9 +43,10 @@ __all__ = [
 # char_map checks chi on every in-range pair when there are at most this
 # many, and on a seeded sample of this many otherwise.
 RING_HOM_CAP = 4000
-# char_map builds every in-range add and mul pair, about 3 * bound**2 of
-# them, so it refuses a bound above this before evaluating rho.
-CHAR_MAP_MAX_BOUND = 1000
+# char_map draws its pairs by index, so only the chi table (2 * bound + 1
+# values) grows with the bound; it refuses a bound above this before
+# evaluating rho (native + takes about a second at 10**5).
+CHAR_MAP_MAX_BOUND = 100_000
 
 
 @dataclass(frozen=True)
@@ -243,10 +244,27 @@ class CharMapResult:
     report: Report
 
     def chi(self, n: int):
-        for k, v in self.table:
-            if k == n:
-                return v
-        raise DomainError(f"{n} outside the tabulated range")
+        bound = self.table[-1][0]
+        if n != int(n) or not -bound <= n <= bound:
+            raise DomainError(f"{n} outside the tabulated range")
+        return self.table[int(n) + bound][1]
+
+
+def _checked_pairs(bound: int, mul: bool, rng) -> list[tuple[int, int]]:
+    """The (n, m) in [-bound, bound]**2 with n + m (n * m if mul) in range,
+    by n then m: all of them up to RING_HOM_CAP, else rng's draw of that
+    many. Each row n is a run of m, so its end turns an index into (n, m)."""
+    n = np.arange(-bound, bound + 1)
+    half = bound // np.maximum(np.abs(n), 1)  # mul row n: |m| <= bound // |n|
+    lo = -half if mul else np.maximum(-bound, -bound - n)
+    lengths = 2 * half + 1 if mul else 2 * bound + 1 - np.abs(n)
+    ends = np.cumsum(lengths)
+    count = int(ends[-1])
+    full = count <= RING_HOM_CAP
+    idx = np.arange(count) if full else rng.choice(count, RING_HOM_CAP, replace=False)
+    row = np.searchsorted(ends, idx, side="right")
+    m = lo[row] + idx - (ends - lengths)[row]
+    return list(zip(n[row].tolist(), m.tolist()))
 
 
 def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
@@ -260,8 +278,9 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     A pair whose evaluation overruns a resource ceiling is skipped, and
     chi_additive or chi_multiplicative fails when its pairs have more
     skipped than checked.
-    A bound above CHAR_MAP_MAX_BOUND raises ResourceLimitError before rho
-    is evaluated.
+    A bound above CHAR_MAP_MAX_BOUND = 10**5 raises ResourceLimitError
+    before rho is evaluated; exotic + on Q refuses sooner, at the
+    correspondence ceiling, once the bound reaches an inert prime > 7,071.
     Finite carriers additionally get the prime-subfield checks: the chi
     image is a commutative multiplicative subgroup distributing over the
     induced addition on both sides, and the field order is a power of the
@@ -294,22 +313,13 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     rep.add("chi_one", chi[1] == c.one)
 
     add = add_from_rho(r)
-    in_range = sorted(chi)
-    add_pairs = [
-        (n, m) for n in in_range for m in in_range if -bound <= n + m <= bound
-    ]
-    mul_pairs = [
-        (n, m) for n in in_range for m in in_range if -bound <= n * m <= bound
-    ]
     rng = np.random.default_rng(seed)
     skips = 0
-    for name, check, pairs, op, combine in (
-        ("add", "chi_additive", add_pairs, add, operator.add),
-        ("mul", "chi_multiplicative", mul_pairs, c.mul, operator.mul),
+    for name, check, mul, op, combine in (
+        ("add", "chi_additive", False, add, operator.add),
+        ("mul", "chi_multiplicative", True, c.mul, operator.mul),
     ):
-        if len(pairs) > RING_HOM_CAP:
-            idx = rng.choice(len(pairs), size=RING_HOM_CAP, replace=False)
-            pairs = [pairs[i] for i in idx]
+        pairs = _checked_pairs(bound, mul, rng)
         bad = None
         skipped = 0
         for n, m in pairs:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -180,9 +179,9 @@ def test_verify_rho_refuses_rather_than_pass_on_skipped_pairs(capsys):
 
 
 def test_char_map_refuses_a_bound_past_its_ceiling(capsys):
-    code, out, err = _run(capsys, ["char-map", "--carrier", "f9", "--bound", "1001"])
+    code, out, err = _run(capsys, ["char-map", "--carrier", "f9", "--bound", "100001"])
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "ceiling 1000" in err, err
+    assert err.startswith("error:") and "ceiling 100000" in err, err
 
 
 def test_norm_ceiling_gates_sigma_inv_and_factor_quad(capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nearfields import maps, quadratic
-from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
+from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.finite import make_field
 from nearfields.maps import (
     EndoBijectionSpecQ,

@@ -3,18 +3,21 @@ characteristic map, and the pulled-back-addition criterion."""
 
 from __future__ import annotations
 
+import dataclasses
+import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nearfields import rho as rho_module
 from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import exotic_add_q
 from nearfields.rho import (
     CHAR_MAP_MAX_BOUND,
     RING_HOM_CAP,
-    CharMapResult,
     RhoMap,
     add_from_rho,
     char_map,
@@ -172,6 +175,10 @@ def test_char_map_rational_native():
     assert res.evidence_bounded
     for n in range(-25, 26):
         assert res.chi(n) == n
+    assert res.chi(Fraction(-7)) == -7
+    for n in (26, -26, Fraction(5, 2)):
+        with pytest.raises(DomainError, match="outside the tabulated range"):
+            res.chi(n)
     assert res.report.ok
 
 
@@ -207,9 +214,9 @@ def test_char_map_refuses_a_bound_past_its_ceiling_before_evaluating_rho():
         return alpha + 1
 
     r = RhoMap(rational_carrier(), rho)
-    with pytest.raises(ResourceLimitError, match="1000") as exc:
+    with pytest.raises(ResourceLimitError, match="100000") as exc:
         char_map(r, CHAR_MAP_MAX_BOUND + 1)
-    assert exc.value.ceiling == CHAR_MAP_MAX_BOUND == 1000
+    assert exc.value.ceiling == CHAR_MAP_MAX_BOUND == 100_000
     assert calls == 0
 
 
@@ -283,6 +290,78 @@ def test_char_map_fails_when_skips_exceed_checks_by_one():
     assert [c.name for c in res.report.failures()] == ["chi_additive"]
     assert res.report.counts["add_pairs"] == 469
     assert res.report.counts["skipped"] == 235
+
+
+def _old_pairs(bound, seed):
+    """Oracle: the add and mul pairs char_map checked when it built every
+    in-range pair as a list, then kept a seeded rng.choice of the indices."""
+    rng = np.random.default_rng(seed)
+    in_range = range(-bound, bound + 1)
+    out = []
+    for combine in (operator.add, operator.mul):
+        pairs = [(n, m) for n in in_range for m in in_range if -bound <= combine(n, m) <= bound]
+        if len(pairs) > RING_HOM_CAP:
+            idx = rng.choice(len(pairs), size=RING_HOM_CAP, replace=False)
+            pairs = [pairs[i] for i in idx]
+        out.append(pairs)
+    return out
+
+
+def _logged_char_map(monkeypatch, r, bound, seed=0):
+    """char_map of r, logging the pairs of chi values that its induced add
+    and its carrier's mul are given, in call order."""
+    adds, muls = [], []
+    add = add_from_rho(r)  # built on the unlogged carrier
+
+    def logged_add(a, b):
+        adds.append((a, b))
+        return add(a, b)
+
+    def logged_mul(a, b):
+        muls.append((a, b))
+        return r.carrier.mul(a, b)
+
+    monkeypatch.setattr(rho_module, "add_from_rho", lambda _: logged_add)
+    logged = RhoMap(dataclasses.replace(r.carrier, mul=logged_mul), r.fn, r.table)
+    return char_map(logged, bound, seed=seed), adds, muls
+
+
+@pytest.mark.parametrize("bound", [12, 20, 40, 300])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_char_map_checks_the_old_pairs_on_q(monkeypatch, bound, seed):
+    r = rho_from_add(rational_carrier(), lambda a, b: a + b)
+    res, adds, muls = _logged_char_map(monkeypatch, r, bound, seed)
+    old_add, old_mul = _old_pairs(bound, seed)
+    # chi(n) = n under native +, so the logged values are the pairs
+    assert adds == old_add
+    assert muls == old_mul
+    assert res.report.counts["add_pairs"] == len(old_add)
+    assert res.report.counts["mul_pairs"] == len(old_mul)
+
+
+def test_char_map_checks_the_old_pairs_on_f9(monkeypatch):
+    old_add, old_mul = _old_pairs(6, 0)
+    for a in (None, 5):
+        _, r = _field_rho(a)
+        res, adds, muls = _logged_char_map(monkeypatch, r, 6)
+        # chi has period 3 here, so values stand in for the pairs; the
+        # prime-subfield checks log more calls after these
+        assert adds[: len(old_add)] == [(res.chi(n), res.chi(m)) for n, m in old_add]
+        assert muls[: len(old_mul)] == [(res.chi(n), res.chi(m)) for n, m in old_mul]
+
+
+def test_char_map_never_builds_every_pair():
+    # 3,003,001 add pairs at bound 1,000: building them all peaked at about
+    # 187 MiB under tracemalloc, drawing 4,000 by index at about 2 MiB.
+    r = rho_from_add(rational_carrier(), lambda a, b: a + b)
+    tracemalloc.start()
+    try:
+        res = char_map(r, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.report.ok, res.report.failures()
+    assert peak < 16 * 2**20, peak
 
 
 def test_bij_plus_scalings_and_power():
