@@ -5,7 +5,8 @@ package behind reproducible seeds. Reports go to standard output (JSON with
 --json, plain text otherwise), diagnostics to standard error. Exit status:
 0 for success/pass, 1 for a verification failure (the report carries a
 witness), 2 for usage or domain errors, including inputs beyond the
-configured resource ceilings. The tuning flags (--seed, --trials,
+configured resource ceilings; a reader that closes early ends the run
+with 1 and no traceback. The tuning flags (--seed, --trials,
 --height-bound, --norm-ceiling) exist only on the subcommands that read
 them, so a flag that would be ignored is a usage error instead.
 """
@@ -320,36 +321,39 @@ def _cmd_epsilon(args, cfg):
     }, True
 
 
-def _render_text(payload: dict, out) -> None:
+def _render_text(payload: dict) -> str:
+    lines = []
+
     def walk(obj, indent):
         pad = "  " * indent
         if isinstance(obj, dict):
             if set(obj) >= {"title", "ok", "checks"}:
-                print(f"{pad}{obj['title']}: {'ok' if obj['ok'] else 'FAILED'}", file=out)
+                lines.append(f"{pad}{obj['title']}: {'ok' if obj['ok'] else 'FAILED'}")
                 for c in obj["checks"]:
                     mark = "ok  " if c["ok"] else "FAIL"
                     extra = f"  witness={c['witness']}" if c["witness"] is not None else ""
-                    print(f"{pad}  [{mark}] {c['name']}{extra}", file=out)
+                    lines.append(f"{pad}  [{mark}] {c['name']}{extra}")
                 if obj["counts"]:
-                    print(f"{pad}  counts: {obj['counts']}", file=out)
+                    lines.append(f"{pad}  counts: {obj['counts']}")
                 return
             for k in sorted(obj):
                 v = obj[k]
                 if isinstance(v, (dict, list)) and v and not isinstance(v, str):
-                    print(f"{pad}{k}:", file=out)
+                    lines.append(f"{pad}{k}:")
                     walk(v, indent + 1)
                 else:
-                    print(f"{pad}{k}: {v}", file=out)
+                    lines.append(f"{pad}{k}: {v}")
         elif isinstance(obj, list):
             for v in obj:
                 if isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v):
-                    print(f"{pad}- {v}", file=out)
+                    lines.append(f"{pad}- {v}")
                 elif isinstance(v, (dict, list)):
                     walk(v, indent + 1)
                 else:
-                    print(f"{pad}- {v}", file=out)
+                    lines.append(f"{pad}- {v}")
 
     walk(payload, 0)
+    return "\n".join(lines) + "\n"
 
 
 def _flag(name: str, text: str) -> argparse.ArgumentParser:
@@ -481,7 +485,16 @@ def main(argv=None) -> int:
         return 1
     payload = {"schema": 1, "command": args.command, "ok": ok, **payload}
     if cfg.output == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        _render_text(payload, sys.stdout)
+        text = _render_text(payload)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early, as `| head` does. Point stdout at devnull
+        # so the flush at exit cannot raise again, and exit without a
+        # traceback (the Python docs' SIGPIPE recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if ok else 1

@@ -6,7 +6,9 @@ sieve feeds both sides: quadratic turns the sieved rational primes into the
 sorted norms of the canonical primes, so the canonical side is just an array
 of norms, and quadratic recovers each prime from its norm and its place
 within that norm when asked for; how Z[w] splits a rational prime is known
-there only. Growth, its doubling rule and the refusal at the norm ceiling
+there only. Both sides live in int32 buffers allocated once, at a proven
+bound on their counts, and filled in place; lookups bisect the filled
+prefixes. Growth, its doubling rule and the refusal at the norm ceiling
 all live in PrimeCorrespondence.extend_to_norm. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,17 +76,63 @@ DEFAULT_CORRESPONDENCE_CEILING = 50_000_000
 # size of its whole range.
 _SEGMENT = 1 << 21
 
+_INT32_MAX = 2**31 - 1
 
-def _primes_between(lo: int, hi: int) -> np.ndarray:
-    """The primes p with lo < p <= hi, ascending, as int64."""
-    parts = [np.empty(0, dtype=np.int64)]
+
+def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
+    """Bounds on a correspondence with this ceiling: how many norms and how
+    many rational primes it ever stores, and the largest value it stores.
+
+    With x = max_norm, and by Rosser and Schoenfeld (Illinois J. Math. 6,
+    1962, (3.6) and (3.13)) P(y) = 1.25506 y / ln y > pi(y) for y > 1 and
+    p_n < n (ln n + ln ln n) for n >= 6:
+    - The canonical primes of norm <= x are two per split p <= x, one over
+      19 and one per inert q <= sqrt(x): fewer than
+      N = 2 P(x) + P(sqrt(x)) + 1 norms, each at most x.
+    - The rational side holds exactly the primes <= sieved, which growth
+      raises either to a limit <= x, or by a top-up from s to
+      s + 1.1 d ln s + 100, where d = n - pi(s) > 0 for the n norms held.
+      A top-up runs only while pi(s) < n < N, so s < p_n < S with
+      S = N (ln N + ln ln N), N >= 6 (and p_n <= 11 < S for n < 6). It runs
+      after sieving to the step's limit, so s >= limit, and
+      d <= n - pi(limit) = split(limit) - inert(limit) + inert(sqrt(limit))
+      <= split(limit) <= pi(x) < P(x). So sieved, and every stored prime,
+      stays below Y = max(x, S + 1.1 P(x) ln S + 100), and the rational side
+      holds fewer than P(Y) primes.
+    """
+
+    def bound(y: float) -> float:  # P(y)
+        return 1.25506 * y / math.log(y)
+
+    x = max(max_norm, 2)
+    n = max(2 * bound(x) + bound(math.sqrt(x)) + 1, 6)
+    s = n * (math.log(n) + math.log(math.log(n)))
+    y = max(x, s + 1.1 * bound(x) * math.log(s) + 100)
+    return int(n) + 1, int(bound(y)) + 1, int(y) + 1
+
+
+def _lazy_int32(count: int) -> np.ndarray:
+    """A zeroed int32 buffer in an anonymous mapping of its own, whose pages
+    cost memory only once written. (numpy asks for huge pages on large
+    arrays, so there the first write would fault in 2 MB at once.)"""
+    return np.frombuffer(mmap.mmap(-1, 4 * count), dtype=np.int32)
+
+
+def _primes_between(lo: int, hi: int, out: np.ndarray) -> int:
+    """Write the primes p with lo < p <= hi, ascending, to the front of out,
+    and return how many; refuse rather than write past its end."""
+    k = 0
     for start in range(lo + 1, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)
-        parts.append(np.flatnonzero(prime_mask(stop, start)).astype(np.int64) + start)
-    return np.concatenate(parts)
+        found = np.flatnonzero(prime_mask(stop, start))
+        if k + len(found) > len(out):
+            raise IntegrityError("rational primes past their proven buffer bound")
+        out[k : k + len(found)] = found + start
+        k += len(found)
+    return k
 
 
-def _canonical_at(norms: np.ndarray, i: int) -> QuadInt:
+def _canonical_at(norms: memoryview, i: int) -> QuadInt:
     """The canonical prime of rank i, from its norm and its place among the
     (at most two) primes of that norm."""
     n = int(norms[i])
@@ -92,21 +142,34 @@ def _canonical_at(norms: np.ndarray, i: int) -> QuadInt:
 class PrimeCorrespondence:
     """The rank pairing between rational primes and canonical primes.
 
-    Holds two int64 arrays: the norms of the canonical primes, sorted, one
-    entry per prime, and the rational primes in order; the k-th of each are
-    paired. Grows lazily and append-only: raising the norm ceiling sieves
-    only the new segment of integers, and never reorders the existing pairs,
-    because canonical primes are ordered by norm first. Lookups read atomic
-    snapshots, growth holds a lock; safe under threads.
+    Holds two int32 buffers, each allocated once at a proven bound on its
+    count (see _buffer_sizes; pages never written cost no memory): the norms
+    of the canonical primes, sorted, one entry per prime, and the rational
+    primes in order; the k-th of each are paired. Grows lazily and
+    append-only: raising the norm ceiling sieves only the new segment of
+    integers and writes it after the held entries, and never reorders the
+    existing pairs, because canonical primes are ordered by norm first.
+    Lookups bisect memoryviews of the filled prefixes, which growth never
+    writes again; growth holds a lock; safe under threads.
     """
 
     def __init__(self, *, max_norm: int = DEFAULT_CORRESPONDENCE_CEILING):
+        norm_count, rat_count, top = _buffer_sizes(max_norm)
+        if top > _INT32_MAX:
+            raise ResourceLimitError(
+                f"correspondence ceiling {max_norm} could store primes past the"
+                f" int32 ceiling {_INT32_MAX}",
+                ceiling=_INT32_MAX,
+            )
         self.max_norm = max_norm
         self._lock = threading.Lock()
         self._capacity = 0  # every canonical prime of norm <= capacity is stored
         self._sieved = 1  # every rational prime <= sieved is stored
-        # (norms, rational primes); the second may run ahead of the first
-        self._data = (np.empty(0, dtype=np.int64),) * 2
+        self._norm_buf = _lazy_int32(norm_count)
+        self._rat_buf = _lazy_int32(rat_count)
+        # memoryviews of the filled prefixes (norms, rational primes); the
+        # second may run ahead of the first
+        self._data = (memoryview(self._norm_buf[:0]), memoryview(self._rat_buf[:0]))
         self._images: dict[int, QuadInt] = {}  # p -> image, for primes p <= TRIAL_CAP
 
     @property
@@ -115,7 +178,7 @@ class PrimeCorrespondence:
 
     def pairs(self) -> list[tuple[int, QuadInt]]:
         norms, rat = self._data
-        return [(int(rat[i]), _canonical_at(norms, i)) for i in range(len(norms))]
+        return [(rat[i], _canonical_at(norms, i)) for i in range(len(norms))]
 
     def extend_to_norm(self, limit: int) -> None:
         """Store every canonical prime of norm <= limit, growing to at least
@@ -133,18 +196,22 @@ class PrimeCorrespondence:
             if limit <= old:
                 return
             limit = min(max(limit, 2 * old, 10_000), self.max_norm)
-            norms, rat = self._data
+            nn, nr = map(len, self._data)
             sieved = self._sieved
             if limit > sieved:
-                rat = np.concatenate([rat, _primes_between(sieved, limit)])
+                nr += _primes_between(sieved, limit, self._rat_buf[nr:])
                 sieved = limit
-            norms = np.concatenate([norms, _canonical_norms(rat, old, limit)])
+            new = _canonical_norms(self._rat_buf[:nr], old, limit)
+            if nn + len(new) > len(self._norm_buf):
+                raise IntegrityError("norms past their proven buffer bound")
+            self._norm_buf[nn : nn + len(new)] = new
+            nn += len(new)
             # the rational side needs as many primes as there are pairs
-            while len(rat) < len(norms):
-                top = sieved + int(1.1 * (len(norms) - len(rat)) * math.log(sieved)) + 100
-                rat = np.concatenate([rat, _primes_between(sieved, top)])
+            while nr < nn:
+                top = sieved + int(1.1 * (nn - nr) * math.log(sieved)) + 100
+                nr += _primes_between(sieved, top, self._rat_buf[nr:])
                 sieved = top
-            self._data = (norms, rat)
+            self._data = (memoryview(self._norm_buf[:nn]), memoryview(self._rat_buf[:nr]))
             self._sieved = sieved
             # Published last: a reader that skips the lock on seeing the new
             # capacity must also see the arrays that hold it.
@@ -167,7 +234,7 @@ class PrimeCorrespondence:
             return pi
         capacity = self._capacity  # read before the arrays, which are published first
         norms, rat = self._data
-        r = int(np.searchsorted(rat, p))  # p's rank, if p is prime
+        r = bisect_left(rat, p)  # p's rank, if p is prime
         if r == len(rat):  # past every sieved prime, a primality test decides
             if not is_prime(p):
                 raise DomainError(f"{p} is not a rational prime")
@@ -177,7 +244,7 @@ class PrimeCorrespondence:
             self.extend_to_norm(capacity + 1)
             capacity = self._capacity
             norms, rat = self._data
-            r = int(np.searchsorted(rat, p))
+            r = bisect_left(rat, p)
         pi = _canonical_at(norms, r)
         if p <= TRIAL_CAP:
             self._images[p] = pi
@@ -203,10 +270,10 @@ class PrimeCorrespondence:
             raise DomainError(f"{pi!r} is not a canonical prime")
         # capacity is read before the arrays, which are published first
         norms, rat = self._data
-        i = int(np.searchsorted(norms, n)) + _place_in_norm(pi)
+        i = bisect_left(norms, n) + _place_in_norm(pi)
         if i >= len(norms) or norms[i] != n:
             raise DomainError(f"{pi!r} is not a canonical prime")
-        return int(rat[i])
+        return rat[i]
 
 
 _default: PrimeCorrespondence | None = None

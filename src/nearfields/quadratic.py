@@ -403,9 +403,11 @@ def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """
     splits = np.zeros(RAMIFIED, dtype=bool)  # splits[p % RAMIFIED]: the prime p splits
     splits[sorted(_SPLIT_RESIDUES)] = True
-    i, j = np.searchsorted(primes, [lo, hi], side="right")
+    # keys of the primes' dtype: any other makes searchsorted copy the array
+    keys = np.array([lo, hi, math.isqrt(lo), math.isqrt(hi)], dtype=primes.dtype)
+    i, j = np.searchsorted(primes, keys[:2], side="right")
     p = primes[i:j]
-    i, j = np.searchsorted(primes, [math.isqrt(lo), math.isqrt(hi)], side="right")
+    i, j = np.searchsorted(primes, keys[2:], side="right")
     q = primes[i:j]
     q = q[~splits[q % RAMIFIED] & (q != RAMIFIED)]
     norms = np.concatenate([np.repeat(p[splits[p % RAMIFIED]], 2), p[p == RAMIFIED], q * q])

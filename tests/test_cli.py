@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nearfields
 from nearfields.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -291,3 +295,26 @@ def test_config_file_keys_reach_commands_without_the_flag(capsys, tmp_path, monk
     assert code == 2 and "ceiling 3" in err
     code, out, err = _run(capsys, ["factor-int", "--json", "12"])
     assert code == 0 and json.loads(out)["result"]["factors"] == [[2, 2], [3, 1]]
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_reader_closing_early_exits_without_a_traceback(mode):
+    # Like `nearfields char-map ... | head -c 400`: the output (about 1 MB)
+    # outgrows the pipe, so the write meets a closed reader. The unbuffered
+    # switch is dropped: with it, Python drops a short write without raising.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nearfields.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    argv = ["char-map", "--carrier", "q", "--bound", "20000", *mode]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nearfields", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(400)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert len(head) == 400

@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nearfields import maps, quadratic
-from nearfields.errors import DomainError, ResourceLimitError
+from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import make_field
 from nearfields.maps import (
+    DEFAULT_CORRESPONDENCE_CEILING,
     EndoBijectionSpecQ,
     PrimeCorrespondence,
     QuasiMultSpec,
@@ -442,6 +444,75 @@ def test_uneven_growth_matches_one_step():
     got = stepped.pairs()
     assert got == whole.pairs()
     assert [pi for _, pi in got].count(QuadInt(q, 0)) == 1
+
+
+@pytest.mark.parametrize("ceiling", [10, 10**4, 2 * 10**6, DEFAULT_CORRESPONDENCE_CEILING])
+def test_buffers_hold_growth_to_the_ceiling(ceiling):
+    # the bounds of _buffer_sizes hold on every step, through the top-ups
+    # of the rational side (at ceiling 10 there are 6 norms but 4 primes)
+    norm_count, rat_count, top = maps._buffer_sizes(ceiling)
+    corr = PrimeCorrespondence(max_norm=ceiling)
+    while corr._capacity < ceiling:
+        corr.extend_to_norm(corr._capacity + 1)
+        norms, rat = corr._data
+        assert len(rat) >= len(norms)
+        assert len(norms) <= len(corr._norm_buf) == norm_count
+        assert len(rat) <= len(corr._rat_buf) == rat_count
+        assert rat[-1] <= corr._sieved < top <= 2**31 - 1
+    # the published views read the buffers themselves, not copies
+    assert corr._norm_buf.dtype == corr._rat_buf.dtype == np.int32
+    assert np.shares_memory(np.asarray(norms), corr._norm_buf)
+    assert np.shares_memory(np.asarray(rat), corr._rat_buf)
+    if ceiling == DEFAULT_CORRESPONDENCE_CEILING:
+        assert corr.pair_count == 3_000_526
+
+
+def test_ceilings_whose_primes_pass_int32_are_refused():
+    PrimeCorrespondence(max_norm=10**8)  # twice the default is still stored
+    with pytest.raises(ResourceLimitError) as exc:
+        PrimeCorrespondence(max_norm=10**9)
+    assert exc.value.ceiling == 2**31 - 1
+    assert "2147483647" in str(exc.value)
+
+
+def test_growth_refuses_to_write_past_a_buffer():
+    for buf in ("_rat_buf", "_norm_buf"):
+        corr = PrimeCorrespondence(max_norm=10**4)
+        setattr(corr, buf, getattr(corr, buf)[:100])
+        with pytest.raises(IntegrityError):
+            corr.extend_to_norm(10**4)
+        assert corr._capacity == corr.pair_count == 0
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lookups_allocate_almost_nothing():
+    # A lookup that cast the int32 arrays (np.searchsorted with a Python int
+    # key does) would copy 149,003 primes, about 1.2 MB, on every call.
+    corr = PrimeCorrespondence()
+    corr.extend_to_norm(2 * 10**6)
+    rat = corr._data[1]
+    p, q = rat[corr.pair_count - 1], rat[corr.pair_count - 7]
+    assert p > q > TRIAL_CAP  # past the memo, so the rank lookup runs
+    pi = corr.image_of_prime(q)
+    assert _traced_peak(corr.image_of_prime, p) < 4096  # measured 400 bytes
+    assert _traced_peak(corr.preimage_of_prime, pi) < 4096  # measured 124 bytes
+
+
+def test_growth_step_peak_stays_near_its_new_segment():
+    # Measured 1.5 MiB for 10**6 -> 2*10**6: the sieve of the new segment
+    # and its primes. Copying the held arrays took 3.4 MiB.
+    corr = PrimeCorrespondence()
+    corr.extend_to_norm(10**6)
+    assert _traced_peak(corr.extend_to_norm, 2 * 10**6) < 2.5 * 2**20
+    assert corr._capacity == 2 * 10**6
 
 
 def test_endo_bijection_examples():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_norm_helpers_agree_with_primes_above():
     assert split.tolist() == [key[0] for key, _ in canonical]
     for (n, _, _), pi in canonical:
         assert _primes_of_norm(n)[_place_in_norm(pi)] == pi
+
+
+def test_canonical_norms_reads_int32_primes_in_place():
+    # The correspondence keeps its primes as int32. A key of another dtype
+    # makes searchsorted cast the whole array: 1.2 MB here, for 710 norms.
+    primes = np.array(primes_upto(2 * 10**6), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        norms = _canonical_norms(primes, 1_990_000, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms.dtype == np.int32 and len(norms) == 710
+    assert peak < 64 * 2**10, peak  # measured 13 KB
 
 
 def test_factor_quad_examples():
