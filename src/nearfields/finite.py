@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -354,11 +355,12 @@ def modnear_ring_check() -> Report:
 
     index_of = {row.tobytes(): i for i, row in enumerate(maps)}
 
-    def table_of(op: np.ndarray, name: str) -> np.ndarray | None:
-        """Index table of a pointwise operation, or None if not closed."""
+    def table_of(row: Callable[[int], np.ndarray], name: str) -> np.ndarray | None:
+        """Index table of a pointwise operation, or None if not closed;
+        row(i) gives the (n, m) results of member i with every member."""
         out = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
-            rows = op[maps[i], maps]  # (n, m): op applied pointwise
+            rows = row(i)
             for j in range(n):
                 key = rows[j].tobytes()
                 if key not in index_of:
@@ -368,24 +370,10 @@ def modnear_ring_check() -> Report:
         rep.add(f"closure[{name}]", True)
         return out
 
-    box_idx = table_of(box, "boxplus")
-    nat_idx = table_of(native, "plus")
-
-    comp_idx = np.zeros((n, n), dtype=np.int64)
-    comp_ok = True
-    comp_wit = None
-    for i in range(n):
-        comp = maps[i][maps]  # (n, m): maps[i] after maps[j]
-        for j in range(n):
-            key = comp[j].tobytes()
-            if key not in index_of:
-                comp_ok, comp_wit = False, (i, j)
-                break
-            comp_idx[i, j] = index_of[key]
-        if not comp_ok:
-            break
-    rep.add("closure[compose]", comp_ok, witness=comp_wit)
-    if box_idx is None or nat_idx is None or not comp_ok:
+    box_idx = table_of(lambda i: box[maps[i], maps], "boxplus")
+    nat_idx = table_of(lambda i: native[maps[i], maps], "plus")
+    comp_idx = table_of(lambda i: maps[i][maps], "compose")  # maps[i] after maps[j]
+    if box_idx is None or nat_idx is None or comp_idx is None:
         return rep
 
     def group_axioms(idx: np.ndarray, name: str, abelian: bool) -> None:

@@ -27,12 +27,11 @@ import numpy as np
 from .errors import ResourceLimitError
 from .maps import (
     PrimeCorrespondence,
-    _sigma_pair,
     default_correspondence,
     sigma_apply,
     sigma_invert,
 )
-from .quadratic import QuadInt, QuadRat
+from .quadratic import QuadInt, QuadRat, _product
 from .rationals import Rat, factor_rat
 from .report import Report
 
@@ -112,8 +111,8 @@ def exotic_add_q(
         else:
             g_den *= p**-e
             n_den *= n**-e
-    xa, xb, _ = _sigma_pair(corr, fa.sign, x)
-    ya, yb, _ = _sigma_pair(corr, fb.sign, y)
+    xa, xb, _ = _product(fa.sign, x, corr.image_of_prime)
+    ya, yb, _ = _product(fb.sign, y, corr.image_of_prime)
     s = QuadInt(xa + ya, xb + yb)
     if s.is_zero():
         return Fraction(0)

@@ -15,7 +15,10 @@ from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
 The images of the rational primes up to rationals.TRIAL_CAP are memoized
 per correspondence as they are found (refusals are not, so a ceiling is
-asked again each time), and sigma multiplies them on plain integers.
+asked again each time). sigma and sigma^-1 are mirror images: factor, map
+each prime, multiply back out, sigma through the one product loop of Z[w]
+(quadratic._product, on plain integers) and sigma^-1 through the one of Q
+(rationals._value).
 
 Also here: finitely supported multiplicative endobijections of Q (prime
 permutation with sign and inversion twists), the five-way equivalence test
@@ -42,14 +45,13 @@ from .quadratic import (
     QuadRat,
     _canonical_norms,
     _in_canonical_form,
-    _mul,
     _place_in_norm,
-    _pow,
     _primes_of_norm,
+    _product,
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import TRIAL_CAP, Rat, factor_rat, is_prime, prime_mask
+from .rationals import TRIAL_CAP, Rat, _value, factor_rat, is_prime, prime_mask
 from .report import Report
 
 __all__ = [
@@ -289,53 +291,28 @@ def default_correspondence() -> PrimeCorrespondence:
         return _default
 
 
-def _sigma_pair(
-    corr: PrimeCorrespondence, sign: int, exponents: dict[int, int]
-) -> tuple[int, int, int]:
-    """sigma(sign * prod(p**e)) as plain integers (a, b, den), the value
-    being (a + b*w) / den, not reduced; pi**-e is conj(pi)**e / N(pi)**e."""
-    a, b, den = sign, 0, 1
-    for p, e in exponents.items():
-        pi = corr.image_of_prime(p)
-        c, d = pi.a, pi.b
-        if e < 0:
-            den *= pi.norm() ** -e
-            c, d, e = c + d, -d, -e
-        if e > 1:
-            c, d = _pow(c, d, e)
-        a, b = _mul(a, b, c, d)
-    return a, b, den
-
-
 def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
     """sigma(q): multiplicative extension of the prime pairing; fixes 0, 1, -1.
 
-    The numerator a + b*w and the denominator are carried as plain integers
-    and become one QuadRat at the end.
+    Factor over Z, image each prime, multiply out in Z[w]; sigma_invert is
+    the mirror image. The numerator a + b*w and the denominator are carried
+    as plain integers and become one QuadRat at the end.
     """
     q = Fraction(q)
     if q == 0:
         return QuadRat(QuadInt(0, 0))
     f = factor_rat(q)
-    a, b, den = _sigma_pair(corr, f.sign, f.exponents)
+    a, b, den = _product(f.sign, f.exponents, corr.image_of_prime)
     return QuadRat(QuadInt(a, b), den)
 
 
 def sigma_invert(corr: PrimeCorrespondence, x: QuadRat | QuadInt) -> Rat:
-    """sigma^-1(x) for x in the image subfield."""
-    if isinstance(x, QuadInt):
-        x = QuadRat(x)
+    """sigma^-1(x) for x in the image subfield: factor in Z[w], take each
+    prime's preimage, multiply out in Q."""
     if x.is_zero():
         return Fraction(0)
     f = factor_quad(x)
-    num = den = 1
-    for pi, e in f.exponents.items():
-        p = corr.preimage_of_prime(pi)
-        if e > 0:
-            num *= p**e
-        else:
-            den *= p**-e
-    return Fraction(f.unit * num, den)
+    return _value(f.unit, f.exponents, corr.preimage_of_prime)
 
 
 @dataclass(frozen=True)
@@ -372,25 +349,17 @@ def endo_q_apply(spec: EndoBijectionSpecQ, q: Rat | int) -> Rat:
     if q == 0:
         return q
     f = factor_rat(q)
-    sign = f.sign
-    out = Fraction(1)
-    for p, e in f.exponents.items():
-        if spec.eta.get(p, 1) == -1 and e % 2:
-            sign = -sign
-        out *= Fraction(spec.perm.get(p, p)) ** (spec.nu.get(p, 1) * e)
-    return sign * out
+    flips = sum(e % 2 for p, e in f.exponents.items() if spec.eta.get(p, 1) == -1)
+    exps = {p: spec.nu.get(p, 1) * e for p, e in f.exponents.items()}
+    return _value((-1) ** flips * f.sign, exps, lambda p: spec.perm.get(p, p))
 
 
 def check_multiplicative(f, sampler, trials: int, *, rng) -> Report:
     """Sampled check that f(a*b) = f(a)*f(b) and f(1) = 1."""
     rep = Report("multiplicativity")
     rep.add("fixes_one", f(1) == 1, witness=1)
-    bad = None
-    for _ in range(trials):
-        a, b = sampler(rng), sampler(rng)
-        if f(a * b) != f(a) * f(b):
-            bad = (a, b)
-            break
+    pairs = ((sampler(rng), sampler(rng)) for _ in range(trials))
+    bad = next(((a, b) for a, b in pairs if f(a * b) != f(a) * f(b)), None)
     rep.add("multiplicative_on_samples", bad is None, witness=bad)
     rep.counts["trials"] = trials
     return rep

@@ -119,16 +119,8 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     wit = left_distrib_witness(S, A)
     rep.add("action_distributes", wit is None, witness=wit)
 
-    bad = None
-    for gamma in range(m):
-        if gamma == F.zero:
-            continue
-        for alpha in range(m):
-            if S[alpha, gamma] == gamma and alpha != F.one:
-                bad = (alpha, gamma)
-                break
-        if bad:
-            break
+    pairs = ((alpha, gamma) for gamma in range(m) if gamma != F.zero for alpha in range(m))
+    bad = next(((a, g) for a, g in pairs if S[a, g] == g and a != F.one), None)
     rep.add("action_free_off_zero", bad is None, witness=bad)
 
     quasi = []

@@ -18,6 +18,11 @@ primes of its norm a**2 + ab + 5b**2, and over a split p only one of the two
 can; reducing modulo p along Z[w]/pi = Z/p tells which. Rebuilding the
 primitive part from the primes found proves the factorization exact.
 
+A product of prime powers is multiplied out in one loop, _product, on plain
+integers; it takes a callable that turns each key into a prime. The rebuild
+check keys it by rational prime, rebuild_quad by canonical prime, and sigma
+in maps by rational prime imaged through the prime correspondence.
+
 Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
 separately, so a split rational prime owns two distinct canonical primes.
@@ -33,6 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,7 +54,6 @@ __all__ = [
     "primes_above",
     "factor_quad",
     "rebuild_quad",
-    "canonical_key",
 ]
 
 # The ring's constants. w = (1 + sqrt(DISCRIMINANT))/2 is a root of
@@ -80,6 +85,23 @@ def _pow(a: int, b: int, k: int) -> tuple[int, int]:
         if k:
             a, b = _mul(a, b, a, b)
     return out
+
+
+def _product(unit: int, exponents: dict, prime: Callable[[Any], QuadInt]) -> tuple[int, int, int]:
+    """unit * prod(prime(k)**e) over the items k, e of exponents, as plain
+    integers (a, b, den): the value (a + b*w) / den, not reduced, with
+    pi**-e = conj(pi)**e / N(pi)**e."""
+    a, b, den = unit, 0, 1
+    for k, e in exponents.items():
+        pi = prime(k)
+        c, d = pi.a, pi.b
+        if e < 0:
+            den *= pi.norm() ** -e
+            c, d, e = c + d, -d, -e
+        if e > 1:
+            c, d = _pow(c, d, e)
+        a, b = _mul(a, b, c, d)
+    return a, b, den
 
 
 class QuadInt:
@@ -309,11 +331,6 @@ def _coerce_rat(x) -> QuadRat | None:
     return None
 
 
-def canonical_key(pi: QuadInt) -> tuple[int, int, int]:
-    """Total order on canonical primes: by norm, then (a, b) lexicographic."""
-    return (pi.norm(), pi.a, pi.b)
-
-
 # -19 = 1 mod 4, so by reciprocity a prime p != 19 splits in Z[w] exactly
 # when p mod 19 is a nonzero square; for p = 2 the rule gives inert, which
 # agrees with -19 = 5 mod 8. 19 ramifies.
@@ -471,19 +488,9 @@ class KFactorization:
         if any(e == 0 for e in self.exponents.values()):
             raise DomainError("zero exponents are not stored")
 
-    def value(self) -> QuadRat:
-        num = QuadInt(self.unit, 0)
-        den = 1
-        for pi, e in self.exponents.items():
-            if e > 0:
-                num = num * pi**e
-            else:
-                num = num * pi.conj() ** -e
-                den *= pi.norm() ** -e
-        return QuadRat(num, den)
-
     def to_json(self) -> dict:
-        items = sorted(self.exponents.items(), key=lambda kv: canonical_key(kv[0]))
+        # canonical primes in their order: by norm, then (a, b)
+        items = sorted(self.exponents.items(), key=lambda kv: (kv[0].norm(), kv[0].a, kv[0].b))
         return {"unit": self.unit, "factors": [[pi.to_json(), e] for pi, e in items]}
 
 
@@ -516,21 +523,23 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     of p's exponent in N(z). The rebuilt product must equal z or -z, which
     proves the factorization exact.
     """
-    rebuilt = QuadInt(1, 0)
-    for p, e in factor_int(_norm(a, b)).exponents.items():
+    exps = factor_int(_norm(a, b)).exponents
+    over: dict[int, QuadInt] = {}  # p -> the prime over p that divides z
+    for p, e in exps.items():
         s = primes_above(p)
         if s.kind == "inert":
             raise IntegrityError(f"inert {p} divides the norm of primitive {QuadInt(a, b)!r}")
         pi = s.primes[0]
         if s.kind == "split" and (a - b * pi.a * pow(pi.b, -1, p)) % p:
             pi = s.primes[1]
+        over[p] = pi
         out[pi] = out.get(pi, 0) + e
-        rebuilt = rebuilt * pi**e
-    if rebuilt.a == a and rebuilt.b == b:
+    ra, rb, _ = _product(1, exps, over.__getitem__)
+    if ra == a and rb == b:
         return 1
-    if rebuilt.a == -a and rebuilt.b == -b:
+    if ra == -a and rb == -b:
         return -1
-    raise IntegrityError(f"primes over the norm rebuild {rebuilt!r}, not +-{QuadInt(a, b)!r}")
+    raise IntegrityError(f"primes over the norm rebuild {QuadInt(ra, rb)!r}, not +-{QuadInt(a, b)!r}")
 
 
 def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
@@ -557,4 +566,5 @@ def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
 
 def rebuild_quad(f: KFactorization) -> QuadRat:
     """Inverse of factor_quad."""
-    return f.value()
+    a, b, den = _product(f.unit, f.exponents, lambda pi: pi)
+    return QuadRat(QuadInt(a, b), den)

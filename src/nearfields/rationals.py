@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Any, Callable
 
 import numpy as np
 
@@ -69,6 +70,19 @@ def _trial_primes(cap: int) -> tuple[int, ...]:
     return tuple(primes_upto(cap))
 
 
+def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
+    """lead * prod(base(k)**e) over the items k, e of exponents, as one
+    Fraction. The one product loop on Q: factorizations, sigma^-1 and the
+    endobijections multiply out through it."""
+    num = den = 1
+    for k, e in exponents.items():
+        if e > 0:
+            num *= base(k) ** e
+        else:
+            den *= base(k) ** -e
+    return Fraction(lead * num, den)
+
+
 @dataclass(frozen=True)
 class SignedFactorization:
     """A nonzero rational as sign * prod(p**e) with nonzero exponents."""
@@ -83,13 +97,7 @@ class SignedFactorization:
             raise DomainError("zero exponents are not stored")
 
     def value(self) -> Rat:
-        num = den = 1
-        for p, e in self.exponents.items():
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p**-e
-        return Fraction(self.sign * num, den)
+        return _value(self.sign, self.exponents, lambda p: p)
 
     def to_json(self) -> dict:
         return {

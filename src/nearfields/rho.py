@@ -408,14 +408,8 @@ def check_bij_plus(field: FiniteField, sigma: np.ndarray) -> Report:
     rep.add("sigma_one_invertible", lam != field.zero, witness=lam)
     if lam != field.zero:
         tilde = field.mul[sigma, field.inv[lam]]
-        bad = None
-        for a in core:
-            for b in core:
-                ab = int(field.mul[a, b])
-                if int(tilde[ab]) != int(field.mul[tilde[a], tilde[b]]):
-                    bad = (a, b)
-                    break
-            if bad:
-                break
+        mul = field.mul
+        pairs = ((a, b) for a in core for b in core)
+        bad = next(((a, b) for a, b in pairs if tilde[mul[a, b]] != mul[tilde[a], tilde[b]]), None)
         rep.add("core_restriction_quasi_multiplicative", bad is None, witness=bad)
     return rep

@@ -25,6 +25,11 @@ GOLDEN_CASES = [
     ),
     (["qmc-check", "--field", "f9", "--map", "scale:4", "--json"], "qmc_scale4_f9.json"),
     (["verify-rho", "--carrier", "f9", "--addition", "a=5", "--json"], "verify_rho_f9_a5.json"),
+    (["factor-quad", "7", "3", "--den", "10", "--json"], "factor_quad_7_3_den10.json"),
+    (
+        ["endoq", "12/35", "--perm", "2:3,3:2", "--eta", "5:-1", "--nu", "7:-1", "--json"],
+        "endoq_12_35_twists.json",
+    ),
 ]
 
 BROKEN_F4_TABLE = "table:0,1,2,3,1,0,2,3,2,3,0,1,3,2,1,0"

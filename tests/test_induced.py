@@ -69,6 +69,18 @@ def test_exotic_add_norm_ceiling():
     assert exc.value.ceiling == 10
 
 
+def test_gamma_norm_gate_multiplies_the_norms_of_its_images():
+    # gamma = 15; 3 and 5 image to the two canonical primes of norm 5, so
+    # N(sigma(gamma)) = 25, and N(sigma(1) + sigma(2)) = 9: the gate sees 225.
+    # Keyed by image norm, the two images would collapse into one entry.
+    corr = default_correspondence()
+    assert {corr.image_of_prime(p).norm() for p in (3, 5)} == {5}
+    with pytest.raises(ResourceLimitError, match="224") as exc:
+        exotic_add_q(15, 30, norm_ceiling=224)
+    assert exc.value.ceiling == 224
+    assert exotic_add_q(15, 30, norm_ceiling=225) == 195
+
+
 # Primes that operands share through their common factor gamma.
 _SHARED = (2, 3, 5, 7, 11, 13, 19)
 

@@ -169,6 +169,25 @@ def test_factor_quad_rational_input():
     assert f.unit == -1
 
 
+def test_rebuild_quad_negative_exponents():
+    pi, pi_bar = primes_above(5).primes  # one split p
+    (pi19,) = primes_above(19).primes
+    (q,) = primes_above(2).primes  # inert
+    cases = [
+        KFactorization(-1, {pi: -2, pi_bar: -1}),
+        KFactorization(1, {pi: 3, pi_bar: -2}),
+        KFactorization(1, {pi19: -3}),
+        KFactorization(-1, {q: -2, pi: 1}),
+    ]
+    for f in cases:
+        want = QuadRat(f.unit)
+        for p, e in f.exponents.items():
+            for _ in range(abs(e)):
+                want = want * p if e > 0 else want / p
+        assert rebuild_quad(f) == want, f
+        assert factor_quad(want) == f
+
+
 def test_factor_round_trip_random():
     rng = random.Random(4)
     done = 0
