@@ -489,7 +489,14 @@ def main(argv=None) -> int:
     else:
         text = _render_text(payload)
     try:
-        sys.stdout.write(text)
+        out = getattr(sys.stdout, "buffer", None)  # None on an in-memory stream
+        if out is None:
+            sys.stdout.write(text)
+        else:  # every byte: unbuffered, the text layer would drop a short write
+            sys.stdout.flush()
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[out.write(data):]
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed early, as `| head` does. Point stdout at devnull

@@ -117,7 +117,8 @@ def exotic_add_q(
     if s.is_zero():
         return Fraction(0)
     check_norm_ceiling(Fraction(n_num * s.norm(), n_den), norm_ceiling)
-    return Fraction(g_num, g_den) * sigma_invert(corr, s)
+    r = sigma_invert(corr, s)
+    return r if g_num == g_den == 1 else Fraction(g_num, g_den) * r
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ steps.
 The ring is not Euclidean, so there is no gcd algorithm to lean on, and
 factoring tries no division in it. An element splits into its content, a
 rational integer whose primes map straight to primes of Z[w], and a
-primitive part. The primes dividing the primitive part lie over the rational
-primes of its norm a**2 + ab + 5b**2, and over a split p only one of the two
-can; reducing modulo p along Z[w]/pi = Z/p tells which. Rebuilding the
-primitive part from the primes found proves the factorization exact.
+primitive part z. Its norm a**2 + ab + 5b**2 holds no inert q (q | z*conj(z)
+would make q divide z), so it is trial-divided by the split primes and 19
+alone. Over a split p of the norm only one of the two primes divides z, and
+reducing modulo p along Z[w]/pi = Z/p tells which. Rebuilding the primitive
+part from the primes found proves the factorization exact.
 
 A product of prime powers is multiplied out in one loop, _product, on plain
 integers; it takes a callable that turns each key into a prime. The rebuild
@@ -43,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import Rat, factor_int, is_prime
+from .rationals import TRIAL_CAP, Rat, _exponents, _trial_primes, factor_int, is_prime
 
 __all__ = [
     "QuadInt",
@@ -342,6 +343,12 @@ def _is_inert(p: int) -> bool:
     return p != RAMIFIED and p % RAMIFIED not in _SPLIT_RESIDUES
 
 
+@lru_cache(maxsize=1)
+def _norm_primes() -> tuple[int, ...]:
+    """The split primes and 19 up to TRIAL_CAP: the ones a primitive norm may hold."""
+    return tuple(p for p in _trial_primes(TRIAL_CAP) if not _is_inert(p))
+
+
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of the quadratic residue a modulo the prime p (Tonelli-Shanks)."""
     a %= p
@@ -433,17 +440,10 @@ def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _is_prime_element(x: QuadInt) -> bool:
-    n = x.norm()
-    if n <= 1:
-        return False
-    if is_prime(n):
-        return True
-    # Norm q**2 with b == 0 means an associate of a rational prime q, which
-    # is prime here exactly when q is inert.
-    if x.b == 0:
-        q = abs(x.a)
-        return is_prime(q) and _is_inert(q)
-    return False
+    # A prime norm, or b == 0: an associate of a rational integer q, which
+    # is prime here exactly when q is an inert prime.
+    q = abs(x.a)
+    return is_prime(x.norm()) or (x.b == 0 and is_prime(q) and _is_inert(q))
 
 
 def _in_canonical_form(x: QuadInt) -> bool:
@@ -517,20 +517,23 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     the unit u with z = u * prod(pi**e).
 
     Only primes over the rational primes of N(z) divide z. No rational
-    prime does, so no inert one can be among them, and at most one of the
-    two primes over a split p can: pi divides z exactly when z maps to 0
-    under Z[w]/pi = Z/p, w -> r = -pi.a / pi.b mod p, and it then takes all
-    of p's exponent in N(z). The rebuilt product must equal z or -z, which
-    proves the factorization exact.
+    prime divides z, so no inert q divides even N(z) (q | z * conj(z)), and
+    N(z) is trial-divided by _norm_primes alone. Over a split p, pi divides
+    z exactly when z maps to 0 under Z[w]/pi = Z/p, w -> -pi.a / pi.b, i.e.
+    p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent.
+    The rebuilt product must equal z or -z, proving the factorization exact.
     """
-    exps = factor_int(_norm(a, b)).exponents
+    exps = _exponents(_norm(a, b), TRIAL_CAP, primes=_norm_primes())
     over: dict[int, QuadInt] = {}  # p -> the prime over p that divides z
     for p, e in exps.items():
-        s = primes_above(p)
+        try:
+            s = primes_above(p)
+        except DomainError:
+            raise IntegrityError(f"composite {p} left in the norm of {QuadInt(a, b)!r}") from None
         if s.kind == "inert":
             raise IntegrityError(f"inert {p} divides the norm of primitive {QuadInt(a, b)!r}")
         pi = s.primes[0]
-        if s.kind == "split" and (a - b * pi.a * pow(pi.b, -1, p)) % p:
+        if s.kind == "split" and (a * pi.b - b * pi.a) % p:
             pi = s.primes[1]
         over[p] = pi
         out[pi] = out.get(pi, 0) + e
@@ -549,18 +552,16 @@ def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
     primitive part num / c; c and the denominator factor as rational
     integers, the primitive part by its norm. No division in Z[w] is tried.
     """
-    if isinstance(x, QuadInt):
-        x = QuadRat(x, 1)
-    if x.is_zero():
+    a, b, den = (x.a, x.b, 1) if isinstance(x, QuadInt) else (x.num.a, x.num.b, x.den)
+    if a == 0 and b == 0:
         raise DomainError("zero has no factorization")
-    num = x.num
-    c = num.content()
+    c = math.gcd(a, b)
     exps: dict[QuadInt, int] = {}
-    unit = _add_primitive(num.a // c, num.b // c, exps)
+    unit = _add_primitive(a // c, b // c, exps)
     if c > 1:
         unit *= _add_rational(c, 1, exps)
-    if x.den > 1:
-        unit *= _add_rational(x.den, -1, exps)
+    if den > 1:
+        unit *= _add_rational(den, -1, exps)
     return KFactorization(unit, {pi: e for pi, e in exps.items() if e})
 
 

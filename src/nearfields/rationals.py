@@ -10,13 +10,14 @@ trial division by a fixed table of the primes up to TRIAL_CAP = 1e6,
 sieved once on first use and never grown, which settles inputs up to about
 1e12 outright (once no prime up to the cap divides the cofactor and the
 cofactor is at most cap**2, it is prime). Past that, a deterministic
-Miller-Rabin test and Brent's rho splitter take over; both remain
-exponential-time methods, there is nothing sub-exponential here.
+Miller-Rabin test and Brent's rho splitter take over, both exponential-time
+methods. is_prime bisects the same table up to TRIAL_CAP, Miller-Rabin above.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -109,11 +110,14 @@ class SignedFactorization:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24.
 
-    Inputs with a prime factor up to 41 are settled at any size; any other
-    input at or above the bound raises ResourceLimitError naming it.
+    n <= TRIAL_CAP is looked up in the table of trial primes, larger n gets
+    Miller-Rabin. Inputs with a prime factor up to 41 are settled at any
+    size; any other input at or above the bound raises ResourceLimitError.
     """
-    if n <= _MR_BASES[-1]:
-        return n in _MR_BASES
+    if n <= TRIAL_CAP:
+        primes = _trial_primes(TRIAL_CAP)
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     if math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return False
     for psi, bases in _MR_PREFIXES:
@@ -186,17 +190,18 @@ def _factor_hard(m: int, out: dict[int, int]) -> None:
         stack.append(v // d)
 
 
-def _exponents(m: int, cap: int) -> dict[int, int]:
+def _exponents(m: int, cap: int, *, primes: tuple[int, ...] | None = None) -> dict[int, int]:
     """The prime exponents of an integer m >= 1, the one factoring loop.
 
     Trial division by the primes up to cap stops once p**2 exceeds what is
     left, which is then 1 or a prime. If every prime up to cap divides out
     and more than cap**2 is left, the cofactor may still be composite, and
     Miller-Rabin and rho take over. The package always passes TRIAL_CAP;
-    the tests pass other caps to reach each branch.
+    the tests pass other caps to reach each branch. A caller that knows no
+    other prime up to cap divides m may pass just those primes, ascending.
     """
     factors: dict[int, int] = {}
-    for p in _trial_primes(cap):
+    for p in _trial_primes(cap) if primes is None else primes:
         if p * p > m:
             break
         while m % p == 0:

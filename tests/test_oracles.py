@@ -340,6 +340,19 @@ def test_is_prime_matches_sympy_isprime():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_table_path_matches_sympy():
+    cap = rationals.TRIAL_CAP
+    cases = [-7, 0, 1, 2, *range(20_001), *range(cap - 300, cap + 301)]
+    want = [sympy.isprime(n) for n in cases]
+    assert [is_prime(n) for n in cases] == want
+    # dropping the sieved table, as in a fresh process: the first call
+    # builds it again and every answer stays the same
+    rationals._trial_primes.cache_clear()
+    assert is_prime(cap - 17) == sympy.isprime(cap - 17)
+    assert rationals._trial_primes.cache_info().currsize == 1
+    assert [is_prime(n) for n in cases] == want
+
+
 def _exact_div(x, y):
     """x / y when it lands in Z[w], else None."""
     n = y.norm()
@@ -481,16 +494,91 @@ def test_factor_quad_property(a, b, den, c):
 def test_factor_quad_refuses_a_factorization_it_cannot_rebuild(monkeypatch):
     z = QuadInt(3, 2)  # primitive, norm 5 * 7
     assert sympy.factorint(z.norm()) == {5: 1, 7: 1}
-    real = quadratic.factor_int
+    real = quadratic._exponents
     # a norm factorization that loses a prime leaves a product short of z
     monkeypatch.setattr(
-        quadratic, "factor_int",
-        lambda n: rationals.SignedFactorization(1, {p: e for p, e in real(n).exponents.items() if p != 7}),
+        quadratic, "_exponents",
+        lambda m, cap, primes=None: {p: e for p, e in real(m, cap, primes=primes).items() if p != 7},
     )
     with pytest.raises(IntegrityError):
         factor_quad(z)
-    monkeypatch.setattr(quadratic, "factor_int", real)
+    monkeypatch.setattr(quadratic, "_exponents", real)
     # an inert prime over the norm of a primitive element is impossible
+    real_above = quadratic.primes_above
     monkeypatch.setattr(quadratic, "primes_above", lambda p: quadratic.Splitting("inert", (QuadInt(p, 0),)))
     with pytest.raises(IntegrityError):
         factor_quad(z)
+    monkeypatch.setattr(quadratic, "primes_above", real_above)
+    # a split table that lacks the split prime 5 leaves composite cofactors
+    # such as 35 = N(z) or 25 = N(w**2) behind: each such norm is refused,
+    # and any answer that does come back is the true one
+    rng = random.Random(15)
+    cases = [z, QuadInt(-5, 1)]  # QuadInt(-5, 1) = w**2
+    while len(cases) < 300:
+        a, b = rng.randint(-(10**4), 10**4), rng.randint(-(10**4), 10**4)
+        if math.gcd(a, b) == 1:
+            cases.append(QuadInt(a, b))
+    want = [factor_quad(x) for x in cases]
+    table = tuple(p for p in quadratic._norm_primes() if p != 5)
+    monkeypatch.setattr(quadratic, "_norm_primes", lambda: table)
+    refused = 0
+    for x, f in zip(cases, want):
+        try:
+            got = factor_quad(x)
+        except IntegrityError:
+            refused += 1
+            continue
+        assert got == f, x
+    assert refused >= 2
+    for x in cases[:2]:
+        with pytest.raises(IntegrityError):
+            factor_quad(x)
+
+
+def _prime_over_split(rng, lo, hi):
+    """One of the two canonical primes over a seeded split prime in [lo, hi]."""
+    while True:
+        p = sympy.nextprime(rng.randint(lo, hi))
+        if sympy.jacobi_symbol(-19, p) == 1:
+            s = primes_above(p)
+            assert s.kind == "split"
+            return s.primes[rng.randint(0, 1)]
+
+
+def test_split_table_factors_primitive_norms_as_factor_int_does(monkeypatch):
+    # The norm of a primitive element holds no inert prime, so factoring it
+    # over the split primes and 19 alone must agree with the full table.
+    rho_calls = _count_rho_splits(monkeypatch)
+    rng = random.Random(1915)
+    pi19 = primes_above(19).primes[0]
+    small, cap = 10**5, rationals.TRIAL_CAP
+    cases = []
+    for _ in range(20):
+        p = _prime_over_split(rng, 3, small)
+        q = _prime_over_split(rng, 3, cap)
+        cases += [
+            (pi19 * p * q, True),  # 19 once
+            (p**2 * q, True),  # a square split factor
+            (p**3 * q**2 * pi19, True),
+            # 19**2 never divides a primitive norm (pi19**2 = -19), so it is
+            # checked on the norm of 19 * p, whose content is a norm prime too
+            (19 * p, False),
+            (19 * pi19 * p**2, False),
+            # cofactors past TRIAL_CAP**2: a product of two primes for rho,
+            # and one prime for Miller-Rabin
+            (_prime_over_split(rng, cap, 2 * cap) * _prime_over_split(rng, cap, 2 * cap) * p, True),
+            (_prime_over_split(rng, cap**2, 10 * cap**2) * q, True),
+        ]
+    table = quadratic._norm_primes()
+    for z, primitive in cases:
+        assert (math.gcd(z.a, z.b) == 1) is primitive, z
+        n = z.norm()
+        got = rationals._exponents(n, cap, primes=table)
+        assert got == factor_int(n).exponents == sympy.factorint(n), z
+    assert len(rho_calls) >= 2 * 20  # both tables split each semiprime cofactor
+    # the table itself: 19 and the odd primes p up to the cap with -19 a
+    # square mod p (Euler's criterion)
+    assert table[:6] == (5, 7, 11, 17, 19, 23)
+    assert table == tuple(
+        p for p in sympy.primerange(3, cap + 1) if p == 19 or pow(-19 % p, (p - 1) // 2, p) == 1
+    )
