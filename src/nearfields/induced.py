@@ -87,30 +87,25 @@ def exotic_add_q(
     if b == 0:
         return a
     fa, fb = factor_rat(a), factor_rat(b)
-    gamma: dict[int, int] = {}
+    # gamma, the norm of its image and the cofactors x and y in one pass.
+    # Every operand prime is imaged before the zero test, so a sum to 0
+    # still refuses where sigma(alpha) or sigma(beta) would.
     x: dict[int, int] = {}
     y: dict[int, int] = {}
+    g_num = g_den = n_num = n_den = 1
     for p in fa.exponents.keys() | fb.exponents.keys():
         i, j = fa.exponents.get(p, 0), fb.exponents.get(p, 0)
         m = min(i, j)
-        if m:
-            gamma[p] = m
+        if m > 0:
+            g_num *= p**m
+            n_num *= corr.image_of_prime(p).norm() ** m
+        elif m < 0:
+            g_den *= p**-m
+            n_den *= corr.image_of_prime(p).norm() ** -m
         if i > m:
             x[p] = i - m
         if j > m:
             y[p] = j - m
-    # gamma and the norm of its image. With the cofactors below, every
-    # operand prime is imaged before the zero test, so a sum to 0 still
-    # refuses where sigma(alpha) or sigma(beta) would.
-    g_num = g_den = n_num = n_den = 1
-    for p, e in gamma.items():
-        n = corr.image_of_prime(p).norm()
-        if e > 0:
-            g_num *= p**e
-            n_num *= n**e
-        else:
-            g_den *= p**-e
-            n_den *= n**-e
     xa, xb, _ = _product(fa.sign, x, corr.image_of_prime)
     ya, yb, _ = _product(fb.sign, y, corr.image_of_prime)
     s = QuadInt(xa + ya, xb + yb)

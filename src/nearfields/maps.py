@@ -8,8 +8,9 @@ of norms, and quadratic recovers each prime from its norm and its place
 within that norm when asked for; how Z[w] splits a rational prime is known
 there only. Both sides live in int32 buffers allocated once, at a proven
 bound on their counts, and filled in place; lookups bisect the filled
-prefixes. Growth, its doubling rule and the refusal at the norm ceiling
-all live in PrimeCorrespondence.extend_to_norm. Extending the
+prefixes. Growth, its doubling rule, its top-up of the rational side and
+the refusal at the norm ceiling all live in
+PrimeCorrespondence.extend_to_norm. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
@@ -51,7 +52,7 @@ from .quadratic import (
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import TRIAL_CAP, Rat, _value, factor_rat, is_prime, prime_mask
+from .rationals import TRIAL_CAP, Rat, _primes_between, _value, factor_rat, is_prime
 from .report import Report
 
 __all__ = [
@@ -74,32 +75,32 @@ __all__ = [
 
 DEFAULT_CORRESPONDENCE_CEILING = 50_000_000
 
-# Numbers sieved per prime_mask call, so no growth step holds a mask the
-# size of its whole range.
-_SEGMENT = 1 << 21
-
 _INT32_MAX = 2**31 - 1
+
+
+def _nth_prime_bound(n: float) -> int:
+    """At least p_n, the n-th prime: p_n < n (ln n + ln ln n) for n >= 6
+    (Rosser and Schoenfeld, Illinois J. Math. 6, 1962, (3.13)), less
+    0.9484 n for n >= 39,017 (Dusart, Math. Comp. 68, 1999); p_5 = 11."""
+    if n < 6:
+        return 11
+    t = math.log(n) + math.log(math.log(n)) - (0.9484 if n >= 39_017 else 0)
+    return int(n * t)
 
 
 def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
     """Bounds on a correspondence with this ceiling: how many norms and how
     many rational primes it ever stores, and the largest value it stores.
 
-    With x = max_norm, and by Rosser and Schoenfeld (Illinois J. Math. 6,
-    1962, (3.6) and (3.13)) P(y) = 1.25506 y / ln y > pi(y) for y > 1 and
-    p_n < n (ln n + ln ln n) for n >= 6:
+    With x = max_norm, P(y) = 1.25506 y / ln y > pi(y) for y > 1 (Rosser
+    and Schoenfeld, (3.6)) and p^ = _nth_prime_bound:
     - The canonical primes of norm <= x are two per split p <= x, one over
       19 and one per inert q <= sqrt(x): fewer than
       N = 2 P(x) + P(sqrt(x)) + 1 norms, each at most x.
     - The rational side holds exactly the primes <= sieved, which growth
-      raises either to a limit <= x, or by a top-up from s to
-      s + 1.1 d ln s + 100, where d = n - pi(s) > 0 for the n norms held.
-      A top-up runs only while pi(s) < n < N, so s < p_n < S with
-      S = N (ln N + ln ln N), N >= 6 (and p_n <= 11 < S for n < 6). It runs
-      after sieving to the step's limit, so s >= limit, and
-      d <= n - pi(limit) = split(limit) - inert(limit) + inert(sqrt(limit))
-      <= split(limit) <= pi(x) < P(x). So sieved, and every stored prime,
-      stays below Y = max(x, S + 1.1 P(x) ln S + 100), and the rational side
+      raises to a limit <= x, or to p^(n) for the n < N norms held. As p^
+      rises on either side of 39,017, sieved, and every stored prime, stays
+      at most Y = max(x, p^(N), p^(min(N, 39,016))), and the rational side
       holds fewer than P(Y) primes.
     """
 
@@ -108,9 +109,8 @@ def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
 
     x = max(max_norm, 2)
     n = max(2 * bound(x) + bound(math.sqrt(x)) + 1, 6)
-    s = n * (math.log(n) + math.log(math.log(n)))
-    y = max(x, s + 1.1 * bound(x) * math.log(s) + 100)
-    return int(n) + 1, int(bound(y)) + 1, int(y) + 1
+    y = max(x, _nth_prime_bound(n), _nth_prime_bound(min(n, 39_016)))
+    return int(n) + 1, int(bound(y)) + 1, y + 1
 
 
 def _lazy_int32(count: int) -> np.ndarray:
@@ -120,16 +120,14 @@ def _lazy_int32(count: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 4 * count), dtype=np.int32)
 
 
-def _primes_between(lo: int, hi: int, out: np.ndarray) -> int:
+def _write_primes(lo: int, hi: int, out: np.ndarray) -> int:
     """Write the primes p with lo < p <= hi, ascending, to the front of out,
     and return how many; refuse rather than write past its end."""
     k = 0
-    for start in range(lo + 1, hi + 1, _SEGMENT):
-        stop = min(start + _SEGMENT - 1, hi)
-        found = np.flatnonzero(prime_mask(stop, start))
+    for found in _primes_between(lo, hi):
         if k + len(found) > len(out):
             raise IntegrityError("rational primes past their proven buffer bound")
-        out[k : k + len(found)] = found + start
+        out[k : k + len(found)] = found
         k += len(found)
     return k
 
@@ -201,18 +199,19 @@ class PrimeCorrespondence:
             nn, nr = map(len, self._data)
             sieved = self._sieved
             if limit > sieved:
-                nr += _primes_between(sieved, limit, self._rat_buf[nr:])
+                nr += _write_primes(sieved, limit, self._rat_buf[nr:])
                 sieved = limit
             new = _canonical_norms(self._rat_buf[:nr], old, limit)
             if nn + len(new) > len(self._norm_buf):
                 raise IntegrityError("norms past their proven buffer bound")
             self._norm_buf[nn : nn + len(new)] = new
             nn += len(new)
-            # the rational side needs as many primes as there are pairs
-            while nr < nn:
-                top = sieved + int(1.1 * (nn - nr) * math.log(sieved)) + 100
-                nr += _primes_between(sieved, top, self._rat_buf[nr:])
+            if nr < nn:  # the nn-th prime is at most _nth_prime_bound(nn)
+                top = _nth_prime_bound(nn)
+                nr += _write_primes(sieved, top, self._rat_buf[nr:])
                 sieved = top
+                if nr < nn:
+                    raise IntegrityError("rational primes short of the pairs")
             self._data = (memoryview(self._norm_buf[:nn]), memoryview(self._rat_buf[:nr]))
             self._sieved = sieved
             # Published last: a reader that skips the lock on seeing the new
@@ -278,17 +277,13 @@ class PrimeCorrespondence:
         return rat[i]
 
 
-_default: PrimeCorrespondence | None = None
-_default_lock = threading.Lock()
+_default = PrimeCorrespondence()
 
 
 def default_correspondence() -> PrimeCorrespondence:
-    """Shared lazily-built correspondence with the default ceiling."""
-    global _default
-    with _default_lock:
-        if _default is None:
-            _default = PrimeCorrespondence()
-        return _default
+    """The shared correspondence with the default ceiling, built at import;
+    its buffers cost memory only once growth writes them."""
+    return _default
 
 
 def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:

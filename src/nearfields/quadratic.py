@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import TRIAL_CAP, Rat, _exponents, _trial_primes, factor_int, is_prime
+from .rationals import Rat, _exponents, _trial_primes, factor_int, is_prime
 
 __all__ = [
     "QuadInt",
@@ -346,7 +346,7 @@ def _is_inert(p: int) -> bool:
 @lru_cache(maxsize=1)
 def _norm_primes() -> tuple[int, ...]:
     """The split primes and 19 up to TRIAL_CAP: the ones a primitive norm may hold."""
-    return tuple(p for p in _trial_primes(TRIAL_CAP) if not _is_inert(p))
+    return tuple(p for p in _trial_primes() if not _is_inert(p))
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -523,7 +523,7 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent.
     The rebuilt product must equal z or -z, proving the factorization exact.
     """
-    exps = _exponents(_norm(a, b), TRIAL_CAP, primes=_norm_primes())
+    exps = _exponents(_norm(a, b), _norm_primes())
     over: dict[int, QuadInt] = {}  # p -> the prime over p that divides z
     for p, e in exps.items():
         try:

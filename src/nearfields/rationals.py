@@ -12,6 +12,8 @@ sieved once on first use and never grown, which settles inputs up to about
 cofactor is at most cap**2, it is prime). Past that, a deterministic
 Miller-Rabin test and Brent's rho splitter take over, both exponential-time
 methods. is_prime bisects the same table up to TRIAL_CAP, Miller-Rabin above.
+Every list of primes, here and in maps, is read off the one sieve,
+prime_mask, by _primes_between, 2**21 numbers at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +42,10 @@ __all__ = [
 ]
 
 TRIAL_CAP = 10**6
+
+# Numbers sieved per prime_mask call, so no read-off holds a mask the size
+# of its whole range.
+_SEGMENT = 1 << 21
 
 # Deterministic Miller-Rabin. psi_k, the least strong pseudoprime to each of
 # the first k prime bases, bounds where those k bases settle primality
@@ -65,10 +71,10 @@ _MR_VALID_BELOW = _MR_PREFIXES[-1][0]
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
 
 
-@lru_cache(maxsize=8)
-def _trial_primes(cap: int) -> tuple[int, ...]:
-    """The primes up to cap, ascending; sieved once per cap and then shared."""
-    return tuple(primes_upto(cap))
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    """The primes up to TRIAL_CAP, ascending; sieved once and then shared."""
+    return tuple(primes_upto(TRIAL_CAP))
 
 
 def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
@@ -115,7 +121,7 @@ def is_prime(n: int) -> bool:
     size; any other input at or above the bound raises ResourceLimitError.
     """
     if n <= TRIAL_CAP:
-        primes = _trial_primes(TRIAL_CAP)
+        primes = _trial_primes()
         i = bisect_left(primes, n)
         return i < len(primes) and primes[i] == n
     if math.gcd(n, _MR_BASES_PRODUCT) != 1:
@@ -148,8 +154,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """Find a nontrivial factor of odd composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -190,25 +194,25 @@ def _factor_hard(m: int, out: dict[int, int]) -> None:
         stack.append(v // d)
 
 
-def _exponents(m: int, cap: int, *, primes: tuple[int, ...] | None = None) -> dict[int, int]:
+def _exponents(m: int, primes: tuple[int, ...] | None = None) -> dict[int, int]:
     """The prime exponents of an integer m >= 1, the one factoring loop.
 
-    Trial division by the primes up to cap stops once p**2 exceeds what is
-    left, which is then 1 or a prime. If every prime up to cap divides out
-    and more than cap**2 is left, the cofactor may still be composite, and
-    Miller-Rabin and rho take over. The package always passes TRIAL_CAP;
-    the tests pass other caps to reach each branch. A caller that knows no
-    other prime up to cap divides m may pass just those primes, ascending.
+    Trial division by the primes up to TRIAL_CAP stops once p**2 exceeds
+    what is left, which is then 1 or a prime. If every prime up to the cap
+    divides out and more than TRIAL_CAP**2 is left, the cofactor may still
+    be composite, and Miller-Rabin and rho take over. A caller that knows
+    no other prime up to the cap divides m may pass just those primes,
+    ascending.
     """
     factors: dict[int, int] = {}
-    for p in _trial_primes(cap) if primes is None else primes:
+    for p in _trial_primes() if primes is None else primes:
         if p * p > m:
             break
         while m % p == 0:
             m //= p
             factors[p] = factors.get(p, 0) + 1
     else:
-        if m > cap * cap:
+        if m > TRIAL_CAP * TRIAL_CAP:
             _factor_hard(m, factors)
             return factors
     if m > 1:
@@ -220,7 +224,7 @@ def factor_int(n: int) -> SignedFactorization:
     """Factor a nonzero integer into a sign and prime exponents."""
     if n == 0:
         raise DomainError("zero has no factorization")
-    return SignedFactorization(1 if n > 0 else -1, _exponents(abs(n), TRIAL_CAP))
+    return SignedFactorization(1 if n > 0 else -1, _exponents(abs(n)))
 
 
 def factor_rat(q: Rat | int) -> SignedFactorization:
@@ -228,18 +232,24 @@ def factor_rat(q: Rat | int) -> SignedFactorization:
     q = Fraction(q)
     if q == 0:
         raise DomainError("zero has no factorization")
-    exps = _exponents(abs(q.numerator), TRIAL_CAP)
+    exps = _exponents(abs(q.numerator))
     if q.denominator > 1:
-        for p, e in _exponents(q.denominator, TRIAL_CAP).items():
+        for p, e in _exponents(q.denominator).items():
             exps[p] = -e  # a new key: q is in lowest terms
     return SignedFactorization(1 if q.numerator > 0 else -1, exps)
 
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    return np.flatnonzero(prime_mask(n)).tolist()
+    return [p for found in _primes_between(0, n) for p in found.tolist()]
+
+
+def _primes_between(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes p with lo < p <= hi, ascending, as one array for each
+    segment of at most _SEGMENT numbers: the one read-off of the sieve."""
+    for start in range(max(lo, 1) + 1, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT - 1, hi)
+        yield np.flatnonzero(prime_mask(stop, start)) + start
 
 
 def prime_mask(n: int, lo: int = 0) -> np.ndarray:
@@ -254,8 +264,7 @@ def prime_mask(n: int, lo: int = 0) -> np.ndarray:
     mask = np.ones(n - lo + 1, dtype=bool)
     mask[: max(2 - lo, 0)] = False
     root = math.isqrt(n)
-    if root >= 2:
-        for p in np.flatnonzero(prime_mask(root)).tolist():
-            start = max(p * p, -(-lo // p) * p)
-            mask[start - lo :: p] = False
+    for p in primes_upto(root):
+        start = max(p * p, -(-lo // p) * p)
+        mask[start - lo :: p] = False
     return mask

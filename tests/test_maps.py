@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nearfields import maps, quadratic
+from nearfields import maps, quadratic, rationals
 from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
 from nearfields.finite import make_field
 from nearfields.maps import (
@@ -387,6 +387,24 @@ def test_growth_steps():
     assert corr.pair_count == 78_443
 
 
+def test_default_correspondence_is_one_object_across_threads():
+    start = threading.Barrier(8, timeout=60)
+    got = []
+
+    def work():
+        start.wait()
+        got.append(default_correspondence())
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(got) == 8
+    assert all(c is default_correspondence() for c in got)
+    assert default_correspondence().max_norm == DEFAULT_CORRESPONDENCE_CEILING
+
+
 def test_concurrent_growth_matches_serial_build():
     ceiling = 2 * 10**6
     serial = PrimeCorrespondence(max_norm=ceiling)
@@ -473,6 +491,41 @@ def test_ceilings_whose_primes_pass_int32_are_refused():
         PrimeCorrespondence(max_norm=10**9)
     assert exc.value.ceiling == 2**31 - 1
     assert "2147483647" in str(exc.value)
+
+
+def test_int32_threshold_of_the_stored_ceiling():
+    # the largest ceiling whose proven bound on stored values fits int32
+    t = 861_189_598
+    assert maps._buffer_sizes(t)[2] <= 2**31 - 1 < maps._buffer_sizes(t + 1)[2]
+    with pytest.raises(ResourceLimitError):
+        PrimeCorrespondence(max_norm=t + 1)
+
+
+def test_nth_prime_bound_holds():
+    # every n up to 50,000, across Dusart's switch at 39,017
+    primes = primes_upto(620_000)
+    assert len(primes) > 50_000
+    for n in range(1, 50_001):
+        assert maps._nth_prime_bound(n) >= primes[n - 1], n
+    # every 997th n up to the rational primes of the default ceiling
+    rat = np.concatenate(list(rationals._primes_between(0, DEFAULT_CORRESPONDENCE_CEILING)))
+    assert len(rat) == 3_001_134
+    for n in range(1, len(rat) + 1, 997):
+        assert maps._nth_prime_bound(n) >= rat[n - 1], n
+
+
+def test_growth_refuses_a_short_rational_side(monkeypatch):
+    # at ceiling 10 the 6 norms outnumber the 4 primes up to 10, so growth
+    # tops up to the bound on the 6th prime; a bound below it is refused
+    corr = PrimeCorrespondence(max_norm=10)
+    monkeypatch.setattr(maps, "_nth_prime_bound", lambda n: 12)
+    with pytest.raises(IntegrityError):
+        corr.extend_to_norm(10)
+    assert corr._capacity == corr.pair_count == 0
+    monkeypatch.undo()
+    corr.extend_to_norm(10)
+    assert (corr.pair_count, corr._sieved) == (6, maps._nth_prime_bound(6))
+    assert list(corr._data[1]) == [2, 3, 5, 7, 11, 13]
 
 
 def test_growth_refuses_to_write_past_a_buffer():

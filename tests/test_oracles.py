@@ -98,49 +98,59 @@ def test_factor_rat_matches_sympy_factorrat(monkeypatch):
     assert len(rho_calls) >= 16
 
 
-# The factoring loop behind factor_int and factor_rat, at trial caps other
-# than the package's TRIAL_CAP, to reach the rho path or its absence.
+# The factoring loop behind factor_int and factor_rat, on either side of
+# TRIAL_CAP**2, where trial division hands over to Miller-Rabin and rho.
 _exponents = rationals._exponents
 
 
-def test_factor_int_rho_path_with_small_trial_cap(monkeypatch):
+def test_factor_int_rho_path_past_the_trial_cap(monkeypatch):
+    # both factors above TRIAL_CAP put the cofactor past TRIAL_CAP**2
     rho_calls = _count_rho_splits(monkeypatch)
     rng = random.Random(5)
     for _ in range(40):
-        n = sympy.nextprime(rng.randint(10**3, 10**6)) * sympy.nextprime(rng.randint(10**3, 10**6))
+        n = sympy.nextprime(rng.randint(10**6, 2 * 10**6 - 200))
+        n *= sympy.nextprime(rng.randint(10**6, 2 * 10**6 - 200))
         n *= rng.choice([1, 7, 7**2 * 101])
-        assert _exponents(n, 50) == sympy.factorint(n), n
+        assert n > rationals.TRIAL_CAP**2
+        assert _exponents(n) == sympy.factorint(n), n
     assert len(rho_calls) >= 40
 
 
-def test_factor_int_with_a_raised_trial_cap_needs_no_rho(monkeypatch):
-    rho_calls = _count_rho_splits(monkeypatch)
-    rng = random.Random(9)
-    cases = []
-    for _ in range(6):
-        p = sympy.nextprime(rng.randint(10**6, 19 * 10**5))
-        q = sympy.nextprime(rng.randint(10**6, 19 * 10**5))
-        cases.append(p * q)
-    for n in cases:
-        assert _exponents(n, 2 * 10**6) == sympy.factorint(n), n
-    assert rho_calls == []
-    # the same inputs do need rho under the default cap of 10**6
-    assert _as_dict(factor_int(cases[0])) == sympy.factorint(cases[0])
-    assert rho_calls
-
-
-def test_factor_int_with_trial_caps_of_one_and_two():
+def test_factor_int_on_small_inputs_and_prime_powers():
     rng = random.Random(11)
     cases = [1, -1, 2, 4, 9, 12, 25, 2**20, 3**5 * 7, 999_983 * 8, 999_983**2]
     cases += [rng.randint(-(10**9), 10**9) or 1 for _ in range(50)]
-    for cap in (1, 2):
-        for n in cases:
-            assert _exponents(abs(n), cap) == sympy.factorint(abs(n)), (cap, n)
+    for n in cases:
+        assert _exponents(abs(n)) == sympy.factorint(abs(n)), n
 
 
 def test_primes_upto_matches_sympy_primerange():
-    for n in (0, 1, 2, 3, 4, 10**6, 10**6 + 3):
-        assert rationals.primes_upto(n) == list(sympy.primerange(n + 1)), n
+    seg = rationals._SEGMENT
+    for n in (0, 1, 2, 3, 4, 10**6, 10**6 + 3, seg - 1, seg, seg + 1, seg + 2):
+        assert rationals.primes_upto(n) == list(sympy.sieve.primerange(n + 1)), n
+
+
+def test_primes_between_matches_sympy_at_segment_edges():
+    # The one read-off of the sieve, segment by segment, against sympy:
+    # empty and one-number ranges from small and from even and odd starts,
+    # a range across a segment boundary, and segments that start or end at
+    # the square of a prime.
+    seg = rationals._SEGMENT
+    p = sympy.nextprime(10**6 + seg)
+    ranges = [(lo, hi) for lo in (0, 1, 2, 3, 1000, 1001, 10**6) for hi in (lo, lo + 1)]
+    ranges += [(lo, lo + 100) for lo in (0, 1, 2, 7, 8)]
+    ranges += [
+        (seg - 1000, seg + 1000),  # one segment whose middle is 2**21
+        (p - 1 - seg, p + 1000),  # two segments, the second starting at p
+        (p - seg, p + 1000),  # two segments, the first ending at p
+        (1009**2 - 1, 1009**2 + 5000),  # a segment starting at 1009**2
+        (1009**2 - 5000, 1009**2),  # one ending there
+    ]
+    for lo, hi in ranges:
+        parts = list(rationals._primes_between(lo, hi))
+        got = np.concatenate(parts).tolist() if parts else []
+        assert got == list(sympy.sieve.primerange(lo + 1, hi + 1)), (lo, hi)
+        assert len(parts) == -(-(hi - max(lo, 1)) // seg), (lo, hi)
 
 
 @pytest.fixture(scope="module")
@@ -498,7 +508,7 @@ def test_factor_quad_refuses_a_factorization_it_cannot_rebuild(monkeypatch):
     # a norm factorization that loses a prime leaves a product short of z
     monkeypatch.setattr(
         quadratic, "_exponents",
-        lambda m, cap, primes=None: {p: e for p, e in real(m, cap, primes=primes).items() if p != 7},
+        lambda m, primes=None: {p: e for p, e in real(m, primes).items() if p != 7},
     )
     with pytest.raises(IntegrityError):
         factor_quad(z)
@@ -573,7 +583,7 @@ def test_split_table_factors_primitive_norms_as_factor_int_does(monkeypatch):
     for z, primitive in cases:
         assert (math.gcd(z.a, z.b) == 1) is primitive, z
         n = z.norm()
-        got = rationals._exponents(n, cap, primes=table)
+        got = rationals._exponents(n, table)
         assert got == factor_int(n).exponents == sympy.factorint(n), z
     assert len(rho_calls) >= 2 * 20  # both tables split each semiprime cofactor
     # the table itself: 19 and the odd primes p up to the cap with -19 a
