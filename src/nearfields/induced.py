@@ -31,7 +31,7 @@ from .maps import (
     sigma_apply,
     sigma_invert,
 )
-from .quadratic import QuadInt, QuadRat, _product
+from .quadratic import QuadInt, QuadRat, _norm, _product
 from .rationals import Rat, factor_rat
 from .report import Report
 
@@ -74,14 +74,16 @@ def exotic_add_q(
     cofactors x and y, whose images sum to S = sigma(x) + sigma(y) in Z[w].
     Since sigma is multiplicative, the sum is gamma * sigma^-1(S), and only
     S is factored in Z[w]. The ceiling gate sees the norm of the whole image
-    sum, N(sigma(gamma)) * N(S).
+    sum, N(sigma(gamma)) * N(S), in lowest terms, and builds it as a Fraction
+    only when its unreduced terms pass the ceiling.
 
     Raises ResourceLimitError when the image sum is too large to factor
     (norm over norm_ceiling) or involves a prime outside the extendable
     correspondence range; the exception carries the ceiling hit.
     """
     corr = corr if corr is not None else default_correspondence()
-    a, b = Fraction(alpha), Fraction(beta)
+    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    b = beta if isinstance(beta, Fraction) else Fraction(beta)
     if a == 0:
         return b
     if b == 0:
@@ -108,11 +110,13 @@ def exotic_add_q(
             y[p] = j - m
     xa, xb, _ = _product(fa.sign, x, corr.image_of_prime)
     ya, yb, _ = _product(fb.sign, y, corr.image_of_prime)
-    s = QuadInt(xa + ya, xb + yb)
-    if s.is_zero():
+    sa, sb = xa + ya, xb + yb
+    if sa == 0 and sb == 0:
         return Fraction(0)
-    check_norm_ceiling(Fraction(n_num * s.norm(), n_den), norm_ceiling)
-    r = sigma_invert(corr, s)
+    n_num *= _norm(sa, sb)
+    if n_num > norm_ceiling or n_den > norm_ceiling:  # in lowest terms it may pass
+        check_norm_ceiling(Fraction(n_num, n_den), norm_ceiling)
+    r = sigma_invert(corr, QuadInt(sa, sb))
     return r if g_num == g_den == 1 else Fraction(g_num, g_den) * r
 
 

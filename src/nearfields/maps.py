@@ -293,7 +293,6 @@ def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
     the mirror image. The numerator a + b*w and the denominator are carried
     as plain integers and become one QuadRat at the end.
     """
-    q = Fraction(q)
     if q == 0:
         return QuadRat(QuadInt(0, 0))
     f = factor_rat(q)

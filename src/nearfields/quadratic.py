@@ -95,9 +95,9 @@ def _product(unit: int, exponents: dict, prime: Callable[[Any], QuadInt]) -> tup
     a, b, den = unit, 0, 1
     for k, e in exponents.items():
         pi = prime(k)
-        c, d = pi.a, pi.b
+        c, d = pi._a, pi._b
         if e < 0:
-            den *= pi.norm() ** -e
+            den *= _norm(c, d) ** -e
             c, d, e = c + d, -d, -e
         if e > 1:
             c, d = _pow(c, d, e)
@@ -406,10 +406,9 @@ def _place_in_norm(x: QuadInt) -> int:
 def _primes_of_norm(n: int) -> tuple[QuadInt, ...]:
     """The canonical primes of norm n, in (norm, a, b) order: two for a
     split prime n, one for 19, and q itself for n = q**2, q inert. The
-    caller vouches that n is such a norm. The norms met in factoring recur
-    from one sum to the next, so this is a bounded cache of recent answers;
-    sigma does not need it, since the correspondence memoizes its small
-    images.
+    caller vouches that n is such a norm. A bounded cache of recent
+    answers: it serves primes_above on a miss, and the images of primes
+    past TRIAL_CAP, which the correspondence does not memoize.
     """
     q = math.isqrt(n)
     if q * q == n:  # the inert q is the only prime of norm q**2
@@ -439,20 +438,17 @@ def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return norms
 
 
-def _is_prime_element(x: QuadInt) -> bool:
-    # A prime norm, or b == 0: an associate of a rational integer q, which
-    # is prime here exactly when q is an inert prime.
-    q = abs(x.a)
-    return is_prime(x.norm()) or (x.b == 0 and is_prime(q) and _is_inert(q))
-
-
 def _in_canonical_form(x: QuadInt) -> bool:
     """Whether x is the representative of {x, -x} with b > 0, or b == 0 and a > 0."""
     return x.b > 0 or (x.b == 0 and x.a > 0)
 
 
 def is_canonical_prime(x: QuadInt) -> bool:
-    return _in_canonical_form(x) and _is_prime_element(x)
+    # A prime norm, or b == 0: then x is a rational integer a > 0, which is
+    # prime here exactly when a is an inert prime.
+    if not _in_canonical_form(x):
+        return False
+    return is_prime(x.norm()) or (x.b == 0 and is_prime(x.a) and _is_inert(x.a))
 
 
 @dataclass(frozen=True)
@@ -463,11 +459,13 @@ class Splitting:
     primes: tuple[QuadInt, ...]
 
 
+@lru_cache(maxsize=1 << 12)
 def primes_above(p: int) -> Splitting:
     """Canonical primes over a rational prime, with the splitting kind.
 
     The kind is read off p mod 19, and the primes are those of norm p, or
-    of norm p**2 for an inert p, in (norm, a, b) order.
+    of norm p**2 for an inert p, in (norm, a, b) order. Recent answers are
+    kept in a bounded cache; a p that is not prime raises and is never kept.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not a rational prime")
@@ -485,7 +483,7 @@ class KFactorization:
     def __post_init__(self):
         if self.unit not in (1, -1):
             raise DomainError(f"unit must be +1 or -1, got {self.unit}")
-        if any(e == 0 for e in self.exponents.values()):
+        if 0 in self.exponents.values():
             raise DomainError("zero exponents are not stored")
 
     def to_json(self) -> dict:
@@ -533,7 +531,7 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
         if s.kind == "inert":
             raise IntegrityError(f"inert {p} divides the norm of primitive {QuadInt(a, b)!r}")
         pi = s.primes[0]
-        if s.kind == "split" and (a * pi.b - b * pi.a) % p:
+        if s.kind == "split" and (a * pi._b - b * pi._a) % p:
             pi = s.primes[1]
         over[p] = pi
         out[pi] = out.get(pi, 0) + e

@@ -100,7 +100,7 @@ class SignedFactorization:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
-        if any(e == 0 for e in self.exponents.values()):
+        if 0 in self.exponents.values():
             raise DomainError("zero exponents are not stored")
 
     def value(self) -> Rat:
@@ -229,14 +229,15 @@ def factor_int(n: int) -> SignedFactorization:
 
 def factor_rat(q: Rat | int) -> SignedFactorization:
     """Factor a nonzero rational; denominator primes get negative exponents."""
-    q = Fraction(q)
-    if q == 0:
+    q = q if isinstance(q, Fraction) else Fraction(q)
+    num, den = q.numerator, q.denominator
+    if num == 0:
         raise DomainError("zero has no factorization")
-    exps = _exponents(abs(q.numerator))
-    if q.denominator > 1:
-        for p, e in _exponents(q.denominator).items():
+    exps = _exponents(abs(num))
+    if den > 1:
+        for p, e in _exponents(den).items():
             exps[p] = -e  # a new key: q is in lowest terms
-    return SignedFactorization(1 if q.numerator > 0 else -1, exps)
+    return SignedFactorization(1 if num > 0 else -1, exps)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -252,17 +253,14 @@ def _primes_between(lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.flatnonzero(prime_mask(stop, start)) + start
 
 
-def prime_mask(n: int, lo: int = 0) -> np.ndarray:
-    """Boolean array of length n - lo + 1 with mask[k] iff lo + k is prime.
-
-    The default lo = 0 gives the whole range 0..n. A positive lo sieves only
-    the segment [lo, n], striking multiples of the primes up to isqrt(n), so
-    a table that grows by segments never resieves what it already holds.
-    Built fresh per call rather than cached: keeping a large mask alive
-    between calls would cost far more than resieving.
+def prime_mask(n: int, lo: int) -> np.ndarray:
+    """Boolean array of length n - lo + 1 with mask[k] iff lo + k is prime,
+    for 2 <= lo <= n: the segment [lo, n] alone, struck by the primes up to
+    isqrt(n), so a table that grows by segments never resieves what it
+    holds. Built fresh per call rather than cached: keeping a large mask
+    alive between calls would cost far more than resieving.
     """
     mask = np.ones(n - lo + 1, dtype=bool)
-    mask[: max(2 - lo, 0)] = False
     root = math.isqrt(n)
     for p in primes_upto(root):
         start = max(p * p, -(-lo // p) * p)

@@ -81,6 +81,17 @@ def test_gamma_norm_gate_multiplies_the_norms_of_its_images():
     assert exotic_add_q(15, 30, norm_ceiling=225) == 195
 
 
+def test_norm_gate_compares_the_norm_in_lowest_terms():
+    # gamma = 1/2 images to the inert 2, of norm 4, and N(sigma(1) +
+    # sigma(-37)) = 28: the gate sees 28/4 = 7, not its unreduced terms.
+    a, b = Fraction(1, 2), Fraction(-37, 2)
+    assert exotic_add_q(a, b, norm_ceiling=7) == -7
+    with pytest.raises(ResourceLimitError) as exc:
+        exotic_add_q(a, b, norm_ceiling=6)
+    assert exc.value.ceiling == 6
+    assert str(exc.value) == "sum image has norm 7, above the ceiling 6"
+
+
 # Primes that operands share through their common factor gamma.
 _SHARED = (2, 3, 5, 7, 11, 13, 19)
 

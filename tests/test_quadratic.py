@@ -86,6 +86,31 @@ def test_primes_above_examples():
         primes_above(15)
 
 
+def test_primes_above_caches_primes_only():
+    assert 0 < primes_above.cache_info().maxsize < 2**20
+    for p in (2, 5, 19, 23, 1_000_003):
+        assert primes_above(p) == primes_above(p)
+    hits = primes_above.cache_info().hits
+    primes_above(23)
+    assert primes_above.cache_info().hits == hits + 1
+    # a warm cache still refuses non-primes, on either side of TRIAL_CAP,
+    # and keeps none of them
+    held = primes_above.cache_info().currsize
+    for n in (4, 15, 1_000_003 * 1_000_033):
+        with pytest.raises(DomainError):
+            primes_above(n)
+    assert primes_above.cache_info().currsize == held
+
+
+def test_k_factorization_validates():
+    with pytest.raises(DomainError):
+        KFactorization(2, {})
+    with pytest.raises(DomainError):
+        KFactorization(1, {W: 0})
+    with pytest.raises(DomainError):
+        KFactorization(-1, {W: 2, QuadInt(-1, 1): 0, QuadInt(2, 0): -1})
+
+
 def test_splitting_trichotomy_first_100_primes():
     # Independent oracle: an odd prime q != 19 splits iff q is a nonzero
     # square mod 19 (quadratic reciprocity for discriminant -19); 2 needs the

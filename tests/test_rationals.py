@@ -122,6 +122,8 @@ def test_signed_factorization_validates():
         SignedFactorization(2, {})
     with pytest.raises(DomainError):
         SignedFactorization(1, {2: 0})
+    with pytest.raises(DomainError):
+        SignedFactorization(1, {2: 1, 3: 0})
 
 
 def test_json_shape():
