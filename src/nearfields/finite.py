@@ -33,6 +33,9 @@ __all__ = [
     "native_addition",
     "addition_from_exponent",
     "verify_addition_table",
+    "transport",
+    "is_permutation",
+    "is_mult_bijection",
     "enumerate_additions",
     "check_isomorphic_additions",
     "modnear_ring_check",
@@ -187,7 +190,6 @@ class AdditionTable:
     field: FiniteField
     table: np.ndarray
     provenance: str
-    exponent: int | None = None
 
     def __post_init__(self):
         self.table.flags.writeable = False
@@ -197,20 +199,38 @@ class AdditionTable:
 
 
 def native_addition(field: FiniteField) -> AdditionTable:
-    return AdditionTable(field, field.add.copy(), "native", None)
+    return AdditionTable(field, field.add.copy(), "native")
+
+
+def is_permutation(t: np.ndarray, m: int) -> bool:
+    """Whether t lists each of 0..m-1 exactly once."""
+    return sorted(t.tolist()) == list(range(m))
+
+
+def is_mult_bijection(field: FiniteField, t: np.ndarray) -> bool:
+    """Whether t is a bijection of the carrier fixing one with
+    t(x y) = t(x) t(y) for every pair."""
+    return (
+        is_permutation(t, field.m)
+        and int(t[field.one]) == field.one
+        and bool(np.array_equal(t[field.mul], field.mul[np.ix_(t, t)]))
+    )
+
+
+def transport(op: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The operation the bijection f pulls back from op:
+    alpha (op_f) beta = f^-1(op(f(alpha), f(beta)))."""
+    return np.argsort(f)[op[np.ix_(f, f)]]
 
 
 def addition_from_exponent(field: FiniteField, a: int) -> AdditionTable:
-    """The addition (alpha**a + beta**a)**(a**-1 mod m-1)."""
+    """The addition (alpha**a + beta**a)**(a**-1 mod m-1), native addition
+    pulled back through the power map x -> x**a."""
     m1 = field.m - 1
     a = a % m1
     if math.gcd(a, m1) != 1:
         raise DomainError(f"exponent {a} is not a unit mod {m1}")
-    a_inv = pow(a, -1, m1)  # least positive representative
-    pa = field.power_table(a)
-    pinv = field.power_table(a_inv)
-    table = pinv[field.add[np.ix_(pa, pa)]]
-    return AdditionTable(field, table, f"a={a}", a)
+    return AdditionTable(field, transport(field.add, field.power_table(a)), f"a={a}")
 
 
 def verify_addition_table(t: AdditionTable) -> Report:
@@ -228,10 +248,11 @@ def verify_addition_table(t: AdditionTable) -> Report:
     m = f.m
 
     rep.add("closure", bool(((tab >= 0) & (tab < m)).all()))
+    asym = np.argwhere(tab != tab.T)
     rep.add(
         "commutativity",
-        bool((tab == tab.T).all()),
-        witness=None if (tab == tab.T).all() else tuple(int(v) for v in np.argwhere(tab != tab.T)[0]),
+        len(asym) == 0,
+        witness=tuple(int(v) for v in asym[0]) if len(asym) else None,
     )
     zero_rows = [e for e in range(m) if (tab[e] == np.arange(m)).all()]
     rep.add("zero", zero_rows == [f.zero], witness=zero_rows)

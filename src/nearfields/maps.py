@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
-from .finite import FiniteField
+from .finite import FiniteField, is_mult_bijection, is_permutation
 from .quadratic import (
     QuadInt,
     QuadRat,
@@ -359,14 +359,6 @@ def check_multiplicative(f, sampler, trials: int, *, rng) -> Report:
     return rep
 
 
-def _is_mult_bijection(field_: FiniteField, t: np.ndarray) -> bool:
-    if sorted(t.tolist()) != list(range(field_.m)):
-        return False
-    if t[field_.one] != field_.one:
-        return False
-    return bool(np.array_equal(t[field_.mul], field_.mul[np.ix_(t, t)]))
-
-
 @dataclass
 class QmcResult:
     report: Report
@@ -389,7 +381,7 @@ def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
     phi = np.asarray(phi, dtype=np.int64)
     M = field_.mul
     m = field_.m
-    if sorted(phi.tolist()) != list(range(m)):
+    if not is_permutation(phi, m):
         raise DomainError("phi must be a bijection of the carrier")
     phi_inv = np.argsort(phi)
     lam = int(phi[field_.one])
@@ -402,7 +394,7 @@ def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
     else:
         # 1: phi = (mult bijection) * lam, with the candidate forced as phi/lam
         cand = M[phi, field_.inv[lam]]
-        conds["condition_1"] = _is_mult_bijection(field_, cand) and bool(
+        conds["condition_1"] = is_mult_bijection(field_, cand) and bool(
             np.array_equal(M[cand, lam], phi)
         )
         # 2: phi(x y) = phi(x) phi(gamma y)
@@ -412,9 +404,9 @@ def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
         pmg = phi[M[:, gamma]]
         conds["condition_3"] = bool(np.array_equal(phi[M], M[np.ix_(pmg, phi)]))
         # 4: x -> phi(x gamma) is a multiplicative bijection
-        conds["condition_4"] = _is_mult_bijection(field_, phi[M[:, gamma]])
+        conds["condition_4"] = is_mult_bijection(field_, phi[M[:, gamma]])
         # 5: x -> phi(gamma x) is a multiplicative bijection
-        conds["condition_5"] = _is_mult_bijection(field_, phi[M[gamma]])
+        conds["condition_5"] = is_mult_bijection(field_, phi[M[gamma]])
 
     rep = Report("quasi-multiplicative equivalence")
     for name, ok in conds.items():
@@ -434,11 +426,13 @@ class QuasiMultSpec:
     lam: int
 
     def __post_init__(self):
-        if not _is_mult_bijection(self.field_, self.phi_mult):
+        phi_mult = np.array(self.phi_mult, dtype=np.int64)  # the caller keeps its array
+        if not is_mult_bijection(self.field_, phi_mult):
             raise DomainError("phi_mult is not a multiplicative bijection")
         if self.lam == self.field_.zero:
             raise DomainError("lambda must be invertible")
-        self.phi_mult.flags.writeable = False
+        phi_mult.flags.writeable = False
+        object.__setattr__(self, "phi_mult", phi_mult)
 
     def as_table(self) -> np.ndarray:
         return self.field_.mul[self.phi_mult, self.lam]

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .finite import AdditionTable, FiniteField
+from .finite import (
+    AdditionTable,
+    FiniteField,
+    is_mult_bijection,
+    is_permutation,
+    transport,
+    verify_addition_table,
+)
 from .kernels import assoc_witness, left_distrib_witness
 from .report import Report
 
@@ -49,42 +56,30 @@ class ElementaryNVS:
             t.flags.writeable = False
 
 
-def _is_bijection(t: np.ndarray, m: int) -> bool:
-    return len(t) == m and sorted(t.tolist()) == list(range(m))
-
-
-def build_elementary(
-    field: FiniteField,
-    psi: np.ndarray,
-    phi: np.ndarray,
-    *,
-    validate: bool = True,
-) -> ElementaryNVS:
-    """Assemble the space, validating the hypotheses exhaustively.
-
-    validate=False skips the hypothesis checks so deliberately broken
-    inputs can reach the axiom verifier in mutation tests.
-    """
-    psi = np.asarray(psi, dtype=np.int64)
-    phi = np.asarray(phi, dtype=np.int64)
-    m = field.m
-    if validate:
-        if not _is_bijection(psi, m):
-            raise DomainError("psi is not a bijection of the carrier")
-        if psi[field.zero] != field.zero:
-            raise DomainError("psi does not fix zero")
-        if not np.array_equal(psi[field.neg], field.neg[psi]):
-            raise DomainError("psi does not commute with negation")
-        if not _is_bijection(phi, m):
-            raise DomainError("phi is not a bijection of the carrier")
-        if phi[field.one] != field.one:
-            raise DomainError("phi does not fix one")
-        if not np.array_equal(phi[field.mul], field.mul[np.ix_(phi, phi)]):
-            raise DomainError("phi is not multiplicative")
+def _assemble(field: FiniteField, psi: np.ndarray, phi: np.ndarray) -> ElementaryNVS:
+    """The space's tables from psi and phi, with no hypothesis checks; the
+    space keeps frozen copies, so the caller's arrays stay its own."""
+    psi = np.array(psi, dtype=np.int64)
+    phi = np.array(phi, dtype=np.int64)
     psi_inv = np.argsort(psi)
-    box_add = psi_inv[field.add[np.ix_(psi, psi)]]
+    box_add = transport(field.add, psi)
     box_smul = psi_inv[field.mul[phi[:, None], psi[None, :]]]
     return ElementaryNVS(field, psi, psi_inv, phi, box_add, box_smul)
+
+
+def build_elementary(field: FiniteField, psi: np.ndarray, phi: np.ndarray) -> ElementaryNVS:
+    """Assemble the space, validating the hypotheses exhaustively."""
+    psi = np.asarray(psi, dtype=np.int64)
+    phi = np.asarray(phi, dtype=np.int64)
+    if not is_permutation(psi, field.m):
+        raise DomainError("psi is not a bijection of the carrier")
+    if psi[field.zero] != field.zero:
+        raise DomainError("psi does not fix zero")
+    if not np.array_equal(psi[field.neg], field.neg[psi]):
+        raise DomainError("psi does not commute with negation")
+    if not is_mult_bijection(field, phi):
+        raise DomainError("phi is not a multiplicative bijection of the carrier fixing one")
+    return _assemble(field, psi, phi)
 
 
 def verify_nvs_axioms(s: ElementaryNVS) -> Report:
@@ -140,10 +135,7 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
                     nxt.append(w)
         frontier = nxt
     rep.add("quasi_kernel_generates", reached == set(range(m)))
-    rep.add(
-        "orbit_of_one_full",
-        sorted(int(x) for x in S[:, F.one]) == list(range(m)),
-    )
+    rep.add("orbit_of_one_full", is_permutation(S[:, F.one], m))
 
     rep.add(
         "transport_multiplicative",
@@ -164,35 +156,25 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
 def _box_one(s: ElementaryNVS) -> np.ndarray:
     """The table of the addition at the vector 1: pull (+) back through
     K(alpha) = alpha (.) 1."""
-    K = s.box_smul[:, s.field.one]
-    K_inv = np.argsort(K)
-    return K_inv[s.box_add[np.ix_(K, K)]]
+    return transport(s.box_add, s.box_smul[:, s.field.one])
 
 
 def addition_at(s: ElementaryNVS, gamma: int) -> AdditionTable:
     """The addition the space induces at the vector gamma (.) 1:
     alpha (+)_gamma beta = (alpha gamma (+)_1 beta gamma) gamma^-1.
 
-    The table is checked to be an abelian group addition left-distributed
-    over by multiplication, which is what makes the carrier a near-field
-    under it; DomainError if it is not.
+    That is (+)_1 pulled back through alpha -> alpha gamma. The table is
+    checked with the field-axiom suite; DomainError names the first law it
+    fails.
     """
     F = s.field
     if gamma == F.zero:
         raise DomainError("gamma must be nonzero")
-    t1 = _box_one(s)
-    g_col = F.mul[:, gamma]
-    table = F.mul[t1[np.ix_(g_col, g_col)], F.inv[gamma]]
-    if assoc_witness(table) is not None:
-        raise DomainError("induced addition is not associative")
-    ok = (
-        np.array_equal(table, table.T)
-        and np.array_equal(table[F.zero], np.arange(F.m))
-        and left_distrib_witness(F.mul, table) is None
-    )
-    if not ok:
-        raise DomainError("induced addition fails the near-field laws")
-    return AdditionTable(field=F, table=table, provenance=f"gamma={gamma}", exponent=None)
+    t = AdditionTable(F, transport(_box_one(s), F.mul[:, gamma]), f"gamma={gamma}")
+    bad = verify_addition_table(t).first_failure()
+    if bad is not None:
+        raise DomainError(f"induced addition fails the near-field law {bad.name}")
+    return t
 
 
 def check_elementary_box1(s: ElementaryNVS) -> Report:
@@ -202,9 +184,8 @@ def check_elementary_box1(s: ElementaryNVS) -> Report:
     rep = Report("addition at one vs quasi-multiplicative pullback")
     t1 = _box_one(s)
     phi_prime = F.mul[s.phi, s.psi[F.one]]
-    rep.add("phi_prime_bijective", _is_bijection(phi_prime, F.m))
-    p_inv = np.argsort(phi_prime)
-    pulled = p_inv[F.add[np.ix_(phi_prime, phi_prime)]]
+    rep.add("phi_prime_bijective", is_permutation(phi_prime, F.m))
+    pulled = transport(F.add, phi_prime)
     same = np.array_equal(t1, pulled)
     wit = None
     if not same:

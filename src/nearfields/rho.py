@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
-from .finite import FiniteField
+from .finite import FiniteField, is_permutation, transport
 from .kernels import left_distrib_witness
 from .rationals import is_prime
 from .report import Report
@@ -210,10 +210,7 @@ def verify_rho_axioms(
         detail="follows from the four properties; cross-checked anyway",
     )
     if c.is_finite:
-        rep.add(
-            "bijective",
-            sorted(int(v) for v in r.table) == list(range(len(c.elements))),
-        )
+        rep.add("bijective", is_permutation(r.table, len(c.elements)))
     rep.counts["pairs"] = checked
     rep.counts["skipped"] = skips
     return rep
@@ -384,10 +381,9 @@ def check_bij_plus(field: FiniteField, sigma: np.ndarray) -> Report:
     chi-image core sigma factors as a multiplicative map times sigma(1).
     """
     sigma = np.asarray(sigma, dtype=np.int64)
-    if sorted(sigma.tolist()) != list(range(field.m)):
+    if not is_permutation(sigma, field.m):
         raise DomainError("sigma must be a bijection of the carrier")
-    sigma_inv = np.argsort(sigma)
-    add_sigma = sigma_inv[field.add[np.ix_(sigma, sigma)]]
+    add_sigma = transport(field.add, sigma)
     rep = Report("pulled-back addition near-field criterion")
     wit = left_distrib_witness(field.mul, add_sigma)
     rep.add("left_distributive", wit is None, witness=wit)

@@ -40,7 +40,7 @@ from nearfields.maps import (
     sigma_apply,
     sigma_invert,
 )
-from nearfields.nvs import build_elementary, check_elementary_box1, verify_nvs_axioms
+from nearfields.nvs import _assemble, build_elementary, check_elementary_box1, verify_nvs_axioms
 from nearfields.quadratic import QuadInt, QuadRat, factor_quad, primes_above, rebuild_quad
 from nearfields.rationals import primes_upto
 from nearfields.rho import (
@@ -285,7 +285,7 @@ def test_criterion_08_near_vector_spaces():
         bad_phi = phi.copy()
         others = [i for i in range(F.m) if i not in (F.one, int(phi[F.one]))]
         bad_phi[others[0]], bad_phi[others[1]] = bad_phi[others[1]], bad_phi[others[0]]
-        broken = build_elementary(F, psi, bad_phi, validate=False)
+        broken = _assemble(F, psi, bad_phi)  # unchecked, so the verifier must catch it
         brep = verify_nvs_axioms(broken)
         failed = brep.failures() or check_elementary_box1(broken).failures()
         assert failed and any(c.witness is not None for c in failed), name

@@ -30,6 +30,14 @@ GOLDEN_CASES = [
         ["endoq", "12/35", "--perm", "2:3,3:2", "--eta", "5:-1", "--nu", "7:-1", "--json"],
         "endoq_12_35_twists.json",
     ),
+    (
+        ["nvs-verify", "--field", "f9", "--psi", "pow:5", "--phi", "pow:3", "--json"],
+        "nvs_verify_f9_pow5_pow3.json",
+    ),
+    (
+        ["isom-check", "--field", "f27", "--a1", "native", "--a2", "5", "--json"],
+        "isom_check_f27_native_5.json",
+    ),
 ]
 
 BROKEN_F4_TABLE = "table:0,1,2,3,1,0,2,3,2,3,0,1,3,2,1,0"

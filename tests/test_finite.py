@@ -8,6 +8,7 @@ from nearfields.finite import (
     addition_from_exponent,
     check_isomorphic_additions,
     enumerate_additions,
+    is_permutation,
     make_field,
     modnear_ring_check,
     native_addition,
@@ -64,6 +65,27 @@ def test_addition_from_exponent_validation():
     # a = 3 is the Frobenius exponent: same table as native.
     assert addition_from_exponent(f9, 3).same_table(native_addition(f9))
     assert not addition_from_exponent(f9, 5).same_table(native_addition(f9))
+
+
+def test_addition_from_exponent_matches_inverse_power_formula():
+    # The reference applies x -> x**(a**-1 mod m-1) to native sums of a-th
+    # powers; it is the one independent of the pullback, and only F27 tells
+    # a pullback through x**a from one through its inverse (a = 5, 7, 11,
+    # 15, 19, 21).
+    for p, n in SUPPORTED_FIELDS:
+        f = make_field(p, n)
+        for a in f.exponent_units():
+            pa = f.power_table(a)
+            expected = f.power_table(pow(a, -1, f.m - 1))[f.add[np.ix_(pa, pa)]]
+            assert np.array_equal(addition_from_exponent(f, a).table, expected), (f, a)
+
+
+def test_is_permutation():
+    assert is_permutation(np.array([2, 0, 1]), 3)
+    assert not is_permutation(np.array([0, 1]), 3)  # short
+    assert not is_permutation(np.array([0, 1, 1]), 3)  # repeated entry
+    assert not is_permutation(np.array([0, 1, 3]), 3)  # out of range
+    assert not is_permutation(np.array([-1, 0, 1]), 3)
 
 
 def test_verify_addition_table_native_and_exotic():

@@ -669,6 +669,15 @@ def test_qm_spec_group_laws():
             assert check_qmc_equivalence(F, h.as_table()).is_quasi_multiplicative
 
 
+def test_qm_spec_keeps_a_copy_of_the_callers_table():
+    F = make_field(3, 2)
+    phi = F.power_table(3)
+    spec = QuasiMultSpec(F, phi, 4)
+    phi[2] = 0
+    assert np.array_equal(spec.phi_mult, F.power_table(3))
+    assert not spec.phi_mult.flags.writeable
+
+
 def test_qm_spec_validation():
     F = make_field(3, 2)
     with pytest.raises(DomainError):

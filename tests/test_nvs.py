@@ -10,6 +10,7 @@ from nearfields.errors import DomainError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import StructureOps, check_ringisom
 from nearfields.nvs import (
+    _assemble,
     addition_at,
     build_elementary,
     check_elementary_box1,
@@ -80,6 +81,41 @@ def test_addition_at_family(F):
         addition_at(s, F.zero)
 
 
+def _criterion_8_configs(F):
+    ident = np.arange(9)
+    return {
+        "identity": (ident, ident),
+        "frobenius_action": (ident, F.power_table(3)),
+        "power5_transport": (F.power_table(5), ident),
+        "power5_frobenius": (F.power_table(5), F.power_table(3)),
+        "scaled_psi": (F.scale_table(4), ident),
+        "scaled_psi_power5": (F.power_table(5)[F.scale_table(7)], F.power_table(3)),
+    }
+
+
+def test_addition_at_matches_conjugation_formula(F):
+    # (alpha gamma (+)_1 beta gamma) gamma^-1, with (+)_1 pulled back by hand
+    for name, (psi, phi) in _criterion_8_configs(F).items():
+        s = build_elementary(F, psi, phi)
+        K = s.box_smul[:, F.one]
+        t1 = np.argsort(K)[s.box_add[np.ix_(K, K)]]
+        for gamma in range(1, 9):
+            g = F.mul[:, gamma]
+            expected = F.mul[t1[np.ix_(g, g)], F.inv[gamma]]
+            assert np.array_equal(addition_at(s, gamma).table, expected), (name, gamma)
+
+
+def test_caller_arrays_stay_writable(F):
+    psi, phi = np.arange(9), F.power_table(3)
+    s = build_elementary(F, psi, phi)
+    psi[1], psi[2] = 2, 1
+    phi[2] = 0
+    assert np.array_equal(s.psi, np.arange(9))
+    assert np.array_equal(s.phi, F.power_table(3))
+    assert not s.psi.flags.writeable and not s.phi.flags.writeable
+    assert verify_nvs_axioms(s).ok
+
+
 def test_scaled_psi_folds_into_phi_prime(F):
     # psi(1) = lambda != 1 lands in the quasi-multiplicative pullback
     for lam in (2, 4, 7):
@@ -117,7 +153,7 @@ def test_mutated_phi_fails_with_witness(F):
         broken = phi.copy()
         spots = [i for i in range(9) if i not in (F.zero, F.one)][:2]
         broken[spots[0]], broken[spots[1]] = broken[spots[1]], broken[spots[0]]
-        s = build_elementary(F, psi, broken, validate=False)
+        s = _assemble(F, psi, broken)
         rep = verify_nvs_axioms(s)
         assert not rep.ok, name
         assert any(c.witness is not None for c in rep.failures()), name
@@ -126,7 +162,7 @@ def test_mutated_phi_fails_with_witness(F):
 def test_mutated_psi_fails(F):
     psi = np.arange(9)
     psi[0], psi[3] = 3, 0  # moves zero
-    s = build_elementary(F, psi, np.arange(9), validate=False)
+    s = _assemble(F, psi, np.arange(9))
     rep = verify_nvs_axioms(s)
     assert not rep.ok
 
