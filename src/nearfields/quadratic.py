@@ -422,7 +422,9 @@ def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     sorted; primes holds the rational primes in order, up to hi at least.
 
     A split p gives two canonical primes of norm p, 19 one of norm 19 and
-    an inert q one of norm q**2.
+    an inert q one of norm q**2. The split primes, each twice, are already
+    in order, so the few others (none of them a prime norm) are merged in
+    rather than the whole array sorted.
     """
     splits = np.zeros(RAMIFIED, dtype=bool)  # splits[p % RAMIFIED]: the prime p splits
     splits[sorted(_SPLIT_RESIDUES)] = True
@@ -433,9 +435,11 @@ def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     i, j = np.searchsorted(primes, keys[2:], side="right")
     q = primes[i:j]
     q = q[~splits[q % RAMIFIED] & (q != RAMIFIED)]
-    norms = np.concatenate([np.repeat(p[splits[p % RAMIFIED]], 2), p[p == RAMIFIED], q * q])
-    norms.sort()
-    return norms
+    norms = np.repeat(p[splits[p % RAMIFIED]], 2)
+    extra = q * q
+    if lo < RAMIFIED <= hi:
+        extra = np.insert(extra, np.searchsorted(extra, RAMIFIED), RAMIFIED)
+    return np.insert(norms, np.searchsorted(norms, extra), extra)
 
 
 def _in_canonical_form(x: QuadInt) -> bool:

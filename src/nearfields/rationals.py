@@ -13,7 +13,9 @@ cofactor is at most cap**2, it is prime). Past that, a deterministic
 Miller-Rabin test and Brent's rho splitter take over, both exponential-time
 methods. is_prime bisects the same table up to TRIAL_CAP, Miller-Rabin above.
 Every list of primes, here and in maps, is read off the one sieve,
-prime_mask, by _primes_between, 2**21 numbers at a time.
+prime_mask, by _primes_between, 2**22 numbers at a time. The sieve holds
+the odd numbers of its segment only, one byte each, and the read-off adds
+the one even prime.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ __all__ = [
     "factor_int",
     "factor_rat",
     "primes_upto",
-    "prime_mask",
     "is_prime",
 ]
 
 TRIAL_CAP = 10**6
 
 # Numbers sieved per prime_mask call, so no read-off holds a mask the size
-# of its whole range.
-_SEGMENT = 1 << 21
+# of its whole range: 2 MiB of mask, one byte per odd number.
+_SEGMENT = 1 << 22
 
 # Deterministic Miller-Rabin. psi_k, the least strong pseudoprime to each of
 # the first k prime bases, bounds where those k bases settle primality
@@ -250,19 +251,27 @@ def _primes_between(lo: int, hi: int) -> Iterator[np.ndarray]:
     segment of at most _SEGMENT numbers: the one read-off of the sieve."""
     for start in range(max(lo, 1) + 1, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)
-        yield np.flatnonzero(prime_mask(stop, start)) + start
+        found = np.flatnonzero(prime_mask(stop, start))
+        found *= 2  # slot k holds (start | 1) + 2k; in place, so no second array
+        found += start | 1
+        yield np.insert(found, 0, 2) if start == 2 else found
 
 
 def prime_mask(n: int, lo: int) -> np.ndarray:
-    """Boolean array of length n - lo + 1 with mask[k] iff lo + k is prime,
-    for 2 <= lo <= n: the segment [lo, n] alone, struck by the primes up to
-    isqrt(n), so a table that grows by segments never resieves what it
-    holds. Built fresh per call rather than cached: keeping a large mask
-    alive between calls would cost far more than resieving.
+    """Boolean array over the odd numbers of [lo, n], for 2 <= lo <= n:
+    mask[k] iff (lo | 1) + 2k is prime. The segment alone is struck, by the
+    odd primes up to isqrt(n), so a table that grows by segments never
+    resieves what it holds; 2 is the caller's to add. Built fresh per call
+    rather than cached: keeping a large mask alive between calls would cost
+    far more than resieving. A lo below 2 or past n is refused.
     """
-    mask = np.ones(n - lo + 1, dtype=bool)
-    root = math.isqrt(n)
-    for p in primes_upto(root):
+    if not 2 <= lo <= n:
+        raise DomainError(f"prime_mask needs 2 <= lo <= n, got lo={lo}, n={n}")
+    first = lo | 1
+    mask = np.ones((n - first) // 2 + 1, dtype=bool)
+    for p in primes_upto(math.isqrt(n))[1:]:  # 2 strikes no odd number
         start = max(p * p, -(-lo // p) * p)
-        mask[start - lo :: p] = False
+        if start % 2 == 0:  # the first odd multiple
+            start += p
+        mask[(start - first) // 2 :: p] = False
     return mask

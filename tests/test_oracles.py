@@ -7,6 +7,7 @@ outside reference to agree with.
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,58 @@ def test_primes_between_matches_sympy_at_segment_edges():
         got = np.concatenate(parts).tolist() if parts else []
         assert got == list(sympy.sieve.primerange(lo + 1, hi + 1)), (lo, hi)
         assert len(parts) == -(-(hi - max(lo, 1)) // seg), (lo, hi)
+
+
+def test_prime_mask_covers_the_odd_numbers_only():
+    # mask[k] stands for (lo | 1) + 2k, from even and odd starts, a start
+    # of 2 (whose one even prime the mask leaves out) and one at 1009**2.
+    for lo in (2, 3, 4, 9, 1000, 1001, 1009**2, 1009**2 + 1):
+        for n in (lo, lo + 1, lo + 500):
+            mask = rationals.prime_mask(n, lo)
+            first = lo | 1
+            assert len(mask) == len(range(first, n + 1, 2)), (lo, n)
+            assert mask.tolist() == [sympy.isprime(first + 2 * k) for k in range(len(mask))], (lo, n)
+
+
+def test_primes_between_adds_two_once():
+    for lo in (0, 1):
+        for hi in (2, 3, 100, rationals._SEGMENT + 10):
+            found = np.concatenate(list(rationals._primes_between(lo, hi))).tolist()
+            assert found.count(2) == 1 and found[0] == 2, (lo, hi)
+    for lo in (2, 3, 4):
+        parts = list(rationals._primes_between(lo, lo + 100))
+        assert 2 not in np.concatenate(parts).tolist(), lo
+
+
+def test_canonical_norms_merge_matches_a_full_sort():
+    # _canonical_norms merges 19 and the inert squares into the split
+    # primes, which are in order already; the result must be what sorting
+    # everything gives, and what the splitting law lists, for cuts that
+    # fall on an inert square (2, 3 and 97 are inert) or on 19, and at random.
+    top = 10**6
+    primes = np.array(list(sympy.sieve.primerange(top + 1)), dtype=np.int32)
+    kinds = np.array([sympy.kronecker_symbol(-19, int(p)) for p in primes])
+    law = sorted(
+        [int(p) for p in primes[kinds == 1] for _ in range(2)]
+        + [19]
+        + [int(q) ** 2 for q in primes[kinds == -1] if int(q) ** 2 <= top]
+    )
+    splits = kinds == 1
+
+    def full_sort(lo, hi):  # the concatenation sorted, as before the merge
+        p = primes[(primes > lo) & (primes <= hi)]
+        q = primes[(primes > math.isqrt(lo)) & (primes <= math.isqrt(hi))]
+        q = q[~splits[np.searchsorted(primes, q)] & (q != 19)]
+        return np.sort(np.concatenate([np.repeat(p[splits[np.searchsorted(primes, p)]], 2), p[p == 19], q * q]))
+
+    rng = random.Random(19)
+    cuts = [(3, 4), (4, 5), (8, 9), (9, 10), (18, 19), (19, 20), (97**2 - 1, 97**2), (97**2, 10**4)]
+    cuts += [tuple(sorted(rng.randint(0, top) for _ in range(2))) for _ in range(50)]
+    for lo, hi in cuts:
+        got = quadratic._canonical_norms(primes, lo, hi)
+        assert got.dtype == np.int32, (lo, hi)
+        assert np.array_equal(got, full_sort(lo, hi)), (lo, hi)
+        assert got.tolist() == law[bisect_right(law, lo) : bisect_right(law, hi)], (lo, hi)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from nearfields import rationals
 from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.rationals import (
     _MR_BASES,
@@ -14,6 +15,7 @@ from nearfields.rationals import (
     factor_int,
     factor_rat,
     is_prime,
+    prime_mask,
     primes_upto,
 )
 
@@ -50,6 +52,16 @@ def test_primes_upto_matches_nth():
     assert ps[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(ps) == 25
     assert primes_upto(1) == []
+
+
+def test_prime_mask_refuses_outside_its_range():
+    # 1 is no prime, and a segment that ends before it starts is no segment
+    with pytest.raises(DomainError):
+        prime_mask(10, 1)
+    with pytest.raises(DomainError):
+        prime_mask(5, 10)
+    assert prime_mask(10, 10).tolist() == []  # no odd number in [10, 10]
+    assert "prime_mask" not in rationals.__all__
 
 
 def test_is_prime_small():
