@@ -33,7 +33,7 @@ from .finite import (
     modnear_ring_check,
     native_addition,
 )
-from .induced import DEFAULT_SUM_NORM_CEILING, check_norm_ceiling, exotic_add_q
+from .induced import DEFAULT_SUM_NORM_CEILING, _rand_rat, check_norm_ceiling, exotic_add_q
 from .maps import (
     EndoBijectionSpecQ,
     check_qmc_equivalence,
@@ -183,9 +183,7 @@ def _carrier_and_add(args, cfg: RunConfig):
         else:
             raise DomainError(f"bad addition {spec!r} for the rational carrier")
         h = min(60, cfg.height_bound)
-        sampler = lambda rng: Fraction(
-            int(rng.integers(-h, h + 1)), int(rng.integers(1, h + 1))
-        )
+        sampler = lambda rng: _rand_rat(rng, h)
         return rational_carrier(), add, sampler
     raise DomainError(f"unknown carrier {name!r}; choose from {sorted(_FIELDS) + ['q']}")
 

@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .maps import (
     PrimeCorrespondence,
     default_correspondence,
@@ -33,7 +33,7 @@ from .maps import (
 )
 from .quadratic import QuadInt, QuadRat, _norm, _product
 from .rationals import Rat, factor_rat
-from .report import Report
+from .report import Report, redraw
 
 __all__ = [
     "exotic_add_q",
@@ -148,42 +148,37 @@ def check_ringisom(
     3. phi respects addition, and src multiplication equals the
        phi-pullback of dst multiplication.
 
-    A pair that overruns a resource ceiling is skipped and redrawn until
-    trials pairs are checked, and the skip count lands in the report. A
-    verdict may not rest on fewer checked pairs than skipped ones, so once
-    the skips exceed trials the ResourceLimitError is raised, naming its
-    ceiling.
+    The trials pairs are drawn through report.redraw: a pair that overruns
+    a resource ceiling is skipped and redrawn, and the skip count lands in
+    the report. Once the skips exceed trials the ResourceLimitError is
+    raised, naming its ceiling. Each rendering keeps its first witness.
+    Fewer than one trial is refused, since no pair would be checked.
     """
-    verdicts = {1: True, 2: True, 3: True}
-    witnesses: dict[int, tuple | None] = {1: None, 2: None, 3: None}
-    done = skips = 0
-    while done < trials:
-        a, b = sampler(rng), sampler(rng)
-        try:
-            fa, fb = phi(a), phi(b)
-            sa, sm = src.add(a, b), src.mul(a, b)
-            da, dm = dst.add(fa, fb), dst.mul(fa, fb)
-            c1 = phi(sa) == da and phi(sm) == dm
-            c2 = phi(sm) == dm and sa == phi_inv(da)
-            c3 = phi(sa) == da and sm == phi_inv(dm)
-        except ResourceLimitError:
-            skips += 1
-            if skips > trials:
-                raise
-            continue
-        for i, ok in zip((1, 2, 3), (c1, c2, c3)):
-            if not ok and verdicts[i]:
-                verdicts[i] = False
-                witnesses[i] = (a, b)
-        done += 1
+    if trials < 1:
+        raise DomainError("the isomorphism check needs at least one trial")
+    names = ("full_isomorphism", "multiplicative_and_induced_add", "additive_and_induced_mul")
+    bad: dict[str, tuple] = {}
+
+    def check(a, b):
+        fa, fb = phi(a), phi(b)
+        sa, sm = src.add(a, b), src.mul(a, b)
+        da, dm = dst.add(fa, fb), dst.mul(fa, fb)
+        c1 = phi(sa) == da and phi(sm) == dm
+        c2 = phi(sm) == dm and sa == phi_inv(da)
+        c3 = phi(sa) == da and sm == phi_inv(dm)
+        for name, ok in zip(names, (c1, c2, c3)):
+            if not ok:
+                bad.setdefault(name, (a, b))
+
+    skipped = redraw(lambda: (sampler(rng), sampler(rng)), check, trials)
     rep = Report(f"isomorphism check: {src.name} -> {dst.name}")
-    rep.add("full_isomorphism", verdicts[1], witness=witnesses[1])
-    rep.add("multiplicative_and_induced_add", verdicts[2], witness=witnesses[2])
-    rep.add("additive_and_induced_mul", verdicts[3], witness=witnesses[3])
+    for name in names:
+        rep.add(name, name not in bad, witness=bad.get(name))
+    verdicts = {i: name not in bad for i, name in enumerate(names, 1)}
     agree = len(set(verdicts.values())) == 1
-    rep.add("conditions_agree", agree, witness=None if agree else dict(verdicts))
-    rep.counts["pairs"] = done
-    rep.counts["skipped"] = skips
+    rep.add("conditions_agree", agree, witness=None if agree else verdicts)
+    rep.counts["pairs"] = trials
+    rep.counts["skipped"] = skipped
     return rep
 
 
@@ -194,21 +189,26 @@ def find_add_witness(
     where the exotic sum differs from the native one.
 
     Returns (a, b, exotic, native). Scan order is deterministic so reports
-    are reproducible.
+    are reproducible. A pair whose sum is refused at a resource ceiling is
+    skipped, and None, which claims the sums agree on the whole scan, may
+    not rest on more skipped pairs than checked ones: then the last
+    refusal is raised, naming its ceiling.
     """
-    for radius in range(1, limit + 1):
-        ring = []
-        for a in range(-radius, radius + 1):
-            for b in range(-radius, radius + 1):
-                if max(abs(a), abs(b)) == radius and a != 0 and b != 0:
-                    ring.append((a, b))
-        for a, b in sorted(ring):
-            try:
-                got = exotic_add_q(a, b, corr=corr)
-            except ResourceLimitError:
-                continue
-            if got != a + b:
-                return a, b, got, Fraction(a + b)
+    span = range(-limit, limit + 1)
+    checked = skipped = 0
+    for a, b in sorted(((a, b) for a in span for b in span if a and b),
+                       key=lambda ab: (max(map(abs, ab)), ab)):
+        try:
+            got = exotic_add_q(a, b, corr=corr)
+        except ResourceLimitError as err:
+            refusal = err
+            skipped += 1
+            continue
+        if got != a + b:
+            return a, b, got, Fraction(a + b)
+        checked += 1
+    if skipped > checked:
+        raise refusal
     return None
 
 

@@ -2,13 +2,18 @@
 
 Every verifier returns a Report: a list of named checks, each carrying an
 optional witness for failures and a free-form detail string. Reports are
-JSON-friendly so the command line can emit them verbatim. add_sampled is
-the one place that rules on a check whose samples were partly skipped.
+JSON-friendly so the command line can emit them verbatim. The skip rule,
+that a verdict may not rest on fewer checked samples than skipped ones,
+lives here alone: Report.add_sampled rules on a check over a fixed list of
+samples, and redraw runs a check that redraws its refused samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+from .errors import ResourceLimitError
 
 
 @dataclass
@@ -67,3 +72,22 @@ class Report:
                 for c in self.checks
             ],
         }
+
+
+def redraw(draw: Callable[[], tuple], check: Callable[..., object], trials: int) -> int:
+    """Call check(*draw()) until trials samples are checked, and return how
+    many were skipped. A sample that check refuses with ResourceLimitError
+    is skipped and redrawn; the refusal that takes the skips past trials is
+    re-raised as it is, naming its ceiling."""
+    checked = skipped = 0
+    while checked < trials:
+        sample = draw()
+        try:
+            check(*sample)
+        except ResourceLimitError:
+            skipped += 1
+            if skipped > trials:
+                raise
+            continue
+        checked += 1
+    return skipped

@@ -4,7 +4,7 @@ An addition on a scalar group is recoverable from the single unary map
 rho(alpha) = 1 + alpha: for nonzero alpha the sum is
 alpha * rho(alpha^-1 * beta), and rho itself is pinned down by four axioms
 (identity, inverse, abelian, associative). This module hosts rho maps over
-both finite fields (fully tabulated) and Q (lazy function objects), the
+both finite fields and Q, each evaluated through one function, the
 round trip between rho and its addition, repeated addition, the
 characteristic map chi(n) = sgn(n) * rho^|n|(0) with its prime subfield,
 and the left-distributivity criterion for an addition pulled back through
@@ -24,7 +24,7 @@ from .errors import DomainError, IntegrityError, ResourceLimitError
 from .finite import FiniteField, is_permutation, transport
 from .kernels import left_distrib_witness
 from .rationals import is_prime
-from .report import Report
+from .report import Report, redraw
 
 __all__ = [
     "Carrier",
@@ -98,29 +98,18 @@ def rational_carrier() -> Carrier:
 
 @dataclass(frozen=True)
 class RhoMap:
-    """rho together with its carrier; finite carriers carry a full table."""
+    """rho together with its carrier, evaluated through fn on every carrier."""
 
     carrier: Carrier
     fn: Callable[[Any], Any]
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.table is not None:
-            self.table.flags.writeable = False
 
     def __call__(self, alpha):
-        if self.table is not None:
-            return int(self.table[alpha])
         return self.fn(alpha)
 
 
 def rho_from_add(carrier: Carrier, add: Callable[[Any, Any], Any]) -> RhoMap:
-    """rho(alpha) = 1 + alpha, tabulated when the carrier is finite."""
-    fn = lambda alpha: add(carrier.one, alpha)
-    table = None
-    if carrier.is_finite:
-        table = np.array([add(carrier.one, x) for x in carrier.elements], dtype=np.int64)
-    return RhoMap(carrier, fn, table)
+    """rho(alpha) = 1 + alpha, evaluated lazily through add."""
+    return RhoMap(carrier, lambda alpha: add(carrier.one, alpha))
 
 
 def add_from_rho(r: RhoMap) -> Callable[[Any, Any], Any]:
@@ -135,19 +124,6 @@ def add_from_rho(r: RhoMap) -> Callable[[Any, Any], Any]:
     return add
 
 
-def _pairs_for(r: RhoMap, sampler, rng):
-    """Every pair of a finite carrier once; sampled pairs, without end, of
-    an infinite one."""
-    c = r.carrier
-    if c.is_finite:
-        for a in c.elements:
-            for b in c.elements:
-                yield a, b
-    else:
-        while True:
-            yield sampler(rng), sampler(rng)
-
-
 def verify_rho_axioms(
     r: RhoMap,
     *,
@@ -159,13 +135,14 @@ def verify_rho_axioms(
     formula, plus commutativity of the induced addition.
 
     Commutativity already follows from the four properties; it is checked
-    anyway as a cheap cross-validation of the derivation.
+    anyway as a cheap cross-validation of the derivation. Each check keeps
+    its first witness.
 
-    A finite carrier is checked on every pair. On an infinite one, a pair
-    that overruns a resource ceiling is skipped and redrawn until trials
-    pairs are checked. A verdict may not rest on fewer checked pairs than
-    skipped ones, so once the skips exceed trials the ResourceLimitError
-    is raised, naming its ceiling.
+    A finite carrier is checked on every pair, and its bijectivity on every
+    element. An infinite one is checked on trials sampled pairs through
+    report.redraw: a pair that overruns a resource ceiling is skipped and
+    redrawn, and once the skips exceed trials the ResourceLimitError is
+    raised, naming its ceiling.
     """
     c = r.carrier
     if not c.is_finite and sampler is None:
@@ -177,42 +154,41 @@ def verify_rho_axioms(
     rep.add("inverse_property", r(c.minus_one) == c.zero)
 
     add = add_from_rho(r)
-    bad3 = bad4 = bad_inv = bad_comm = None
-    checked = skips = 0
-    for a, b in _pairs_for(r, sampler, rng):
-        try:
-            if a != c.zero and r(c.inv(a)) != c.mul(c.inv(a), r(a)) and bad3 is None:
-                bad3 = a
-            if a != c.zero and b != c.zero and bad4 is None:
-                lhs = r(c.mul(a, r(b)))
-                rhs = c.mul(a, r(c.mul(b, r(c.inv(c.mul(a, b))))))
-                if lhs != rhs:
-                    bad4 = (a, b)
-            if r(c.neg(r(c.neg(a)))) != a and bad_inv is None:
-                bad_inv = a
-            if add(a, b) != add(b, a) and bad_comm is None:
-                bad_comm = (a, b)
-        except ResourceLimitError:
-            skips += 1
-            if skips > trials:
-                raise
-            continue
-        checked += 1
-        if checked == trials and not c.is_finite:
-            break
-    rep.add("abelian_property", bad3 is None, witness=bad3)
-    rep.add("associative_property", bad4 is None, witness=bad4)
-    rep.add("inverse_formula", bad_inv is None, witness=bad_inv)
+    bad: dict[str, Any] = {}
+
+    def check(a, b):
+        if a != c.zero and r(c.inv(a)) != c.mul(c.inv(a), r(a)):
+            bad.setdefault("abelian_property", a)
+        if a != c.zero and b != c.zero and "associative_property" not in bad:
+            lhs = r(c.mul(a, r(b)))
+            rhs = c.mul(a, r(c.mul(b, r(c.inv(c.mul(a, b))))))
+            if lhs != rhs:
+                bad["associative_property"] = (a, b)
+        if r(c.neg(r(c.neg(a)))) != a:
+            bad.setdefault("inverse_formula", a)
+        if add(a, b) != add(b, a):
+            bad.setdefault("induced_add_commutative", (a, b))
+
+    if c.is_finite:
+        for a in c.elements:
+            for b in c.elements:
+                check(a, b)
+        pairs, skipped = len(c.elements) ** 2, 0
+    else:
+        pairs = trials
+        skipped = redraw(lambda: (sampler(rng), sampler(rng)), check, trials)
+    for name in ("abelian_property", "associative_property", "inverse_formula"):
+        rep.add(name, name not in bad, witness=bad.get(name))
     rep.add(
         "induced_add_commutative",
-        bad_comm is None,
-        witness=bad_comm,
+        "induced_add_commutative" not in bad,
+        witness=bad.get("induced_add_commutative"),
         detail="follows from the four properties; cross-checked anyway",
     )
     if c.is_finite:
-        rep.add("bijective", is_permutation(r.table, len(c.elements)))
-    rep.counts["pairs"] = checked
-    rep.counts["skipped"] = skips
+        rep.add("bijective", is_permutation(np.array([r(x) for x in c.elements]), len(c.elements)))
+    rep.counts["pairs"] = pairs
+    rep.counts["skipped"] = skipped
     return rep
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfields import induced
-from nearfields.errors import ResourceLimitError
+from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.finite import make_field
 from nearfields.induced import (
     DEFAULT_SUM_NORM_CEILING,
@@ -219,6 +219,42 @@ def test_find_add_witness():
     assert a + b == native
     # deterministic scan: same call, same witness
     assert find_add_witness(20) == got
+    assert got == (-2, -1, -13, -3)
+    assert find_add_witness(1) is None
+
+
+def test_find_add_witness_refuses_rather_than_pass_on_skipped_pairs():
+    # On a correspondence of ceiling 4, the scan to radius 20 checks 36
+    # sums, all native, and skips 1,564, so None would claim agreement on a
+    # scan that was mostly not made. To radius 2 it checks 12 and skips 4.
+    corr = PrimeCorrespondence(max_norm=4)
+    with pytest.raises(ResourceLimitError) as err:
+        find_add_witness(20, corr=corr)
+    assert err.value.ceiling == 4
+    assert find_add_witness(2, corr=corr) is None
+
+
+@pytest.mark.parametrize("refused, ok", [(8, True), (10, False)])
+def test_find_add_witness_skip_rule_boundary(monkeypatch, refused, ok):
+    # The 16 pairs up to radius 2 with the native sum, the first `refused`
+    # of them refused: None stands on 8 checked and 8 skipped, not on 6
+    # and 10. (Skipped minus checked is even, as the pair count is.)
+    seen = []
+
+    def scripted(a, b, corr=None):
+        seen.append((a, b))
+        if len(seen) <= refused:
+            raise ResourceLimitError("scripted refusal", ceiling=len(seen))
+        return Fraction(a + b)
+
+    monkeypatch.setattr(induced, "exotic_add_q", scripted)
+    if ok:
+        assert find_add_witness(2) is None
+    else:
+        with pytest.raises(ResourceLimitError) as err:
+            find_add_witness(2)
+        assert err.value.ceiling == refused
+    assert len(seen) == 16
 
 
 def _rational_sampler(height):
@@ -281,8 +317,35 @@ def test_ringisom_identity_all_false():
     names = {c.name: c for c in rep.checks}
     for key in ("full_isomorphism", "multiplicative_and_induced_add", "additive_and_induced_mul"):
         assert not names[key].ok
-        assert names[key].witness is not None
+        # the first pair drawn already fails, and each rendering keeps it
+        assert names[key].witness == (Fraction(9, 19), Fraction(31, 21))
     assert names["conditions_agree"].ok
+
+
+def test_ringisom_redraws_refused_pairs():
+    # At sum-norm ceiling 100, height-12 pairs of seed 0 are refused 10
+    # times on the way to 20 checked ones; each is redrawn and counted.
+    corr = default_correspondence()
+    src = StructureOps(
+        "Q exotic", add=lambda a, b: exotic_add_q(a, b, norm_ceiling=100), mul=lambda a, b: a * b
+    )
+    dst = StructureOps("quadratic field", add=lambda x, y: x + y, mul=lambda x, y: x * y)
+    rep = check_ringisom(
+        lambda q: sigma_apply(corr, q),
+        lambda x: sigma_invert(corr, x),
+        src,
+        dst,
+        _rational_sampler(12),
+        20,
+        rng=np.random.default_rng(0),
+    )
+    assert rep.ok, rep.failures()
+    assert rep.counts == {"pairs": 20, "skipped": 10}
+    # no trial would check no pair, so it is refused, not passed
+    with pytest.raises(DomainError):
+        check_ringisom(
+            lambda q: q, lambda q: q, src, src, _rational_sampler(12), 0, rng=np.random.default_rng(0)
+        )
 
 
 def test_ringisom_frobenius_all_true():

@@ -141,7 +141,7 @@ def test_primes_between_matches_sympy_at_segment_edges():
     ranges = [(lo, hi) for lo in (0, 1, 2, 3, 1000, 1001, 10**6) for hi in (lo, lo + 1)]
     ranges += [(lo, lo + 100) for lo in (0, 1, 2, 7, 8)]
     ranges += [
-        (seg - 1000, seg + 1000),  # one segment whose middle is 2**21
+        (seg - 1000, seg + 1000),  # one segment whose middle is 2**22
         (p - 1 - seg, p + 1000),  # two segments, the second starting at p
         (p - seg, p + 1000),  # two segments, the first ending at p
         (1009**2 - 1, 1009**2 + 5000),  # a segment starting at 1009**2

@@ -61,24 +61,37 @@ def test_rho_fixed_points():
 
 def test_rho_mutation_fails_with_witness():
     F, r = _field_rho()
-    broken = r.table.copy()
-    broken.flags.writeable = True
+    broken = np.array([r(x) for x in range(9)])
     # swap two non-fixed-point values
     spots = [i for i in range(9) if i not in (F.zero, F.minus_one)][:2]
     broken[spots[0]], broken[spots[1]] = broken[spots[1]], broken[spots[0]]
-    bad = RhoMap(r.carrier, lambda x: int(broken[x]), broken)
+    bad = RhoMap(r.carrier, lambda x: int(broken[x]))
     rep = verify_rho_axioms(bad)
     assert not rep.ok
     assert any(c.witness is not None for c in rep.failures())
+    # each check keeps its first witness in pair order
+    assert [(c.name, c.witness) for c in rep.failures()] == [
+        ("abelian_property", 3),
+        ("associative_property", (1, 3)),
+        ("inverse_formula", 2),
+        ("induced_add_commutative", (1, 3)),
+    ]
+    # a rho that repeats a value is not a bijection
+    repeated = np.array([r(x) for x in range(9)])
+    repeated[1] = repeated[0]
+    rep = verify_rho_axioms(RhoMap(r.carrier, lambda x: int(repeated[x])))
+    assert [c.name for c in rep.failures()] == [
+        "associative_property", "inverse_formula", "bijective"
+    ]
 
 
 def test_add_rho_round_trips_finite():
     for a in (None, 5):
         F, r = _field_rho(a)
         add = add_from_rho(r)
-        # rho -> add -> rho is the identity on the table
+        # rho -> add -> rho is the identity on every element
         r2 = rho_from_add(r.carrier, add)
-        assert np.array_equal(r.table, r2.table)
+        assert [r(x) for x in range(9)] == [r2(x) for x in range(9)]
         # add -> rho -> add reproduces the table pointwise
         base = F.add if a is None else addition_from_exponent(F, a).table
         for x in range(9):
@@ -200,7 +213,7 @@ def test_char_map_validation_and_integrity():
     # a fake rho whose orbit of 0 returns to 0 after four steps
     fake = np.arange(9, dtype=np.int64)
     fake[0], fake[1], fake[4], fake[5] = 1, 4, 5, 0
-    bad = RhoMap(field_carrier(F), lambda x: int(fake[x]), fake)
+    bad = RhoMap(field_carrier(F), lambda x: int(fake[x]))
     with pytest.raises(IntegrityError):
         char_map(bad, 8)
 
@@ -322,7 +335,7 @@ def _logged_char_map(monkeypatch, r, bound, seed=0):
         return r.carrier.mul(a, b)
 
     monkeypatch.setattr(rho_module, "add_from_rho", lambda _: logged_add)
-    logged = RhoMap(dataclasses.replace(r.carrier, mul=logged_mul), r.fn, r.table)
+    logged = RhoMap(dataclasses.replace(r.carrier, mul=logged_mul), r.fn)
     return char_map(logged, bound, seed=seed), adds, muls
 
 
