@@ -73,7 +73,8 @@ def exotic_add_q(
     v_p(gamma) = min(v_p(alpha), v_p(beta)), leaves coprime integer
     cofactors x and y, whose images sum to S = sigma(x) + sigma(y) in Z[w].
     Since sigma is multiplicative, the sum is gamma * sigma^-1(S), and only
-    S is factored in Z[w]. The ceiling gate sees the norm of the whole image
+    S is factored in Z[w], and gamma * sigma^-1(S) is built as one Fraction
+    from their terms. The ceiling gate sees the norm of the whole image
     sum, N(sigma(gamma)) * N(S), in lowest terms, and builds it as a Fraction
     only when its unreduced terms pass the ceiling.
 
@@ -84,9 +85,9 @@ def exotic_add_q(
     corr = corr if corr is not None else default_correspondence()
     a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     b = beta if isinstance(beta, Fraction) else Fraction(beta)
-    if a == 0:
+    if not a:
         return b
-    if b == 0:
+    if not b:
         return a
     fa, fb = factor_rat(a), factor_rat(b)
     # gamma, the norm of its image and the cofactors x and y in one pass.
@@ -117,7 +118,9 @@ def exotic_add_q(
     if n_num > norm_ceiling or n_den > norm_ceiling:  # in lowest terms it may pass
         check_norm_ceiling(Fraction(n_num, n_den), norm_ceiling)
     r = sigma_invert(corr, QuadInt(sa, sb))
-    return r if g_num == g_den == 1 else Fraction(g_num, g_den) * r
+    if g_num == g_den == 1:
+        return r
+    return Fraction(g_num * r.numerator, g_den * r.denominator)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ PrimeCorrespondence.extend_to_norm. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
-The images of the rational primes up to rationals.TRIAL_CAP are memoized
-per correspondence as they are found (refusals are not, so a ceiling is
-asked again each time). sigma and sigma^-1 are mirror images: factor, map
-each prime, multiply back out, sigma through the one product loop of Z[w]
-(quadratic._product, on plain integers) and sigma^-1 through the one of Q
-(rationals._value).
+The images of the rational primes up to rationals.TRIAL_CAP, and the
+preimages of their canonical primes, are memoized per correspondence as
+they are found (refusals are not, so a ceiling is asked again each time).
+sigma and sigma^-1 are mirror images: factor, map each prime, multiply back
+out, sigma through the one product loop of Z[w] (quadratic._product, on
+plain integers) and sigma^-1 through the one of Q (rationals._value).
 
 Also here: finitely supported multiplicative endobijections of Q (prime
 permutation with sign and inversion twists), the five-way equivalence test
@@ -171,6 +171,7 @@ class PrimeCorrespondence:
         # second may run ahead of the first
         self._data = (memoryview(self._norm_buf[:0]), memoryview(self._rat_buf[:0]))
         self._images: dict[int, QuadInt] = {}  # p -> image, for primes p <= TRIAL_CAP
+        self._preimages: dict[QuadInt, int] = {}  # the reverse, for the same p
 
     @property
     def pair_count(self) -> int:
@@ -261,7 +262,13 @@ class PrimeCorrespondence:
         norm is stored at its rank is a canonical prime, and any other pi
         is not. Only a pi past the capacity is tested for primality, before
         growth, which refuses a norm past the ceiling.
+        A canonical prime found to pair with a p <= TRIAL_CAP is kept, like
+        image_of_prime's answers: the memo holds canonical primes only, so
+        any other pi misses it and is refused as before.
         """
+        p = self._preimages.get(pi)
+        if p is not None:
+            return p
         n = pi.norm()
         if n > self._capacity:
             if not is_canonical_prime(pi):
@@ -274,7 +281,10 @@ class PrimeCorrespondence:
         i = bisect_left(norms, n) + _place_in_norm(pi)
         if i >= len(norms) or norms[i] != n:
             raise DomainError(f"{pi!r} is not a canonical prime")
-        return rat[i]
+        p = rat[i]
+        if p <= TRIAL_CAP:
+            self._preimages[pi] = p
+        return p
 
 
 _default = PrimeCorrespondence()

@@ -65,6 +65,8 @@ DISCRIMINANT = -19
 W_NORM = (1 - DISCRIMINANT) // 4
 RAMIFIED = -DISCRIMINANT
 
+_HASH_STEP = 0x9E3779B9  # QuadInt's hash step: odd, about 2**32 / golden ratio
+
 
 def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """(a + b*w)(c + d*w) as a pair: the ring's product."""
@@ -177,8 +179,10 @@ class QuadInt:
         return self._a == other._a and self._b == other._b
 
     def __hash__(self):
-        # equal values hash alike: a rational one as its int
-        return hash(self._a) if self._b == 0 else hash((self._a, self._b))
+        # Equal values hash alike, a rational one as its int. The step is odd
+        # and not a power of two: int hashes reduce mod 2**61 - 1, where
+        # 2**64 = 8, so a + (b << 64) would hash (8, 0) like (0, 1).
+        return hash(self._a + self._b * _HASH_STEP)
 
     def __repr__(self):
         return f"QuadInt({self._a}, {self._b})"
@@ -398,8 +402,12 @@ def _split_pair(p: int) -> tuple[QuadInt, QuadInt]:
 def _place_in_norm(x: QuadInt) -> int:
     """Where the canonical prime x comes among the canonical primes of its
     norm: 1 for the second of a split pair, else 0. The pair is (a, b) and
-    (-a - b, b), and the one with the larger a, 2a + b > 0, comes second."""
-    return int(x.b > 0 and 2 * x.a + x.b > 0)
+    (-a - b, b), and the one with the larger a, 2a + b > 0, comes second.
+    This holds for every D in {-7, -11, -19, -43, -67, -163}: conj(w) is
+    1 - w for any w = (1 + sqrt(D))/2, so the canonical conjugate of (a, b)
+    is (-a - b, b)."""
+    b = x._b
+    return int(b > 0 and 2 * x._a + b > 0)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -444,7 +452,8 @@ def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def _in_canonical_form(x: QuadInt) -> bool:
     """Whether x is the representative of {x, -x} with b > 0, or b == 0 and a > 0."""
-    return x.b > 0 or (x.b == 0 and x.a > 0)
+    b = x._b
+    return b > 0 or (b == 0 and x._a > 0)
 
 
 def is_canonical_prime(x: QuadInt) -> bool:
@@ -501,7 +510,9 @@ def _add_rational(n: int, sign: int, out: dict[QuadInt, int]) -> int:
     n >= 1 to out, and return the unit u with n = u * prod(pi**e).
 
     Straight from factor_int(n): a split p = -pi*pi', 19 = -pi19**2, and an
-    inert q is itself a canonical prime.
+    inert q is itself a canonical prime. The ramified rule holds for every
+    D in {-7, -11, -19, -43, -67, -163}: its prime pi = -1 + 2w squares to
+    D, so -D = -pi**2.
     """
     unit = 1
     for p, e in factor_int(n).exponents.items():
@@ -554,7 +565,7 @@ def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
     primitive part num / c; c and the denominator factor as rational
     integers, the primitive part by its norm. No division in Z[w] is tried.
     """
-    a, b, den = (x.a, x.b, 1) if isinstance(x, QuadInt) else (x.num.a, x.num.b, x.den)
+    a, b, den = (x._a, x._b, 1) if isinstance(x, QuadInt) else (x._num._a, x._num._b, x._den)
     if a == 0 and b == 0:
         raise DomainError("zero has no factorization")
     c = math.gcd(a, b)

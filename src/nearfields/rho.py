@@ -2,7 +2,7 @@
 
 An addition on a scalar group is recoverable from the single unary map
 rho(alpha) = 1 + alpha: for nonzero alpha the sum is
-alpha * rho(alpha^-1 * beta), and rho itself is pinned down by four axioms
+alpha * rho(beta / alpha), and rho itself is pinned down by four axioms
 (identity, inverse, abelian, associative). This module hosts rho maps over
 both finite fields and Q, each evaluated through one function, the
 round trip between rho and its addition, repeated addition, the
@@ -51,7 +51,8 @@ CHAR_MAP_MAX_BOUND = 100_000
 
 @dataclass(frozen=True)
 class Carrier:
-    """A scalar group: multiplication with 0, 1, -1, inverses, negation.
+    """A scalar group: multiplication with 0, 1, -1, inverses, quotients,
+    negation.
 
     Finite carriers list their elements (table indices); infinite ones set
     elements to None and rely on samplers supplied at check time.
@@ -63,6 +64,7 @@ class Carrier:
     minus_one: Any
     mul: Callable[[Any, Any], Any]
     inv: Callable[[Any], Any]
+    div: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     elements: tuple | None = None
 
@@ -79,6 +81,7 @@ def field_carrier(field: FiniteField) -> Carrier:
         minus_one=field.minus_one,
         mul=lambda a, b: int(field.mul[a, b]),
         inv=lambda a: int(field.inv[a]),
+        div=lambda a, b: int(field.mul[a, field.inv[b]]),
         neg=lambda a: int(field.neg[a]),
         elements=tuple(range(field.m)),
     )
@@ -90,9 +93,10 @@ def rational_carrier() -> Carrier:
         zero=Fraction(0),
         one=Fraction(1),
         minus_one=Fraction(-1),
-        mul=lambda a, b: a * b,
+        mul=operator.mul,
         inv=lambda a: 1 / a,
-        neg=lambda a: -a,
+        div=operator.truediv,
+        neg=operator.neg,
     )
 
 
@@ -113,13 +117,14 @@ def rho_from_add(carrier: Carrier, add: Callable[[Any, Any], Any]) -> RhoMap:
 
 
 def add_from_rho(r: RhoMap) -> Callable[[Any, Any], Any]:
-    """The addition alpha (+) beta = alpha * rho(alpha^-1 * beta)."""
+    """The addition alpha (+) beta = alpha * rho(beta / alpha), one quotient
+    and one product per sum."""
     c = r.carrier
 
     def add(alpha, beta):
         if alpha == c.zero:
             return beta
-        return c.mul(alpha, r(c.mul(c.inv(alpha), beta)))
+        return c.mul(alpha, r(c.div(beta, alpha)))
 
     return add
 

@@ -52,6 +52,27 @@ def test_exotic_add_commutes_and_distributes_spot():
             assert exotic_add_q(g * a, g * b) == g * s
 
 
+def test_gamma_scaled_sums_come_out_in_lowest_terms():
+    # gamma * sigma^-1(S) is built as one Fraction of the four terms, so it
+    # must reduce when the cofactor sum shares primes with gamma.
+    rng = np.random.default_rng(21)
+    pairs = [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)), (Fraction(1, 7), Fraction(-1, 2))]
+    pairs += [
+        (Fraction(int(rng.integers(-60, 61)) or 1, int(rng.integers(1, 40))),
+         Fraction(int(rng.integers(-60, 61)) or 1, int(rng.integers(1, 40))))
+        for _ in range(60)
+    ]
+    shared = 0
+    for g in (Fraction(6, 35), Fraction(35, 6), Fraction(-10, 21)):
+        for a, b in pairs:
+            s = exotic_add_q(a, b)
+            got = exotic_add_q(g * a, g * b)
+            assert got == g * s, (g, a, b)
+            assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+            shared += math.gcd(s.numerator, g.denominator) > 1 or math.gcd(s.denominator, g.numerator) > 1
+    assert shared >= 100, shared  # measured 137 of 189
+
+
 def test_exotic_add_matches_sigma_pipeline():
     corr = default_correspondence()
     rng = np.random.default_rng(12)

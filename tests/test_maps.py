@@ -319,6 +319,38 @@ def test_memoized_images_equal_a_fresh_correspondence(monkeypatch):
         assert fresh.preimage_of_prime(pi) == p
 
 
+def test_preimage_memo_answers_like_the_rank_lookup(monkeypatch):
+    corr = PrimeCorrespondence(max_norm=10**4)
+    corr.extend_to_norm(10**4)
+    pairs = corr.pairs()
+    lookups = []
+    real = maps._place_in_norm
+    monkeypatch.setattr(maps, "_place_in_norm", lambda pi: lookups.append(pi) or real(pi))
+    # every canonical prime of norm <= 10**4: a miss, then a hit
+    for p, pi in pairs:
+        assert corr.preimage_of_prime(pi) == p
+        assert corr.preimage_of_prime(QuadInt(pi.a, pi.b)) == p
+    assert lookups == [pi for _, pi in pairs]
+    assert corr._preimages == {pi: p for p, pi in pairs}
+    # a memoized prime's associates and conjugate are still refused
+    for p, pi in pairs:
+        wrong = [-pi] if pi.b == 0 else [-pi, pi.conj()]
+        for x in wrong:
+            with pytest.raises(DomainError):
+                corr.preimage_of_prime(x)
+    assert len(corr._preimages) == len(pairs)
+
+
+def test_preimage_memo_holds_only_primes_up_to_the_trial_cap():
+    corr = PrimeCorrespondence()
+    small, big = corr.image_of_prime(999_983), corr.image_of_prime(1_000_003)
+    assert 999_983 <= TRIAL_CAP < 1_000_003
+    for _ in range(2):
+        assert corr.preimage_of_prime(small) == 999_983
+        assert corr.preimage_of_prime(big) == 1_000_003
+    assert corr._preimages == {small: 999_983}
+
+
 def test_sigma_round_trips_random():
     corr = default_correspondence()
     rng = np.random.default_rng(17)
@@ -447,6 +479,7 @@ def test_concurrent_growth_matches_serial_build():
     assert len(found) == len(picks)
     for p, pi, p_back, pi_back in found:
         assert (p_back, pi_back) == (p, pi)
+    assert shared._preimages == {pi: p for p, pi in picks if p <= TRIAL_CAP}
     assert shared.pair_count == serial.pair_count
     assert shared.pairs() == pairs
 

@@ -258,6 +258,18 @@ def test_hash_agrees_with_equality():
     assert len({5, QuadInt(5, 0), QuadRat(QuadInt(5, 0)), Fraction(5)}) == 1
     assert len({Fraction(1, 2), QuadRat(QuadInt(1, 0), 2)}) == 1
     assert len({QuadRat(QuadInt(3, 1)), QuadInt(3, 1), QuadRat(QuadInt(3, 1), 2)}) == 2
+    # components past 2**64, and negative b
+    for a, b in ((2**64 + 3, -5), (-(2**70), 2**65 + 1), (7, -(2**64)), (2**64, 0), (-(2**80), 0)):
+        x, y = QuadInt(a, b), QuadInt(a, b)
+        assert x is not y and x == y and hash(x) == hash(y), (a, b)
+        assert QuadRat(x) == x and hash(QuadRat(x)) == hash(x)
+        if b == 0:
+            assert hash(x) == hash(a) and len({x, a}) == 1
+    # and unequal small values do not collide: a hash that reduced to
+    # a + 8b (the step 2**64, mod 2**61 - 1) would send (8, 0) to (0, 1).
+    # (-1, 0) is left out, since hash(-1) == hash(-2) for ints too.
+    small = [QuadInt(a, b) for a in range(-40, 41) for b in range(-40, 41)]
+    assert len({hash(x) for x in small if x != -1}) == len(small) - 1
 
 
 def test_quadrat_field_ops():

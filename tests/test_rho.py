@@ -110,6 +110,26 @@ def test_add_rho_round_trips_rational_exotic():
     assert add(Fraction(0), Fraction(7, 3)) == Fraction(7, 3)
 
 
+def test_carrier_quotient_matches_product_with_inverse():
+    for a in (None, 5):
+        F, r = _field_rho(a)
+        c = r.carrier
+        add = add_from_rho(r)
+        for x in c.elements:
+            for y in c.elements:
+                want = y if x == c.zero else c.mul(x, r(c.mul(c.inv(x), y)))
+                assert add(x, y) == want, (a, x, y)
+                if y != c.zero:
+                    assert c.div(x, y) == c.mul(x, c.inv(y)) == int(F.mul[x, F.inv[y]])
+    q = rational_carrier()
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        x = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40)))
+        y = Fraction(int(rng.integers(-60, 61)) or 1, int(rng.integers(1, 40)))
+        assert q.div(x, y) == q.mul(x, q.inv(y))
+        assert q.mul(x, y) == x * y and q.neg(x) == -x
+
+
 def _rho_with_sum_ceiling(ceiling):
     return rho_from_add(
         rational_carrier(), lambda a, b: exotic_add_q(a, b, norm_ceiling=ceiling)
