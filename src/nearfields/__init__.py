@@ -47,7 +47,6 @@ from .maps import (
     PrimeCorrespondence,
     QmcResult,
     QuasiMultSpec,
-    check_multiplicative,
     check_qmc_equivalence,
     default_correspondence,
     endo_q_apply,
@@ -60,7 +59,6 @@ from .maps import (
 )
 from .nvs import (
     ElementaryNVS,
-    addition_at,
     build_elementary,
     check_elementary_box1,
     verify_nvs_axioms,
@@ -89,10 +87,8 @@ from .rho import (
     RhoMap,
     add_from_rho,
     char_map,
-    check_bij_plus,
     field_carrier,
     rational_carrier,
-    repeated_add_check,
     rho_from_add,
     verify_rho_axioms,
 )
@@ -113,20 +109,18 @@ __all__ = [
     # multiplicative maps
     "DEFAULT_CORRESPONDENCE_CEILING", "PrimeCorrespondence", "default_correspondence",
     "sigma_apply", "sigma_invert", "EndoBijectionSpecQ", "endo_q_apply",
-    "check_multiplicative", "QmcResult", "check_qmc_equivalence",
+    "QmcResult", "check_qmc_equivalence",
     "QuasiMultSpec", "qm_compose", "qm_invert", "eval_epsilon", "epsilon_inverse_param",
     # the exotic addition on Q
     "DEFAULT_SUM_NORM_CEILING", "exotic_add_q", "StructureOps",
     "check_ringisom", "find_add_witness", "verify_exotic_field_axioms",
     # near-field addition maps
     "Carrier", "RhoMap", "field_carrier", "rational_carrier",
-    "rho_from_add", "add_from_rho", "verify_rho_axioms", "repeated_add_check",
-    "CharMapResult", "char_map", "check_bij_plus",
+    "rho_from_add", "add_from_rho", "verify_rho_axioms", "CharMapResult", "char_map",
     # finite fields and enumeration
     "FiniteField", "make_field", "AdditionTable", "native_addition",
     "addition_from_exponent", "verify_addition_table", "EnumerationResult",
     "enumerate_additions", "check_isomorphic_additions", "modnear_ring_check",
     # near-vector spaces
-    "ElementaryNVS", "build_elementary", "verify_nvs_axioms",
-    "addition_at", "check_elementary_box1",
+    "ElementaryNVS", "build_elementary", "verify_nvs_axioms", "check_elementary_box1",
 ]

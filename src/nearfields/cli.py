@@ -123,10 +123,7 @@ def _map_arg(field: FiniteField, spec: str) -> np.ndarray:
     if kind == "pow" and rest:
         return field.power_table(_num(int, rest))
     if kind == "scale" and rest:
-        c = _num(int, rest)
-        if not 0 <= c < field.m:
-            raise DomainError(f"scale index {c} outside the carrier")
-        return field.scale_table(c)
+        return field.scale_table(_num(int, rest))
     if kind == "table" and rest:
         t = np.array([_num(int, x) for x in rest.split(",")], dtype=np.int64)
         if len(t) != field.m:

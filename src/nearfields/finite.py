@@ -163,7 +163,9 @@ class FiniteField:
         return out
 
     def scale_table(self, c: int) -> np.ndarray:
-        """The map x -> c*x as an index array."""
+        """The map x -> c*x as an index array, for an index 0 <= c < m."""
+        if not 0 <= c < self.m:
+            raise DomainError(f"scale index {c} outside the carrier")
         return self.mul[c].copy()
 
     def exponent_units(self) -> list[int]:

@@ -62,7 +62,6 @@ __all__ = [
     "sigma_invert",
     "EndoBijectionSpecQ",
     "endo_q_apply",
-    "check_multiplicative",
     "QmcResult",
     "check_qmc_equivalence",
     "QuasiMultSpec",
@@ -358,17 +357,6 @@ def endo_q_apply(spec: EndoBijectionSpecQ, q: Rat | int) -> Rat:
     return _value((-1) ** flips * f.sign, exps, lambda p: spec.perm.get(p, p))
 
 
-def check_multiplicative(f, sampler, trials: int, *, rng) -> Report:
-    """Sampled check that f(a*b) = f(a)*f(b) and f(1) = 1."""
-    rep = Report("multiplicativity")
-    rep.add("fixes_one", f(1) == 1, witness=1)
-    pairs = ((sampler(rng), sampler(rng)) for _ in range(trials))
-    bad = next(((a, b) for a, b in pairs if f(a * b) != f(a) * f(b)), None)
-    rep.add("multiplicative_on_samples", bad is None, witness=bad)
-    rep.counts["trials"] = trials
-    return rep
-
-
 @dataclass
 class QmcResult:
     report: Report
@@ -439,8 +427,10 @@ class QuasiMultSpec:
         phi_mult = np.array(self.phi_mult, dtype=np.int64)  # the caller keeps its array
         if not is_mult_bijection(self.field_, phi_mult):
             raise DomainError("phi_mult is not a multiplicative bijection")
-        if self.lam == self.field_.zero:
-            raise DomainError("lambda must be invertible")
+        if not 0 < self.lam < self.field_.m:
+            raise DomainError(
+                f"lambda must index an invertible element (1..{self.field_.m - 1}), got {self.lam}"
+            )
         phi_mult.flags.writeable = False
         object.__setattr__(self, "phi_mult", phi_mult)
 

@@ -8,9 +8,8 @@ twists the scalar action. The derived operations are
     alpha (.) beta  = psi^-1(phi(alpha) * psi(beta))
 
 and every structural claim about them (abelian group, action laws,
-freeness, quasi-kernel generation, the one-parameter family of additions
-recovered from scalar multiples of 1) is checked exhaustively, never
-assumed. Only finite carriers live here.
+freeness, quasi-kernel generation, the addition at the vector 1) is
+checked exhaustively, never assumed. Only finite carriers live here.
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .finite import (
-    AdditionTable,
-    FiniteField,
-    is_mult_bijection,
-    is_permutation,
-    transport,
-    verify_addition_table,
-)
+from .finite import FiniteField, is_mult_bijection, is_permutation, transport
 from .kernels import assoc_witness, left_distrib_witness
 from .report import Report
 
@@ -35,7 +27,6 @@ __all__ = [
     "ElementaryNVS",
     "build_elementary",
     "verify_nvs_axioms",
-    "addition_at",
     "check_elementary_box1",
 ]
 
@@ -153,36 +144,12 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     return rep
 
 
-def _box_one(s: ElementaryNVS) -> np.ndarray:
-    """The table of the addition at the vector 1: pull (+) back through
-    K(alpha) = alpha (.) 1."""
-    return transport(s.box_add, s.box_smul[:, s.field.one])
-
-
-def addition_at(s: ElementaryNVS, gamma: int) -> AdditionTable:
-    """The addition the space induces at the vector gamma (.) 1:
-    alpha (+)_gamma beta = (alpha gamma (+)_1 beta gamma) gamma^-1.
-
-    That is (+)_1 pulled back through alpha -> alpha gamma. The table is
-    checked with the field-axiom suite; DomainError names the first law it
-    fails.
-    """
-    F = s.field
-    if gamma == F.zero:
-        raise DomainError("gamma must be nonzero")
-    t = AdditionTable(F, transport(_box_one(s), F.mul[:, gamma]), f"gamma={gamma}")
-    bad = verify_addition_table(t).first_failure()
-    if bad is not None:
-        raise DomainError(f"induced addition fails the near-field law {bad.name}")
-    return t
-
-
 def check_elementary_box1(s: ElementaryNVS) -> Report:
     """Compare the addition at 1 against the pullback of native addition
     through phi'(alpha) = phi(alpha) * psi(1), computed independently."""
     F = s.field
     rep = Report("addition at one vs quasi-multiplicative pullback")
-    t1 = _box_one(s)
+    t1 = transport(s.box_add, s.box_smul[:, F.one])  # (+) pulled back through alpha (.) 1
     phi_prime = F.mul[s.phi, s.psi[F.one]]
     rep.add("phi_prime_bijective", is_permutation(phi_prime, F.m))
     pulled = transport(F.add, phi_prime)

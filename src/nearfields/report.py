@@ -44,12 +44,6 @@ class Report:
         ceiling: it fails on a witness, or when it skipped more than it checked."""
         return self.add(name, witness is None and skipped <= checked, witness=witness)
 
-    def merge(self, other: "Report", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.ok, c.witness, c.detail))
-        for k, v in other.counts.items():
-            self.counts[k] = self.counts.get(k, 0) + v
-
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
 

@@ -5,10 +5,8 @@ rho(alpha) = 1 + alpha: for nonzero alpha the sum is
 alpha * rho(beta / alpha), and rho itself is pinned down by four axioms
 (identity, inverse, abelian, associative). This module hosts rho maps over
 both finite fields and Q, each evaluated through one function, the
-round trip between rho and its addition, repeated addition, the
-characteristic map chi(n) = sgn(n) * rho^|n|(0) with its prime subfield,
-and the left-distributivity criterion for an addition pulled back through
-a bijection of a finite field.
+round trip between rho and its addition, and the characteristic map
+chi(n) = sgn(n) * rho^|n|(0) with its prime subfield.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
-from .finite import FiniteField, is_permutation, transport
-from .kernels import left_distrib_witness
+from .finite import FiniteField, is_permutation
 from .rationals import is_prime
 from .report import Report, redraw
 
@@ -34,10 +31,8 @@ __all__ = [
     "rho_from_add",
     "add_from_rho",
     "verify_rho_axioms",
-    "repeated_add_check",
     "CharMapResult",
     "char_map",
-    "check_bij_plus",
 ]
 
 # char_map checks chi on every in-range pair when there are at most this
@@ -197,22 +192,6 @@ def verify_rho_axioms(
     return rep
 
 
-def repeated_add_check(r: RhoMap, alpha, n: int) -> tuple[bool, Any, Any]:
-    """Compare the n-fold sum of alpha with alpha * rho^n(0)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    c = r.carrier
-    add = add_from_rho(r)
-    acc = alpha
-    for _ in range(n - 1):
-        acc = add(acc, alpha)
-    power = c.zero
-    for _ in range(n):
-        power = r(power)
-    rhs = c.mul(alpha, power)
-    return acc == rhs, acc, rhs
-
-
 @dataclass
 class CharMapResult:
     characteristic: int
@@ -262,7 +241,8 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     Finite carriers additionally get the prime-subfield checks: the chi
     image is a commutative multiplicative subgroup distributing over the
     induced addition on both sides, and the field order is a power of the
-    characteristic.
+    characteristic. A finite carrier with no vanishing chi(n) raises
+    DomainError when the bound is below its size, IntegrityError otherwise.
     """
     if bound < 2:
         raise DomainError("bound must be at least 2")
@@ -313,6 +293,11 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
 
     if c.is_finite:
         if characteristic == 0:
+            if bound < len(c.elements):
+                raise DomainError(
+                    f"no chi(n) vanishes for n <= {bound}; the characteristic "
+                    f"of {c.name} may lie past the bound"
+                )
             raise IntegrityError("finite carrier with no characteristic in bound")
         p = characteristic
         core = [chi[n] for n in range(p)]
@@ -350,43 +335,3 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     rep.counts["bound"] = bound
     return CharMapResult(characteristic, table, subfield, evidence_bounded, rep)
 
-
-def check_bij_plus(field: FiniteField, sigma: np.ndarray) -> Report:
-    """Left-distributivity criterion for an addition pulled back through a
-    bijection sigma of a finite field.
-
-    Builds alpha (+) beta = sigma^-1(sigma(alpha) + sigma(beta)) and tests
-    whether multiplication distributes over it from the left, exhaustively.
-    When it does, the pullback is a near-field addition, and the follow-up
-    assertions run: sigma fixes 0 and commutes with negation, and on the
-    chi-image core sigma factors as a multiplicative map times sigma(1).
-    """
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if not is_permutation(sigma, field.m):
-        raise DomainError("sigma must be a bijection of the carrier")
-    add_sigma = transport(field.add, sigma)
-    rep = Report("pulled-back addition near-field criterion")
-    wit = left_distrib_witness(field.mul, add_sigma)
-    rep.add("left_distributive", wit is None, witness=wit)
-    rep.counts["triples"] = field.m**3
-    if wit is not None:
-        return rep
-
-    rep.add("fixes_zero", int(sigma[field.zero]) == field.zero)
-    rep.add(
-        "commutes_with_negation",
-        bool(np.array_equal(sigma[field.neg], field.neg[sigma])),
-    )
-    r = rho_from_add(field_carrier(field), lambda a, b: int(add_sigma[a, b]))
-    res = char_map(r, bound=field.p)
-    rep.merge(res.report, prefix="core_")
-    core = [x for x in res.prime_subfield if x != field.zero]
-    lam = int(sigma[field.one])
-    rep.add("sigma_one_invertible", lam != field.zero, witness=lam)
-    if lam != field.zero:
-        tilde = field.mul[sigma, field.inv[lam]]
-        mul = field.mul
-        pairs = ((a, b) for a in core for b in core)
-        bad = next(((a, b) for a, b in pairs if tilde[mul[a, b]] != mul[tilde[a], tilde[b]]), None)
-        rep.add("core_restriction_quasi_multiplicative", bad is None, witness=bad)
-    return rep

@@ -201,6 +201,25 @@ def test_char_map_refuses_a_bound_past_its_ceiling(capsys):
     assert err.startswith("error:") and "ceiling 100000" in err, err
 
 
+def test_char_map_bound_below_the_characteristic_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, ["char-map", "--carrier", "f25", "--bound", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "past the bound" in err, err
+    code, out, _ = _run(capsys, ["char-map", "--carrier", "f25", "--bound", "5", "--json"])
+    assert code == 0 and json.loads(out)["characteristic"] == 5
+
+
+def test_scale_index_outside_the_carrier_is_a_usage_error(capsys):
+    for c, argv in (
+        (99, ["nvs-verify", "--field", "f9", "--psi", "scale:99", "--phi", "id"]),
+        (9, ["qmc-check", "--field", "f9", "--map", "scale:9"]),
+        (-1, ["qmc-check", "--field", "f9", "--map", "scale:-1"]),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: scale index {c} outside the carrier\n", argv
+
+
 def test_norm_ceiling_gates_sigma_inv_and_factor_quad(capsys):
     # (8 + 2w)/5 has norm 100/25 = 4: admitted at ceiling 4, refused at 3.
     pinned = {

@@ -55,6 +55,14 @@ def test_power_table():
         f.power_table(0)
 
 
+def test_scale_table_refuses_an_index_outside_the_carrier():
+    f = make_field(3, 2)
+    assert np.array_equal(f.scale_table(4), f.mul[4])
+    for c in (-1, 9, 99):
+        with pytest.raises(DomainError, match=f"scale index {c} outside the carrier"):
+            f.scale_table(c)
+
+
 def test_addition_from_exponent_validation():
     f9 = make_field(3, 2)
     with pytest.raises(DomainError):

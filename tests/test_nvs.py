@@ -1,5 +1,5 @@
 """Tests for elementary near-vector spaces on F9: construction, the axiom
-verifier, the addition family, and the addition-at-one comparison."""
+verifier and the addition-at-one comparison."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import StructureOps, check_ringisom
 from nearfields.nvs import (
     _assemble,
-    addition_at,
     build_elementary,
     check_elementary_box1,
     verify_nvs_axioms,
@@ -51,8 +50,6 @@ def test_canonical_space_is_native(F):
     s = build_elementary(F, np.arange(9), np.arange(9))
     assert np.array_equal(s.box_add, F.add)
     assert np.array_equal(s.box_smul, F.mul)
-    for gamma in range(1, 9):
-        assert np.array_equal(addition_at(s, gamma).table, F.add)
 
 
 def test_frobenius_action_formula(F):
@@ -67,42 +64,6 @@ def test_power5_transport_gives_enumerated_addition(F):
     s = build_elementary(F, F.power_table(5), np.arange(9))
     t5 = addition_from_exponent(F, 5)
     assert np.array_equal(s.box_add, t5.table)
-
-
-def test_addition_at_family(F):
-    s = build_elementary(F, np.arange(9), F.power_table(3))
-    t1 = addition_at(s, F.one)
-    for gamma in range(1, 9):
-        t = addition_at(s, gamma)
-        assert t.provenance == f"gamma={gamma}"
-        assert np.array_equal(t.table[F.zero], np.arange(9))
-    assert np.array_equal(addition_at(s, F.one).table, t1.table)
-    with pytest.raises(DomainError):
-        addition_at(s, F.zero)
-
-
-def _criterion_8_configs(F):
-    ident = np.arange(9)
-    return {
-        "identity": (ident, ident),
-        "frobenius_action": (ident, F.power_table(3)),
-        "power5_transport": (F.power_table(5), ident),
-        "power5_frobenius": (F.power_table(5), F.power_table(3)),
-        "scaled_psi": (F.scale_table(4), ident),
-        "scaled_psi_power5": (F.power_table(5)[F.scale_table(7)], F.power_table(3)),
-    }
-
-
-def test_addition_at_matches_conjugation_formula(F):
-    # (alpha gamma (+)_1 beta gamma) gamma^-1, with (+)_1 pulled back by hand
-    for name, (psi, phi) in _criterion_8_configs(F).items():
-        s = build_elementary(F, psi, phi)
-        K = s.box_smul[:, F.one]
-        t1 = np.argsort(K)[s.box_add[np.ix_(K, K)]]
-        for gamma in range(1, 9):
-            g = F.mul[:, gamma]
-            expected = F.mul[t1[np.ix_(g, g)], F.inv[gamma]]
-            assert np.array_equal(addition_at(s, gamma).table, expected), (name, gamma)
 
 
 def test_caller_arrays_stay_writable(F):

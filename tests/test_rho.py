@@ -1,5 +1,5 @@
-"""Tests for the rho calculus: axioms, round trips, repeated addition, the
-characteristic map, and the pulled-back-addition criterion."""
+"""Tests for the rho calculus: axioms, round trips and the characteristic
+map."""
 
 from __future__ import annotations
 
@@ -21,10 +21,8 @@ from nearfields.rho import (
     RhoMap,
     add_from_rho,
     char_map,
-    check_bij_plus,
     field_carrier,
     rational_carrier,
-    repeated_add_check,
     rho_from_add,
     verify_rho_axioms,
 )
@@ -175,22 +173,6 @@ def test_rho_axioms_on_q_refuse_rather_than_pass_on_skipped_pairs():
     assert err.value.ceiling == 1
 
 
-def test_repeated_add():
-    F, r = _field_rho()
-    for alpha in range(9):
-        ok, lhs, rhs = repeated_add_check(r, alpha, 3)
-        assert ok and lhs == F.zero and rhs == F.zero
-        ok, lhs, _ = repeated_add_check(r, alpha, 1)
-        assert ok and lhs == alpha
-    rq = rho_from_add(rational_carrier(), exotic_add_q)
-    ok, lhs, rhs = repeated_add_check(rq, Fraction(1), 2)
-    assert ok and lhs == Fraction(2)
-    ok, lhs, rhs = repeated_add_check(rq, Fraction(3), 3)
-    assert ok, (lhs, rhs)
-    with pytest.raises(DomainError):
-        repeated_add_check(r, 1, 0)
-
-
 def test_char_map_f9():
     for a in (None, 5):
         F, r = _field_rho(a)
@@ -236,6 +218,15 @@ def test_char_map_validation_and_integrity():
     bad = RhoMap(field_carrier(F), lambda x: int(fake[x]))
     with pytest.raises(IntegrityError):
         char_map(bad, 8)
+    # no vanishing index: below the carrier's size the bound may be too
+    # small, at it the rho map is at fault
+    shift = np.roll(np.arange(9, dtype=np.int64), -1)
+    shift[8] = 1  # 0 -> 1 -> ... -> 8 -> 1 never returns to 0
+    never = RhoMap(field_carrier(F), lambda x: int(shift[x]))
+    with pytest.raises(DomainError, match="past the bound"):
+        char_map(never, 8)
+    with pytest.raises(IntegrityError, match="no characteristic"):
+        char_map(never, 9)
 
 
 def test_char_map_refuses_a_bound_past_its_ceiling_before_evaluating_rho():
@@ -395,40 +386,3 @@ def test_char_map_never_builds_every_pair():
         tracemalloc.stop()
     assert res.report.ok, res.report.failures()
     assert peak < 16 * 2**20, peak
-
-
-def test_bij_plus_scalings_and_power():
-    F = make_field(3, 2)
-    for lam in range(1, 9):
-        rep = check_bij_plus(F, F.mul[np.arange(9), lam])
-        assert rep.ok, (lam, rep.failures())
-    rep = check_bij_plus(F, F.power_table(5))
-    assert rep.ok, rep.failures()
-    # x^5 pullback is the a=5 enumerated table
-    t5 = addition_from_exponent(F, 5)
-    sigma = F.power_table(5)
-    add_sigma = np.argsort(sigma)[F.add[np.ix_(sigma, sigma)]]
-    assert np.array_equal(add_sigma, t5.table)
-
-
-def test_bij_plus_random_permutation_fails():
-    F = make_field(3, 2)
-    rng = np.random.default_rng(9)
-    fixed = (F.zero, F.one, F.minus_one)
-    hits = 0
-    for _ in range(8):
-        perm = np.arange(9)
-        rest = [i for i in range(9) if i not in fixed]
-        shuffled = rng.permutation(rest)
-        perm[rest] = shuffled
-        if np.array_equal(perm, np.arange(9)):
-            continue
-        rep = check_bij_plus(F, perm)
-        if not rep.ok:
-            hits += 1
-            bad = rep.first_failure()
-            assert bad.name == "left_distributive"
-            assert bad.witness is not None
-    assert hits >= 6
-    with pytest.raises(DomainError):
-        check_bij_plus(F, np.zeros(9, dtype=np.int64))
