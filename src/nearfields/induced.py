@@ -31,7 +31,7 @@ from .maps import (
     sigma_apply,
     sigma_invert,
 )
-from .quadratic import QuadInt, QuadRat, _norm, _product
+from .quadratic import QuadInt, QuadRat, _mul, _norm, _pow
 from .rationals import Rat, factor_rat
 from .report import Report, redraw
 
@@ -72,11 +72,13 @@ def exotic_add_q(
     Each operand is factored once. Their common factor gamma, with
     v_p(gamma) = min(v_p(alpha), v_p(beta)), leaves coprime integer
     cofactors x and y, whose images sum to S = sigma(x) + sigma(y) in Z[w].
-    Since sigma is multiplicative, the sum is gamma * sigma^-1(S), and only
-    S is factored in Z[w], and gamma * sigma^-1(S) is built as one Fraction
-    from their terms. The ceiling gate sees the norm of the whole image
-    sum, N(sigma(gamma)) * N(S), in lowest terms, and builds it as a Fraction
-    only when its unreduced terms pass the ceiling.
+    One loop over the operand primes images each prime once and multiplies
+    that image into N(sigma(gamma)) and into sigma(x) or sigma(y) on the
+    spot. Since sigma is multiplicative, the sum is gamma * sigma^-1(S), and
+    only S is factored in Z[w], and gamma * sigma^-1(S) is built as one
+    Fraction from their terms. The ceiling gate sees the norm of the whole
+    image sum, N(sigma(gamma)) * N(S), in lowest terms, and builds it as a
+    Fraction only when its unreduced terms pass the ceiling.
 
     Raises ResourceLimitError when the image sum is too large to factor
     (norm over norm_ceiling) or involves a prime outside the extendable
@@ -90,27 +92,30 @@ def exotic_add_q(
     if not b:
         return a
     fa, fb = factor_rat(a), factor_rat(b)
-    # gamma, the norm of its image and the cofactors x and y in one pass.
-    # Every operand prime is imaged before the zero test, so a sum to 0
-    # still refuses where sigma(alpha) or sigma(beta) would.
-    x: dict[int, int] = {}
-    y: dict[int, int] = {}
+    # gamma, the norm of its image and sigma(x), sigma(y) in one pass, one
+    # image per prime. Every operand prime is imaged before the zero test,
+    # so a sum to 0 still refuses where sigma(alpha) or sigma(beta) would.
     g_num = g_den = n_num = n_den = 1
-    for p in fa.exponents.keys() | fb.exponents.keys():
-        i, j = fa.exponents.get(p, 0), fb.exponents.get(p, 0)
+    xa, xb, ya, yb = fa.sign, 0, fb.sign, 0
+    ea, eb, image = fa.exponents, fb.exponents, corr.image_of_prime
+    for p in ea.keys() | eb.keys():
+        i, j = ea.get(p, 0), eb.get(p, 0)
+        pi = image(p)
+        c, d = pi._a, pi._b
         m = min(i, j)
         if m > 0:
             g_num *= p**m
-            n_num *= corr.image_of_prime(p).norm() ** m
+            n_num *= _norm(c, d) ** m
         elif m < 0:
             g_den *= p**-m
-            n_den *= corr.image_of_prime(p).norm() ** -m
-        if i > m:
-            x[p] = i - m
-        if j > m:
-            y[p] = j - m
-    xa, xb, _ = _product(fa.sign, x, corr.image_of_prime)
-    ya, yb, _ = _product(fb.sign, y, corr.image_of_prime)
+            n_den *= _norm(c, d) ** -m
+        if i != j:  # the operand with the larger exponent keeps p**|i - j|
+            if abs(i - j) > 1:
+                c, d = _pow(c, d, abs(i - j))
+            if i > j:
+                xa, xb = _mul(xa, xb, c, d)
+            else:
+                ya, yb = _mul(ya, yb, c, d)
     sa, sb = xa + ya, xb + yb
     if sa == 0 and sb == 0:
         return Fraction(0)

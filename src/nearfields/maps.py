@@ -18,8 +18,10 @@ The images of the rational primes up to rationals.TRIAL_CAP, and the
 preimages of their canonical primes, are memoized per correspondence as
 they are found (refusals are not, so a ceiling is asked again each time).
 sigma and sigma^-1 are mirror images: factor, map each prime, multiply back
-out, sigma through the one product loop of Z[w] (quadratic._product, on
-plain integers) and sigma^-1 through the one of Q (rationals._value).
+out, sigma through the product loop of Z[w] (quadratic._product, on plain
+integers) and sigma^-1 through the one of Q (rationals._value). The exotic
+sum in induced does not go through sigma_apply: it images each operand
+prime once, inline, and multiplies with the ring product itself.
 
 Also here: finitely supported multiplicative endobijections of Q (prime
 permutation with sign and inversion twists), the five-way equivalence test
@@ -52,7 +54,7 @@ from .quadratic import (
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import TRIAL_CAP, Rat, _primes_between, _value, factor_rat, is_prime
+from .rationals import _SEGMENT, TRIAL_CAP, Rat, _primes_between, _value, factor_rat, is_prime
 from .report import Report
 
 __all__ = [
@@ -201,11 +203,12 @@ class PrimeCorrespondence:
             if limit > sieved:
                 nr += _write_primes(sieved, limit, self._rat_buf[nr:])
                 sieved = limit
-            new = _canonical_norms(self._rat_buf[:nr], old, limit)
-            if nn + len(new) > len(self._norm_buf):
-                raise IntegrityError("norms past their proven buffer bound")
-            self._norm_buf[nn : nn + len(new)] = new
-            nn += len(new)
+            for lo in range(old, limit, _SEGMENT):  # one segment of norms at a time
+                new = _canonical_norms(self._rat_buf[:nr], lo, min(lo + _SEGMENT, limit))
+                if nn + len(new) > len(self._norm_buf):
+                    raise IntegrityError("norms past their proven buffer bound")
+                self._norm_buf[nn : nn + len(new)] = new
+                nn += len(new)
             if nr < nn:  # the nn-th prime is at most _nth_prime_bound(nn)
                 top = _nth_prime_bound(nn)
                 nr += _write_primes(sieved, top, self._rat_buf[nr:])

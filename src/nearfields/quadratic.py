@@ -19,10 +19,12 @@ alone. Over a split p of the norm only one of the two primes divides z, and
 reducing modulo p along Z[w]/pi = Z/p tells which. Rebuilding the primitive
 part from the primes found proves the factorization exact.
 
-A product of prime powers is multiplied out in one loop, _product, on plain
-integers; it takes a callable that turns each key into a prime. The rebuild
-check keys it by rational prime, rebuild_quad by canonical prime, and sigma
-in maps by rational prime imaged through the prime correspondence.
+The ring product is written once, in _mul and _pow, on plain integers. A
+product of prime powers held in a dict is multiplied out by _product, which
+takes a callable that turns each key into a prime: rebuild_quad keys it by
+canonical prime, and sigma in maps by rational prime imaged through the
+prime correspondence. The rebuild check, and the exotic sum in induced,
+hold no such dict: each multiplies a prime in where its loop finds it.
 
 Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
@@ -534,11 +536,11 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     N(z) is trial-divided by _norm_primes alone. Over a split p, pi divides
     z exactly when z maps to 0 under Z[w]/pi = Z/p, w -> -pi.a / pi.b, i.e.
     p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent.
-    The rebuilt product must equal z or -z, proving the factorization exact.
+    Each pi**e is multiplied into the rebuild as it is picked, and the
+    rebuild must equal z or -z, proving the factorization exact.
     """
-    exps = _exponents(_norm(a, b), _norm_primes())
-    over: dict[int, QuadInt] = {}  # p -> the prime over p that divides z
-    for p, e in exps.items():
+    ra, rb = 1, 0  # the rebuild, prime power by prime power
+    for p, e in _exponents(_norm(a, b), _norm_primes()).items():
         try:
             s = primes_above(p)
         except DomainError:
@@ -548,9 +550,11 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
         pi = s.primes[0]
         if s.kind == "split" and (a * pi._b - b * pi._a) % p:
             pi = s.primes[1]
-        over[p] = pi
         out[pi] = out.get(pi, 0) + e
-    ra, rb, _ = _product(1, exps, over.__getitem__)
+        c, d = pi._a, pi._b
+        if e > 1:
+            c, d = _pow(c, d, e)
+        ra, rb = _mul(ra, rb, c, d)
     if ra == a and rb == b:
         return 1
     if ra == -a and rb == -b:
@@ -573,8 +577,9 @@ def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
     unit = _add_primitive(a // c, b // c, exps)
     if c > 1:
         unit *= _add_rational(c, 1, exps)
-    if den > 1:
-        unit *= _add_rational(den, -1, exps)
+    if den == 1:  # only a denominator can cancel an exponent to zero
+        return KFactorization(unit, exps)
+    unit *= _add_rational(den, -1, exps)
     return KFactorization(unit, {pi: e for pi, e in exps.items() if e})
 
 

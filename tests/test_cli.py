@@ -17,6 +17,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_CASES = [
     (["exotic-add", "1", "1", "--json"], "exotic_add_1_1.json"),
+    (["exotic-add", "12/35", "18/25", "--json"], "exotic_add_12_35_18_25.json"),
     (["enumerate-additions", "--field", "f9", "--json"], "enumerate_f9.json"),
     (["sigma", "--json", "6/5"], "sigma_6_5.json"),
     (

@@ -84,6 +84,29 @@ def test_exotic_add_matches_sigma_pipeline():
         assert exotic_add_q(a, b) == want
 
 
+@pytest.mark.parametrize(
+    "a, b, calls",
+    [
+        # gamma = 4/9 and the cofactor 6 share the primes 2 and 3
+        (Fraction(4, 9), Fraction(8, 3), 2),
+        # gamma = 6/175, cofactors 10 and 21: every prime on both sides
+        (Fraction(12, 35), Fraction(18, 25), 4),
+    ],
+)
+def test_exotic_add_images_each_operand_prime_once(a, b, calls):
+    corr = PrimeCorrespondence()
+    asked = []
+    image = corr.image_of_prime
+
+    def counted(p):
+        asked.append(p)
+        return image(p)
+
+    corr.image_of_prime = counted
+    assert exotic_add_q(a, b, corr=corr) == exotic_add_q(a, b)
+    assert len(asked) == calls, asked
+
+
 def test_exotic_add_norm_ceiling():
     with pytest.raises(ResourceLimitError) as exc:
         exotic_add_q(Fraction(9973, 2), Fraction(9967, 3), norm_ceiling=10)

@@ -600,6 +600,15 @@ def test_growth_step_peak_stays_near_its_new_segment():
     assert corr._capacity == 2 * 10**6
 
 
+def test_big_growth_step_peak_stays_near_one_segment():
+    # Measured 6.1 MiB for 2.5*10**6 -> 5*10**7, written one 2**22-number
+    # segment of norms at a time; building the step's norms whole took 24.2.
+    corr = PrimeCorrespondence()
+    corr.extend_to_norm(2_500_000)
+    assert _traced_peak(corr.extend_to_norm, 5 * 10**7) < 8 * 2**20
+    assert corr.pair_count == 3_000_526
+
+
 def test_endo_bijection_examples():
     ident = EndoBijectionSpecQ()
     assert endo_q_apply(ident, Fraction(7, 3)) == Fraction(7, 3)

@@ -598,6 +598,29 @@ def test_factor_quad_refuses_a_factorization_it_cannot_rebuild(monkeypatch):
             factor_quad(x)
 
 
+@pytest.mark.parametrize(
+    "z",
+    [QuadInt(3, 2), QuadInt(-5, 1)],  # norm 5 * 7, e = 1; w**2, norm 5**2, e = 2
+)
+def test_factor_quad_rebuild_refuses_the_conjugate_primes(monkeypatch, z):
+    # The rebuild multiplied out inside the residue-test loop is the proof:
+    # a split table that offers only the prime over p not dividing z passes
+    # the residue test in both slots, so only the rebuild can refuse it.
+    real_above = quadratic.primes_above
+    held = factor_quad(z).exponents
+
+    def conjugate_only(p):
+        s = real_above(p)
+        if s.kind != "split":
+            return s
+        (wrong,) = (pi for pi in s.primes if pi not in held)
+        return quadratic.Splitting("split", (wrong, wrong))
+
+    monkeypatch.setattr(quadratic, "primes_above", conjugate_only)
+    with pytest.raises(IntegrityError, match="rebuild"):
+        factor_quad(z)
+
+
 def _prime_over_split(rng, lo, hi):
     """One of the two canonical primes over a seeded split prime in [lo, hi]."""
     while True:
