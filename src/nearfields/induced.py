@@ -102,20 +102,22 @@ def exotic_add_q(
         i, j = ea.get(p, 0), eb.get(p, 0)
         pi = image(p)
         c, d = pi._a, pi._b
-        m = min(i, j)
+        k = i - j  # gamma keeps p**min(i, j); x keeps p**k if k > 0, y p**-k if k < 0
+        m = j if k > 0 else i
         if m > 0:
             g_num *= p**m
             n_num *= _norm(c, d) ** m
         elif m < 0:
             g_den *= p**-m
             n_den *= _norm(c, d) ** -m
-        if i != j:  # the operand with the larger exponent keeps p**|i - j|
-            if abs(i - j) > 1:
-                c, d = _pow(c, d, abs(i - j))
-            if i > j:
-                xa, xb = _mul(xa, xb, c, d)
-            else:
-                ya, yb = _mul(ya, yb, c, d)
+        if k > 0:
+            if k > 1:
+                c, d = _pow(c, d, k)
+            xa, xb = _mul(xa, xb, c, d)
+        elif k < 0:
+            if k < -1:
+                c, d = _pow(c, d, -k)
+            ya, yb = _mul(ya, yb, c, d)
     sa, sb = xa + ya, xb + yb
     if sa == 0 and sb == 0:
         return Fraction(0)

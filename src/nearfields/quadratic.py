@@ -33,6 +33,12 @@ Canonical primes are ordered by (norm, a, b). The splitting law and that
 order are known here only: the prime correspondence in maps stores the
 canonical primes as a sorted array of norms built by _canonical_norms, and
 reads a prime back through _primes_of_norm and _place_in_norm.
+
+QuadInt and QuadRat take their integers through operator.index, so a float
+or a Fraction raises TypeError instead of being truncated. A factorization
+is a KFactorization, a plain slotted record validated on construction (unit
+the int 1 or -1, no zero exponent) and, like rationals.SignedFactorization,
+not frozen.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from operator import index
 from typing import Any, Callable
 
 import numpy as np
@@ -115,8 +122,9 @@ class QuadInt:
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: int, b: int):
-        self._a = int(a)
-        self._b = int(b)
+        # index, not int: a float or a Fraction is refused, not truncated
+        self._a = index(a)
+        self._b = index(b)
 
     @property
     def a(self) -> int:
@@ -220,9 +228,9 @@ class QuadRat:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: QuadInt | int, den: int = 1):
-        if isinstance(num, int):
+        if not isinstance(num, QuadInt):
             num = QuadInt(num, 0)
-        den = int(den)
+        den = index(den)
         if den == 0:
             raise DomainError("zero denominator")
         if den < 0:
@@ -488,18 +496,31 @@ def primes_above(p: int) -> Splitting:
     return Splitting(kind, _primes_of_norm(p * p if kind == "inert" else p))
 
 
-@dataclass(frozen=True)
 class KFactorization:
-    """unit * prod(pi**e) over canonical primes, nonzero exponents."""
+    """unit * prod(pi**e) over canonical primes, nonzero exponents.
 
-    unit: int
-    exponents: dict[QuadInt, int]
+    A plain slotted record like rationals.SignedFactorization: validated on
+    construction (unit the int 1 or -1, no zero exponent), not frozen, not
+    hashable, and equal only to a record of its own class with equal fields.
+    """
 
-    def __post_init__(self):
-        if self.unit not in (1, -1):
-            raise DomainError(f"unit must be +1 or -1, got {self.unit}")
-        if 0 in self.exponents.values():
+    __slots__ = ("unit", "exponents")
+
+    def __init__(self, unit: int, exponents: dict[QuadInt, int]):
+        if unit.__class__ is not int or (unit != 1 and unit != -1):
+            raise DomainError(f"unit must be +1 or -1, got {unit!r}")
+        if 0 in exponents.values():
             raise DomainError("zero exponents are not stored")
+        self.unit = unit
+        self.exponents = exponents
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.unit == other.unit and self.exponents == other.exponents
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(unit={self.unit!r}, exponents={self.exponents!r})"
 
     def to_json(self) -> dict:
         # canonical primes in their order: by norm, then (a, b)

@@ -3,7 +3,10 @@
 Rational values are carried by fractions.Fraction, which already maintains
 the lowest-terms, positive-denominator normal form everything here relies
 on. This module adds the multiplicative view of a nonzero rational: a sign
-together with a finite map from primes to nonzero integer exponents.
+together with a finite map from primes to nonzero integer exponents, held
+in SignedFactorization, a plain slotted record that is validated on
+construction (sign the int 1 or -1, no zero exponent) and not frozen, since
+a frozen record's per-field setattr is most of its build cost on the sum.
 
 Factoring is one loop, _exponents, behind both factor_int and factor_rat:
 trial division by a fixed table of the primes up to TRIAL_CAP = 1e6,
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterator
@@ -91,18 +93,33 @@ def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
     return Fraction(lead * num, den)
 
 
-@dataclass(frozen=True)
 class SignedFactorization:
-    """A nonzero rational as sign * prod(p**e) with nonzero exponents."""
+    """A nonzero rational as sign * prod(p**e) with nonzero exponents.
 
-    sign: int
-    exponents: dict[int, int] = field(default_factory=dict)
+    A plain slotted record, validated on construction: the sign is the int
+    1 or -1 and no exponent is zero. It is not frozen, and not hashable; it
+    equals only a record of its own class with equal fields.
+    """
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
-        if 0 in self.exponents.values():
+    __slots__ = ("sign", "exponents")
+
+    def __init__(self, sign: int, exponents: dict[int, int] | None = None):
+        if sign.__class__ is not int or (sign != 1 and sign != -1):
+            raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+        if exponents is None:
+            exponents = {}
+        elif 0 in exponents.values():
             raise DomainError("zero exponents are not stored")
+        self.sign = sign
+        self.exponents = exponents
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sign == other.sign and self.exponents == other.exponents
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(sign={self.sign!r}, exponents={self.exponents!r})"
 
     def value(self) -> Rat:
         return _value(self.sign, self.exponents, lambda p: p)
@@ -209,9 +226,13 @@ def _exponents(m: int, primes: tuple[int, ...] | None = None) -> dict[int, int]:
     for p in _trial_primes() if primes is None else primes:
         if p * p > m:
             break
-        while m % p == 0:
+        if m % p == 0:  # count p's multiplicity, then store it once
             m //= p
-            factors[p] = factors.get(p, 0) + 1
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = e
     else:
         if m > TRIAL_CAP * TRIAL_CAP:
             _factor_hard(m, factors)

@@ -27,6 +27,9 @@ GOLDEN_CASES = [
     (["qmc-check", "--field", "f9", "--map", "scale:4", "--json"], "qmc_scale4_f9.json"),
     (["verify-rho", "--carrier", "f9", "--addition", "a=5", "--json"], "verify_rho_f9_a5.json"),
     (["factor-quad", "7", "3", "--den", "10", "--json"], "factor_quad_7_3_den10.json"),
+    (["factor-int", "-360", "--json"], "factor_int_neg360.json"),
+    (["factor-rat", "--json", "--", "-9/4"], "factor_rat_neg9_4.json"),
+    (["sigma-inv", "8", "2", "--den", "5", "--json"], "sigma_inv_8_2_den5.json"),
     (
         ["endoq", "12/35", "--perm", "2:3,3:2", "--eta", "5:-1", "--nu", "7:-1", "--json"],
         "endoq_12_35_twists.json",

@@ -191,6 +191,20 @@ def test_exotic_add_matches_the_pullback_oracle(pair):
     assert got == want
 
 
+@pytest.mark.parametrize("side", [1, -1], ids=["numerator", "denominator"])
+@pytest.mark.parametrize("gap", range(-5, 6))
+def test_exotic_add_matches_the_oracle_at_each_exponent_gap(gap, side):
+    # One shared prime, 3, with exponents i and j = i - gap on the two
+    # operands, so either operand keeps up to 3**5; opposite signs and the
+    # cofactors 2 and 5 tell sigma(x) + sigma(y) from sigma(y) + sigma(x).
+    i, j = 1 + max(gap, 0), 1 + max(-gap, 0)
+    a = 2 * Fraction(3) ** (side * i)
+    b = -5 * Fraction(3) ** (side * j)
+    got, want = _both_paths(a, b, default_correspondence(), DEFAULT_SUM_NORM_CEILING)
+    assert isinstance(got, Fraction)
+    assert got == want
+
+
 # A correspondence small enough, and a sum-norm ceiling low enough, that
 # both refuse often. Its 33 pairs image every prime up to 137.
 _SMALL_MAX_NORM = 150

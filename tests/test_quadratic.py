@@ -18,7 +18,7 @@ from nearfields.quadratic import (
     primes_above,
     rebuild_quad,
 )
-from nearfields.rationals import primes_upto
+from nearfields.rationals import SignedFactorization, primes_upto
 
 W = QuadInt(0, 1)
 
@@ -109,6 +109,40 @@ def test_k_factorization_validates():
         KFactorization(1, {W: 0})
     with pytest.raises(DomainError):
         KFactorization(-1, {W: 2, QuadInt(-1, 1): 0, QuadInt(2, 0): -1})
+    for unit in (1.0, -1.0, Fraction(-1), True):
+        with pytest.raises(DomainError):
+            KFactorization(unit, {W: 1})
+
+
+def test_k_factorization_record_contract():
+    f = factor_quad(QuadInt(7, 3))
+    assert f == KFactorization(-1, {QuadInt(-3, 2): 1, QuadInt(-1, 1): 1})
+    assert f != KFactorization(1, {QuadInt(-3, 2): 1, QuadInt(-1, 1): 1})
+    assert f != (-1, {QuadInt(-3, 2): 1, QuadInt(-1, 1): 1})
+    with pytest.raises(TypeError):
+        hash(f)
+    assert repr(f) == "KFactorization(unit=-1, exponents={QuadInt(-1, 1): 1, QuadInt(-3, 2): 1})"
+    # equal fields, other class: the two records never compare equal
+    assert KFactorization(1, {}) != SignedFactorization(1, {})
+    assert SignedFactorization(1, {}) != KFactorization(1, {})
+
+
+def test_ring_elements_refuse_non_integral_inputs():
+    for a, b in ((1.5, 2.9), (Fraction(7, 2), 0), (0, 2.0), (3, Fraction(4, 1))):
+        with pytest.raises(TypeError):
+            QuadInt(a, b)
+    for den in (2.5, 2.0, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            QuadRat(QuadInt(3, 1), den)
+    for num in (2.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            QuadRat(num)
+    # Python and numpy ints still pass, as Python ints
+    x = QuadInt(np.int64(3), np.int32(-2))
+    assert x == QuadInt(3, -2) and type(x.a) is int and type(x.b) is int
+    assert QuadRat(QuadInt(3, 1), np.int64(2)) == QuadRat(QuadInt(3, 1), 2)
+    assert type(QuadRat(QuadInt(3, 1), np.int64(2)).den) is int
+    assert QuadRat(np.int64(3)) == QuadRat(3)
 
 
 def test_splitting_trichotomy_first_100_primes():

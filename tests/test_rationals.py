@@ -136,6 +136,24 @@ def test_signed_factorization_validates():
         SignedFactorization(1, {2: 0})
     with pytest.raises(DomainError):
         SignedFactorization(1, {2: 1, 3: 0})
+    # a sign that equals 1 or -1 but is not the int is refused on
+    # construction, not later by .value()
+    for sign in (1.0, -1.0, Fraction(1), True):
+        with pytest.raises(DomainError):
+            SignedFactorization(sign, {2: 1})
+
+
+def test_signed_factorization_record_contract():
+    f = SignedFactorization(-1, {2: -2, 3: 2})
+    assert f == SignedFactorization(-1, {3: 2, 2: -2})
+    assert f != SignedFactorization(1, {2: -2, 3: 2})
+    assert f != SignedFactorization(-1, {2: -2})
+    assert f != (-1, {2: -2, 3: 2})
+    with pytest.raises(TypeError):
+        hash(f)
+    assert repr(f) == "SignedFactorization(sign=-1, exponents={2: -2, 3: 2})"
+    assert SignedFactorization(1).exponents == {}
+    assert SignedFactorization(1) == factor_rat(1)
 
 
 def test_json_shape():
