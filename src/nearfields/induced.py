@@ -32,7 +32,7 @@ from .maps import (
     sigma_invert,
 )
 from .quadratic import QuadInt, QuadRat, _mul, _norm, _pow
-from .rationals import Rat, factor_rat
+from .rationals import Rat, _as_rat, factor_rat
 from .report import Report, redraw
 
 __all__ = [
@@ -85,8 +85,8 @@ def exotic_add_q(
     correspondence range; the exception carries the ceiling hit.
     """
     corr = corr if corr is not None else default_correspondence()
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    b = beta if isinstance(beta, Fraction) else Fraction(beta)
+    a = alpha if isinstance(alpha, Fraction) else _as_rat(alpha)
+    b = beta if isinstance(beta, Fraction) else _as_rat(beta)
     if not a:
         return b
     if not b:

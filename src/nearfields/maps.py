@@ -2,15 +2,21 @@
 
 The centerpiece is the prime correspondence: the k-th rational prime paired
 with the k-th canonical prime of Z[w] in (norm, a, b) order. One segmented
-sieve feeds both sides: quadratic turns the sieved rational primes into the
-sorted norms of the canonical primes, so the canonical side is just an array
-of norms, and quadratic recovers each prime from its norm and its place
+sieve feeds both sides. The canonical primes are two of norm p for each odd
+split prime p, merged with a short sorted list of other norms (19 and the
+inert squares), so two bitmaps over the odd numbers hold the whole pairing:
+one bit per odd number for "prime", one for "prime and splits", each with
+an int32 count per 512-slot block. A rank is a count plus one block's
+popcount, and the number of a rank is a bisection of the counts plus a
+descent in one block. quadratic packs the split bits from the prime bits,
+lists the other norms, and recovers each prime from its norm and its place
 within that norm when asked for; how Z[w] splits a rational prime is known
-there only. Both sides live in int32 buffers allocated once, at a proven
-bound on their counts, and filled in place; lookups bisect the filled
-prefixes. Growth, its doubling rule, its top-up of the rational side and
-the refusal at the norm ceiling all live in
-PrimeCorrespondence.extend_to_norm. Extending the
+there only. The bitmaps and counts are allocated once, at a proven bound
+on what is sieved, and filled in place. Growth, its doubling rule, its
+top-up of the rational side and the refusal at the norm ceiling all live
+in PrimeCorrespondence.extend_to_norm. The correspondence takes its
+integers through operator.index (a lookup only after a memo miss), so a
+float raises TypeError, and refuses a ceiling below 2. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
@@ -35,9 +41,11 @@ import cmath
 import math
 import mmap
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,15 +54,16 @@ from .finite import FiniteField, is_mult_bijection, is_permutation
 from .quadratic import (
     QuadInt,
     QuadRat,
-    _canonical_norms,
+    _extra_norms,
     _in_canonical_form,
     _place_in_norm,
     _primes_of_norm,
     _product,
+    _split_bits,
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import _SEGMENT, TRIAL_CAP, Rat, _primes_between, _value, factor_rat, is_prime
+from .rationals import TRIAL_CAP, Rat, _as_rat, _prime_masks, _value, factor_rat, is_prime
 from .report import Report
 
 __all__ = [
@@ -78,6 +87,14 @@ DEFAULT_CORRESPONDENCE_CEILING = 50_000_000
 
 _INT32_MAX = 2**31 - 1
 
+_BLOCK = 512  # bitmap slots per counted block
+_BLOCK_BYTES = _BLOCK // 8
+# The descent through a block to one byte: at each width, the mask of the
+# low half; then the place of each set bit of that byte, by rank.
+_HALVES = tuple((w, (1 << w) - 1) for w in (256, 128, 64, 32, 16, 8))
+_BYTE_SELECT = tuple(tuple(k for k in range(8) if i >> k & 1) for i in range(256))
+_BYTE_BITS = np.array([len(places) for places in _BYTE_SELECT], dtype=np.uint8)  # set bits per byte
+
 
 def _nth_prime_bound(n: float) -> int:
     """At least p_n, the n-th prime: p_n < n (ln n + ln ln n) for n >= 6
@@ -90,19 +107,20 @@ def _nth_prime_bound(n: float) -> int:
 
 
 def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
-    """Bounds on a correspondence with this ceiling: how many norms and how
-    many rational primes it ever stores, and the largest value it stores.
+    """Sizes for a correspondence with this ceiling: the bytes of each
+    bitmap, the int32 counts kept with it, and a bound on every number it
+    sieves.
 
     With x = max_norm, P(y) = 1.25506 y / ln y > pi(y) for y > 1 (Rosser
     and Schoenfeld, (3.6)) and p^ = _nth_prime_bound:
     - The canonical primes of norm <= x are two per split p <= x, one over
       19 and one per inert q <= sqrt(x): fewer than
-      N = 2 P(x) + P(sqrt(x)) + 1 norms, each at most x.
-    - The rational side holds exactly the primes <= sieved, which growth
-      raises to a limit <= x, or to p^(n) for the n < N norms held. As p^
-      rises on either side of 39,017, sieved, and every stored prime, stays
-      at most Y = max(x, p^(N), p^(min(N, 39,016))), and the rational side
-      holds fewer than P(Y) primes.
+      N = 2 P(x) + P(sqrt(x)) + 1 of them.
+    - Growth sieves to a limit <= x, or to p^(n) for the n < N pairs held.
+      As p^ rises on either side of 39,017, every number sieved stays
+      below top = max(x, p^(N), p^(min(N, 39,016))) + 1, and each bitmap
+      holds one bit per odd number below top, in whole blocks, with one
+      count before each block and one after the last.
     """
 
     def bound(y: float) -> float:  # P(y)
@@ -110,52 +128,134 @@ def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
 
     x = max(max_norm, 2)
     n = max(2 * bound(x) + bound(math.sqrt(x)) + 1, 6)
-    y = max(x, _nth_prime_bound(n), _nth_prime_bound(min(n, 39_016)))
-    return int(n) + 1, int(bound(y)) + 1, y + 1
+    top = max(x, _nth_prime_bound(n), _nth_prime_bound(min(n, 39_016))) + 1
+    blocks = -(-((top + 1) // 2) // _BLOCK)
+    return blocks * _BLOCK // 8, blocks + 1, top
 
 
-def _lazy_int32(count: int) -> np.ndarray:
-    """A zeroed int32 buffer in an anonymous mapping of its own, whose pages
-    cost memory only once written. (numpy asks for huge pages on large
-    arrays, so there the first write would fault in 2 MB at once.)"""
-    return np.frombuffer(mmap.mmap(-1, 4 * count), dtype=np.int32)
+def _lazy(count: int, dtype: type) -> np.ndarray:
+    """A zeroed buffer in an anonymous mapping of its own, whose pages cost
+    memory only once written. (numpy asks for huge pages on large arrays,
+    so there the first write would fault in 2 MB at once.)"""
+    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype)
 
 
-def _write_primes(lo: int, hi: int, out: np.ndarray) -> int:
-    """Write the primes p with lo < p <= hi, ascending, to the front of out,
-    and return how many; refuse rather than write past its end."""
-    k = 0
-    for found in _primes_between(lo, hi):
-        if k + len(found) > len(out):
-            raise IntegrityError("rational primes past their proven buffer bound")
-        out[k : k + len(found)] = found
-        k += len(found)
-    return k
+def _rank(bits: memoryview, counts: memoryview, k: int) -> int:
+    """How many of the slots 0 .. k - 1 are set: the count before k's
+    block, and the set bits of the block's bytes below k."""
+    b, r = divmod(k, _BLOCK)
+    if not r:
+        return counts[b]
+    start = b * _BLOCK_BYTES
+    x = int.from_bytes(bits[start : start + (r + 7) // 8], "little")
+    return counts[b] + (x & ((1 << r) - 1)).bit_count()
 
 
-def _canonical_at(norms: memoryview, i: int) -> QuadInt:
-    """The canonical prime of rank i, from its norm and its place among the
-    (at most two) primes of that norm."""
-    n = int(norms[i])
-    return _primes_of_norm(n)[int(i > 0 and norms[i - 1] == n)]
+def _select(bits: memoryview, counts: memoryview, s: int) -> int:
+    """The slot of the set bit of rank s (from 0): its block by bisecting
+    the counts, then its byte by halving the block's bits, then its place
+    in the byte from a table."""
+    b = bisect_right(counts, s) - 1
+    s -= counts[b]
+    start = b * _BLOCK_BYTES
+    x = int.from_bytes(bits[start : start + _BLOCK_BYTES], "little")
+    slot = b * _BLOCK
+    for width, low in _HALVES:
+        c = (x & low).bit_count()
+        if s < c:
+            x &= low
+        else:
+            s -= c
+            x >>= width
+            slot += width
+    return slot + _BYTE_SELECT[x & 0xFF][s]
+
+
+def _pack(bits: np.ndarray, counts: np.ndarray, start: int, end: int, new: np.ndarray) -> None:
+    """Write the slots start .. end - 1 of a bitmap, packed in new from the
+    byte that holds start, and the counts of the blocks this completes.
+    The bits below start in that byte are held ones and stay set, so a
+    reader of the published prefix never sees a bit drop. Refuses rather
+    than write past either buffer."""
+    byte = start // 8
+    if byte + len(new) > len(bits) or end // _BLOCK >= len(counts):
+        raise IntegrityError("bitmap past its proven buffer bound")
+    if len(new):
+        new[0] |= bits[byte]
+    bits[byte : byte + len(new)] = new
+    b0, b1 = start // _BLOCK, end // _BLOCK  # the blocks b0 .. b1 - 1 are now whole
+    if b1 > b0:
+        per = _BYTE_BITS[bits[b0 * _BLOCK_BYTES : b1 * _BLOCK_BYTES]].reshape(-1, _BLOCK_BYTES)
+        per = per.sum(axis=1, dtype=np.int64).cumsum()
+        per += int(counts[b0])
+        counts[b0 + 1 : b1 + 1] = per
+
+
+class _Held(NamedTuple):
+    """What a correspondence holds, published as one tuple. Each bitmap has
+    one bit per odd number, slot k for 2k + 1 (bit k % 8 of byte k // 8),
+    over the odd numbers up to sieved, with the count of set bits before
+    each of its 512-slot blocks; growth writes only past these prefixes."""
+
+    primes: memoryview  # bytes of the odd-prime bitmap
+    prime_counts: memoryview  # int32 counts
+    splits: memoryview  # bytes of the bitmap of the odd primes that split
+    split_counts: memoryview
+    extras: tuple[int, ...]  # quadratic._extra_norms(capacity)
+    extra_ranks: tuple[int, ...]  # the rank of each extra's canonical prime
+    sieved: int  # every number up to sieved is in the bitmaps
+    pair_count: int
+
+    @property
+    def prime_count(self) -> int:
+        """The rational primes held: 2 and the odd primes up to sieved."""
+        return (self.sieved >= 2) + _rank(self.primes, self.prime_counts, (self.sieved + 1) // 2)
+
+
+def _canonical_at(held: _Held, r: int) -> QuadInt:
+    """The canonical prime of rank r: the prime of the extra norm of that
+    rank, if there is one; else, with the j extras ranked below r skipped,
+    rank r - j among the split primes' canonical primes, two per split
+    prime in turn."""
+    j = bisect_right(held.extra_ranks, r)
+    if j and held.extra_ranks[j - 1] == r:
+        extras = held.extras
+        n = extras[j - 1]
+        return _primes_of_norm(n)[int(j > 1 and extras[j - 2] == n)]
+    s = r - j
+    n = 2 * _select(held.splits, held.split_counts, s >> 1) + 1
+    return _primes_of_norm(n)[s & 1]
 
 
 class PrimeCorrespondence:
     """The rank pairing between rational primes and canonical primes.
 
-    Holds two int32 buffers, each allocated once at a proven bound on its
-    count (see _buffer_sizes; pages never written cost no memory): the norms
-    of the canonical primes, sorted, one entry per prime, and the rational
-    primes in order; the k-th of each are paired. Grows lazily and
-    append-only: raising the norm ceiling sieves only the new segment of
-    integers and writes it after the held entries, and never reorders the
+    The canonical primes of norm up to the capacity, in (norm, a, b) order,
+    are two for each odd split prime p (of norm p), merged with a short
+    sorted list of the others (19, the inert squares; quadratic's
+    _extra_norms). So two bitmaps over the odd numbers hold both sides:
+    the primes, and the primes that split. Each keeps an int32 count per
+    512-slot block, so the rank of a number is a count and one block's
+    popcount, and the number of a rank is a bisection of the counts and a
+    descent in one block. image_of_prime takes p's rank among the primes
+    and selects that rank among the canonical primes; preimage_of_prime
+    counts the canonical primes before its own and selects that rank
+    among the primes.
+
+    The bitmaps and counts are allocated once, at a proven bound on what is
+    sieved (see _buffer_sizes; pages never written cost no memory). Growth
+    is append-only: raising the norm ceiling sieves only the new segment
+    of integers and packs it after the held bits, and never reorders the
     existing pairs, because canonical primes are ordered by norm first.
-    Lookups bisect memoryviews of the filled prefixes, which growth never
-    writes again; growth holds a lock; safe under threads.
+    Lookups read memoryviews of the filled prefixes, which growth never
+    changes; growth holds a lock; safe under threads.
     """
 
     def __init__(self, *, max_norm: int = DEFAULT_CORRESPONDENCE_CEILING):
-        norm_count, rat_count, top = _buffer_sizes(max_norm)
+        max_norm = index(max_norm)
+        if max_norm < 2:
+            raise DomainError(f"correspondence ceiling must be at least 2, got {max_norm}")
+        nbytes, ncounts, top = _buffer_sizes(max_norm)
         if top > _INT32_MAX:
             raise ResourceLimitError(
                 f"correspondence ceiling {max_norm} could store primes past the"
@@ -164,28 +264,71 @@ class PrimeCorrespondence:
             )
         self.max_norm = max_norm
         self._lock = threading.Lock()
-        self._capacity = 0  # every canonical prime of norm <= capacity is stored
-        self._sieved = 1  # every rational prime <= sieved is stored
-        self._norm_buf = _lazy_int32(norm_count)
-        self._rat_buf = _lazy_int32(rat_count)
-        # memoryviews of the filled prefixes (norms, rational primes); the
-        # second may run ahead of the first
-        self._data = (memoryview(self._norm_buf[:0]), memoryview(self._rat_buf[:0]))
+        self._capacity = 0  # every canonical prime of norm <= capacity is held
+        self._prime_buf = _lazy(nbytes, np.uint8)
+        self._prime_count_buf = _lazy(ncounts, np.int32)
+        self._split_buf = _lazy(nbytes, np.uint8)
+        self._split_count_buf = _lazy(ncounts, np.int32)
+        self._data = self._publish(1, 0, ())
         self._images: dict[int, QuadInt] = {}  # p -> image, for primes p <= TRIAL_CAP
         self._preimages: dict[QuadInt, int] = {}  # the reverse, for the same p
 
     @property
     def pair_count(self) -> int:
-        return len(self._data[0])
+        return self._data.pair_count
+
+    def _publish(self, sieved: int, capacity: int, extras: list[int] | tuple[int, ...]) -> _Held:
+        """The held state once the bitmaps are filled to sieved, for the
+        canonical primes of norm up to capacity, whose extra norms are
+        extras: the filled prefixes, each extra's rank, and the pair count."""
+        slots = (sieved + 1) // 2
+        primes = memoryview(self._prime_buf[: (slots + 7) // 8])
+        splits = memoryview(self._split_buf[: (slots + 7) // 8])
+        prime_counts = memoryview(self._prime_count_buf[: slots // _BLOCK + 1])
+        split_counts = memoryview(self._split_count_buf[: slots // _BLOCK + 1])
+        # an extra n comes after the two primes of each odd split prime below n
+        ranks = tuple(2 * _rank(splits, split_counts, n // 2) + i for i, n in enumerate(extras))
+        pairs = 2 * _rank(splits, split_counts, (capacity + 1) // 2) + len(extras)
+        return _Held(primes, prime_counts, splits, split_counts, tuple(extras), ranks, sieved, pairs)
+
+    def _sieve(self, lo: int, hi: int) -> None:
+        """Pack the primes in (lo, hi] and the split ones among them into
+        the bitmaps, one sieve segment at a time, after the held bits."""
+        for first, mask in _prime_masks(lo, hi):
+            start = first // 2  # the slot of first
+            end = start + len(mask)
+            if start % 8:  # pad to the byte that holds start
+                mask = np.concatenate((np.zeros(start % 8, dtype=bool), mask))
+            primes = np.packbits(mask, bitorder="little")
+            _pack(self._prime_buf, self._prime_count_buf, start, end, primes)
+            _pack(self._split_buf, self._split_count_buf, start, end, _split_bits(primes, start // 8))
+
+    def _pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rational primes and the canonical norms of the held pairs, in
+        rank order, as arrays read off the whole bitmaps at once."""
+        held = self._data
+        n = held.pair_count
+
+        def odd(bits: memoryview, count: int) -> np.ndarray:  # the first count set slots, as numbers
+            return 2 * np.flatnonzero(np.unpackbits(np.asarray(bits), bitorder="little"))[:count] + 1
+
+        rat = np.concatenate(([2], odd(held.primes, max(n - 1, 0))))[:n]
+        split = np.repeat(odd(held.splits, (n - len(held.extras)) // 2), 2)
+        return rat, np.insert(split, np.searchsorted(split, held.extras), held.extras)
 
     def pairs(self) -> list[tuple[int, QuadInt]]:
-        norms, rat = self._data
-        return [(rat[i], _canonical_at(norms, i)) for i in range(len(norms))]
+        rat, norms = self._pair_arrays()
+        out, prev = [], 0
+        for p, n in zip(rat.tolist(), norms.tolist()):
+            out.append((p, _primes_of_norm(n)[n == prev]))  # the second of its norm, if a repeat
+            prev = n
+        return out
 
     def extend_to_norm(self, limit: int) -> None:
         """Store every canonical prime of norm <= limit, growing to at least
         twice the capacity (and 10,000) at a time, never past the ceiling;
         refuse a limit past the ceiling. The only place that grows."""
+        limit = index(limit)
         if limit > self.max_norm:
             raise ResourceLimitError(
                 f"correspondence needs norms past its ceiling {self.max_norm}",
@@ -198,27 +341,21 @@ class PrimeCorrespondence:
             if limit <= old:
                 return
             limit = min(max(limit, 2 * old, 10_000), self.max_norm)
-            nn, nr = map(len, self._data)
-            sieved = self._sieved
+            sieved = self._data.sieved
             if limit > sieved:
-                nr += _write_primes(sieved, limit, self._rat_buf[nr:])
+                self._sieve(sieved, limit)
                 sieved = limit
-            for lo in range(old, limit, _SEGMENT):  # one segment of norms at a time
-                new = _canonical_norms(self._rat_buf[:nr], lo, min(lo + _SEGMENT, limit))
-                if nn + len(new) > len(self._norm_buf):
-                    raise IntegrityError("norms past their proven buffer bound")
-                self._norm_buf[nn : nn + len(new)] = new
-                nn += len(new)
-            if nr < nn:  # the nn-th prime is at most _nth_prime_bound(nn)
-                top = _nth_prime_bound(nn)
-                nr += _write_primes(sieved, top, self._rat_buf[nr:])
-                sieved = top
-                if nr < nn:
+            held = self._publish(sieved, limit, _extra_norms(limit))
+            n = held.pair_count
+            if held.prime_count < n:  # the n-th prime is at most _nth_prime_bound(n)
+                top = _nth_prime_bound(n)
+                self._sieve(sieved, top)
+                held = self._publish(top, limit, held.extras)
+                if held.prime_count < n:
                     raise IntegrityError("rational primes short of the pairs")
-            self._data = (memoryview(self._norm_buf[:nn]), memoryview(self._rat_buf[:nr]))
-            self._sieved = sieved
+            self._data = held
             # Published last: a reader that skips the lock on seeing the new
-            # capacity must also see the arrays that hold it.
+            # capacity must also see the bitmaps that hold it.
             self._capacity = limit
 
     def image_of_prime(self, p: int) -> QuadInt:
@@ -236,20 +373,23 @@ class PrimeCorrespondence:
         pi = self._images.get(p)
         if pi is not None:
             return pi
-        capacity = self._capacity  # read before the arrays, which are published first
-        norms, rat = self._data
-        r = bisect_left(rat, p)  # p's rank, if p is prime
-        if r == len(rat):  # past every sieved prime, a primality test decides
+        p = index(p)
+        capacity = self._capacity  # read before the bitmaps, which are published first
+        held = self._data
+        if p > held.sieved or held.sieved < 2:  # past the sieve, or none yet: a primality test decides
             if not is_prime(p):
                 raise DomainError(f"{p} is not a rational prime")
-        elif rat[r] != p:  # the sieved primes settle any p up to the last of them
+        elif p != 2 and (p < 3 or not p & 1 or not held.primes[p >> 4] >> (p >> 1 & 7) & 1):
             raise DomainError(f"{p} is not a rational prime")
-        while r >= len(norms):  # not paired yet: grow one step, or refuse
-            self.extend_to_norm(capacity + 1)
+        while True:  # p's rank among the primes, once sieved: 2 first, then the odd ones
+            if p <= held.sieved:
+                r = 0 if p == 2 else 1 + _rank(held.primes, held.prime_counts, p >> 1)
+                if r < held.pair_count:
+                    break
+            self.extend_to_norm(capacity + 1)  # not paired yet: grow one step, or refuse
             capacity = self._capacity
-            norms, rat = self._data
-            r = bisect_left(rat, p)
-        pi = _canonical_at(norms, r)
+            held = self._data
+        pi = _canonical_at(held, r)
         if p <= TRIAL_CAP:
             self._images[p] = pi
         return pi
@@ -257,13 +397,13 @@ class PrimeCorrespondence:
     def preimage_of_prime(self, pi: QuadInt) -> int:
         """The rational prime paired with a canonical prime pi.
 
-        Up to the capacity the stored norms settle validity on their own:
-        each is a prime, whose canonical elements are the (at most two)
-        canonical primes of that norm, or the square of an inert q, whose
-        only canonical element is q itself. So a canonical-form pi whose
-        norm is stored at its rank is a canonical prime, and any other pi
-        is not. Only a pi past the capacity is tested for primality, before
-        growth, which refuses a norm past the ceiling.
+        Up to the capacity the bitmaps and extras settle validity on their
+        own: a canonical-form pi whose norm is an odd split prime is one of
+        the two canonical primes of that norm, and one whose norm is an
+        extra norm must be that norm's prime at pi's place (the inert q has
+        norm q**2, and nothing else of that norm is canonical). Any other pi
+        is not a canonical prime. Only a pi past the capacity is tested for
+        primality, before growth, which refuses a norm past the ceiling.
         A canonical prime found to pair with a p <= TRIAL_CAP is kept, like
         image_of_prime's answers: the memo holds canonical primes only, so
         any other pi misses it and is refused as before.
@@ -278,12 +418,17 @@ class PrimeCorrespondence:
             self.extend_to_norm(n)
         elif not _in_canonical_form(pi):
             raise DomainError(f"{pi!r} is not a canonical prime")
-        # capacity is read before the arrays, which are published first
-        norms, rat = self._data
-        i = bisect_left(norms, n) + _place_in_norm(pi)
-        if i >= len(norms) or norms[i] != n:
-            raise DomainError(f"{pi!r} is not a canonical prime")
-        p = rat[i]
+        # read after the capacity, so it holds n
+        primes, prime_counts, splits, split_counts, extras, extra_ranks, _, _ = self._data
+        k = bisect_left(extras, n)
+        if n & 1 and splits[n >> 4] >> (n >> 1 & 7) & 1:  # two primes of norm n
+            r = 2 * _rank(splits, split_counts, n >> 1) + k + _place_in_norm(pi)
+        else:
+            k += _place_in_norm(pi)
+            if k >= len(extras) or extras[k] != n:
+                raise DomainError(f"{pi!r} is not a canonical prime")
+            r = extra_ranks[k]
+        p = 2 if r == 0 else 2 * _select(primes, prime_counts, r - 1) + 1
         if p <= TRIAL_CAP:
             self._preimages[pi] = p
         return p
@@ -303,8 +448,10 @@ def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
 
     Factor over Z, image each prime, multiply out in Z[w]; sigma_invert is
     the mirror image. The numerator a + b*w and the denominator are carried
-    as plain integers and become one QuadRat at the end.
+    as plain integers and become one QuadRat at the end. A float, 0.0
+    included, raises TypeError.
     """
+    q = q if isinstance(q, Fraction) else _as_rat(q)
     if q == 0:
         return QuadRat(QuadInt(0, 0))
     f = factor_rat(q)
@@ -351,7 +498,7 @@ def endo_q_apply(spec: EndoBijectionSpecQ, q: Rat | int) -> Rat:
     difference since signs commute with inversion; the convention above is
     fixed for definiteness.
     """
-    q = Fraction(q)
+    q = q if isinstance(q, Fraction) else _as_rat(q)
     if q == 0:
         return q
     f = factor_rat(q)

@@ -30,12 +30,15 @@ Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
 separately, so a split rational prime owns two distinct canonical primes.
 Canonical primes are ordered by (norm, a, b). The splitting law and that
-order are known here only: the prime correspondence in maps stores the
-canonical primes as a sorted array of norms built by _canonical_norms, and
-reads a prime back through _primes_of_norm and _place_in_norm.
+order are known here only: the prime correspondence in maps keeps a bitmap
+of the odd split primes, packed from its prime bitmap by _split_bits, and
+the few other norms from _extra_norms (19 and the inert squares), and
+reads a prime back from its norm through _primes_of_norm and
+_place_in_norm.
 
 QuadInt and QuadRat take their integers through operator.index, so a float
-or a Fraction raises TypeError instead of being truncated. A factorization
+or a Fraction raises TypeError instead of being truncated, and
+QuadRat.from_rat takes a numbers.Rational only. A factorization
 is a KFactorization, a plain slotted record validated on construction (unit
 the int 1 or -1, no zero exponent) and, like rationals.SignedFactorization,
 not frozen.
@@ -44,6 +47,7 @@ not frozen.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -53,7 +57,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import Rat, _exponents, _trial_primes, factor_int, is_prime
+from .rationals import _SEGMENT, Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime
 
 __all__ = [
     "QuadInt",
@@ -252,7 +256,7 @@ class QuadRat:
 
     @classmethod
     def from_rat(cls, q: Rat | int) -> "QuadRat":
-        q = Fraction(q)
+        q = q if isinstance(q, Fraction) else _as_rat(q)
         return cls(QuadInt(q.numerator, 0), q.denominator)
 
     def is_zero(self) -> bool:
@@ -435,29 +439,42 @@ def _primes_of_norm(n: int) -> tuple[QuadInt, ...]:
     return pair[:1] if n == RAMIFIED else pair
 
 
-def _canonical_norms(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The norms in (lo, hi] of the canonical primes, one entry per prime,
-    sorted; primes holds the rational primes in order, up to hi at least.
+@lru_cache(maxsize=1)
+def _split_byte_pattern() -> np.ndarray:
+    """Bytes of a bitmap over the odd numbers (slot k for 2k + 1, bit k % 8
+    of byte k // 8) with the bit of each number set whose residue mod
+    RAMIFIED lets a prime split. The byte pattern repeats every RAMIFIED
+    bytes (RAMIFIED is odd); it is held for one segment's bytes plus one
+    period, so any phase is a slice."""
+    slots = np.arange(8 * RAMIFIED)
+    period = np.packbits(np.isin((2 * slots + 1) % RAMIFIED, sorted(_SPLIT_RESIDUES)), bitorder="little")
+    return np.tile(period, _SEGMENT // 16 // RAMIFIED + 2)
 
-    A split p gives two canonical primes of norm p, 19 one of norm 19 and
-    an inert q one of norm q**2. The split primes, each twice, are already
-    in order, so the few others (none of them a prime norm) are merged in
-    rather than the whole array sorted.
-    """
-    splits = np.zeros(RAMIFIED, dtype=bool)  # splits[p % RAMIFIED]: the prime p splits
-    splits[sorted(_SPLIT_RESIDUES)] = True
-    # keys of the primes' dtype: any other makes searchsorted copy the array
-    keys = np.array([lo, hi, math.isqrt(lo), math.isqrt(hi)], dtype=primes.dtype)
-    i, j = np.searchsorted(primes, keys[:2], side="right")
-    p = primes[i:j]
-    i, j = np.searchsorted(primes, keys[2:], side="right")
-    q = primes[i:j]
-    q = q[~splits[q % RAMIFIED] & (q != RAMIFIED)]
-    norms = np.repeat(p[splits[p % RAMIFIED]], 2)
-    extra = q * q
-    if lo < RAMIFIED <= hi:
-        extra = np.insert(extra, np.searchsorted(extra, RAMIFIED), RAMIFIED)
-    return np.insert(norms, np.searchsorted(norms, extra), extra)
+
+def _split_bits(primes: np.ndarray, byte: int) -> np.ndarray:
+    """The split primes among the odd primes of a packed mask. primes holds
+    bytes byte, byte + 1, ... of a bitmap over the odd numbers (slot k for
+    2k + 1, bit k % 8 of byte k // 8), set for each prime, at most one
+    sieve segment's worth; the answer has the same layout, set for each
+    prime that splits. A slice of the residue pattern at the mask's phase,
+    so no per-segment pattern is built."""
+    phase = byte % RAMIFIED
+    return primes & _split_byte_pattern()[phase : phase + len(primes)]
+
+
+def _extra_norms(limit: int) -> list[int]:
+    """The norms up to limit of the canonical primes whose norm is no odd
+    split prime, ascending, one entry per prime: RAMIFIED, q**2 for each
+    inert q, and 2 twice where 2 splits. The correspondence merges them
+    into the split primes it reads off its bitmap. The inert q come from
+    the trial primes, so limit stays below TRIAL_CAP**2."""
+    primes = _trial_primes()
+    norms = [q * q for q in primes[: bisect_right(primes, math.isqrt(limit))] if _is_inert(q)]
+    if limit >= RAMIFIED:
+        insort(norms, RAMIFIED)
+    if limit >= 2 and 2 % RAMIFIED in _SPLIT_RESIDUES:
+        norms[:0] = (2, 2)
+    return norms
 
 
 def _in_canonical_form(x: QuadInt) -> bool:

@@ -15,18 +15,25 @@ sieved once on first use and never grown, which settles inputs up to about
 cofactor is at most cap**2, it is prime). Past that, a deterministic
 Miller-Rabin test and Brent's rho splitter take over, both exponential-time
 methods. is_prime bisects the same table up to TRIAL_CAP, Miller-Rabin above.
-Every list of primes, here and in maps, is read off the one sieve,
-prime_mask, by _primes_between, 2**22 numbers at a time. The sieve holds
-the odd numbers of its segment only, one byte each, and the read-off adds
-the one even prime.
+Every prime, here and in maps, comes off the one sieve, prime_mask, in
+segments of 2**22 numbers cut by _prime_masks: _primes_between reads them
+off as arrays of primes, adding the one even prime, and the prime
+correspondence in maps packs the masks into bitmaps. The sieve holds the
+odd numbers of its segment only, one byte each.
+
+The entry points take integers through operator.index and rationals as
+numbers.Rational, so a float raises TypeError rather than being factored
+as the binary fraction it holds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -137,7 +144,9 @@ def is_prime(n: int) -> bool:
     n <= TRIAL_CAP is looked up in the table of trial primes, larger n gets
     Miller-Rabin. Inputs with a prime factor up to 41 are settled at any
     size; any other input at or above the bound raises ResourceLimitError.
+    A float is refused with TypeError, not truncated.
     """
+    n = index(n)
     if n <= TRIAL_CAP:
         primes = _trial_primes()
         i = bisect_left(primes, n)
@@ -242,8 +251,21 @@ def _exponents(m: int, primes: tuple[int, ...] | None = None) -> dict[int, int]:
     return factors
 
 
+def _as_rat(q) -> Rat:
+    """q as a Fraction of Python ints, for any numbers.Rational (numpy ints
+    included). A float, whose binary expansion Fraction would take exactly,
+    raises TypeError. Callers take a Fraction as it is and reach this
+    otherwise."""
+    if isinstance(q, int):
+        return Fraction(q)
+    if not isinstance(q, numbers.Rational):
+        raise TypeError(f"expected a rational number, got {type(q).__name__} {q!r}")
+    return Fraction(index(q.numerator), index(q.denominator))
+
+
 def factor_int(n: int) -> SignedFactorization:
     """Factor a nonzero integer into a sign and prime exponents."""
+    n = index(n)  # a float is refused, not factored
     if n == 0:
         raise DomainError("zero has no factorization")
     return SignedFactorization(1 if n > 0 else -1, _exponents(abs(n)))
@@ -251,7 +273,7 @@ def factor_int(n: int) -> SignedFactorization:
 
 def factor_rat(q: Rat | int) -> SignedFactorization:
     """Factor a nonzero rational; denominator primes get negative exponents."""
-    q = q if isinstance(q, Fraction) else Fraction(q)
+    q = q if isinstance(q, Fraction) else _as_rat(q)
     num, den = q.numerator, q.denominator
     if num == 0:
         raise DomainError("zero has no factorization")
@@ -267,15 +289,22 @@ def primes_upto(n: int) -> list[int]:
     return [p for found in _primes_between(0, n) for p in found.tolist()]
 
 
+def _prime_masks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The sieve of the numbers in (lo, hi], one segment of at most _SEGMENT
+    numbers at a time, as (first, mask): mask[k] iff first + 2k is prime,
+    first the segment's first odd number. The prime 2 is not in any mask."""
+    for start in range(max(lo, 1) + 1, hi + 1, _SEGMENT):
+        yield start | 1, prime_mask(min(start + _SEGMENT - 1, hi), start)
+
+
 def _primes_between(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The primes p with lo < p <= hi, ascending, as one array for each
-    segment of at most _SEGMENT numbers: the one read-off of the sieve."""
-    for start in range(max(lo, 1) + 1, hi + 1, _SEGMENT):
-        stop = min(start + _SEGMENT - 1, hi)
-        found = np.flatnonzero(prime_mask(stop, start))
-        found *= 2  # slot k holds (start | 1) + 2k; in place, so no second array
-        found += start | 1
-        yield np.insert(found, 0, 2) if start == 2 else found
+    segment of _prime_masks: the one read-off of the sieve as numbers."""
+    for first, mask in _prime_masks(lo, hi):
+        found = np.flatnonzero(mask)
+        found *= 2  # slot k holds first + 2k; in place, so no second array
+        found += first
+        yield np.insert(found, 0, 2) if first == 3 and lo < 2 else found  # 2 heads the first segment
 
 
 def prime_mask(n: int, lo: int) -> np.ndarray:

@@ -43,6 +43,15 @@ def test_exotic_add_frozen_values():
     assert exotic_add_q(1, -1) == 0
 
 
+def test_exotic_add_refuses_float_operands():
+    # exotic_add_q(0.1, 1) was refused at the sum-norm ceiling with a
+    # 34-digit norm, having taken 0.1 as a binary fraction
+    for a, b in ((0.1, 1), (1, 0.5), (2.0, 1)):
+        with pytest.raises(TypeError):
+            exotic_add_q(a, b)
+    assert exotic_add_q(np.int64(1), np.int32(1)) == 2
+
+
 def test_exotic_add_commutes_and_distributes_spot():
     pairs = [(Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(5)), (Fraction(-4, 3), Fraction(7, 5))]
     for a, b in pairs:

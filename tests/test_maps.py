@@ -380,7 +380,7 @@ def test_correspondence_thread_safety():
 
 
 class _Recording(PrimeCorrespondence):
-    """Records each capacity as it is published, with the arrays then held."""
+    """Records each capacity as it is published, with the bitmaps then held."""
 
     def __setattr__(self, name, value):
         if name == "_capacity":
@@ -394,13 +394,18 @@ class _Recording(PrimeCorrespondence):
 
 def test_growth_publishes_capacity_after_the_arrays():
     # Readers skip the lock once the capacity covers what they need, so the
-    # arrays holding a new capacity must already be in place when it appears.
+    # bitmaps holding a new capacity must already be in place when it
+    # appears: filled past it, with its pairs counted.
     corr = _Recording()
     for limit in (10_000, 50_000, 10**6):
         corr.extend_to_norm(limit)
         capacity, data = corr.published[-1]
         assert capacity == corr._capacity >= limit
         assert data is corr._data
+        assert data.sieved >= capacity and data.extras[-1] <= capacity
+        fresh = PrimeCorrespondence()
+        fresh.extend_to_norm(capacity)
+        assert data.pair_count == fresh.pair_count
 
 
 def test_growth_steps():
@@ -499,22 +504,54 @@ def test_uneven_growth_matches_one_step():
 @pytest.mark.parametrize("ceiling", [10, 10**4, 2 * 10**6, DEFAULT_CORRESPONDENCE_CEILING])
 def test_buffers_hold_growth_to_the_ceiling(ceiling):
     # the bounds of _buffer_sizes hold on every step, through the top-ups
-    # of the rational side (at ceiling 10 there are 6 norms but 4 primes)
-    norm_count, rat_count, top = maps._buffer_sizes(ceiling)
+    # of the rational side (at ceiling 10 there are 6 pairs but 4 primes)
+    nbytes, ncounts, top = maps._buffer_sizes(ceiling)
     corr = PrimeCorrespondence(max_norm=ceiling)
+    bufs = (corr._prime_buf, corr._prime_count_buf, corr._split_buf, corr._split_count_buf)
+    assert [len(b) for b in bufs] == [nbytes, ncounts, nbytes, ncounts]
     while corr._capacity < ceiling:
         corr.extend_to_norm(corr._capacity + 1)
-        norms, rat = corr._data
-        assert len(rat) >= len(norms)
-        assert len(norms) <= len(corr._norm_buf) == norm_count
-        assert len(rat) <= len(corr._rat_buf) == rat_count
-        assert rat[-1] <= corr._sieved < top <= 2**31 - 1
+        held = corr._data
+        assert held.prime_count >= held.pair_count
+        assert len(held.primes) == len(held.splits) == (held.sieved + 15) // 16 <= nbytes
+        assert len(held.prime_counts) == len(held.split_counts) <= ncounts
+        assert corr._capacity <= held.sieved < top <= 2**31 - 1
     # the published views read the buffers themselves, not copies
-    assert corr._norm_buf.dtype == corr._rat_buf.dtype == np.int32
-    assert np.shares_memory(np.asarray(norms), corr._norm_buf)
-    assert np.shares_memory(np.asarray(rat), corr._rat_buf)
+    assert corr._prime_buf.dtype == corr._split_buf.dtype == np.uint8
+    assert corr._prime_count_buf.dtype == corr._split_count_buf.dtype == np.int32
+    for view, buf in zip(held[:4], bufs):
+        assert np.shares_memory(np.asarray(view), buf)
     if ceiling == DEFAULT_CORRESPONDENCE_CEILING:
         assert corr.pair_count == 3_000_526
+
+
+def test_correspondence_takes_integers_only():
+    # PrimeCorrespondence(max_norm=1.5e7) used to fail later, inside range();
+    # extend_to_norm(2.5) returned silently; image_of_prime(7.0) answered.
+    for bad in (1.5e7, 10_000.0, Fraction(10**4)):
+        with pytest.raises(TypeError):
+            PrimeCorrespondence(max_norm=bad)
+    for low in (1, 0, -5):
+        with pytest.raises(DomainError):
+            PrimeCorrespondence(max_norm=low)
+    corr = PrimeCorrespondence(max_norm=np.int64(10**4))
+    assert corr.max_norm == 10**4 and type(corr.max_norm) is int
+    for bad in (2.5, 10_000.0):
+        with pytest.raises(TypeError):
+            corr.extend_to_norm(bad)
+    assert corr._capacity == 0
+    with pytest.raises(TypeError):
+        corr.image_of_prime(7.0)
+    assert corr.image_of_prime(np.int64(7)) == QuadInt(-2, 1)
+    assert list(corr._images) == [7] and type(next(iter(corr._images))) is int
+    corr.extend_to_norm(np.int32(10**4))
+    assert corr._capacity == 10**4
+    for q in (0.5, 0.0):
+        with pytest.raises(TypeError):
+            sigma_apply(corr, q)
+    with pytest.raises(TypeError):
+        endo_q_apply(EndoBijectionSpecQ(), 0.5)
+    assert sigma_apply(corr, np.int64(6)) == sigma_apply(corr, 6)
 
 
 def test_ceilings_whose_primes_pass_int32_are_refused():
@@ -556,14 +593,17 @@ def test_growth_refuses_a_short_rational_side(monkeypatch):
     assert corr._capacity == corr.pair_count == 0
     monkeypatch.undo()
     corr.extend_to_norm(10)
-    assert (corr.pair_count, corr._sieved) == (6, maps._nth_prime_bound(6))
-    assert list(corr._data[1]) == [2, 3, 5, 7, 11, 13]
+    assert (corr.pair_count, corr._data.sieved) == (6, maps._nth_prime_bound(6))
+    assert corr._data.prime_count == 6
+    assert corr._pair_arrays()[0].tolist() == [2, 3, 5, 7, 11, 13]
 
 
 def test_growth_refuses_to_write_past_a_buffer():
-    for buf in ("_rat_buf", "_norm_buf"):
+    # 10**4 needs 5,000 slots: more than 100 bytes of bits (800 slots) or 3
+    # counts (1,536 slots) hold
+    for buf, size in (("_prime_buf", 100), ("_prime_count_buf", 3), ("_split_buf", 100), ("_split_count_buf", 3)):
         corr = PrimeCorrespondence(max_norm=10**4)
-        setattr(corr, buf, getattr(corr, buf)[:100])
+        setattr(corr, buf, getattr(corr, buf)[:size])
         with pytest.raises(IntegrityError):
             corr.extend_to_norm(10**4)
         assert corr._capacity == corr.pair_count == 0
@@ -583,7 +623,7 @@ def test_lookups_allocate_almost_nothing():
     # key does) would copy 149,003 primes, about 1.2 MB, on every call.
     corr = PrimeCorrespondence()
     corr.extend_to_norm(2 * 10**6)
-    rat = corr._data[1]
+    rat = corr._pair_arrays()[0].tolist()
     p, q = rat[corr.pair_count - 1], rat[corr.pair_count - 7]
     assert p > q > TRIAL_CAP  # past the memo, so the rank lookup runs
     pi = corr.image_of_prime(q)

@@ -5,6 +5,7 @@ and the prime correspondence so that a rewrite of any of them has an
 outside reference to agree with.
 """
 
+import hashlib
 import math
 import random
 from bisect import bisect_right
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import cornacchia
 
-from nearfields import quadratic, rationals
+from nearfields import maps, quadratic, rationals
 from nearfields.errors import IntegrityError, ResourceLimitError
 from nearfields.induced import DEFAULT_SUM_NORM_CEILING
 from nearfields.maps import (
@@ -175,35 +176,80 @@ def test_primes_between_adds_two_once():
         assert 2 not in np.concatenate(parts).tolist(), lo
 
 
-def test_canonical_norms_merge_matches_a_full_sort():
-    # _canonical_norms merges 19 and the inert squares into the split
-    # primes, which are in order already; the result must be what sorting
-    # everything gives, and what the splitting law lists, for cuts that
-    # fall on an inert square (2, 3 and 97 are inert) or on 19, and at random.
+def test_held_norms_match_the_splitting_law_at_every_cut():
+    # The canonical norms the bitmaps and extras give up to a limit are what
+    # the splitting law lists, whether grown to the limit at once or from a
+    # cut below it: cuts that fall on an inert square (2, 3 and 97 are
+    # inert) or on 19, and at random.
     top = 10**6
-    primes = np.array(list(sympy.sieve.primerange(top + 1)), dtype=np.int32)
-    kinds = np.array([sympy.kronecker_symbol(-19, int(p)) for p in primes])
+    primes = list(sympy.sieve.primerange(top + 1))
     law = sorted(
-        [int(p) for p in primes[kinds == 1] for _ in range(2)]
+        [p for p in primes if sympy.kronecker_symbol(-19, p) == 1 for _ in range(2)]
         + [19]
-        + [int(q) ** 2 for q in primes[kinds == -1] if int(q) ** 2 <= top]
+        + [q * q for q in primes if q * q <= top and sympy.kronecker_symbol(-19, q) == -1]
     )
-    splits = kinds == 1
-
-    def full_sort(lo, hi):  # the concatenation sorted, as before the merge
-        p = primes[(primes > lo) & (primes <= hi)]
-        q = primes[(primes > math.isqrt(lo)) & (primes <= math.isqrt(hi))]
-        q = q[~splits[np.searchsorted(primes, q)] & (q != 19)]
-        return np.sort(np.concatenate([np.repeat(p[splits[np.searchsorted(primes, p)]], 2), p[p == 19], q * q]))
-
     rng = random.Random(19)
     cuts = [(3, 4), (4, 5), (8, 9), (9, 10), (18, 19), (19, 20), (97**2 - 1, 97**2), (97**2, 10**4)]
-    cuts += [tuple(sorted(rng.randint(0, top) for _ in range(2))) for _ in range(50)]
+    cuts += [tuple(sorted(rng.randint(2, top) for _ in range(2))) for _ in range(50)]
     for lo, hi in cuts:
-        got = quadratic._canonical_norms(primes, lo, hi)
-        assert got.dtype == np.int32, (lo, hi)
-        assert np.array_equal(got, full_sort(lo, hi)), (lo, hi)
-        assert got.tolist() == law[bisect_right(law, lo) : bisect_right(law, hi)], (lo, hi)
+        whole = PrimeCorrespondence(max_norm=hi)
+        whole.extend_to_norm(hi)
+        stepped = PrimeCorrespondence(max_norm=hi)
+        stepped.extend_to_norm(lo)  # grows to min(max(lo, 10,000), hi)
+        stepped.extend_to_norm(hi)
+        want = law[: bisect_right(law, hi)]
+        assert whole._pair_arrays()[1].tolist() == want, (lo, hi)
+        assert stepped._pair_arrays()[1].tolist() == want, (lo, hi)
+        assert whole.pair_count == stepped.pair_count == len(want), (lo, hi)
+
+
+def _edges(limit):
+    """Numbers around the 512-slot block edges (1024m + 1) and the sieve
+    segment edges (2 + k * 2**22, for a step grown from nothing) below
+    limit, around 2, 19 and the first inert squares."""
+    xs = {2, 3, 4, 5, 9, 19, 20, 169, 529, 841}
+    for m in (1, 2, 3, 977, 4096, 4097, 8192):
+        xs.update(1024 * m + d for d in range(-5, 6))
+    for k in range(1, limit // rationals._SEGMENT + 1):
+        xs.update(2 + k * rationals._SEGMENT + d for d in range(-300, 301))
+    return sorted(x for x in xs if 2 <= x <= limit)
+
+
+def test_rank_and_select_match_primepi_and_prime_at_the_edges():
+    limit = 2 * rationals._SEGMENT + 10_000
+    corr = PrimeCorrespondence()
+    corr.extend_to_norm(limit)  # one step from nothing: segments start at 2 + k * 2**22
+    held = corr._data
+    xs = _edges(limit)
+    split_upto, count, i = {}, 0, 0  # odd split primes up to x, by Euler's criterion
+    for p in sympy.sieve.primerange(3, xs[-1] + 1):
+        while p > xs[i]:
+            split_upto[xs[i]] = count
+            i += 1
+        count += pow(p, 9, 19) == 1
+    split_upto.update((x, count) for x in xs[i:])
+    primes_seen = split_seen = 0
+    for x in xs:
+        pi_x = int(sympy.primepi(x))
+        assert 1 + maps._rank(held.primes, held.prime_counts, (x + 1) // 2) == pi_x, x
+        assert maps._rank(held.splits, held.split_counts, (x + 1) // 2) == split_upto[x], x
+        if x == 2 or not sympy.isprime(x):
+            continue
+        primes_seen += 1
+        assert 2 * maps._select(held.primes, held.prime_counts, pi_x - 2) + 1 == x == sympy.prime(pi_x)
+        if pow(x, 9, 19) != 1:
+            continue
+        split_seen += 1
+        assert 2 * maps._select(held.splits, held.split_counts, split_upto[x] - 1) + 1 == x
+        # the canonical primes of norm x come after two per smaller split
+        # prime, 19 and the inert squares below x
+        inert = [q for q in sympy.primerange(2, math.isqrt(x - 1) + 1) if sympy.kronecker_symbol(-19, q) == -1]
+        rank = 2 * (split_upto[x] - 1) + (x > 19) + len(inert)
+        for place, pi in enumerate(quadratic._primes_of_norm(x)):
+            p = sympy.prime(rank + place + 1)
+            assert corr.image_of_prime(p) == pi, x
+            assert corr.preimage_of_prime(pi) == p, x
+    assert primes_seen >= 80 and split_seen >= 40  # measured 87 and 47
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +311,56 @@ def test_round_trip_and_refusal_at_the_default_ceiling():
     with pytest.raises(ResourceLimitError) as exc:
         corr.image_of_prime(sympy.nextprime(last))
     assert exc.value.ceiling == DEFAULT_CORRESPONDENCE_CEILING
+
+
+# SHA-256 of repr([(p, a, b), ...]) over the pairs grown to a limit in one
+# step, and at the default ceiling of the int32 bytes of the pairs'
+# rational primes and canonical norms, as computed from the int32 arrays
+# the correspondence held before its bitmaps.
+PAIR_DIGESTS = {
+    10**4: (1_223, "398c477316bd6b73d75a938e8d7364a40ba613bc5fb110a726418e520dc990d6"),
+    123_457: (11_608, "ae7f81aa6b217c61d6956b3319857d9e0adc1a8f522e117452adfc130d923f43"),
+}
+CEILING_DIGESTS = (
+    3_000_526,
+    "f09fdd6f90981e4ff0b1ceba3d66da67e0536339936b13f62271bbed840ee5f1",
+    "e3a2b959f9140b216be589556b660d69855ea5dd90eb47da476b5c9daa38a14c",
+)
+
+
+@pytest.fixture(scope="module")
+def full():
+    c = PrimeCorrespondence()
+    c.extend_to_norm(DEFAULT_CORRESPONDENCE_CEILING)
+    return c
+
+
+def test_pairs_hash_to_the_digests_of_the_int32_layout(full):
+    for limit, (count, digest) in PAIR_DIGESTS.items():
+        corr = PrimeCorrespondence()
+        corr.extend_to_norm(limit)
+        assert corr.pair_count == count
+        assert hashlib.sha256(repr([(p, pi.a, pi.b) for p, pi in corr.pairs()]).encode()).hexdigest() == digest
+    rat, norms = full._pair_arrays()
+    count, rat_digest, norm_digest = CEILING_DIGESTS
+    assert full.pair_count == len(rat) == len(norms) == count
+    assert hashlib.sha256(rat.astype(np.int32).tobytes()).hexdigest() == rat_digest
+    assert hashlib.sha256(norms.astype(np.int32).tobytes()).hexdigest() == norm_digest
+    # (a, b) is the norm's prime at its place; the rank lookups agree with
+    # the arrays at random ranks and at both ends
+    rng = random.Random(25)
+    for i in rng.sample(range(count), 2000) + [0, 1, count - 2, count - 1]:
+        p, n = int(rat[i]), int(norms[i])
+        pi = quadratic._primes_of_norm(n)[int(i > 0 and norms[i - 1] == n)]
+        assert full.image_of_prime(p) == pi, i
+        assert full.preimage_of_prime(pi) == p, i
+
+
+def test_bitmaps_at_the_default_ceiling_hold_under_7_mb(full):
+    # The int32 arrays held 24.0 MB there: 3,000,526 norms and 3,001,134
+    # rational primes. The bitmaps and counts hold their written prefixes.
+    held = full._data
+    assert sum(view.nbytes for view in held[:4]) < 7 * 10**6
 
 
 def norm_equation(m):

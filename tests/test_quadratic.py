@@ -10,15 +10,16 @@ from nearfields.quadratic import (
     KFactorization,
     QuadInt,
     QuadRat,
-    _canonical_norms,
+    _extra_norms,
     _place_in_norm,
     _primes_of_norm,
     factor_quad,
     is_canonical_prime,
     primes_above,
     rebuild_quad,
+    _split_bits,
 )
-from nearfields.rationals import SignedFactorization, primes_upto
+from nearfields.rationals import _SEGMENT, SignedFactorization, primes_upto
 
 W = QuadInt(0, 1)
 
@@ -145,6 +146,15 @@ def test_ring_elements_refuse_non_integral_inputs():
     assert QuadRat(np.int64(3)) == QuadRat(3)
 
 
+def test_from_rat_takes_rationals_only():
+    # QuadRat.from_rat(0.1) took the float's binary fraction, 3602879701896397/2**55
+    for q in (0.1, 2.0):
+        with pytest.raises(TypeError):
+            QuadRat.from_rat(q)
+    assert QuadRat.from_rat(np.int64(3)) == QuadRat(3)
+    assert QuadRat.from_rat(Fraction(-1, 3)) == QuadRat(QuadInt(-1, 0), 3)
+
+
 def test_splitting_trichotomy_first_100_primes():
     # Independent oracle: an odd prime q != 19 splits iff q is a nonzero
     # square mod 19 (quadratic reciprocity for discriminant -19); 2 needs the
@@ -169,39 +179,63 @@ def test_splitting_trichotomy_first_100_primes():
         assert all(is_canonical_prime(pi) for pi in s.primes)
 
 
+def _packed_odd_primes(limit):
+    """Bytes of a bitmap over the odd numbers up to limit (slot k for 2k + 1,
+    bit k % 8 of byte k // 8), set for each odd prime."""
+    mask = np.zeros((limit + 1) // 2, dtype=bool)
+    mask[[p // 2 for p in primes_upto(limit)[1:]]] = True
+    return np.packbits(mask, bitorder="little")
+
+
+def _odd_numbers(packed, limit):
+    return [2 * k + 1 for k in np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist() if 2 * k + 1 <= limit]
+
+
 def test_norm_helpers_agree_with_primes_above():
-    # The correspondence's view of the splitting law (norms in bulk, a
-    # prime back from its norm and place) against primes_above, prime by
-    # prime, for every canonical prime of norm up to 10**4.
+    # The correspondence's view of the splitting law (the split primes
+    # packed from a prime bitmap, the extra norms, a prime back from its
+    # norm and place) against primes_above, prime by prime, for every
+    # canonical prime of norm up to 10**4.
     limit = 10**4
-    primes = np.array(primes_upto(limit), dtype=np.int64)
     canonical = sorted(
         ((pi.norm(), pi.a, pi.b), pi)
         for p in primes_upto(limit)
         for pi in primes_above(p).primes
         if pi.norm() <= limit
     )
-    assert _canonical_norms(primes, 0, limit).tolist() == [key[0] for key, _ in canonical]
-    # a cut just under 97**2 (97 inert) lands that norm in the later range
-    cut = 97**2 - 1
-    split = np.concatenate([_canonical_norms(primes, 0, cut), _canonical_norms(primes, cut, limit)])
-    assert split.tolist() == [key[0] for key, _ in canonical]
+    packed = _packed_odd_primes(limit)
+    split = _odd_numbers(_split_bits(packed, 0), limit)
+    norms = sorted([p for p in split for _ in range(2)] + _extra_norms(limit))
+    assert norms == [key[0] for key, _ in canonical]
+    assert _extra_norms(limit) == sorted(key[0] for key, _ in canonical if key[0] not in split)
+    # a bitmap that starts at any byte reads the pattern at its own phase
+    for byte in range(40):
+        assert np.array_equal(_split_bits(packed[byte:], byte), _split_bits(packed, 0)[byte:]), byte
+    # the extras up to just under 97**2 (97 inert) leave that norm out
+    assert _extra_norms(97**2 - 1) == _extra_norms(97**2)[:-1]
+    assert _extra_norms(97**2)[-1] == 97**2
     for (n, _, _), pi in canonical:
         assert _primes_of_norm(n)[_place_in_norm(pi)] == pi
 
 
-def test_canonical_norms_reads_int32_primes_in_place():
-    # The correspondence keeps its primes as int32. A key of another dtype
-    # makes searchsorted cast the whole array: 1.2 MB here, for 710 norms.
-    primes = np.array(primes_upto(2 * 10**6), dtype=np.int32)
+def test_split_bits_slices_its_pattern_in_place():
+    # A whole segment's bits (2**18 bytes) take one slice of the cached
+    # residue pattern; np.resize of the pattern per segment would build a
+    # second pattern, and cost 23 ms a segment.
+    packed = np.full(_SEGMENT // 16 + 1, 0xFF, dtype=np.uint8)
+    _split_bits(packed, 0)  # builds the pattern once
     tracemalloc.start()
     try:
-        norms = _canonical_norms(primes, 1_990_000, 2 * 10**6)
+        split = _split_bits(packed, 12_345)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert norms.dtype == np.int32 and len(norms) == 710
-    assert peak < 64 * 2**10, peak  # measured 13 KB
+    assert split.dtype == np.uint8 and len(split) == len(packed)
+    assert peak < len(packed) + 4096, peak
+    # set exactly where 2k + 1 is a nonzero square mod 19, k the global slot
+    slots = 8 * 12_345 + np.arange(8 * len(packed))
+    want = np.isin((2 * slots + 1) % 19, [x * x % 19 for x in range(1, 19)])
+    assert np.array_equal(np.unpackbits(split, bitorder="little").astype(bool), want)
 
 
 def test_factor_quad_examples():

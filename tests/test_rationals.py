@@ -2,6 +2,7 @@ import random
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -181,3 +182,22 @@ def test_cache_under_threads():
         t.join(timeout=60)
         assert not t.is_alive()
     assert results == [True] * 8
+
+
+def test_entry_points_refuse_floats():
+    # A float is refused, not factored or tested as the number it rounds to
+    # (factor_int(2.0) gave {2.0: 1}), nor taken as the binary fraction it
+    # holds (factor_rat(0.5) factored Fraction(0.5)).
+    for call in (factor_int, is_prime):
+        for x in (2.0, 7.0, 2.5):
+            with pytest.raises(TypeError):
+                call(x)
+    for q in (0.5, 2.0, 0.1):
+        with pytest.raises(TypeError):
+            factor_rat(q)
+    # Python and numpy ints pass, and come out as Python ints
+    assert factor_int(np.int64(-360)) == factor_int(-360)
+    assert is_prime(np.int32(7)) and not is_prime(np.int64(9))
+    f = factor_rat(np.int64(-12))
+    assert f == factor_rat(-12) and all(type(p) is int for p in f.exponents)
+    assert factor_rat(Fraction(-9, 4)) == SignedFactorization(-1, {2: -2, 3: 2})
