@@ -33,7 +33,7 @@ from .maps import (
 )
 from .quadratic import QuadInt, QuadRat, _mul, _norm, _pow
 from .rationals import Rat, _as_rat, factor_rat
-from .report import Report, redraw
+from .report import Report, _skips_outweigh, redraw
 
 __all__ = [
     "exotic_add_q",
@@ -202,8 +202,11 @@ def find_add_witness(
     are reproducible. A pair whose sum is refused at a resource ceiling is
     skipped, and None, which claims the sums agree on the whole scan, may
     not rest on more skipped pairs than checked ones: then the last
-    refusal is raised, naming its ceiling.
+    refusal is raised, naming its ceiling. A limit below 1, which would
+    scan nothing, is refused.
     """
+    if limit < 1:
+        raise DomainError(f"the witness scan needs a limit of at least 1, got {limit}")
     span = range(-limit, limit + 1)
     checked = skipped = 0
     for a, b in sorted(((a, b) for a in span for b in span if a and b),
@@ -217,7 +220,7 @@ def find_add_witness(
         if got != a + b:
             return a, b, got, Fraction(a + b)
         checked += 1
-    if skipped > checked:
+    if _skips_outweigh(checked, skipped):
         raise refusal
     return None
 
@@ -251,8 +254,14 @@ def verify_exotic_field_axioms(
     samples than it checked, and floors, keyed by form, set how many times
     each must actually fire.
     Nested associativity is materialized on integers of height at most
-    ASSOC_POOL_HEIGHT, where the intermediate sums stay factorable.
+    ASSOC_POOL_HEIGHT, where the intermediate sums stay factorable. Fewer
+    than one trial, or a height below 1, is refused, since no verdict
+    could rest on it.
     """
+    if trials < 1:
+        raise DomainError(f"the field-axiom suite needs at least one trial, got {trials}")
+    if height < 1:
+        raise DomainError(f"the field-axiom suite needs a height of at least 1, got {height}")
     corr = corr if corr is not None else default_correspondence()
     floors = dict(floors or {})
     rng = np.random.default_rng(seed)

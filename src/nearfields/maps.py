@@ -14,9 +14,11 @@ within that norm when asked for; how Z[w] splits a rational prime is known
 there only. The bitmaps and counts are allocated once, at a proven bound
 on what is sieved, and filled in place. Growth, its doubling rule, its
 top-up of the rational side and the refusal at the norm ceiling all live
-in PrimeCorrespondence.extend_to_norm. The correspondence takes its
-integers through operator.index (a lookup only after a memo miss), so a
-float raises TypeError, and refuses a ceiling below 2. Extending the
+in PrimeCorrespondence.extend_to_norm, which publishes the filled
+prefixes and the capacity they cover as one snapshot. The correspondence
+validates before its memos: integers go through operator.index, so a
+float raises TypeError, a non-QuadInt preimage too, and a ceiling below 2
+is refused. Extending the
 pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
 from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
 and sigma is what induces the exotic addition on Q elsewhere in the package.
@@ -204,6 +206,7 @@ class _Held(NamedTuple):
     extras: tuple[int, ...]  # quadratic._extra_norms(capacity)
     extra_ranks: tuple[int, ...]  # the rank of each extra's canonical prime
     sieved: int  # every number up to sieved is in the bitmaps
+    capacity: int  # every canonical prime of norm up to capacity is paired
     pair_count: int
 
     @property
@@ -247,8 +250,11 @@ class PrimeCorrespondence:
     is append-only: raising the norm ceiling sieves only the new segment
     of integers and packs it after the held bits, and never reorders the
     existing pairs, because canonical primes are ordered by norm first.
-    Lookups read memoryviews of the filled prefixes, which growth never
-    changes; growth holds a lock; safe under threads.
+    Growth holds a lock and publishes one _Held snapshot: the memoryviews
+    of the filled prefixes, which growth never changes, and the capacity
+    they cover. A lookup reads it once and validates its argument before
+    its memo, so it answers from its argument and that snapshot alone, the
+    same on a fresh correspondence and a warm one; safe under threads.
     """
 
     def __init__(self, *, max_norm: int = DEFAULT_CORRESPONDENCE_CEILING):
@@ -264,7 +270,6 @@ class PrimeCorrespondence:
             )
         self.max_norm = max_norm
         self._lock = threading.Lock()
-        self._capacity = 0  # every canonical prime of norm <= capacity is held
         self._prime_buf = _lazy(nbytes, np.uint8)
         self._prime_count_buf = _lazy(ncounts, np.int32)
         self._split_buf = _lazy(nbytes, np.uint8)
@@ -289,7 +294,9 @@ class PrimeCorrespondence:
         # an extra n comes after the two primes of each odd split prime below n
         ranks = tuple(2 * _rank(splits, split_counts, n // 2) + i for i, n in enumerate(extras))
         pairs = 2 * _rank(splits, split_counts, (capacity + 1) // 2) + len(extras)
-        return _Held(primes, prime_counts, splits, split_counts, tuple(extras), ranks, sieved, pairs)
+        return _Held(
+            primes, prime_counts, splits, split_counts, tuple(extras), ranks, sieved, capacity, pairs
+        )
 
     def _sieve(self, lo: int, hi: int) -> None:
         """Pack the primes in (lo, hi] and the split ones among them into
@@ -334,14 +341,12 @@ class PrimeCorrespondence:
                 f"correspondence needs norms past its ceiling {self.max_norm}",
                 ceiling=self.max_norm,
             )
-        if limit <= self._capacity:
-            return
         with self._lock:
-            old = self._capacity
-            if limit <= old:
+            held = self._data
+            if limit <= held.capacity:
                 return
-            limit = min(max(limit, 2 * old, 10_000), self.max_norm)
-            sieved = self._data.sieved
+            limit = min(max(limit, 2 * held.capacity, 10_000), self.max_norm)
+            sieved = held.sieved
             if limit > sieved:
                 self._sieve(sieved, limit)
                 sieved = limit
@@ -354,9 +359,6 @@ class PrimeCorrespondence:
                 if held.prime_count < n:
                     raise IntegrityError("rational primes short of the pairs")
             self._data = held
-            # Published last: a reader that skips the lock on seeing the new
-            # capacity must also see the bitmaps that hold it.
-            self._capacity = limit
 
     def image_of_prime(self, p: int) -> QuadInt:
         """The canonical prime paired with the rational prime p.
@@ -370,13 +372,12 @@ class PrimeCorrespondence:
         and refuses again, or answers once the correspondence has grown.
         Threads that miss on the same p together store equal images.
         """
+        p = index(p)
         pi = self._images.get(p)
         if pi is not None:
             return pi
-        p = index(p)
-        capacity = self._capacity  # read before the bitmaps, which are published first
         held = self._data
-        if p > held.sieved or held.sieved < 2:  # past the sieve, or none yet: a primality test decides
+        if p > held.sieved:  # past the sieve, or none yet: a primality test decides
             if not is_prime(p):
                 raise DomainError(f"{p} is not a rational prime")
         elif p != 2 and (p < 3 or not p & 1 or not held.primes[p >> 4] >> (p >> 1 & 7) & 1):
@@ -386,8 +387,7 @@ class PrimeCorrespondence:
                 r = 0 if p == 2 else 1 + _rank(held.primes, held.prime_counts, p >> 1)
                 if r < held.pair_count:
                     break
-            self.extend_to_norm(capacity + 1)  # not paired yet: grow one step, or refuse
-            capacity = self._capacity
+            self.extend_to_norm(held.capacity + 1)  # not paired yet: grow one step, or refuse
             held = self._data
         pi = _canonical_at(held, r)
         if p <= TRIAL_CAP:
@@ -406,20 +406,24 @@ class PrimeCorrespondence:
         primality, before growth, which refuses a norm past the ceiling.
         A canonical prime found to pair with a p <= TRIAL_CAP is kept, like
         image_of_prime's answers: the memo holds canonical primes only, so
-        any other pi misses it and is refused as before.
+        any other pi misses it and is refused as before. A non-QuadInt is
+        refused first: an int or a QuadRat can equal a key.
         """
+        if not isinstance(pi, QuadInt):
+            raise TypeError(f"expected a QuadInt, got {type(pi).__name__} {pi!r}")
         p = self._preimages.get(pi)
         if p is not None:
             return p
+        held = self._data
         n = pi.norm()
-        if n > self._capacity:
+        if n > held.capacity:
             if not is_canonical_prime(pi):
                 raise DomainError(f"{pi!r} is not a canonical prime")
             self.extend_to_norm(n)
+            held = self._data
         elif not _in_canonical_form(pi):
             raise DomainError(f"{pi!r} is not a canonical prime")
-        # read after the capacity, so it holds n
-        primes, prime_counts, splits, split_counts, extras, extra_ranks, _, _ = self._data
+        primes, prime_counts, splits, split_counts, extras, extra_ranks, _, _, _ = held
         k = bisect_left(extras, n)
         if n & 1 and splits[n >> 4] >> (n >> 1 & 7) & 1:  # two primes of norm n
             r = 2 * _rank(splits, split_counts, n >> 1) + k + _place_in_norm(pi)
@@ -462,6 +466,8 @@ def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
 def sigma_invert(corr: PrimeCorrespondence, x: QuadRat | QuadInt) -> Rat:
     """sigma^-1(x) for x in the image subfield: factor in Z[w], take each
     prime's preimage, multiply out in Q."""
+    if not isinstance(x, (QuadRat, QuadInt)):
+        raise TypeError(f"expected a QuadRat or QuadInt, got {type(x).__name__} {x!r}")
     if x.is_zero():
         return Fraction(0)
     f = factor_quad(x)

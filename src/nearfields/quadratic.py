@@ -47,7 +47,7 @@ not frozen.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -57,7 +57,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import _SEGMENT, Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime
+from .rationals import (
+    _SEGMENT, Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime, primes_upto
+)
 
 __all__ = [
     "QuadInt",
@@ -466,10 +468,10 @@ def _extra_norms(limit: int) -> list[int]:
     """The norms up to limit of the canonical primes whose norm is no odd
     split prime, ascending, one entry per prime: RAMIFIED, q**2 for each
     inert q, and 2 twice where 2 splits. The correspondence merges them
-    into the split primes it reads off its bitmap. The inert q come from
-    the trial primes, so limit stays below TRIAL_CAP**2."""
-    primes = _trial_primes()
-    norms = [q * q for q in primes[: bisect_right(primes, math.isqrt(limit))] if _is_inert(q)]
+    into the split primes it reads off its bitmap. The inert q come from a
+    sieve to isqrt(limit) alone (908 primes at 5e7), not the trial-prime
+    table, so a build that never factors never builds that table."""
+    norms = [q * q for q in primes_upto(math.isqrt(limit)) if _is_inert(q)]
     if limit >= RAMIFIED:
         insort(norms, RAMIFIED)
     if limit >= 2 and 2 % RAMIFIED in _SPLIT_RESIDUES:
@@ -486,6 +488,8 @@ def _in_canonical_form(x: QuadInt) -> bool:
 def is_canonical_prime(x: QuadInt) -> bool:
     # A prime norm, or b == 0: then x is a rational integer a > 0, which is
     # prime here exactly when a is an inert prime.
+    if not isinstance(x, QuadInt):
+        raise TypeError(f"expected a QuadInt, got {type(x).__name__} {x!r}")
     if not _in_canonical_form(x):
         return False
     return is_prime(x.norm()) or (x.b == 0 and is_prime(x.a) and _is_inert(x.a))
@@ -607,7 +611,12 @@ def factor_quad(x: QuadInt | QuadRat) -> KFactorization:
     primitive part num / c; c and the denominator factor as rational
     integers, the primitive part by its norm. No division in Z[w] is tried.
     """
-    a, b, den = (x._a, x._b, 1) if isinstance(x, QuadInt) else (x._num._a, x._num._b, x._den)
+    if isinstance(x, QuadInt):
+        a, b, den = x._a, x._b, 1
+    elif isinstance(x, QuadRat):
+        a, b, den = x._num._a, x._num._b, x._den
+    else:
+        raise TypeError(f"expected a QuadInt or QuadRat, got {type(x).__name__} {x!r}")
     if a == 0 and b == 0:
         raise DomainError("zero has no factorization")
     c = math.gcd(a, b)

@@ -4,8 +4,9 @@ Every verifier returns a Report: a list of named checks, each carrying an
 optional witness for failures and a free-form detail string. Reports are
 JSON-friendly so the command line can emit them verbatim. The skip rule,
 that a verdict may not rest on fewer checked samples than skipped ones,
-lives here alone: Report.add_sampled rules on a check over a fixed list of
-samples, and redraw runs a check that redraws its refused samples.
+lives here alone: _skips_outweigh states it for a fixed list of samples,
+Report.add_sampled rules on such a check with it, and redraw runs a check
+that redraws its refused samples.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ResourceLimitError
+
+
+def _skips_outweigh(checked: int, skipped: int) -> bool:
+    """Whether a scan of a fixed list of samples skipped more than it
+    checked, so that no verdict may rest on it."""
+    return skipped > checked
 
 
 @dataclass
@@ -42,7 +49,7 @@ class Report:
     def add_sampled(self, name: str, witness: object, *, checked: int, skipped: int) -> Check:
         """A check over a fixed list of samples, some skipped at a resource
         ceiling: it fails on a witness, or when it skipped more than it checked."""
-        return self.add(name, witness is None and skipped <= checked, witness=witness)
+        return self.add(name, witness is None and not _skips_outweigh(checked, skipped), witness=witness)
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]

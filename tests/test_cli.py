@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,28 @@ def test_golden_outputs_byte_identical(capsys):
         code, out, _ = _run(capsys, argv)
         assert code == 0, argv
         assert out == (GOLDEN / name).read_text(), argv
+
+
+def test_golden_lists_agree():
+    # The goldens on disk, GOLDEN_CASES and CI's check of the installed
+    # entry point name the same files with the same argv, so a golden added
+    # to one list cannot miss the others.
+    workflow = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
+    ci = {}
+    for line in workflow.read_text().splitlines():
+        command, sep, target = line.partition("| diff - tests/golden/")
+        if not sep:
+            continue
+        argv = shlex.split(command)
+        prefix = 1 if argv[0] == "nearfields" else 3
+        assert argv[:prefix] in (["nearfields"], ["python", "-m", "nearfields"]), line
+        name = target.strip()
+        assert name not in ci, name
+        ci[name] = argv[prefix:]
+    cases = dict((name, argv) for argv, name in GOLDEN_CASES)
+    assert len(cases) == len(GOLDEN_CASES) == 14
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(cases)
+    assert ci == cases
 
 
 def test_reruns_are_deterministic(capsys):

@@ -301,6 +301,25 @@ def test_find_add_witness_refuses_rather_than_pass_on_skipped_pairs():
     assert find_add_witness(2, corr=corr) is None
 
 
+def test_empty_samples_are_refused(monkeypatch):
+    # find_add_witness(0) returned None, "the sums agree", having checked
+    # nothing; trials=0 gave a passing report, and height=0 leaked numpy's
+    # "low >= high" ValueError
+    monkeypatch.setattr(induced, "exotic_add_q", None)  # refused before any sum
+    for limit in (0, -1):
+        with pytest.raises(DomainError, match="limit of at least 1"):
+            find_add_witness(limit)
+    for kwargs in ({"trials": 0}, {"trials": -3}):
+        with pytest.raises(DomainError, match="at least one trial"):
+            verify_exotic_field_axioms(**kwargs)
+    for height in (0, -1):
+        with pytest.raises(DomainError, match="height of at least 1"):
+            verify_exotic_field_axioms(height=height)
+    monkeypatch.undo()
+    rep = verify_exotic_field_axioms(trials=1, height=1)
+    assert rep.ok and rep.counts["trials"] == 1
+
+
 @pytest.mark.parametrize("refused, ok", [(8, True), (10, False)])
 def test_find_add_witness_skip_rule_boundary(monkeypatch, refused, ok):
     # The 16 pairs up to radius 2 with the native sum, the first `refused`

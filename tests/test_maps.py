@@ -29,7 +29,7 @@ from nearfields.maps import (
     sigma_apply,
     sigma_invert,
 )
-from nearfields.quadratic import QuadInt, QuadRat, primes_above
+from nearfields.quadratic import QuadInt, QuadRat, factor_quad, primes_above
 from nearfields.rationals import TRIAL_CAP, factor_int, is_prime, primes_upto
 
 # First thirteen pairs, fixed as regression anchors. The same list is
@@ -127,11 +127,12 @@ def test_image_of_prime_refuses_non_primes(monkeypatch):
     tested = []
     monkeypatch.setattr(maps, "is_prime", lambda n: tested.append(n) or is_prime(n))
     corr = PrimeCorrespondence(max_norm=10**4)
-    # nothing is sieved yet, so a primality test decides
+    # nothing is sieved yet (sieved is 1): the range test refuses 0, 1 and
+    # -3 on its own, and a primality test decides 10, which is past it
     for n in (0, 1, -3, 10):
         with pytest.raises(DomainError):
             corr.image_of_prime(n)
-    assert tested == [0, 1, -3, 10]
+    assert tested == [10]
     corr.extend_to_norm(10**4)
     tested.clear()
     # up to the last sieved prime the rank lookup decides on its own; 9971 =
@@ -233,7 +234,7 @@ def test_resource_ceiling():
         assert exc.value.ceiling == 10**4
         messages.add(str(exc.value))
     assert messages == {"correspondence needs norms past its ceiling 10000"}
-    assert corr._capacity == 10**4
+    assert corr._data.capacity == 10**4
 
 
 def test_sigma_examples():
@@ -380,11 +381,11 @@ def test_correspondence_thread_safety():
 
 
 class _Recording(PrimeCorrespondence):
-    """Records each capacity as it is published, with the bitmaps then held."""
+    """Records each published snapshot, with the capacity it holds."""
 
     def __setattr__(self, name, value):
-        if name == "_capacity":
-            vars(self).setdefault("published", []).append((value, vars(self).get("_data")))
+        if name == "_data":
+            vars(self).setdefault("published", []).append((value.capacity, value))
         super().__setattr__(name, value)
 
     @property
@@ -392,15 +393,15 @@ class _Recording(PrimeCorrespondence):
         return [c for c, _ in self.published[1:]]  # after the 0 set on construction
 
 
-def test_growth_publishes_capacity_after_the_arrays():
+def test_growth_publishes_capacity_with_the_arrays():
     # Readers skip the lock once the capacity covers what they need, so the
-    # bitmaps holding a new capacity must already be in place when it
-    # appears: filled past it, with its pairs counted.
+    # snapshot holding a new capacity must hold the bitmaps for it: filled
+    # past it, with its pairs counted.
     corr = _Recording()
     for limit in (10_000, 50_000, 10**6):
         corr.extend_to_norm(limit)
         capacity, data = corr.published[-1]
-        assert capacity == corr._capacity >= limit
+        assert capacity == corr._data.capacity >= limit
         assert data is corr._data
         assert data.sieved >= capacity and data.extras[-1] <= capacity
         fresh = PrimeCorrespondence()
@@ -509,13 +510,13 @@ def test_buffers_hold_growth_to_the_ceiling(ceiling):
     corr = PrimeCorrespondence(max_norm=ceiling)
     bufs = (corr._prime_buf, corr._prime_count_buf, corr._split_buf, corr._split_count_buf)
     assert [len(b) for b in bufs] == [nbytes, ncounts, nbytes, ncounts]
-    while corr._capacity < ceiling:
-        corr.extend_to_norm(corr._capacity + 1)
+    while corr._data.capacity < ceiling:
+        corr.extend_to_norm(corr._data.capacity + 1)
         held = corr._data
         assert held.prime_count >= held.pair_count
         assert len(held.primes) == len(held.splits) == (held.sieved + 15) // 16 <= nbytes
         assert len(held.prime_counts) == len(held.split_counts) <= ncounts
-        assert corr._capacity <= held.sieved < top <= 2**31 - 1
+        assert held.capacity <= held.sieved < top <= 2**31 - 1
     # the published views read the buffers themselves, not copies
     assert corr._prime_buf.dtype == corr._split_buf.dtype == np.uint8
     assert corr._prime_count_buf.dtype == corr._split_count_buf.dtype == np.int32
@@ -539,19 +540,70 @@ def test_correspondence_takes_integers_only():
     for bad in (2.5, 10_000.0):
         with pytest.raises(TypeError):
             corr.extend_to_norm(bad)
-    assert corr._capacity == 0
+    assert corr._data.capacity == 0
     with pytest.raises(TypeError):
         corr.image_of_prime(7.0)
     assert corr.image_of_prime(np.int64(7)) == QuadInt(-2, 1)
     assert list(corr._images) == [7] and type(next(iter(corr._images))) is int
     corr.extend_to_norm(np.int32(10**4))
-    assert corr._capacity == 10**4
+    assert corr._data.capacity == 10**4
     for q in (0.5, 0.0):
         with pytest.raises(TypeError):
             sigma_apply(corr, q)
     with pytest.raises(TypeError):
         endo_q_apply(EndoBijectionSpecQ(), 0.5)
     assert sigma_apply(corr, np.int64(6)) == sigma_apply(corr, 6)
+
+
+def _outcome(call, arg):
+    try:
+        return call(arg)
+    except Exception as exc:  # compared by type, below
+        return type(exc)
+
+
+def test_same_call_same_outcome_fresh_and_warm():
+    # Each lookup validates its argument before its memo, so a call gets the
+    # same answer or the same refusal whatever was asked before it. These
+    # calls used to raise on a fresh correspondence and answer from the
+    # memo once the valid call had warmed it.
+    cases = [
+        ("image_of_prime", 7.0, 7, TypeError),
+        ("image_of_prime", np.int64(7), 7, QuadInt(-2, 1)),
+        ("preimage_of_prime", 2, QuadInt(2, 0), TypeError),
+        ("preimage_of_prime", QuadRat(QuadInt(2, 0)), QuadInt(2, 0), TypeError),
+    ]
+    for name, arg, valid, expected in cases:
+        corr = PrimeCorrespondence(max_norm=10**4)
+        assert _outcome(getattr(corr, name), arg) == expected, (name, arg)
+        getattr(corr, name)(valid)
+        assert _outcome(getattr(corr, name), arg) == expected, (name, arg)
+
+
+def test_z_w_entry_points_refuse_other_types():
+    # these raised AttributeError from inside, on .is_zero, ._b or ._num
+    corr = PrimeCorrespondence(max_norm=10**4)
+    calls = [
+        (factor_quad, 5, "QuadInt or QuadRat"),
+        (quadratic.is_canonical_prime, 5, "QuadInt"),
+        (lambda x: sigma_invert(corr, x), 5, "QuadRat or QuadInt"),
+        (lambda x: sigma_invert(corr, x), Fraction(1, 2), "QuadRat or QuadInt"),
+    ]
+    for call, arg, expected in calls:
+        with pytest.raises(TypeError, match=f"expected a {expected}, got {type(arg).__name__}"):
+            call(arg)
+    assert sigma_invert(corr, QuadInt(8, 2)) == -18 and factor_quad(QuadInt(5, 0)).unit == -1
+
+
+def test_cold_growth_builds_no_trial_prime_table():
+    # the inert q of the extra norms come from a sieve to sqrt(limit), not
+    # from the 78,498-prime factoring table, which limited them to 10**12
+    rationals._trial_primes.cache_clear()
+    PrimeCorrespondence().extend_to_norm(10**6)
+    assert rationals._trial_primes.cache_info().currsize == 0
+    q = 1_000_003  # inert (14 mod 19), and past TRIAL_CAP
+    assert quadratic._is_inert(q) and q > TRIAL_CAP
+    assert quadratic._extra_norms(q * q)[-1] == q * q
 
 
 def test_ceilings_whose_primes_pass_int32_are_refused():
@@ -590,7 +642,7 @@ def test_growth_refuses_a_short_rational_side(monkeypatch):
     monkeypatch.setattr(maps, "_nth_prime_bound", lambda n: 12)
     with pytest.raises(IntegrityError):
         corr.extend_to_norm(10)
-    assert corr._capacity == corr.pair_count == 0
+    assert corr._data.capacity == corr.pair_count == 0
     monkeypatch.undo()
     corr.extend_to_norm(10)
     assert (corr.pair_count, corr._data.sieved) == (6, maps._nth_prime_bound(6))
@@ -606,7 +658,7 @@ def test_growth_refuses_to_write_past_a_buffer():
         setattr(corr, buf, getattr(corr, buf)[:size])
         with pytest.raises(IntegrityError):
             corr.extend_to_norm(10**4)
-        assert corr._capacity == corr.pair_count == 0
+        assert corr._data.capacity == corr.pair_count == 0
 
 
 def _traced_peak(call, *args):
@@ -637,7 +689,7 @@ def test_growth_step_peak_stays_near_its_new_segment():
     corr = PrimeCorrespondence()
     corr.extend_to_norm(10**6)
     assert _traced_peak(corr.extend_to_norm, 2 * 10**6) < 2.5 * 2**20
-    assert corr._capacity == 2 * 10**6
+    assert corr._data.capacity == 2 * 10**6
 
 
 def test_big_growth_step_peak_stays_near_one_segment():

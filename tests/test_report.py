@@ -1,16 +1,17 @@
-"""Tests for the skip rule at its boundaries: Report.add_sampled for a
-check over a fixed list of samples, and redraw for one that redraws its
-refused samples."""
+"""Tests for the skip rule at its boundaries: _skips_outweigh and
+Report.add_sampled for a check over a fixed list of samples, and redraw for
+one that redraws its refused samples."""
 
 from __future__ import annotations
 
 import pytest
 
 from nearfields.errors import IntegrityError, ResourceLimitError
-from nearfields.report import Report, redraw
+from nearfields.report import Report, _skips_outweigh, redraw
 
 
 def test_add_sampled_allows_as_many_skipped_as_checked():
+    assert not _skips_outweigh(checked=4, skipped=4) and _skips_outweigh(checked=4, skipped=5)
     rep = Report("t")
     assert rep.add_sampled("even", None, checked=4, skipped=4).ok
     assert not rep.add_sampled("one_more", None, checked=4, skipped=5).ok
