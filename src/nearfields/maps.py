@@ -327,7 +327,8 @@ class PrimeCorrespondence:
         rat, norms = self._pair_arrays()
         out, prev = [], 0
         for p, n in zip(rat.tolist(), norms.tolist()):
-            out.append((p, _primes_of_norm(n)[n == prev]))  # the second of its norm, if a repeat
+            of_norm = of_norm if n == prev else _primes_of_norm(n)  # one call per norm
+            out.append((p, of_norm[n == prev]))  # the second of its norm, if a repeat
             prev = n
         return out
 
@@ -397,12 +398,12 @@ class PrimeCorrespondence:
     def preimage_of_prime(self, pi: QuadInt) -> int:
         """The rational prime paired with a canonical prime pi.
 
-        Up to the capacity the bitmaps and extras settle validity on their
-        own: a canonical-form pi whose norm is an odd split prime is one of
-        the two canonical primes of that norm, and one whose norm is an
-        extra norm must be that norm's prime at pi's place (the inert q has
-        norm q**2, and nothing else of that norm is canonical). Any other pi
-        is not a canonical prime. Only a pi past the capacity is tested for
+        Up to the capacity one formula ranks every canonical-form pi of norm
+        n, as growth ranks the extras: r = 2 * (odd split primes below n) + k,
+        k the extras below n plus pi's place in its norm. Unless n is an odd
+        split prime, the extra at index k must be n (the inert q has norm
+        q**2, and nothing else of that norm is canonical), or pi is not a
+        canonical prime. Only a pi past the capacity is tested for
         primality, before growth, which refuses a norm past the ceiling.
         A canonical prime found to pair with a p <= TRIAL_CAP is kept, like
         image_of_prime's answers: the memo holds canonical primes only, so
@@ -423,15 +424,12 @@ class PrimeCorrespondence:
             held = self._data
         elif not _in_canonical_form(pi):
             raise DomainError(f"{pi!r} is not a canonical prime")
-        primes, prime_counts, splits, split_counts, extras, extra_ranks, _, _, _ = held
-        k = bisect_left(extras, n)
-        if n & 1 and splits[n >> 4] >> (n >> 1 & 7) & 1:  # two primes of norm n
-            r = 2 * _rank(splits, split_counts, n >> 1) + k + _place_in_norm(pi)
-        else:
-            k += _place_in_norm(pi)
-            if k >= len(extras) or extras[k] != n:
-                raise DomainError(f"{pi!r} is not a canonical prime")
-            r = extra_ranks[k]
+        primes, prime_counts, splits, split_counts, extras, _, _, _, _ = held
+        k = bisect_left(extras, n) + _place_in_norm(pi)
+        split = n & 1 and splits[n >> 4] >> (n >> 1 & 7) & 1
+        if not split and (k >= len(extras) or extras[k] != n):
+            raise DomainError(f"{pi!r} is not a canonical prime")
+        r = 2 * _rank(splits, split_counts, n >> 1) + k
         p = 2 if r == 0 else 2 * _select(primes, prime_counts, r - 1) + 1
         if p <= TRIAL_CAP:
             self._preimages[pi] = p

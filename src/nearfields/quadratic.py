@@ -426,13 +426,12 @@ def _place_in_norm(x: QuadInt) -> int:
     return int(b > 0 and 2 * x._a + b > 0)
 
 
-@lru_cache(maxsize=1 << 12)
 def _primes_of_norm(n: int) -> tuple[QuadInt, ...]:
     """The canonical primes of norm n, in (norm, a, b) order: two for a
     split prime n, one for 19, and q itself for n = q**2, q inert. The
-    caller vouches that n is such a norm. A bounded cache of recent
-    answers: it serves primes_above on a miss, and the images of primes
-    past TRIAL_CAP, which the correspondence does not memoize.
+    caller vouches that n is such a norm. Not cached: primes_above keeps
+    its answers, the correspondence memoizes its images, and the rest
+    (images past TRIAL_CAP, pairs()) ask each norm about once.
     """
     q = math.isqrt(n)
     if q * q == n:  # the inert q is the only prime of norm q**2

@@ -16,10 +16,10 @@ cofactor is at most cap**2, it is prime). Past that, a deterministic
 Miller-Rabin test and Brent's rho splitter take over, both exponential-time
 methods. is_prime bisects the same table up to TRIAL_CAP, Miller-Rabin above.
 Every prime, here and in maps, comes off the one sieve, prime_mask, in
-segments of 2**22 numbers cut by _prime_masks: _primes_between reads them
-off as arrays of primes, adding the one even prime, and the prime
-correspondence in maps packs the masks into bitmaps. The sieve holds the
-odd numbers of its segment only, one byte each.
+segments of 2**22 numbers cut by _prime_masks: primes_upto reads them off
+as primes, adding the one even prime, and the correspondence in maps packs
+them into bitmaps. One call sieves one segment, by its own small sieve to
+the square root of its end, and holds its odd numbers only, one byte each.
 
 The entry points take integers through operator.index and rationals as
 numbers.Rational, so a float raises TypeError rather than being factored
@@ -285,8 +285,11 @@ def factor_rat(q: Rat | int) -> SignedFactorization:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending."""
-    return [p for found in _primes_between(0, n) for p in found.tolist()]
+    """All primes <= n, ascending: the one read-off of the sieve as numbers."""
+    found = [2] if n >= 2 else []
+    for first, mask in _prime_masks(0, n):
+        found += (2 * np.flatnonzero(mask) + first).tolist()  # slot k holds first + 2k
+    return found
 
 
 def _prime_masks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -297,29 +300,25 @@ def _prime_masks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         yield start | 1, prime_mask(min(start + _SEGMENT - 1, hi), start)
 
 
-def _primes_between(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """The primes p with lo < p <= hi, ascending, as one array for each
-    segment of _prime_masks: the one read-off of the sieve as numbers."""
-    for first, mask in _prime_masks(lo, hi):
-        found = np.flatnonzero(mask)
-        found *= 2  # slot k holds first + 2k; in place, so no second array
-        found += first
-        yield np.insert(found, 0, 2) if first == 3 and lo < 2 else found  # 2 heads the first segment
-
-
 def prime_mask(n: int, lo: int) -> np.ndarray:
     """Boolean array over the odd numbers of [lo, n], for 2 <= lo <= n:
     mask[k] iff (lo | 1) + 2k is prime. The segment alone is struck, by the
-    odd primes up to isqrt(n), so a table that grows by segments never
-    resieves what it holds; 2 is the caller's to add. Built fresh per call
-    rather than cached: keeping a large mask alive between calls would cost
-    far more than resieving. A lo below 2 or past n is refused.
+    odd primes up to isqrt(n), which a plain sieve here finds, calling no
+    other sieve; 2 is the caller's to add. Built fresh per call rather than
+    cached: keeping a large mask alive between calls would cost far more
+    than resieving. A lo below 2 or past n is refused.
     """
     if not 2 <= lo <= n:
         raise DomainError(f"prime_mask needs 2 <= lo <= n, got lo={lo}, n={n}")
+    root = math.isqrt(n)
+    small = np.ones((root + 1) // 2, dtype=bool)  # small[k] iff 2k + 1 <= root is prime
+    small[0] = False
+    for k in range(1, (math.isqrt(root) + 1) // 2):
+        if small[k]:
+            small[2 * k * (k + 1) :: 2 * k + 1] = False  # from (2k + 1)**2, odd multiples only
     first = lo | 1
     mask = np.ones((n - first) // 2 + 1, dtype=bool)
-    for p in primes_upto(math.isqrt(n))[1:]:  # 2 strikes no odd number
+    for p in (2 * np.flatnonzero(small) + 1).tolist():
         start = max(p * p, -(-lo // p) * p)
         if start % 2 == 0:  # the first odd multiple
             start += p

@@ -3,10 +3,10 @@
 Every verifier returns a Report: a list of named checks, each carrying an
 optional witness for failures and a free-form detail string. Reports are
 JSON-friendly so the command line can emit them verbatim. The skip rule,
-that a verdict may not rest on fewer checked samples than skipped ones,
-lives here alone: _skips_outweigh states it for a fixed list of samples,
-Report.add_sampled rules on such a check with it, and redraw runs a check
-that redraws its refused samples.
+that a verdict may rest neither on no checked sample nor on fewer checked
+samples than skipped ones, lives here alone: _skips_outweigh states it
+for a fixed list of samples, Report.add_sampled rules on such a check with
+it, and redraw runs a check that redraws its refused samples.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .errors import ResourceLimitError
 
 
 def _skips_outweigh(checked: int, skipped: int) -> bool:
-    """Whether a scan of a fixed list of samples skipped more than it
-    checked, so that no verdict may rest on it."""
-    return skipped > checked
+    """Whether a scan of a fixed list of samples checked none of them, or
+    skipped more than it checked, so that no verdict may rest on it."""
+    return skipped > checked or checked == 0
 
 
 @dataclass
@@ -48,7 +48,7 @@ class Report:
 
     def add_sampled(self, name: str, witness: object, *, checked: int, skipped: int) -> Check:
         """A check over a fixed list of samples, some skipped at a resource
-        ceiling: it fails on a witness, or when it skipped more than it checked."""
+        ceiling: it fails on a witness, or on no verdict (_skips_outweigh)."""
         return self.add(name, witness is None and not _skips_outweigh(checked, skipped), witness=witness)
 
     def failures(self) -> list[Check]:

@@ -316,8 +316,12 @@ def test_empty_samples_are_refused(monkeypatch):
         with pytest.raises(DomainError, match="height of at least 1"):
             verify_exotic_field_axioms(height=height)
     monkeypatch.undo()
-    rep = verify_exotic_field_axioms(trials=1, height=1)
-    assert rep.ok and rep.counts["trials"] == 1
+    # seed 0 draws the one gamma as 0, which excludes the one distributivity
+    # sample before it is checked or skipped: that check has no verdict
+    rep = verify_exotic_field_axioms(trials=1, height=1, seed=0)
+    assert rep.counts["trials"] == 1
+    assert [c.name for c in rep.failures()] == ["distributivity_materialized"]
+    assert rep.counts["materialized_distributivity"] == rep.counts["skipped_distributivity"] == 0
 
 
 @pytest.mark.parametrize("refused, ok", [(8, True), (10, False)])

@@ -3,6 +3,7 @@ calculus: endobijections of Q, quasi-multiplicative checks, epsilon maps."""
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -595,6 +596,26 @@ def test_z_w_entry_points_refuse_other_types():
     assert sigma_invert(corr, QuadInt(8, 2)) == -18 and factor_quad(QuadInt(5, 0)).unit == -1
 
 
+def test_cold_growth_sieves_each_segment_once(monkeypatch):
+    # one prime_mask call per 2**22-number segment up to the ceiling, and
+    # one for the inert primes of _extra_norms (a sieve to its square root)
+    calls = []
+    sieve = rationals.prime_mask
+
+    def counted(n, lo):
+        calls.append((lo, n))
+        return sieve(n, lo)
+
+    monkeypatch.setattr(rationals, "prime_mask", counted)
+    corr = PrimeCorrespondence()
+    corr.extend_to_norm(DEFAULT_CORRESPONDENCE_CEILING)
+    segments = -(-(DEFAULT_CORRESPONDENCE_CEILING - 1) // rationals._SEGMENT)
+    assert segments == 12 and len(calls) == segments + 1 == 13
+    assert (2, math.isqrt(DEFAULT_CORRESPONDENCE_CEILING)) in calls
+    corr.extend_to_norm(DEFAULT_CORRESPONDENCE_CEILING)  # held: nothing sieved again
+    assert len(calls) == 13
+
+
 def test_cold_growth_builds_no_trial_prime_table():
     # the inert q of the extra norms come from a sieve to sqrt(limit), not
     # from the 78,498-prime factoring table, which limited them to 10**12
@@ -629,7 +650,8 @@ def test_nth_prime_bound_holds():
     for n in range(1, 50_001):
         assert maps._nth_prime_bound(n) >= primes[n - 1], n
     # every 997th n up to the rational primes of the default ceiling
-    rat = np.concatenate(list(rationals._primes_between(0, DEFAULT_CORRESPONDENCE_CEILING)))
+    masks = rationals._prime_masks(0, DEFAULT_CORRESPONDENCE_CEILING)
+    rat = np.concatenate([[2]] + [2 * np.flatnonzero(mask) + first for first, mask in masks])
     assert len(rat) == 3_001_134
     for n in range(1, len(rat) + 1, 997):
         assert maps._nth_prime_bound(n) >= rat[n - 1], n

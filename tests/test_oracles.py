@@ -132,11 +132,18 @@ def test_primes_upto_matches_sympy_primerange():
         assert rationals.primes_upto(n) == list(sympy.sieve.primerange(n + 1)), n
 
 
-def test_primes_between_matches_sympy_at_segment_edges():
-    # The one read-off of the sieve, segment by segment, against sympy:
-    # empty and one-number ranges from small and from even and odd starts,
-    # a range across a segment boundary, and segments that start or end at
-    # the square of a prime.
+def _read_off(lo: int, hi: int) -> list[list[int]]:
+    """The odd primes in (lo, hi] as numbers, one list per segment of
+    rationals._prime_masks."""
+    return [(2 * np.flatnonzero(mask) + first).tolist() for first, mask in rationals._prime_masks(lo, hi)]
+
+
+def test_prime_masks_match_sympy_at_segment_edges():
+    # The sieve, segment by segment, read off as primes_upto reads it,
+    # against sympy: empty and one-number ranges from small and from even
+    # and odd starts, a range across a segment boundary, and segments that
+    # start or end at the square of a prime. From lo = 0, primes_upto gives
+    # the same primes.
     seg = rationals._SEGMENT
     p = sympy.nextprime(10**6 + seg)
     ranges = [(lo, hi) for lo in (0, 1, 2, 3, 1000, 1001, 10**6) for hi in (lo, lo + 1)]
@@ -149,10 +156,12 @@ def test_primes_between_matches_sympy_at_segment_edges():
         (1009**2 - 5000, 1009**2),  # one ending there
     ]
     for lo, hi in ranges:
-        parts = list(rationals._primes_between(lo, hi))
-        got = np.concatenate(parts).tolist() if parts else []
+        parts = _read_off(lo, hi)
+        got = [2] * (lo < 2 <= hi) + [q for part in parts for q in part]
         assert got == list(sympy.sieve.primerange(lo + 1, hi + 1)), (lo, hi)
         assert len(parts) == -(-(hi - max(lo, 1)) // seg), (lo, hi)
+        if lo == 0:
+            assert rationals.primes_upto(hi) == got, hi
 
 
 def test_prime_mask_covers_the_odd_numbers_only():
@@ -166,14 +175,25 @@ def test_prime_mask_covers_the_odd_numbers_only():
             assert mask.tolist() == [sympy.isprime(first + 2 * k) for k in range(len(mask))], (lo, n)
 
 
-def test_primes_between_adds_two_once():
-    for lo in (0, 1):
-        for hi in (2, 3, 100, rationals._SEGMENT + 10):
-            found = np.concatenate(list(rationals._primes_between(lo, hi))).tolist()
-            assert found.count(2) == 1 and found[0] == 2, (lo, hi)
-    for lo in (2, 3, 4):
-        parts = list(rationals._primes_between(lo, lo + 100))
-        assert 2 not in np.concatenate(parts).tolist(), lo
+def test_primes_upto_adds_two_once():
+    for hi in (2, 3, 100, rationals._SEGMENT + 10):
+        found = rationals.primes_upto(hi)
+        assert found.count(2) == 1 and found[0] == 2, hi
+    for lo in (0, 1, 2, 3, 4):  # the masks hold the odd numbers only
+        assert 2 not in [q for part in _read_off(lo, lo + 100) for q in part], lo
+
+
+def test_prime_mask_finds_its_striking_primes_itself(monkeypatch):
+    # one prime_mask call sieves one segment: it reaches no other sieve
+    def refuse(*args):
+        raise AssertionError("prime_mask called another sieve")
+
+    monkeypatch.setattr(rationals, "primes_upto", refuse)
+    monkeypatch.setattr(rationals, "_prime_masks", refuse)
+    for lo, n in ((10**6 + 1, 10**6 + 20_000), (1009**2, 1009**2 + 3000), (2, 3000)):
+        mask = rationals.prime_mask(n, lo)
+        first = lo | 1
+        assert mask.tolist() == [sympy.isprime(first + 2 * k) for k in range(len(mask))], (lo, n)
 
 
 def test_held_norms_match_the_splitting_law_at_every_cut():

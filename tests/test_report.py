@@ -19,6 +19,12 @@ def test_add_sampled_allows_as_many_skipped_as_checked():
     assert not bad.ok
     assert bad.witness == (1, 2)
     assert [c.name for c in rep.failures()] == ["one_more", "witness"]
+    # but a list whose every sample was excluded before it was checked or
+    # skipped gives no verdict
+    assert _skips_outweigh(checked=0, skipped=0) and not _skips_outweigh(checked=1, skipped=1)
+    assert not rep.add_sampled("empty", None, checked=0, skipped=0).ok
+    assert rep.add_sampled("one", None, checked=1, skipped=0).ok
+    assert [c.name for c in rep.failures()] == ["one_more", "witness", "empty"]
 
 
 def _scripted(refused, fail_on=None):
