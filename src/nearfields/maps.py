@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import mmap
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -65,7 +64,7 @@ from .quadratic import (
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import TRIAL_CAP, Rat, _as_rat, _prime_masks, _value, factor_rat, is_prime
+from .rationals import TRIAL_CAP, Rat, _as_rat, _lazy, _prime_masks, _value, factor_rat, is_prime
 from .report import Report
 
 __all__ = [
@@ -133,13 +132,6 @@ def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
     top = max(x, _nth_prime_bound(n), _nth_prime_bound(min(n, 39_016))) + 1
     blocks = -(-((top + 1) // 2) // _BLOCK)
     return blocks * _BLOCK // 8, blocks + 1, top
-
-
-def _lazy(count: int, dtype: type) -> np.ndarray:
-    """A zeroed buffer in an anonymous mapping of its own, whose pages cost
-    memory only once written. (numpy asks for huge pages on large arrays,
-    so there the first write would fault in 2 MB at once.)"""
-    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype)
 
 
 def _rank(bits: memoryview, counts: memoryview, k: int) -> int:

@@ -14,10 +14,11 @@ The ring is not Euclidean, so there is no gcd algorithm to lean on, and
 factoring tries no division in it. An element splits into its content, a
 rational integer whose primes map straight to primes of Z[w], and a
 primitive part z. Its norm a**2 + ab + 5b**2 holds no inert q (q | z*conj(z)
-would make q divide z), so it is trial-divided by the split primes and 19
-alone. Over a split p of the norm only one of the two primes divides z, and
-reducing modulo p along Z[w]/pi = Z/p tells which. Rebuilding the primitive
-part from the primes found proves the factorization exact.
+would make q divide z), so past the factor table of rationals it is
+trial-divided by the split primes and 19 alone. Over a split p of the norm
+only one of the two primes divides z, and reducing modulo p along
+Z[w]/pi = Z/p tells which. Rebuilding the primitive part from the primes
+found proves the factorization exact.
 
 The ring product is written once, in _mul and _pow, on plain integers. A
 product of prime powers held in a dict is multiplied out by _product, which
@@ -502,14 +503,17 @@ class Splitting:
     primes: tuple[QuadInt, ...]
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 12, typed=True)
 def primes_above(p: int) -> Splitting:
     """Canonical primes over a rational prime, with the splitting kind.
 
     The kind is read off p mod 19, and the primes are those of norm p, or
     of norm p**2 for an inert p, in (norm, a, b) order. Recent answers are
-    kept in a bounded cache; a p that is not prime raises and is never kept.
+    kept in a bounded cache keyed by type as well as value, so a float or a
+    Fraction equal to a held prime misses and is refused by operator.index
+    like any other; a p that is not prime raises and is never kept.
     """
+    p = index(p)
     if not is_prime(p):
         raise DomainError(f"{p} is not a rational prime")
     kind = "ramified" if p == RAMIFIED else "inert" if _is_inert(p) else "split"
@@ -573,8 +577,10 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     the unit u with z = u * prod(pi**e).
 
     Only primes over the rational primes of N(z) divide z. No rational
-    prime divides z, so no inert q divides even N(z) (q | z * conj(z)), and
-    N(z) is trial-divided by _norm_primes alone. Over a split p, pi divides
+    prime divides z, so no inert q divides even N(z) (q | z * conj(z)):
+    N(z) is read off the factor table up to TRIAL_CAP, and past it
+    trial-divided by _norm_primes alone, to its cube root, then settled by
+    one primality test or by resuming the trial. Over a split p, pi divides
     z exactly when z maps to 0 under Z[w]/pi = Z/p, w -> -pi.a / pi.b, i.e.
     p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent.
     Each pi**e is multiplied into the rebuild as it is picked, and the

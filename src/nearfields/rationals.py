@@ -8,18 +8,22 @@ in SignedFactorization, a plain slotted record that is validated on
 construction (sign the int 1 or -1, no zero exponent) and not frozen, since
 a frozen record's per-field setattr is most of its build cost on the sum.
 
-Factoring is one loop, _exponents, behind both factor_int and factor_rat:
-trial division by a fixed table of the primes up to TRIAL_CAP = 1e6,
-sieved once on first use and never grown, which settles inputs up to about
-1e12 outright (once no prime up to the cap divides the cofactor and the
-cofactor is at most cap**2, it is prime). Past that, a deterministic
-Miller-Rabin test and Brent's rho splitter take over, both exponential-time
-methods. is_prime bisects the same table up to TRIAL_CAP, Miller-Rabin above.
-Every prime, here and in maps, comes off the one sieve, prime_mask, in
-segments of 2**22 numbers cut by _prime_masks: primes_upto reads them off
-as primes, adding the one even prime, and the correspondence in maps packs
-them into bitmaps. One call sieves one segment, by its own small sieve to
-the square root of its end, and holds its odd numbers only, one byte each.
+Factoring is one loop, _exponents, behind both factor_int and factor_rat.
+Up to TRIAL_CAP = 1e6 it reads a table of least prime factors over the odd
+numbers (uint16, 0 for a prime, 1 MB), struck once on first use by the
+primes up to 1,000. Above the cap it trial-divides by a fixed table of the
+primes up to TRIAL_CAP, sieved once on first use and never grown, but only
+while p**3 is at most the cofactor: what is left then is a prime, which one
+primality test settles, or a product of two primes, the smaller of which
+further trial division finds. Past that, when both primes exceed the cap,
+a deterministic Miller-Rabin test and Brent's rho splitter take over, both
+exponential-time methods. is_prime reads the factor table up to TRIAL_CAP,
+Miller-Rabin above. Every prime, here and in maps, comes off the one sieve,
+prime_mask, in segments of 2**22 numbers cut by _prime_masks: primes_upto
+reads them off as primes, adding the one even prime, and the correspondence
+in maps packs them into bitmaps. One call sieves one segment, by its own
+small sieve to the square root of its end, and holds its odd numbers only,
+one byte each.
 
 The entry points take integers through operator.index and rationals as
 numbers.Rational, so a float raises TypeError rather than being factored
@@ -29,10 +33,12 @@ as the binary fraction it holds.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import index
 from typing import Any, Callable, Iterator
 
@@ -81,10 +87,41 @@ _MR_VALID_BELOW = _MR_PREFIXES[-1][0]
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
 
 
+def _lazy(count: int, dtype: type) -> np.ndarray:
+    """A zeroed buffer in an anonymous mapping of its own, whose pages cost
+    memory only once written. (numpy asks for huge pages on large arrays,
+    so there the first write would fault in 2 MB at once.) A long-lived
+    buffer mapped apart also pins no pages of the malloc heap: held there,
+    the 1 MB factor table raised the RSS of 4,000 warm exotic sums by
+    2.3 MB in all."""
+    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype)
+
+
 @lru_cache(maxsize=1)
 def _trial_primes() -> tuple[int, ...]:
     """The primes up to TRIAL_CAP, ascending; sieved once and then shared."""
     return tuple(primes_upto(TRIAL_CAP))
+
+
+@lru_cache(maxsize=1)
+def _factor_table() -> memoryview:
+    """The least prime factor of each odd number up to TRIAL_CAP, 0 for a
+    prime (and for 1): slot k for 2k + 1, as uint16 (1 MB). Built once,
+    from the odd trial primes up to isqrt(TRIAL_CAP), so no other sieve
+    runs."""
+    primes = _trial_primes()
+    return _least_factors(primes[1 : bisect_right(primes, math.isqrt(TRIAL_CAP))])
+
+
+def _least_factors(primes: tuple[int, ...]) -> memoryview:
+    """The table of _factor_table, struck by the given odd primes, ascending:
+    slot k holds the least of them whose square is at most 2k + 1 and which
+    divides it, else 0. Larger primes strike first, so smaller ones
+    overwrite them."""
+    table = _lazy((TRIAL_CAP + 1) // 2, np.uint16)
+    for p in reversed(primes):
+        table[p * p >> 1 :: p] = p  # p**2, p**2 + 2p, ...: odd multiples from p**2
+    return memoryview(table)
 
 
 def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
@@ -141,16 +178,16 @@ class SignedFactorization:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24.
 
-    n <= TRIAL_CAP is looked up in the table of trial primes, larger n gets
-    Miller-Rabin. Inputs with a prime factor up to 41 are settled at any
-    size; any other input at or above the bound raises ResourceLimitError.
-    A float is refused with TypeError, not truncated.
+    n <= TRIAL_CAP is read off the table of least prime factors, larger n
+    gets Miller-Rabin. Inputs with a prime factor up to 41 are settled at
+    any size; any other input at or above the bound raises
+    ResourceLimitError. A float is refused with TypeError, not truncated.
     """
     n = index(n)
     if n <= TRIAL_CAP:
-        primes = _trial_primes()
-        i = bisect_left(primes, n)
-        return i < len(primes) and primes[i] == n
+        if n & 1:
+            return n > 1 and not _factor_table()[n >> 1]
+        return n == 2
     if math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return False
     for psi, bases in _MR_PREFIXES:
@@ -224,30 +261,56 @@ def _factor_hard(m: int, out: dict[int, int]) -> None:
 def _exponents(m: int, primes: tuple[int, ...] | None = None) -> dict[int, int]:
     """The prime exponents of an integer m >= 1, the one factoring loop.
 
-    Trial division by the primes up to TRIAL_CAP stops once p**2 exceeds
-    what is left, which is then 1 or a prime. If every prime up to the cap
-    divides out and more than TRIAL_CAP**2 is left, the cofactor may still
-    be composite, and Miller-Rabin and rho take over. A caller that knows
-    no other prime up to the cap divides m may pass just those primes,
-    ascending.
+    An m <= TRIAL_CAP, given or left over, is read off the factor table. A
+    larger m is trial-divided by the primes up to TRIAL_CAP while p**3 <= m.
+    Once p**3 exceeds what is left, no prime below p divides it, so it is a
+    prime or P*Q with p <= P <= Q: p**2 > m or one is_prime settles a
+    prime, and otherwise trial division resumes at p, where the first
+    divisor leaves a prime. If the primes run out first, Miller-Rabin and
+    rho take over. A caller that knows no other prime up to the cap divides
+    m may pass just those primes, ascending. For m <= TRIAL_CAP**2 the keys
+    come out ascending.
     """
     factors: dict[int, int] = {}
-    for p in _trial_primes() if primes is None else primes:
-        if p * p > m:
-            break
-        if m % p == 0:  # count p's multiplicity, then store it once
-            m //= p
-            e = 1
-            while m % p == 0:
+    if m > TRIAL_CAP:
+        trial = iter(_trial_primes() if primes is None else primes)
+        for p in trial:
+            if p * p * p > m:  # m is a prime, or P*Q with p <= P <= Q
+                if p * p > m or is_prime(m):
+                    factors[m] = 1
+                    return factors
+                for p in chain((p,), trial):
+                    if m % p == 0:  # P, which leaves the prime Q
+                        factors[p] = 1
+                        m //= p
+                        factors[m] = factors.get(m, 0) + 1
+                        return factors
+                break
+            if m % p == 0:  # count p's multiplicity, then store it once
                 m //= p
-                e += 1
-            factors[p] = e
-    else:
-        if m > TRIAL_CAP * TRIAL_CAP:
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors[p] = e
+                if m <= TRIAL_CAP:
+                    break
+        if m > TRIAL_CAP:  # no prime up to the cap divides it
             _factor_hard(m, factors)
             return factors
-    if m > 1:
-        factors[m] = 1
+    if not m & 1:
+        e = (m & -m).bit_length() - 1
+        factors[2] = e
+        m >>= e
+    table = _factor_table()
+    while m > 1:
+        p = table[m >> 1] or m
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors[p] = e
     return factors
 
 

@@ -618,10 +618,13 @@ def test_cold_growth_sieves_each_segment_once(monkeypatch):
 
 def test_cold_growth_builds_no_trial_prime_table():
     # the inert q of the extra norms come from a sieve to sqrt(limit), not
-    # from the 78,498-prime factoring table, which limited them to 10**12
+    # from the 78,498-prime factoring table, which limited them to 10**12;
+    # nor does growth build the factor table struck from it
     rationals._trial_primes.cache_clear()
+    rationals._factor_table.cache_clear()
     PrimeCorrespondence().extend_to_norm(10**6)
     assert rationals._trial_primes.cache_info().currsize == 0
+    assert rationals._factor_table.cache_info().currsize == 0
     q = 1_000_003  # inert (14 mod 19), and past TRIAL_CAP
     assert quadratic._is_inert(q) and q > TRIAL_CAP
     assert quadratic._extra_norms(q * q)[-1] == q * q

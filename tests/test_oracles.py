@@ -126,6 +126,104 @@ def test_factor_int_on_small_inputs_and_prime_powers():
         assert _exponents(abs(n)) == sympy.factorint(abs(n)), n
 
 
+def test_factor_table_holds_the_least_prime_factor():
+    # zero exactly at the odd primes from 3 to the cap, and at a nonzero
+    # slot the least prime factor of its odd number
+    cap = rationals.TRIAL_CAP
+    table = np.asarray(rationals._factor_table())
+    assert table.dtype == np.uint16 and len(table) == (cap + 1) // 2
+    zeros = (2 * np.flatnonzero(table[1:] == 0) + 3).tolist()
+    assert zeros == rationals.primes_upto(cap)[1:]
+    rng = random.Random(1000)
+    sample = [k for k in rng.sample(range(1, len(table)), 20_000) if table[k]]
+    sample += [k for k in range(1, 200) if table[k]]
+    assert len(sample) > 10_000
+    for k in sample:
+        assert table[k] == min(sympy.factorint(2 * k + 1)), 2 * k + 1
+
+
+def _primes_near(n, count=3):
+    """count primes just below n, and count from n up."""
+    below = [sympy.prevprime(n)]
+    while len(below) < count:
+        below.append(sympy.prevprime(below[-1]))
+    above = [sympy.nextprime(n - 1)]
+    while len(above) < count:
+        above.append(sympy.nextprime(above[-1]))
+    return below + above
+
+
+def _cube_edge_cases(rng):
+    """P*Q with P just above and just below the cube root of P*Q (Q just
+    under or just over P**2), and with P just below the square root."""
+    cases = []
+    for size in (20, 10**3, 10**4, 10**5 - 10, 10**6 - 100):
+        for p in _primes_near(size, 2):
+            cases += [p * sympy.prevprime(p * p), p * sympy.nextprime(p * p)]
+            cases += [p * sympy.nextprime(p), p * sympy.nextprime(p + rng.randint(1, p))]
+            cases.append(p * sympy.nextprime(rng.randint(p * p, p**3)))
+    return cases
+
+
+def test_exponents_matches_sympy_at_every_branch_edge(monkeypatch):
+    # the table (n <= TRIAL_CAP), the trial run to the cube root, the one
+    # primality test, the resumed trial and, past the table, rho, across
+    # each edge between them
+    rho_calls = _count_rho_splits(monkeypatch)
+    cap = rationals.TRIAL_CAP
+    rng = random.Random(28)
+    cases = [*range(1, 20_001), *range(cap - 300, cap + 301)]
+    cases += _cube_edge_cases(rng)
+    for size in (10**3, 10**4, 10**6):
+        cases += [p**k for p in _primes_near(size) for k in (2, 3)]
+    big = [sympy.nextprime(rng.randint(cap, 2 * 10**7)) for _ in range(24)]
+    semiprimes = [p * q for p, q in zip(big[::2], big[1::2])]
+    assert all(cap**2 < n < 10**18 for n in semiprimes)
+    cases += semiprimes
+    cases += [2**63 - 1, 2**63, 2**63 + 1, 2**64 + 1, 3**40 * 5]
+    cases += [sympy.nextprime(rng.randint(2**44, 2**48)) * p for p in big[:4]]  # past 2**63
+    cases += [rng.randint(1, 10 ** rng.randint(7, 12)) for _ in range(1_000)]
+    for n in cases:
+        got = _exponents(n)
+        assert got == sympy.factorint(n), n
+        if n <= cap**2:
+            assert list(got) == sorted(got), n
+    assert len(rho_calls) >= len(semiprimes)
+    # seeded primitive norms, over the split primes and 19 alone
+    table = quadratic._norm_primes()
+    for _ in range(1_500):
+        a, b = rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)
+        if math.gcd(a, b) == 1:
+            n = QuadInt(a, b).norm()
+            got = _exponents(n, table)
+            assert got == sympy.factorint(n), (a, b)
+            if n <= cap**2:
+                assert list(got) == sorted(got), n
+
+
+def test_one_primality_test_settles_what_the_cube_root_leaves(monkeypatch):
+    # past the cap, a cofactor whose cube root the trial run has passed is
+    # a prime or P*Q: one is_prime call decides which, unless p**2 passes
+    # it too; a cofactor at or under the cap takes none
+    calls = []
+    monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    p, q = 10_007, 99_999_989  # p just above the cube root of p*q
+    r = sympy.nextprime(1009**2)  # 1009 * r drops to r, and 1013**2 > r
+    assert p**3 > p * q and r < 1013**2 and sympy.isprime(q)
+    for n, tests in [
+        (999_983, 0),  # read off the table
+        (2**10 * 999_983, 0),  # the cofactor drops to the table
+        (q, 1),
+        (999_999_999_989, 1),
+        (p * q, 1),  # composite: the trial resumes and finds p
+        (1009 * 1013 * 1019, 1),  # 1013 * 1019 is left past its cube root
+        (1009 * r, 0),  # r is left past 1013**2: prime without a test
+    ]:
+        calls.clear()
+        assert _exponents(n) == sympy.factorint(n), n
+        assert len(calls) == tests, (n, calls)
+
+
 def test_primes_upto_matches_sympy_primerange():
     seg = rationals._SEGMENT
     for n in (0, 1, 2, 3, 4, 10**6, 10**6 + 3, seg - 1, seg, seg + 1, seg + 2):
@@ -524,11 +622,14 @@ def test_is_prime_table_path_matches_sympy():
     cases = [-7, 0, 1, 2, *range(20_001), *range(cap - 300, cap + 301)]
     want = [sympy.isprime(n) for n in cases]
     assert [is_prime(n) for n in cases] == want
-    # dropping the sieved table, as in a fresh process: the first call
-    # builds it again and every answer stays the same
+    # dropping the sieved table and the factor table struck from it, as in
+    # a fresh process: the first call builds both again and every answer
+    # stays the same
     rationals._trial_primes.cache_clear()
+    rationals._factor_table.cache_clear()
     assert is_prime(cap - 17) == sympy.isprime(cap - 17)
     assert rationals._trial_primes.cache_info().currsize == 1
+    assert rationals._factor_table.cache_info().currsize == 1
     assert [is_prime(n) for n in cases] == want
 
 
@@ -688,9 +789,11 @@ def test_factor_quad_refuses_a_factorization_it_cannot_rebuild(monkeypatch):
     with pytest.raises(IntegrityError):
         factor_quad(z)
     monkeypatch.setattr(quadratic, "primes_above", real_above)
-    # a split table that lacks the split prime 5 leaves composite cofactors
-    # such as 35 = N(z) or 25 = N(w**2) behind: each such norm is refused,
-    # and any answer that does come back is the true one
+    # a split table and a factor table that both lack the split prime 5
+    # leave composite cofactors such as 35 = N(z) or 25 = N(w**2) behind:
+    # each such norm is refused, and any answer that does come back is the
+    # true one. The factor table struck without 5 holds 35 and 25 as primes
+    # (7**2 > 35), which is how norms up to TRIAL_CAP meet the lost prime.
     rng = random.Random(15)
     cases = [z, QuadInt(-5, 1)]  # QuadInt(-5, 1) = w**2
     while len(cases) < 300:
@@ -700,6 +803,12 @@ def test_factor_quad_refuses_a_factorization_it_cannot_rebuild(monkeypatch):
     want = [factor_quad(x) for x in cases]
     table = tuple(p for p in quadratic._norm_primes() if p != 5)
     monkeypatch.setattr(quadratic, "_norm_primes", lambda: table)
+    lossy = rationals._least_factors(tuple(p for p in sympy.primerange(3, 1000) if p != 5))
+    assert lossy[35 >> 1] == lossy[25 >> 1] == 0 and lossy[45 >> 1] == 3
+    monkeypatch.setattr(rationals, "_factor_table", lambda: lossy)
+    # rationals.is_prime reads the same table; primes_above tests by sympy
+    # instead, so it refuses 35 and 25 and its cache keeps no composite
+    monkeypatch.setattr(quadratic, "is_prime", sympy.isprime)
     refused = 0
     for x, f in zip(cases, want):
         try:
@@ -747,6 +856,15 @@ def _prime_over_split(rng, lo, hi):
             return s.primes[rng.randint(0, 1)]
 
 
+def _split_prime_next_to(n, step):
+    """A canonical prime over the first split prime that step (sympy's
+    prevprime or nextprime) reaches from n."""
+    p = step(n)
+    while sympy.jacobi_symbol(-19, p) != 1:
+        p = step(p)
+    return primes_above(p).primes[0]
+
+
 def test_split_table_factors_primitive_norms_as_factor_int_does(monkeypatch):
     # The norm of a primitive element holds no inert prime, so factoring it
     # over the split primes and 19 alone must agree with the full table.
@@ -758,6 +876,7 @@ def test_split_table_factors_primitive_norms_as_factor_int_does(monkeypatch):
     for _ in range(20):
         p = _prime_over_split(rng, 3, small)
         q = _prime_over_split(rng, 3, cap)
+        r = _prime_over_split(rng, 1000, 10**4)
         cases += [
             (pi19 * p * q, True),  # 19 once
             (p**2 * q, True),  # a square split factor
@@ -770,6 +889,12 @@ def test_split_table_factors_primitive_norms_as_factor_int_does(monkeypatch):
             # and one prime for Miller-Rabin
             (_prime_over_split(rng, cap, 2 * cap) * _prime_over_split(rng, cap, 2 * cap) * p, True),
             (_prime_over_split(rng, cap**2, 10 * cap**2) * q, True),
+            # a norm the factor table answers, and the norms r * s with r
+            # just above and just below the cube root (s just under and
+            # just over r**2), where the trial resumes or finds r itself
+            (_prime_over_split(rng, 3, 400) * _prime_over_split(rng, 500, 1000), True),
+            (r * _split_prime_next_to(r.norm() ** 2, sympy.prevprime), True),
+            (r * _split_prime_next_to(r.norm() ** 2, sympy.nextprime), True),
         ]
     table = quadratic._norm_primes()
     for z, primitive in cases:

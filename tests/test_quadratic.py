@@ -103,6 +103,32 @@ def test_primes_above_caches_primes_only():
     assert primes_above.cache_info().currsize == held
 
 
+def _outcome(call, arg):
+    try:
+        return call(arg)
+    except Exception as exc:  # compared by type, below
+        return type(exc)
+
+
+def test_primes_above_same_outcome_fresh_and_warm():
+    # The cache is keyed by type, and p goes through operator.index on a
+    # miss, so a call gets the same answer or refusal whatever was asked
+    # before it. np.int64(7) used to raise TypeError from pow, and 2.0 and
+    # Fraction(2) used to answer from the cache once np.int64(2) had warmed it.
+    cases = [
+        (np.int64(7), 7, primes_above(7)),
+        (np.int64(2), 2, primes_above(2)),
+        (2.0, 2, TypeError),
+        (Fraction(2), 2, TypeError),
+    ]
+    for arg, valid, expected in cases:
+        primes_above.cache_clear()
+        assert _outcome(primes_above, arg) == expected, arg
+        primes_above(valid)
+        primes_above(np.int64(valid))
+        assert _outcome(primes_above, arg) == expected, arg
+
+
 def test_k_factorization_validates():
     with pytest.raises(DomainError):
         KFactorization(2, {})

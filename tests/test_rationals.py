@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -163,8 +164,10 @@ def test_json_shape():
 
 
 def test_cache_under_threads():
-    # start from no trial table, so the threads race on its first build
+    # start from no trial table and no factor table, so the threads race
+    # on their first build
     _trial_primes.cache_clear()
+    rationals._factor_table.cache_clear()
     results = []
 
     def work(seed):
@@ -176,11 +179,16 @@ def test_cache_under_threads():
         results.append(all(out))
 
     threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so the builds interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert results == [True] * 8
 
 
