@@ -9,9 +9,10 @@ check the isomorphism and the field axioms on seeded samples.
 
 Everything here is exact. The exotic sum factors each operand once over Z,
 takes out their common factor gamma (multiplication distributes over the
-exotic sum, so gamma*x (+) gamma*y = gamma*(x (+) y)), and factors in Z[w]
-only the image sum of the two coprime integer cofactors, which has no
-denominator. Operand sizes are guarded by ceilings, and overruns raise
+exotic sum, so gamma*x (+) gamma*y = gamma*(x (+) y)), images each operand
+prime once, walking alpha's primes and then the rest of beta's, and factors
+in Z[w] only the image sum of the two coprime integer cofactors, which has
+no denominator. Operand sizes are guarded by ceilings, and overruns raise
 ResourceLimitError rather than churn.
 """
 
@@ -72,13 +73,15 @@ def exotic_add_q(
     Each operand is factored once. Their common factor gamma, with
     v_p(gamma) = min(v_p(alpha), v_p(beta)), leaves coprime integer
     cofactors x and y, whose images sum to S = sigma(x) + sigma(y) in Z[w].
-    One loop over the operand primes images each prime once and multiplies
-    that image into N(sigma(gamma)) and into sigma(x) or sigma(y) on the
-    spot. Since sigma is multiplicative, the sum is gamma * sigma^-1(S), and
-    only S is factored in Z[w], and gamma * sigma^-1(S) is built as one
-    Fraction from their terms. The ceiling gate sees the norm of the whole
-    image sum, N(sigma(gamma)) * N(S), in lowest terms, and builds it as a
-    Fraction only when its unreduced terms pass the ceiling.
+    Two walks image each operand prime once, first alpha's primes, each
+    looked up once in beta's, then the primes of beta that alpha lacks, and
+    multiply that image into N(sigma(gamma)) and into sigma(x) or sigma(y)
+    on the spot. Since sigma is multiplicative, the sum is
+    gamma * sigma^-1(S), and only S is factored in Z[w], and
+    gamma * sigma^-1(S) is built as one Fraction from their terms. The
+    ceiling gate sees the norm of the whole image sum,
+    N(sigma(gamma)) * N(S), in lowest terms, and builds it as a Fraction
+    only when its unreduced terms pass the ceiling.
 
     Raises ResourceLimitError when the image sum is too large to factor
     (norm over norm_ceiling) or involves a prime outside the extendable
@@ -92,14 +95,14 @@ def exotic_add_q(
     if not b:
         return a
     fa, fb = factor_rat(a), factor_rat(b)
-    # gamma, the norm of its image and sigma(x), sigma(y) in one pass, one
+    # gamma, the norm of its image and sigma(x), sigma(y) in two walks, one
     # image per prime. Every operand prime is imaged before the zero test,
     # so a sum to 0 still refuses where sigma(alpha) or sigma(beta) would.
     g_num = g_den = n_num = n_den = 1
     xa, xb, ya, yb = fa.sign, 0, fb.sign, 0
     ea, eb, image = fa.exponents, fb.exponents, corr.image_of_prime
-    for p in ea.keys() | eb.keys():
-        i, j = ea.get(p, 0), eb.get(p, 0)
+    for p, i in ea.items():
+        j = eb.get(p, 0)
         pi = image(p)
         c, d = pi._a, pi._b
         k = i - j  # gamma keeps p**min(i, j); x keeps p**k if k > 0, y p**-k if k < 0
@@ -118,6 +121,21 @@ def exotic_add_q(
             if k < -1:
                 c, d = _pow(c, d, -k)
             ya, yb = _mul(ya, yb, c, d)
+    for p, j in eb.items():  # beta's primes that alpha lacks, so i = 0 and k = -j
+        if p in ea:
+            continue
+        pi = image(p)
+        c, d = pi._a, pi._b
+        if j > 0:  # y keeps p**j
+            if j > 1:
+                c, d = _pow(c, d, j)
+            ya, yb = _mul(ya, yb, c, d)
+        else:  # gamma keeps p**j, x keeps p**-j
+            g_den *= p**-j
+            n_den *= _norm(c, d) ** -j
+            if j < -1:
+                c, d = _pow(c, d, -j)
+            xa, xb = _mul(xa, xb, c, d)
     sa, sb = xa + ya, xb + yb
     if sa == 0 and sb == 0:
         return Fraction(0)

@@ -573,8 +573,8 @@ def _add_rational(n: int, sign: int, out: dict[QuadInt, int]) -> int:
 
 
 def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
-    """Add the exponents of z = a + b*w, gcd(a, b) = 1, to out, and return
-    the unit u with z = u * prod(pi**e).
+    """Store the exponents of z = a + b*w, gcd(a, b) = 1, in out, which
+    holds none of z's primes, and return the unit u with z = u * prod(pi**e).
 
     Only primes over the rational primes of N(z) divide z. No rational
     prime divides z, so no inert q divides even N(z) (q | z * conj(z)):
@@ -582,9 +582,10 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     trial-divided by _norm_primes alone, to its cube root, then settled by
     one primality test or by resuming the trial. Over a split p, pi divides
     z exactly when z maps to 0 under Z[w]/pi = Z/p, w -> -pi.a / pi.b, i.e.
-    p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent.
-    Each pi**e is multiplied into the rebuild as it is picked, and the
-    rebuild must equal z or -z, proving the factorization exact.
+    p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent,
+    stored once, since distinct rational primes give distinct pi. Each
+    pi**e is multiplied into the rebuild as it is picked, and the rebuild
+    must equal z or -z, proving the factorization exact.
     """
     ra, rb = 1, 0  # the rebuild, prime power by prime power
     for p, e in _exponents(_norm(a, b), _norm_primes()).items():
@@ -597,7 +598,7 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
         pi = s.primes[0]
         if s.kind == "split" and (a * pi._b - b * pi._a) % p:
             pi = s.primes[1]
-        out[pi] = out.get(pi, 0) + e
+        out[pi] = e
         c, d = pi._a, pi._b
         if e > 1:
             c, d = _pow(c, d, e)

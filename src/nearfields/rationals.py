@@ -12,12 +12,13 @@ Factoring is one loop, _exponents, behind both factor_int and factor_rat.
 Up to TRIAL_CAP = 1e6 it reads a table of least prime factors over the odd
 numbers (uint16, 0 for a prime, 1 MB), struck once on first use by the
 primes up to 1,000. Above the cap it trial-divides by a fixed table of the
-primes up to TRIAL_CAP, sieved once on first use and never grown, but only
-while p**3 is at most the cofactor: what is left then is a prime, which one
-primality test settles, or a product of two primes, the smaller of which
-further trial division finds. Past that, when both primes exceed the cap,
-a deterministic Miller-Rabin test and Brent's rho splitter take over, both
-exponential-time methods. is_prime reads the factor table up to TRIAL_CAP,
+primes up to TRIAL_CAP, sieved once on first use, never grown, and held as
+uint32 (314 KB rather than 3 MB of Python ints), but only while p**3 is at
+most the cofactor: what is left then is a prime, which one primality test
+settles, or a product of two primes, the smaller of which further trial
+division finds. Past that, when both primes exceed the cap, a deterministic
+Miller-Rabin test and Brent's rho splitter take over, both exponential-time
+methods. is_prime reads the factor table up to TRIAL_CAP,
 Miller-Rabin above. Every prime, here and in maps, comes off the one sieve,
 prime_mask, in segments of 2**22 numbers cut by _prime_masks: primes_upto
 reads them off as primes, adding the one even prime, and the correspondence
@@ -35,12 +36,13 @@ from __future__ import annotations
 import math
 import mmap
 import numbers
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import index
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,9 +100,11 @@ def _lazy(count: int, dtype: type) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    """The primes up to TRIAL_CAP, ascending; sieved once and then shared."""
-    return tuple(primes_upto(TRIAL_CAP))
+def _trial_primes() -> array:
+    """The primes up to TRIAL_CAP, ascending, as uint32; sieved once and
+    then shared. Reading one makes an int of it, so a loop that scans them
+    on every call keeps its own tuple (quadratic._norm_primes)."""
+    return array("I", primes_upto(TRIAL_CAP))
 
 
 @lru_cache(maxsize=1)
@@ -113,7 +117,7 @@ def _factor_table() -> memoryview:
     return _least_factors(primes[1 : bisect_right(primes, math.isqrt(TRIAL_CAP))])
 
 
-def _least_factors(primes: tuple[int, ...]) -> memoryview:
+def _least_factors(primes: Sequence[int]) -> memoryview:
     """The table of _factor_table, struck by the given odd primes, ascending:
     slot k holds the least of them whose square is at most 2k + 1 and which
     divides it, else 0. Larger primes strike first, so smaller ones
@@ -127,13 +131,16 @@ def _least_factors(primes: tuple[int, ...]) -> memoryview:
 def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
     """lead * prod(base(k)**e) over the items k, e of exponents, as one
     Fraction. The one product loop on Q: factorizations, sigma^-1 and the
-    endobijections multiply out through it."""
+    endobijections multiply out through it. With no negative exponent, as
+    for sigma^-1 of every QuadInt, the Fraction is built without a gcd."""
     num = den = 1
     for k, e in exponents.items():
         if e > 0:
             num *= base(k) ** e
         else:
             den *= base(k) ** -e
+    if den == 1:
+        return Fraction(lead * num)
     return Fraction(lead * num, den)
 
 
@@ -258,7 +265,7 @@ def _factor_hard(m: int, out: dict[int, int]) -> None:
         stack.append(v // d)
 
 
-def _exponents(m: int, primes: tuple[int, ...] | None = None) -> dict[int, int]:
+def _exponents(m: int, primes: Sequence[int] | None = None) -> dict[int, int]:
     """The prime exponents of an integer m >= 1, the one factoring loop.
 
     An m <= TRIAL_CAP, given or left over, is read off the factor table. A

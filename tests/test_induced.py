@@ -100,6 +100,15 @@ def test_exotic_add_matches_sigma_pipeline():
         (Fraction(4, 9), Fraction(8, 3), 2),
         # gamma = 6/175, cofactors 10 and 21: every prime on both sides
         (Fraction(12, 35), Fraction(18, 25), 4),
+        # no prime shared: gamma = 1/77, cofactors 33 and 35
+        (Fraction(3, 7), Fraction(5, 11), 4),
+        # 5 only in beta's denominator: gamma = 1/5, x = 10, y = 9
+        (Fraction(2), Fraction(9, 5), 3),
+        # 2 and 3 only in alpha, 5 only in beta's denominator:
+        # gamma = 1/225, x = 100, y = 9
+        (Fraction(4, 9), Fraction(1, 25), 3),
+        # every prime of beta also in alpha: gamma = 1/4, x = 2, y = -3
+        (Fraction(1, 2), Fraction(-3, 4), 2),
     ],
 )
 def test_exotic_add_images_each_operand_prime_once(a, b, calls):
@@ -112,7 +121,8 @@ def test_exotic_add_images_each_operand_prime_once(a, b, calls):
         return image(p)
 
     corr.image_of_prime = counted
-    assert exotic_add_q(a, b, corr=corr) == exotic_add_q(a, b)
+    got, want = _both_paths(a, b, default_correspondence(), DEFAULT_SUM_NORM_CEILING)
+    assert exotic_add_q(a, b, corr=corr) == got == want
     assert len(asked) == calls, asked
 
 
@@ -234,6 +244,13 @@ def test_exotic_add_to_zero_refuses_an_operand_past_the_correspondence():
     a = Fraction(139, 2)
     got, want = _both_paths(a, -a, _SMALL_CORR, _SMALL_CEILING)
     assert got == want == ("refused", _SMALL_MAX_NORM)
+
+
+def test_exotic_add_refuses_a_prime_only_in_betas_denominator():
+    # 139 sits only in beta's denominator, so it goes to gamma and x, and
+    # its missing image refuses the sum as the oracle refuses it
+    got, want = _both_paths(2, Fraction(1, 139), _SMALL_CORR, _SMALL_CEILING)
+    assert (got, want) == (("refused", _SMALL_MAX_NORM), ("refused", _SMALL_MAX_NORM))
 
 
 def _canonical_norm_above(p):

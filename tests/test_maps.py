@@ -364,6 +364,25 @@ def test_sigma_round_trips_random():
         assert sigma_apply(corr, q * r) == img * sigma_apply(corr, r)
 
 
+def test_sigma_invert_of_a_quadint_is_an_integer():
+    # every exponent of a QuadInt is positive, so sigma^-1 multiplies out
+    # with no denominator; the oracle multiplies the preimages as Fractions
+    corr = default_correspondence()
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        x = QuadInt(int(rng.integers(-3000, 3001)), int(rng.integers(-1000, 1001)))
+        if x.is_zero():
+            continue
+        f = factor_quad(x)
+        want = Fraction(f.unit)
+        for pi, e in f.exponents.items():
+            want *= Fraction(corr.preimage_of_prime(pi)) ** e
+        got = sigma_invert(corr, x)
+        assert type(got) is Fraction and got.denominator == 1
+        assert type(got.numerator) is int
+        assert got == want and sigma_apply(corr, got) == QuadRat(x)
+
+
 def test_correspondence_thread_safety():
     corr = PrimeCorrespondence()
     results = []
@@ -760,6 +779,28 @@ def test_endo_bijection_is_multiplicative():
     for _ in range(300):
         a, b = sample(rng), sample(rng)
         assert f(a * b) == f(a) * f(b), (a, b)
+
+
+def test_endo_bijection_matches_fraction_arithmetic():
+    # p**e goes to eta_p**e * perm(p)**(nu_p * e), multiplied out here as
+    # Fractions; nu turns numerator primes into denominator ones and back,
+    # so integers and fractions land on both sides
+    spec = EndoBijectionSpecQ(
+        perm={2: 5, 5: 2, 3: 7, 7: 3}, eta={3: -1, 11: -1}, nu={2: -1, 7: -1, 13: -1}
+    )
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        num = int(rng.integers(-5000, 5001)) or 1
+        q = Fraction(num, int(rng.integers(1, 5001)) if rng.integers(2) else 1)
+        want = Fraction(1 if q > 0 else -1)
+        for side, n in ((1, q.numerator), (-1, q.denominator)):
+            for p, e in factor_int(n).exponents.items():
+                e *= side
+                want *= Fraction(spec.eta.get(p, 1)) ** e
+                want *= Fraction(spec.perm.get(p, p)) ** (spec.nu.get(p, 1) * e)
+        got = endo_q_apply(spec, q)
+        assert type(got) is Fraction and type(got.numerator) is int
+        assert got == want, q
 
 
 def test_qmc_scaling_and_frobenius_pass():

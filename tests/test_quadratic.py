@@ -332,6 +332,37 @@ def test_factor_round_trip_quadrat():
         assert all(e != 0 for e in f.exponents.values())
 
 
+def test_factor_round_trip_content_and_denominator_share_split_primes():
+    # z, a product of one prime over each of some split p, is primitive;
+    # the content c and the denominator d draw from the same p, so their
+    # exponents land on keys the primitive part already stored, and a
+    # denominator may cancel one to zero
+    rng = random.Random(29)
+    split = [p for p in primes_upto(60) if primes_above(p).kind == "split"]
+    for _ in range(200):
+        z, want = QuadInt(1, 0), {}
+        for p in rng.sample(split, rng.randint(1, 3)):
+            pi = rng.choice(primes_above(p).primes)
+            e = rng.randint(1, 3)
+            z = z * pi**e
+            want[pi] = e
+        shared = rng.sample(split, 2) + [2, 3, 19]
+        c = d = 1
+        for p in shared:
+            k = rng.randint(0, 2)
+            if rng.random() < 0.5:
+                c *= p**k
+            else:
+                d *= p**k
+            for pi in primes_above(p).primes:
+                step = k if d % p else -k
+                want[pi] = want.get(pi, 0) + (2 * step if p == 19 else step)
+        x = QuadRat(QuadInt(c * z.a, c * z.b), d)
+        f = factor_quad(x)
+        assert rebuild_quad(f) == x
+        assert f.exponents == {pi: e for pi, e in want.items() if e}, (z, c, d)
+
+
 def test_quadrat_normal_form():
     x = QuadRat(QuadInt(2, 4), -6)
     assert (x.num, x.den) == (QuadInt(-1, -2), 3)

@@ -103,6 +103,24 @@ def test_round_trip_random():
         assert f.sign == (1 if q > 0 else -1)
 
 
+def test_value_matches_fraction_arithmetic():
+    # exponents all positive (no denominator), all negative, and mixed
+    rng = random.Random(29)
+    primes = primes_upto(60)
+    for _ in range(300):
+        picked = rng.sample(primes, rng.randint(0, 5))
+        signs = rng.choice([(1,), (-1,), (1, -1)])
+        exps = {p: rng.choice(signs) * rng.randint(1, 4) for p in picked}
+        sign = rng.choice([1, -1])
+        want = Fraction(sign)
+        for p, e in exps.items():
+            want *= Fraction(p) ** e
+        got = SignedFactorization(sign, exps).value()
+        assert type(got) is Fraction and type(got.numerator) is int
+        assert got == want, exps
+        assert got.denominator == 1 or any(e < 0 for e in exps.values())
+
+
 def test_factorization_is_multiplicative():
     rng = random.Random(1)
     for _ in range(200):
