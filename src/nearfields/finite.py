@@ -1,9 +1,12 @@
 """Small finite fields on explicit tables, and every addition they carry.
 
 Each supported (p, n) comes with a fixed irreducible modulus. Elements are
-indices 0..p**n-1, where index c0 + c1*p + ... encodes the coefficient
-vector of a residue class; every structure map is materialized as an index
-table so the kernels can sweep identities exhaustively.
+indices 0..p**n-1, and an index is the base-p code of its residue class:
+index c0 + c1*p + ... is c0 + c1*x + .... Every structure map is
+materialized as an index table so the kernels can sweep identities
+exhaustively. Sum and negation act digit by digit on the codes. Product,
+inverse and the logarithm tables all come from one generator's powers,
+walked once by polynomial multiplication mod the modulus.
 
 The exotic additions are the exponent family a |-> (alpha**a + beta**a)
 raised to a**-1 (inverse taken mod p**n - 1, least positive representative),
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -85,63 +87,41 @@ class FiniteField:
                 raise DomainError(f"modulus has root {r} mod {p}, not irreducible")
 
         m = self.m
-        coeffs = [tuple((x // p**i) % p for i in range(n)) for x in range(m)]
-        index = {c: i for i, c in enumerate(coeffs)}
-        self.coeffs = coeffs
-
-        add = np.zeros((m, m), dtype=np.int64)
-        mul = np.zeros((m, m), dtype=np.int64)
-        for i, u in enumerate(coeffs):
-            for j, v in enumerate(coeffs):
-                add[i, j] = index[tuple((a + b) % p for a, b in zip(u, v))]
-                mul[i, j] = index[_poly_mul_mod(u, v, modulus, p)]
-        self.add = add
-        self.mul = mul
+        weights = p ** np.arange(n)
+        digits = (np.arange(m)[:, None] // weights) % p  # digits[x, i] = (x // p**i) % p
+        self.add = ((digits[:, None] + digits[None, :]) % p) @ weights
+        self.neg = (-digits % p) @ weights
         self.zero = 0
-        self.one = index[(1,) + (0,) * (n - 1)]
+        self.one = 1
 
-        neg = np.zeros(m, dtype=np.int64)
-        inv = np.zeros(m, dtype=np.int64)
-        for i, u in enumerate(coeffs):
-            neg[i] = index[tuple(-a % p for a in u)]
-            hits = np.flatnonzero(mul[i] == self.one)
-            if i:
-                if len(hits) != 1:
-                    raise IntegrityError(f"element {i} has {len(hits)} inverses")
-                inv[i] = hits[0]
-        self.neg = neg
-        self.inv = inv  # inv[0] stays 0 as a sentinel; callers skip zero
-        self.minus_one = int(neg[self.one])
-
-        self.generator = self._find_generator()
-        dlog = np.full(m, -1, dtype=np.int64)
-        x = self.one
-        for e in range(m - 1):
-            dlog[x] = e
-            x = int(mul[x, self.generator])
-        if x != self.one or (dlog[1:] < 0).any():
-            raise IntegrityError("generator does not have order m - 1")
-        self.dlog = dlog
-        exp = np.zeros(m - 1, dtype=np.int64)
-        exp[dlog[np.arange(m)[dlog >= 0]]] = np.arange(m)[dlog >= 0]
-        self.exp = exp  # exp[e] = generator**e
+        # The first candidate whose powers reach every unit generates the
+        # unit group. Its m - 1 powers are distinct units, so they are all of
+        # them: they are exp, and every product and inverse is read off logs.
+        one = (1,) + (0,) * (n - 1)
+        for g in range(2, m):
+            step = x = tuple(digits[g].tolist())
+            powers = [self.one]
+            while x != one and len(powers) < m - 1:
+                powers.append(sum(c * p**i for i, c in enumerate(x)))
+                x = _poly_mul_mod(x, step, modulus, p)
+            if x == one and len(powers) == m - 1:
+                break
+        else:
+            raise IntegrityError("no cyclic generator found")
+        self.generator = g
+        self.exp = np.array(powers, dtype=np.int64)  # exp[e] = generator**e
+        self.dlog = np.full(m, -1, dtype=np.int64)
+        self.dlog[self.exp] = np.arange(m - 1)
+        logs = self.dlog[1:]
+        self.mul = np.zeros((m, m), dtype=np.int64)
+        self.mul[1:, 1:] = self.exp[(logs[:, None] + logs[None, :]) % (m - 1)]
+        self.inv = np.zeros(m, dtype=np.int64)  # inv[0] stays 0 as a sentinel; callers skip zero
+        self.inv[1:] = self.exp[-logs % (m - 1)]
+        self.minus_one = int(self.neg[self.one])
 
         for t in (self.add, self.mul, self.neg, self.inv, self.dlog, self.exp):
             t.flags.writeable = False
         self._self_check()
-
-    def _find_generator(self) -> int:
-        target = self.m - 1
-        for g in range(1, self.m):
-            x, order = g, 1
-            while x != self.one:
-                x = int(self.mul[x, g])
-                order += 1
-                if order > target:
-                    raise IntegrityError("multiplication table is not a group")
-            if order == target:
-                return g
-        raise IntegrityError("no cyclic generator found")
 
     def _self_check(self) -> None:
         if kernels.assoc_witness(self.add) or kernels.assoc_witness(self.mul):
@@ -250,12 +230,8 @@ def verify_addition_table(t: AdditionTable) -> Report:
     m = f.m
 
     rep.add("closure", bool(((tab >= 0) & (tab < m)).all()))
-    asym = np.argwhere(tab != tab.T)
-    rep.add(
-        "commutativity",
-        len(asym) == 0,
-        witness=tuple(int(v) for v in asym[0]) if len(asym) else None,
-    )
+    w = kernels._first_false(tab == tab.T)
+    rep.add("commutativity", w is None, witness=w)
     zero_rows = [e for e in range(m) if (tab[e] == np.arange(m)).all()]
     rep.add("zero", zero_rows == [f.zero], witness=zero_rows)
     inv_ok = all((tab[i] == f.zero).any() for i in range(m))
@@ -361,41 +337,40 @@ def modnear_ring_check() -> Report:
             detail="informational: x**3 is the Frobenius here")
 
     # A group hom out of (F9,+) = (Z/3)^2 is fixed by the images u, v of the
-    # basis e1 = 1, e2 = x; candidate f(c0 + c1 x) = c0*u boxplus c1*v.
+    # basis e1 = 1, e2 = x; candidate f(c0 + c1 x) = c0*u boxplus c1*v, all
+    # m**2 of them at once in u-major order.
     reps = _box_scalar_reps(box, f.p, m)
     c0 = np.arange(m) % f.p
     c1 = np.arange(m) // f.p
-    members = []
-    for u in range(m):
-        for v in range(m):
-            cand = box[reps[c0, u], reps[c1, v]]
-            if np.array_equal(cand[native], box[cand[:, None], cand[None, :]]):
-                members.append(cand)
-    maps = np.array(members, dtype=np.int64)
+    cands = box[reps[c0].T[:, None, :], reps[c1].T[None, :, :]].reshape(m * m, m)
+    is_hom = (cands[:, native] == box[cands[:, :, None], cands[:, None, :]]).all(axis=(1, 2))
+    maps = cands[is_hom]
     n = maps.shape[0]
     rep.add("member_count", n == 81, witness=n)
     rep.counts["members"] = n
 
-    index_of = {row.tobytes(): i for i, row in enumerate(maps)}
+    # A map's values are its base-m digits, so its code names it.
+    weights = m ** np.arange(m)
+    codes = maps @ weights
+    order = np.argsort(codes)
 
-    def table_of(row: Callable[[int], np.ndarray], name: str) -> np.ndarray | None:
+    def member_of(rows: np.ndarray) -> np.ndarray:
+        """Member index of each map along the last axis of rows, -1 if none."""
+        c = rows @ weights
+        i = order[np.searchsorted(codes, c, sorter=order) % n]
+        return np.where(codes[i] == c, i, -1)
+
+    def table_of(rows: np.ndarray, name: str) -> np.ndarray | None:
         """Index table of a pointwise operation, or None if not closed;
-        row(i) gives the (n, m) results of member i with every member."""
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            rows = row(i)
-            for j in range(n):
-                key = rows[j].tobytes()
-                if key not in index_of:
-                    rep.add(f"closure[{name}]", False, witness=(i, j))
-                    return None
-                out[i, j] = index_of[key]
-        rep.add(f"closure[{name}]", True)
-        return out
+        rows[i, j] is the map that member i and member j give."""
+        out = member_of(rows)
+        w = kernels._first_false(out >= 0)
+        rep.add(f"closure[{name}]", w is None, witness=w)
+        return out if w is None else None
 
-    box_idx = table_of(lambda i: box[maps[i], maps], "boxplus")
-    nat_idx = table_of(lambda i: native[maps[i], maps], "plus")
-    comp_idx = table_of(lambda i: maps[i][maps], "compose")  # maps[i] after maps[j]
+    box_idx = table_of(box[maps[:, None], maps[None, :]], "boxplus")
+    nat_idx = table_of(native[maps[:, None], maps[None, :]], "plus")
+    comp_idx = table_of(maps[:, maps], "compose")  # maps[i] after maps[j]
     if box_idx is None or nat_idx is None or comp_idx is None:
         return rep
 
@@ -413,7 +388,7 @@ def modnear_ring_check() -> Report:
     group_axioms(nat_idx, "plus", abelian=True)  # axiom 1, ring side
 
     # Axiom 2: composition is a monoid with the identity map as 1.
-    ident = index_of[np.arange(m, dtype=np.int64).tobytes()]
+    ident = int(member_of(np.arange(m)))
     w = kernels.assoc_witness(comp_idx)
     rep.add("monoid_assoc[compose]", w is None, witness=w,
             detail="also discharges axiom 4': with the action equal to ring "

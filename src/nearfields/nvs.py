@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .finite import FiniteField, is_mult_bijection, is_permutation, transport
-from .kernels import assoc_witness, left_distrib_witness
+from .kernels import _first_false, assoc_witness, left_distrib_witness
 from .report import Report
 
 __all__ = [
@@ -98,10 +98,8 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     rep.add("action_identity", bool(np.array_equal(S[F.one], np.arange(m))))
     rep.add("action_minus_one", bool(np.array_equal(S[F.minus_one], box_neg)))
     rep.add("action_zero", bool((S[F.zero] == F.zero).all()))
-    lhs, rhs = S[F.mul], S[:, S]
-    assoc = np.array_equal(lhs, rhs)
-    wit = None if assoc else tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
-    rep.add("action_associative", assoc, witness=wit)
+    wit = _first_false(S[F.mul] == S[:, S])
+    rep.add("action_associative", wit is None, witness=wit)
     wit = left_distrib_witness(S, A)
     rep.add("action_distributes", wit is None, witness=wit)
 
@@ -153,11 +151,8 @@ def check_elementary_box1(s: ElementaryNVS) -> Report:
     phi_prime = F.mul[s.phi, s.psi[F.one]]
     rep.add("phi_prime_bijective", is_permutation(phi_prime, F.m))
     pulled = transport(F.add, phi_prime)
-    same = np.array_equal(t1, pulled)
-    wit = None
-    if not same:
-        i, j = np.argwhere(t1 != pulled)[0]
-        wit = (int(i), int(j), int(t1[i, j]), int(pulled[i, j]))
-    rep.add("box_one_equals_pullback", same, witness=wit)
+    ij = _first_false(t1 == pulled)
+    wit = None if ij is None else (*ij, int(t1[ij]), int(pulled[ij]))
+    rep.add("box_one_equals_pullback", ij is None, witness=wit)
     rep.counts["pairs"] = F.m**2
     return rep

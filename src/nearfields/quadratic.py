@@ -221,6 +221,8 @@ def _coerce(x) -> QuadInt | None:
         return x
     if isinstance(x, int):
         return QuadInt(x, 0)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return QuadInt(x.numerator, 0)
     return None
 
 

@@ -43,6 +43,7 @@ GOLDEN_CASES = [
         ["isom-check", "--field", "f27", "--a1", "native", "--a2", "5", "--json"],
         "isom_check_f27_native_5.json",
     ),
+    (["modnear-check", "--json"], "modnear_check.json"),
 ]
 
 BROKEN_F4_TABLE = "table:0,1,2,3,1,0,2,3,2,3,0,1,3,2,1,0"
@@ -78,7 +79,7 @@ def test_golden_lists_agree():
         assert name not in ci, name
         ci[name] = argv[prefix:]
     cases = dict((name, argv) for argv, name in GOLDEN_CASES)
-    assert len(cases) == len(GOLDEN_CASES) == 14
+    assert len(cases) == len(GOLDEN_CASES) == 15
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(cases)
     assert ci == cases
 
@@ -158,6 +159,11 @@ def test_usage_errors_exit_two(capsys):
         ["nvs-verify", "--field", "f9", "--psi", "id", "--phi", "scale:2"],
         ["factor-int", "0"],
         ["epsilon", "--alpha", "1j", "--z", "1"],
+        # not finite: alpha, z, beta = 1 / 1e-320, and r**alpha
+        ["epsilon", "--json", "--alpha", "nan", "--z", "1"],
+        ["epsilon", "--json", "--alpha", "1", "--z", "inf"],
+        ["epsilon", "--json", "--alpha", "1e-320", "--z", "2"],
+        ["epsilon", "--json", "--alpha", "1000", "--z", "1e10"],
     ]
     for argv in cases:
         code, out, err = _run(capsys, argv)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 
 from nearfields.errors import DomainError, IntegrityError
 from nearfields.finite import (
@@ -42,6 +43,43 @@ def test_field_construction_basics():
         assert f.add[f.minus_one, f.one] == f.zero
         # generator order is exactly m - 1
         assert sorted(int(f.dlog[x]) for x in range(1, f.m)) == list(range(f.m - 1))
+
+
+def test_tables_match_sympy_polynomial_arithmetic():
+    # Index sum(c_i p**i) is the residue class of sum(c_i x**i) in
+    # GF(p)[x] / (modulus); sympy's Poly arithmetic knows nothing of the
+    # tables, the generator walk or the logs.
+    x = sympy.Symbol("x")
+    for (p, n), modulus in SUPPORTED_FIELDS.items():
+        f = make_field(p, n)
+        mod = sympy.Poly(modulus[::-1], x, modulus=p)
+        elems = [sympy.Poly([(i // p**k) % p for k in reversed(range(n))], x, modulus=p) for i in range(f.m)]
+
+        def index(q):
+            return sum(int(c) % p * p**k for k, c in enumerate(reversed(q.rem(mod).all_coeffs())))
+
+        assert [index(e) for e in elems] == list(range(f.m))
+        for i, u in enumerate(elems):
+            assert f.neg[i] == index(-u), (p, n, i)
+            assert f.inv[i] == (index(u.invert(mod)) if i else 0), (p, n, i)
+            for j, v in enumerate(elems):
+                assert f.add[i, j] == index(u + v), (p, n, i, j)
+                assert f.mul[i, j] == index(u * v), (p, n, i, j)
+
+        def powers(g):
+            out, y = [], elems[1]
+            while not out or y != elems[1]:
+                out.append(index(y))
+                y = (y * elems[g]).rem(mod)
+            return out
+
+        # The generator is the least index whose powers reach every unit,
+        # and exp lists those powers in order.
+        orders = [len(powers(g)) for g in range(1, f.m)]
+        assert f.generator == 1 + orders.index(f.m - 1), (p, n)
+        assert f.exp.tolist() == powers(f.generator), (p, n)
+        assert f.dlog[0] == -1 and all(f.exp[f.dlog[i]] == i for i in range(1, f.m)), (p, n)
+        assert (f.one, f.minus_one) == (1, index(-elems[1])), (p, n)
 
 
 def test_power_table():

@@ -896,6 +896,19 @@ def test_epsilon_basics():
         eval_epsilon(1j, 2.0)
     with pytest.raises(DomainError):
         epsilon_inverse_param(3j)
+    for alpha, z in ((math.nan, 1), (1, math.inf), (complex(1, math.nan), 2), (2, complex(1, -math.inf))):
+        with pytest.raises(DomainError, match="not finite"):
+            eval_epsilon(alpha, z)
+    with pytest.raises(DomainError, match="alpha is not finite"):
+        epsilon_inverse_param(math.nan)
+    # 1 / 1e-320 overflows, so the inverse map has no finite parameter.
+    assert eval_epsilon(1e-320, 2) == pytest.approx(1)
+    for conj in (False, True):
+        with pytest.raises(DomainError, match="beta is not finite"):
+            epsilon_inverse_param(1e-320, conjugate=conj)
+    # r**alpha past the float range is refused, not raised as OverflowError.
+    with pytest.raises(DomainError, match="not finite"):
+        eval_epsilon(1000, 1e10)
 
 
 def test_epsilon_multiplicative_and_inverse():

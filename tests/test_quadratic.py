@@ -377,10 +377,16 @@ def test_hash_agrees_with_equality():
     for _ in range(100):
         a, b, d = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99)
         equal = [(QuadInt(a, 0), a), (QuadRat(QuadInt(a, 0), d), Fraction(a, d)),
-                 (QuadRat(QuadInt(a, b)), QuadInt(a, b)), (QuadRat(QuadInt(a, 0)), a)]
+                 (QuadRat(QuadInt(a, b)), QuadInt(a, b)), (QuadRat(QuadInt(a, 0)), a),
+                 (QuadInt(a, 0), Fraction(a)), (Fraction(a), QuadInt(a, 0))]
         for x, y in equal:
-            assert x == y and hash(x) == hash(y), (x, y)
+            assert x == y and not x != y and hash(x) == hash(y), (x, y)
     assert len({5, QuadInt(5, 0), QuadRat(QuadInt(5, 0)), Fraction(5)}) == 1
+    assert len({QuadInt(3, 0), Fraction(3), QuadRat(QuadInt(3, 0))}) == 1
+    assert len({Fraction(3), QuadRat(QuadInt(3, 0)), QuadInt(3, 0)}) == 1
+    # A non-integral Fraction is no element of Z[w].
+    assert QuadInt(3, 0).__eq__(Fraction(7, 2)) is NotImplemented
+    assert QuadInt(3, 0) != Fraction(7, 2) and Fraction(7, 2) != QuadInt(3, 0)
     assert len({Fraction(1, 2), QuadRat(QuadInt(1, 0), 2)}) == 1
     assert len({QuadRat(QuadInt(3, 1)), QuadInt(3, 1), QuadRat(QuadInt(3, 1), 2)}) == 2
     # components past 2**64, and negative b
