@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -44,8 +45,8 @@ __all__ = [
     "SUPPORTED_FIELDS",
 ]
 
-# Ascending coefficient tuples, constant term first; all degree 2 or 3, so
-# irreducibility over F_p is equivalent to having no roots.
+# Ascending coefficient tuples, constant term first; each passes Rabin's
+# irreducibility test in FiniteField.
 SUPPORTED_FIELDS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),  # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
@@ -72,19 +73,79 @@ def _poly_mul_mod(u: tuple, v: tuple, modulus: tuple, p: int) -> tuple:
     return tuple(prod[:deg])
 
 
+def _poly_pow_mod(u: tuple, e: int, modulus: tuple, p: int) -> tuple:
+    """u**e mod the monic modulus, for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = u if out is None else _poly_mul_mod(out, u, modulus, p)
+        e >>= 1
+        if not e:
+            return out
+        u = _poly_mul_mod(u, u, modulus, p)
+
+
+def _poly_trim(u: Sequence[int], p: int) -> list:
+    """u with its coefficients reduced mod p and its zero top terms dropped."""
+    u = [c % p for c in u]
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _poly_gcd_degree(u: Sequence[int], v: Sequence[int], p: int) -> int:
+    """The degree of gcd(u, v) mod the prime p, for u nonzero mod p:
+    Euclid's algorithm on ascending coefficient lists."""
+    u, v = _poly_trim(u, p), _poly_trim(v, p)
+    while v:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):  # u -= c * x**k * v, clearing u's top term
+            c, k = u[-1] * inv % p, len(u) - len(v)
+            for j, vj in enumerate(v):
+                u[k + j] -= c * vj
+            u = _poly_trim(u, p)
+        u, v = v, u
+    return len(u) - 1
+
+
+def _is_irreducible(modulus: tuple, p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980): a monic f of degree n over
+    F_p is irreducible iff x**(p**n) = x mod f and gcd(x**(p**(n/r)) - x, f)
+    = 1 for each prime r dividing n. Roots alone settle degrees 2 and 3
+    only: (x**2 + 1)**2 over F_3 has none."""
+    n = len(modulus) - 1
+    x = _poly_mul_mod((0, 1), (1,) + (0,) * (n - 1), modulus, p)  # x mod f
+    frobenius = [x]  # frobenius[k] = x**(p**k) mod f
+    for _ in range(n):
+        frobenius.append(_poly_pow_mod(frobenius[-1], p, modulus, p))
+    if frobenius[n] != x:
+        return False
+    for r in range(2, n + 1):
+        if n % r == 0 and all(r % d for d in range(2, r)):
+            h = [a - b for a, b in zip(frobenius[n // r], x)]
+            if _poly_gcd_degree(modulus, h, p) != 0:
+                return False
+    return True
+
+
 class FiniteField:
-    """F_{p^n} with all structure maps as readonly index tables."""
+    """F_{p^n} with all structure maps as readonly index tables.
+
+    A p that is not prime, or a modulus that is not monic, of degree n >= 1
+    and irreducible mod p (Rabin's test), is refused with DomainError before
+    any table is built."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
         self.n = n
         self.m = p**n
         self.modulus = modulus
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise DomainError("modulus must be monic of degree n")
-        for r in range(p):
-            if sum(c * r**i for i, c in enumerate(modulus)) % p == 0:
-                raise DomainError(f"modulus has root {r} mod {p}, not irreducible")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise DomainError(f"characteristic must be a prime, got {p}")
+        if n < 1 or len(modulus) != n + 1 or modulus[-1] != 1:
+            raise DomainError("modulus must be monic of degree n >= 1")
+        if not _is_irreducible(modulus, p):
+            raise DomainError(f"modulus {modulus} is reducible mod {p}")
 
         m = self.m
         weights = p ** np.arange(n)

@@ -25,6 +25,10 @@ and sigma is what induces the exotic addition on Q elsewhere in the package.
 The images of the rational primes up to rationals.TRIAL_CAP, and the
 preimages of their canonical primes, are memoized per correspondence as
 they are found (refusals are not, so a ceiling is asked again each time).
+The default correspondence's odd-prime bitmap also answers
+rationals.is_prime between TRIAL_CAP and where it has sieved: maps hands
+it over once, right after building the default, through
+rationals._shared_sieve, which reads one snapshot per call.
 sigma and sigma^-1 are mirror images: factor, map each prime, multiply back
 out, sigma through the product loop of Z[w] (quadratic._product, on plain
 integers) and sigma^-1 through the one of Q (rationals._value). The exotic
@@ -64,7 +68,18 @@ from .quadratic import (
     factor_quad,
     is_canonical_prime,
 )
-from .rationals import TRIAL_CAP, Rat, _as_rat, _lazy, _prime_masks, _value, factor_rat, is_prime
+from . import rationals
+from .rationals import (
+    TRIAL_CAP,
+    Rat,
+    _as_rat,
+    _lazy,
+    _odd_bit,
+    _prime_masks,
+    _value,
+    factor_rat,
+    is_prime,
+)
 from .report import Report
 
 __all__ = [
@@ -373,7 +388,7 @@ class PrimeCorrespondence:
         if p > held.sieved:  # past the sieve, or none yet: a primality test decides
             if not is_prime(p):
                 raise DomainError(f"{p} is not a rational prime")
-        elif p != 2 and (p < 3 or not p & 1 or not held.primes[p >> 4] >> (p >> 1 & 7) & 1):
+        elif p != 2 and (p < 3 or not p & 1 or not _odd_bit(held.primes, p)):
             raise DomainError(f"{p} is not a rational prime")
         while True:  # p's rank among the primes, once sieved: 2 first, then the odd ones
             if p <= held.sieved:
@@ -418,7 +433,7 @@ class PrimeCorrespondence:
             raise DomainError(f"{pi!r} is not a canonical prime")
         primes, prime_counts, splits, split_counts, extras, _, _, _, _ = held
         k = bisect_left(extras, n) + _place_in_norm(pi)
-        split = n & 1 and splits[n >> 4] >> (n >> 1 & 7) & 1
+        split = n & 1 and _odd_bit(splits, n)
         if not split and (k >= len(extras) or extras[k] != n):
             raise DomainError(f"{pi!r} is not a canonical prime")
         r = 2 * _rank(splits, split_counts, n >> 1) + k
@@ -429,6 +444,18 @@ class PrimeCorrespondence:
 
 
 _default = PrimeCorrespondence()
+
+
+def _default_sieve() -> tuple[memoryview, int]:
+    """The default correspondence's odd-prime bitmap and how far it is
+    sieved, from one snapshot: rationals.is_prime answers from it above
+    TRIAL_CAP. No other correspondence is shared, so no private one's
+    buffers are kept alive."""
+    held = _default._data
+    return held.primes, held.sieved
+
+
+rationals._shared_sieve = _default_sieve
 
 
 def default_correspondence() -> PrimeCorrespondence:

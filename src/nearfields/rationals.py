@@ -18,8 +18,11 @@ most the cofactor: what is left then is a prime, which one primality test
 settles, or a product of two primes, the smaller of which further trial
 division finds. Past that, when both primes exceed the cap, a deterministic
 Miller-Rabin test and Brent's rho splitter take over, both exponential-time
-methods. is_prime reads the factor table up to TRIAL_CAP,
-Miller-Rabin above. Every prime, here and in maps, comes off the one sieve,
+methods. is_prime answers from three sources: the factor table up to
+TRIAL_CAP; above it, up to where the default correspondence of maps has
+sieved, one bit of that correspondence's odd-prime bitmap, which maps
+hands over through _shared_sieve (this module never imports maps); and
+Miller-Rabin past that. Every prime, here and in maps, comes off the one sieve,
 prime_mask, in segments of 2**22 numbers cut by _prime_masks: primes_upto
 reads them off as primes, adding the one even prime, and the correspondence
 in maps packs them into bitmaps. One call sieves one segment, by its own
@@ -128,6 +131,22 @@ def _least_factors(primes: Sequence[int]) -> memoryview:
     return memoryview(table)
 
 
+def _odd_bit(bits: Sequence[int], n: int) -> int:
+    """The bit of the odd number n in an odd-number bitmap: slot k for
+    2k + 1, bit k % 8 of byte k // 8."""
+    return bits[n >> 4] >> (n >> 1 & 7) & 1
+
+
+def _no_sieve() -> tuple[bytes, int]:
+    return b"", 0
+
+
+# () -> (bits, sieved): an odd-prime bitmap (see _odd_bit) that holds every
+# odd number up to sieved, read from one snapshot per call. maps points it
+# at its default correspondence once, when it builds it.
+_shared_sieve: Callable[[], tuple[Sequence[int], int]] = _no_sieve
+
+
 def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
     """lead * prod(base(k)**e) over the items k, e of exponents, as one
     Fraction. The one product loop on Q: factorizations, sigma^-1 and the
@@ -185,16 +204,21 @@ class SignedFactorization:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24.
 
-    n <= TRIAL_CAP is read off the table of least prime factors, larger n
-    gets Miller-Rabin. Inputs with a prime factor up to 41 are settled at
-    any size; any other input at or above the bound raises
-    ResourceLimitError. A float is refused with TypeError, not truncated.
+    Three ranges, three sources: n <= TRIAL_CAP is read off the table of
+    least prime factors; n up to the bound that the default correspondence
+    of maps has sieved is one bit of its odd-prime bitmap; larger n gets
+    Miller-Rabin. Inputs with a prime factor up to 41 are settled at any
+    size; any other input at or above the bound raises ResourceLimitError.
+    A float is refused with TypeError, not truncated.
     """
     n = index(n)
     if n <= TRIAL_CAP:
         if n & 1:
             return n > 1 and not _factor_table()[n >> 1]
         return n == 2
+    bits, sieved = _shared_sieve()
+    if n <= sieved:
+        return n & 1 == 1 and _odd_bit(bits, n) == 1
     if math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return False
     for psi, bases in _MR_PREFIXES:

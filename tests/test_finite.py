@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy
@@ -6,6 +8,8 @@ from nearfields.errors import DomainError, IntegrityError
 from nearfields.finite import (
     SUPPORTED_FIELDS,
     AdditionTable,
+    FiniteField,
+    _is_irreducible,
     addition_from_exponent,
     check_isomorphic_additions,
     enumerate_additions,
@@ -80,6 +84,31 @@ def test_tables_match_sympy_polynomial_arithmetic():
         assert f.exp.tolist() == powers(f.generator), (p, n)
         assert f.dlog[0] == -1 and all(f.exp[f.dlog[i]] == i for i in range(1, f.m)), (p, n)
         assert (f.one, f.minus_one) == (1, index(-elems[1])), (p, n)
+
+
+def test_modulus_without_roots_but_reducible_is_refused():
+    # (x**2 + 1)**2 over F_3 has no root, so a test for roots alone passes it
+    with pytest.raises(DomainError, match="reducible"):
+        FiniteField(3, 4, (1, 0, 2, 0, 1))
+    for p, modulus in ((4, (1, 1, 1)), (6, (1, 0, 1))):
+        with pytest.raises(DomainError, match="must be a prime"):
+            FiniteField(p, 2, modulus)
+
+
+def test_irreducibility_matches_sympy_on_every_small_monic_modulus():
+    # every monic modulus of degree 2 to 4 over F_2 and F_3: a reducible one
+    # is refused, an irreducible one builds (its self-check included)
+    x = sympy.Symbol("x")
+    for p, n in itertools.product((2, 3), (2, 3, 4)):
+        for low in itertools.product(range(p), repeat=n):
+            modulus = (*low, 1)
+            want = sympy.Poly(modulus[::-1], x, modulus=p).is_irreducible
+            assert _is_irreducible(modulus, p) == want, (p, modulus)
+            if want:
+                assert FiniteField(p, n, modulus).m == p**n
+            else:
+                with pytest.raises(DomainError, match="reducible"):
+                    FiniteField(p, n, modulus)
 
 
 def test_power_table():

@@ -633,6 +633,60 @@ def test_is_prime_table_path_matches_sympy():
     assert [is_prime(n) for n in cases] == want
 
 
+def _sieved_range_cases(sieved):
+    """Seeded n in (TRIAL_CAP, sieved], both sides of sieved, even n and
+    perfect squares: the inputs is_prime may answer from a bitmap."""
+    cap = rationals.TRIAL_CAP
+    rng = random.Random(20261019)
+    cases = [rng.randint(cap + 1, sieved) for _ in range(20_000)]
+    cases += [*range(cap + 1, cap + 301), *range(sieved - 2, sieved + 3)]
+    cases += [2 * rng.randint(cap // 2 + 1, sieved // 2) for _ in range(200)]
+    cases += [k * k for k in range(math.isqrt(cap) + 1, math.isqrt(sieved) + 1, 7)]
+    return cases
+
+
+def test_is_prime_reads_the_default_bitmap_above_the_table(monkeypatch):
+    corr = default_correspondence()
+    corr.extend_to_norm(4 * 10**6)
+    held = corr._data
+    bits, sieved = rationals._shared_sieve()
+    assert bits is held.primes and sieved == held.sieved >= 4 * 10**6
+    cases = _sieved_range_cases(sieved)
+    want = [sympy.isprime(n) for n in cases]
+    assert [is_prime(n) for n in cases] == want
+    # up to sieved no answer comes from Miller-Rabin: with no bases left,
+    # an input it had to decide would be refused
+    monkeypatch.setattr(rationals, "_MR_PREFIXES", ())
+    inside = [(n, w) for n, w in zip(cases, want) if n <= sieved]
+    assert [is_prime(n) for n, _ in inside] == [w for _, w in inside]
+
+
+def test_is_prime_before_any_growth_takes_miller_rabin(monkeypatch):
+    # a default correspondence as at import, before any growth: the same
+    # answers, none of them read off a bitmap
+    monkeypatch.setattr(maps, "_default", PrimeCorrespondence())
+    assert rationals._shared_sieve()[1] < rationals.TRIAL_CAP
+
+    def no_bitmap(bits, n):
+        raise AssertionError(f"bitmap read for {n}")
+
+    monkeypatch.setattr(rationals, "_odd_bit", no_bitmap)
+    cases = _sieved_range_cases(DEFAULT_CORRESPONDENCE_CEILING)
+    cases += [n for psi in (PSI[2], PSI[3]) for n in range(psi - 300, psi + 300)]
+    assert [is_prime(n) for n in cases] == [sympy.isprime(n) for n in cases]
+
+
+def test_is_prime_never_reads_a_private_correspondence(monkeypatch):
+    monkeypatch.setattr(maps, "_default", PrimeCorrespondence())
+    private = PrimeCorrespondence(max_norm=3 * 10**6)
+    private.extend_to_norm(3 * 10**6)
+    private._prime_buf[:] = 0xFF  # every odd number marked prime
+    cap = rationals.TRIAL_CAP
+    composites = [n for n in range(cap + 1, cap + 3001, 2) if not sympy.isprime(n)]
+    assert not any(is_prime(n) for n in composites)
+    assert rationals._shared_sieve()[0] is not private._data.primes
+
+
 def _exact_div(x, y):
     """x / y when it lands in Z[w], else None."""
     n = y.norm()
