@@ -158,8 +158,10 @@ class FiniteField:
         # The first candidate whose powers reach every unit generates the
         # unit group. Its m - 1 powers are distinct units, so they are all of
         # them: they are exp, and every product and inverse is read off logs.
+        # The search starts at one, which generates the unit group of F_2
+        # alone.
         one = (1,) + (0,) * (n - 1)
-        for g in range(2, m):
+        for g in range(1, m):
             step = x = tuple(digits[g].tolist())
             powers = [self.one]
             while x != one and len(powers) < m - 1:
@@ -210,8 +212,9 @@ class FiniteField:
         return self.mul[c].copy()
 
     def exponent_units(self) -> list[int]:
-        """Units of Z/(m-1): the valid addition exponents."""
-        return [a for a in range(1, self.m - 1) if math.gcd(a, self.m - 1) == 1]
+        """Units of Z/(m-1), by least positive representative: the valid
+        addition exponents. F_2 has one, 1, as Z/1 is the zero ring."""
+        return [a for a in range(1, self.m) if math.gcd(a, self.m - 1) == 1]
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.n})"
@@ -241,8 +244,15 @@ class AdditionTable:
         return np.array_equal(self.table, other.table)
 
 
+def _compact(field: FiniteField, table: np.ndarray) -> np.ndarray:
+    """A copy of table in the smallest unsigned dtype that holds every index
+    of the carrier. Only for tables this module builds, whose entries are
+    indices by construction: a -1 or m from outside would wrap around."""
+    return table.astype(np.min_scalar_type(field.m - 1))
+
+
 def native_addition(field: FiniteField) -> AdditionTable:
-    return AdditionTable(field, field.add.copy(), "native")
+    return AdditionTable(field, _compact(field, field.add), "native")
 
 
 def is_permutation(t: np.ndarray, m: int) -> bool:
@@ -270,10 +280,10 @@ def addition_from_exponent(field: FiniteField, a: int) -> AdditionTable:
     """The addition (alpha**a + beta**a)**(a**-1 mod m-1), native addition
     pulled back through the power map x -> x**a."""
     m1 = field.m - 1
-    a = a % m1
     if math.gcd(a, m1) != 1:
-        raise DomainError(f"exponent {a} is not a unit mod {m1}")
-    return AdditionTable(field, transport(field.add, field.power_table(a)), f"a={a}")
+        raise DomainError(f"exponent {a % m1} is not a unit mod {m1}")
+    a = a % m1 or m1  # the least positive representative, 1 on F_2
+    return AdditionTable(field, _compact(field, transport(field.add, field.power_table(a))), f"a={a}")
 
 
 def verify_addition_table(t: AdditionTable) -> Report:
@@ -342,7 +352,7 @@ def enumerate_additions(field: FiniteField) -> EnumerationResult:
 
     report = Report(f"addition enumeration on {field!r}")
     m1 = field.m - 1
-    collapse_ok = all(by_exp[a].same_table(by_exp[p_a]) for a in units for p_a in [(field.p * a) % m1])
+    collapse_ok = all(by_exp[a].same_table(by_exp[field.p * a % m1 or m1]) for a in units)
     report.add("frobenius_collapse", collapse_ok)
     native_class = next(g for g in classes if 1 in g)
     report.add("native_in_class_of_1", by_exp[1].same_table(native_addition(field)), witness=native_class)
@@ -361,13 +371,15 @@ def check_isomorphic_additions(field: FiniteField, t1: AdditionTable, t2: Additi
     Power maps are the only multiplicative automorphism candidates on a
     cyclic unit group, so the scan is complete; no witness means the tables
     are genuinely non-isomorphic, which the enumeration lemma rules out.
+    Tables of another field are refused with DomainError.
     """
-    m1 = field.m - 1
-    for k in range(1, m1 + 1):
-        if math.gcd(k, m1) != 1:
-            continue
+    if t1.field is not field or t2.field is not field:
+        raise DomainError(f"{t1.provenance} on {t1.field!r} and {t2.provenance} on {t2.field!r} "
+                          f"are not both additions on {field!r}")
+    tab1, tab2 = t1.table.astype(np.intp), t2.table.astype(np.intp)  # intp gathers beat uint8 ones
+    for k in field.exponent_units():
         pk = field.power_table(k)
-        if np.array_equal(pk[t1.table], t2.table[np.ix_(pk, pk)]):
+        if np.array_equal(pk[tab1], tab2[np.ix_(pk, pk)]):
             return k
     raise IntegrityError(
         f"no power-map isomorphism between {t1.provenance} and {t2.provenance} on {field!r}"
@@ -387,7 +399,10 @@ def modnear_ring_check() -> Report:
 
     +3 is the cubing-exponent addition (a=3); composition is the scalar
     action and the two pointwise additions are the module and ring sums.
-    All axiom sweeps run over every triple of members.
+    Each axiom is decided over every triple of members: the table sweeps
+    visit each triple, and axiom 3' tests each member h once on each pair
+    of values (a, b), which decides it at every (h, f, g, x) with
+    a = f(x) and b = g(x).
     """
     f = make_field(3, 2)
     box = addition_from_exponent(f, 3).table  # equals native +: cubing is x -> x**p

@@ -23,7 +23,7 @@ def _skips_outweigh(checked: int, skipped: int) -> bool:
     return skipped > checked or checked == 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     name: str
     ok: bool

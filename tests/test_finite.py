@@ -17,6 +17,7 @@ from nearfields.finite import (
     make_field,
     modnear_ring_check,
     native_addition,
+    transport,
     verify_addition_table,
 )
 
@@ -49,13 +50,20 @@ def test_field_construction_basics():
         assert sorted(int(f.dlog[x]) for x in range(1, f.m)) == list(range(f.m - 1))
 
 
+# Both monic moduli of degree 1 over F_2; only the field F_2 has 1 as its
+# generator.
+F2_MODULI = ((1, 1), (0, 1))
+
+
 def test_tables_match_sympy_polynomial_arithmetic():
     # Index sum(c_i p**i) is the residue class of sum(c_i x**i) in
     # GF(p)[x] / (modulus); sympy's Poly arithmetic knows nothing of the
     # tables, the generator walk or the logs.
     x = sympy.Symbol("x")
-    for (p, n), modulus in SUPPORTED_FIELDS.items():
-        f = make_field(p, n)
+    fields = [(make_field(p, n), modulus) for (p, n), modulus in SUPPORTED_FIELDS.items()]
+    fields += [(FiniteField(2, 1, modulus), modulus) for modulus in F2_MODULI]
+    for f, modulus in fields:
+        p, n = f.p, f.n
         mod = sympy.Poly(modulus[::-1], x, modulus=p)
         elems = [sympy.Poly([(i // p**k) % p for k in reversed(range(n))], x, modulus=p) for i in range(f.m)]
 
@@ -111,6 +119,18 @@ def test_irreducibility_matches_sympy_on_every_small_monic_modulus():
                     FiniteField(p, n, modulus)
 
 
+def test_f2_builds_and_enumerates_its_one_addition():
+    for modulus in F2_MODULI:
+        f = FiniteField(2, 1, modulus)
+        assert (f.generator, f.exp.tolist(), f.mul.tolist()) == (1, [1], [[0, 0], [0, 1]])
+        assert f.exponent_units() == [1]
+        res = enumerate_additions(f)
+        assert res.report.ok, res.report.failures()
+        assert (res.units, res.classes) == ([1], [[1]])
+        assert [t.table.tolist() for t in res.tables] == [[[0, 1], [1, 0]]]
+        assert check_isomorphic_additions(f, res.tables[0], native_addition(f)) == 1
+
+
 def test_power_table():
     f = make_field(3, 2)
     p3 = f.power_table(3)
@@ -153,6 +173,20 @@ def test_addition_from_exponent_matches_inverse_power_formula():
             pa = f.power_table(a)
             expected = f.power_table(pow(a, -1, f.m - 1))[f.add[np.ix_(pa, pa)]]
             assert np.array_equal(addition_from_exponent(f, a).table, expected), (f, a)
+
+
+def _assert_compact(t: AdditionTable, expected: np.ndarray) -> None:
+    assert t.table.dtype == np.uint8 and not t.table.flags.writeable
+    assert expected.dtype == np.int64 and np.array_equal(t.table, expected)
+
+
+def test_built_addition_tables_are_compact():
+    # Tables the module builds hold indices below m <= 27 in one byte each.
+    for p, n in SUPPORTED_FIELDS:
+        f = make_field(p, n)
+        _assert_compact(native_addition(f), f.add)
+        for a in f.exponent_units():
+            _assert_compact(addition_from_exponent(f, a), transport(f.add, f.power_table(a)))
 
 
 def test_is_permutation():
@@ -229,6 +263,15 @@ def test_isomorphism_failure_is_integrity_error():
     scrambled[[1, 2]] = scrambled[[2, 1]]  # not an addition at all
     with pytest.raises(IntegrityError):
         check_isomorphic_additions(f9, nat, AdditionTable(f9, scrambled, "scrambled"))
+
+
+def test_isomorphism_refuses_another_fields_tables():
+    f9, f27 = make_field(3, 2), make_field(3, 3)
+    nat9, nat27 = native_addition(f9), native_addition(f27)
+    t5 = addition_from_exponent(f27, 5)
+    for field, t1, t2 in ((f9, nat27, t5), (f27, nat9, t5), (f27, t5, nat9), (f9, nat9, nat27)):
+        with pytest.raises(DomainError, match="not both additions on"):
+            check_isomorphic_additions(field, t1, t2)
 
 
 def test_modnear_ring():

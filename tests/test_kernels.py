@@ -1,6 +1,7 @@
 import numpy as np
 
 from nearfields import kernels
+from nearfields.finite import make_field
 
 
 def _first_failure(m, holds):
@@ -106,3 +107,66 @@ def test_hom_left_distrib_witness():
     w = kernels.hom_left_distrib_witness(maps, add, box)
     assert w is not None
     assert w == _hom_ref(maps, add, box)
+
+
+def test_hom_left_distrib_witness_on_seeded_tables():
+    # Linear maps mod 5 with a few entries scrambled, under a box table with
+    # a few entries scrambled: the kernel's first witness is the loop's.
+    add, _ = _mod_tables(5)
+    linear = np.array([(c * np.arange(5)) % 5 for c in range(5)])
+    rng = np.random.default_rng(32)
+    witnesses = 0
+    for _ in range(60):
+        maps = linear.copy()
+        for _ in range(rng.integers(0, 3)):
+            maps[rng.integers(5), rng.integers(5)] = rng.integers(5)
+        box = add.copy()
+        for _ in range(rng.integers(0, 3)):
+            box[rng.integers(5), rng.integers(5)] = rng.integers(5)
+        w = kernels.hom_left_distrib_witness(maps, add, box)
+        assert w == _hom_ref(maps, add, box), (maps.tolist(), box.tolist())
+        witnesses += w is not None
+    assert 10 < witnesses < 60
+    # A nonzero linear map vanishes at 0 alone, so no (f(x), g(x)) of two of
+    # them is (0, b) with b != 0. Scrambling box[0, 3] makes (0, b) bad for
+    # each h with h(b) = 3, and breaks nothing that their triples reach.
+    units = linear[1:]
+    box = add.copy()
+    box[0, 3] = 1
+    assert (units[:, add] != box[units[:, :, None], units[:, None, :]]).any()
+    assert kernels.hom_left_distrib_witness(units, add, box) is None
+    assert _hom_ref(units, add, box) is None
+
+
+def _hom_per_h(maps, add_native, add_box):
+    """Reference: the full sweep, one h at a time in order, comparing
+    h(f + g) with h(f) boxplus h(g) at every (f, g, x)."""
+    sums = add_native[maps[:, None, :], maps[None, :, :]]
+    for hi, h in enumerate(maps):
+        hf = h[maps]
+        eq = (h[sums] == add_box[hf[:, None, :], hf[None, :, :]]).all(axis=2)
+        if not eq.all():
+            fi, gi = (int(v) for v in np.argwhere(~eq)[0])
+            return (hi, fi, gi)
+    return None
+
+
+def test_hom_left_distrib_witness_on_the_modnear_members():
+    # The 81 additive maps of F9 = (Z/3)^2, x = c0 + 3*c1 -> c0*u + c1*v,
+    # against box tables with one to three entries scrambled.
+    add = make_field(3, 2).add
+    mult = np.stack([np.zeros(9, dtype=np.int64), np.arange(9), add[np.arange(9), np.arange(9)]])  # c*u
+    c0, c1 = np.arange(9) % 3, np.arange(9) // 3
+    maps = np.array([add[mult[c0, u], mult[c1, v]] for u in range(9) for v in range(9)])
+    assert len({m.tobytes() for m in maps}) == 81
+    assert kernels.hom_left_distrib_witness(maps, add, add) is None
+    rng = np.random.default_rng(7)
+    witnesses = 0
+    for _ in range(40):
+        box = add.copy()
+        for _ in range(rng.integers(1, 4)):
+            box[rng.integers(9), rng.integers(9)] = rng.integers(9)
+        w = kernels.hom_left_distrib_witness(maps, add, box)
+        assert w == _hom_per_h(maps, add, box), box.tolist()
+        witnesses += w is not None
+    assert witnesses > 30

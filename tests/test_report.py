@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from nearfields.errors import IntegrityError, ResourceLimitError
-from nearfields.report import Report, _skips_outweigh, redraw
+from nearfields.report import Check, Report, _skips_outweigh, redraw
 
 
 def test_add_sampled_allows_as_many_skipped_as_checked():
@@ -25,6 +25,13 @@ def test_add_sampled_allows_as_many_skipped_as_checked():
     assert not rep.add_sampled("empty", None, checked=0, skipped=0).ok
     assert rep.add_sampled("one", None, checked=1, skipped=0).ok
     assert [c.name for c in rep.failures()] == ["one_more", "witness", "empty"]
+
+
+def test_checks_are_slotted():
+    # A pass keeps hundreds of checks, so each carries no per-instance dict.
+    check = Report("t").add("one", True, witness=(1, 2), detail="d")
+    assert isinstance(check, Check) and not hasattr(check, "__dict__")
+    assert (check.name, check.ok, check.witness, check.detail) == ("one", True, (1, 2), "d")
 
 
 def _scripted(refused, fail_on=None):
