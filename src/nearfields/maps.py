@@ -1,28 +1,20 @@
 """Multiplicative maps between scalar groups.
 
 The centerpiece is the prime correspondence: the k-th rational prime paired
-with the k-th canonical prime of Z[w] in (norm, a, b) order. One segmented
-sieve feeds both sides. The canonical primes are two of norm p for each odd
-split prime p, merged with a short sorted list of other norms (19 and the
-inert squares), so two bitmaps over the odd numbers hold the whole pairing:
-one bit per odd number for "prime", one for "prime and splits", each with
-an int32 count per 512-slot block. A rank is a count plus one block's
-popcount, and the number of a rank is a bisection of the counts plus a
-descent in one block. quadratic packs the split bits from the prime bits,
-lists the other norms, and recovers each prime from its norm and its place
-within that norm when asked for; how Z[w] splits a rational prime is known
-there only. The bitmaps and counts are allocated once, at a proven bound
-on what is sieved, and filled in place. Growth, its doubling rule, its
-top-up of the rational side and the refusal at the norm ceiling all live
-in PrimeCorrespondence.extend_to_norm, which publishes the filled
-prefixes and the capacity they cover as one snapshot. The correspondence
-validates before its memos: integers go through operator.index, so a
-float raises TypeError, a non-QuadInt preimage too, and a ceiling below 2
-is refused. Extending the
-pairing multiplicatively and fixing 0 and the signs gives sigma, a bijection
-from Q onto the subfield of Q(sqrt(-19)) generated by the canonical primes,
-and sigma is what induces the exotic addition on Q elsewhere in the package.
-The images of the rational primes up to rationals.TRIAL_CAP, and the
+with the k-th canonical prime of Z[w] in (norm, a, b) order, held as one
+bitmap of the odd primes with two int32 counts per 512-slot block, of its
+primes and of its split primes (see PrimeCorrespondence). The split primes
+are not stored: a block's are its primes ANDed with one of quadratic's
+split masks, chosen by the block's phase. quadratic supplies those masks,
+lists the other norms (19 and the inert squares), and recovers each prime
+from its norm and its place within that norm; how Z[w] splits a rational
+prime is known there only. Growth, its doubling rule, its top-up of the
+rational side and the refusal at the norm ceiling all live in
+PrimeCorrespondence.extend_to_norm. Extending the pairing multiplicatively
+and fixing 0 and the signs gives sigma, a bijection from Q onto the
+subfield of Q(sqrt(-19)) generated by the canonical primes, and sigma is
+what induces the exotic addition on Q elsewhere in the package. The
+images of the rational primes up to rationals.TRIAL_CAP, and the
 preimages of their canonical primes, are memoized per correspondence as
 they are found (refusals are not, so a ceiling is asked again each time).
 The default correspondence's odd-prime bitmap also answers
@@ -65,6 +57,8 @@ from .quadratic import (
     _primes_of_norm,
     _product,
     _split_bits,
+    _split_block_masks,
+    _splits,
     factor_quad,
     is_canonical_prime,
 )
@@ -110,6 +104,7 @@ _BLOCK_BYTES = _BLOCK // 8
 _HALVES = tuple((w, (1 << w) - 1) for w in (256, 128, 64, 32, 16, 8))
 _BYTE_SELECT = tuple(tuple(k for k in range(8) if i >> k & 1) for i in range(256))
 _BYTE_BITS = np.array([len(places) for places in _BYTE_SELECT], dtype=np.uint8)  # set bits per byte
+_SPLIT_MASKS = _split_block_masks(_BLOCK_BYTES)  # a block's split primes: its primes & its mask
 
 
 def _nth_prime_bound(n: float) -> int:
@@ -123,9 +118,9 @@ def _nth_prime_bound(n: float) -> int:
 
 
 def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
-    """Sizes for a correspondence with this ceiling: the bytes of each
-    bitmap, the int32 counts kept with it, and a bound on every number it
-    sieves.
+    """Sizes for a correspondence with this ceiling: the bytes of the
+    bitmap, the int32 counts of each kind kept with it, and a bound on
+    every number it sieves.
 
     With x = max_norm, P(y) = 1.25506 y / ln y > pi(y) for y > 1 (Rosser
     and Schoenfeld, (3.6)) and p^ = _nth_prime_bound:
@@ -134,9 +129,9 @@ def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
       N = 2 P(x) + P(sqrt(x)) + 1 of them.
     - Growth sieves to a limit <= x, or to p^(n) for the n < N pairs held.
       As p^ rises on either side of 39,017, every number sieved stays
-      below top = max(x, p^(N), p^(min(N, 39,016))) + 1, and each bitmap
+      below top = max(x, p^(N), p^(min(N, 39,016))) + 1, and the bitmap
       holds one bit per odd number below top, in whole blocks, with one
-      count before each block and one after the last.
+      count of each kind before each block and one after the last.
     """
 
     def bound(y: float) -> float:  # P(y)
@@ -149,25 +144,29 @@ def _buffer_sizes(max_norm: int) -> tuple[int, int, int]:
     return blocks * _BLOCK // 8, blocks + 1, top
 
 
-def _rank(bits: memoryview, counts: memoryview, k: int) -> int:
-    """How many of the slots 0 .. k - 1 are set: the count before k's
-    block, and the set bits of the block's bytes below k."""
+def _rank(bits: memoryview, counts: memoryview, k: int, masks: tuple[int, ...] = ()) -> int:
+    """How many of the slots 0 .. k - 1 are set (under the mask of k's
+    block, if masks): the count before the block, and its set bits below k."""
     b, r = divmod(k, _BLOCK)
     if not r:
         return counts[b]
     start = b * _BLOCK_BYTES
     x = int.from_bytes(bits[start : start + (r + 7) // 8], "little")
+    if masks:
+        x &= masks[start % len(masks)]
     return counts[b] + (x & ((1 << r) - 1)).bit_count()
 
 
-def _select(bits: memoryview, counts: memoryview, s: int) -> int:
-    """The slot of the set bit of rank s (from 0): its block by bisecting
-    the counts, then its byte by halving the block's bits, then its place
-    in the byte from a table."""
+def _select(bits: memoryview, counts: memoryview, s: int, masks: tuple[int, ...] = ()) -> int:
+    """The slot of the set bit of rank s (from 0), as _rank counts them:
+    its block by bisecting the counts, then its byte by halving the
+    block's bits, then its place in the byte from a table."""
     b = bisect_right(counts, s) - 1
     s -= counts[b]
     start = b * _BLOCK_BYTES
     x = int.from_bytes(bits[start : start + _BLOCK_BYTES], "little")
+    if masks:
+        x &= masks[start % len(masks)]
     slot = b * _BLOCK
     for width, low in _HALVES:
         c = (x & low).bit_count()
@@ -180,39 +179,18 @@ def _select(bits: memoryview, counts: memoryview, s: int) -> int:
     return slot + _BYTE_SELECT[x & 0xFF][s]
 
 
-def _pack(bits: np.ndarray, counts: np.ndarray, start: int, end: int, new: np.ndarray) -> None:
-    """Write the slots start .. end - 1 of a bitmap, packed in new from the
-    byte that holds start, and the counts of the blocks this completes.
-    The bits below start in that byte are held ones and stay set, so a
-    reader of the published prefix never sees a bit drop. Refuses rather
-    than write past either buffer."""
-    byte = start // 8
-    if byte + len(new) > len(bits) or end // _BLOCK >= len(counts):
-        raise IntegrityError("bitmap past its proven buffer bound")
-    if len(new):
-        new[0] |= bits[byte]
-    bits[byte : byte + len(new)] = new
-    b0, b1 = start // _BLOCK, end // _BLOCK  # the blocks b0 .. b1 - 1 are now whole
-    if b1 > b0:
-        per = _BYTE_BITS[bits[b0 * _BLOCK_BYTES : b1 * _BLOCK_BYTES]].reshape(-1, _BLOCK_BYTES)
-        per = per.sum(axis=1, dtype=np.int64).cumsum()
-        per += int(counts[b0])
-        counts[b0 + 1 : b1 + 1] = per
-
-
 class _Held(NamedTuple):
-    """What a correspondence holds, published as one tuple. Each bitmap has
-    one bit per odd number, slot k for 2k + 1 (bit k % 8 of byte k // 8),
-    over the odd numbers up to sieved, with the count of set bits before
-    each of its 512-slot blocks; growth writes only past these prefixes."""
+    """What a correspondence holds, published as one tuple: the bitmap of
+    the odd primes up to sieved, slot k for 2k + 1 (bit k % 8 of byte
+    k // 8), and the counts of its primes and split primes before each
+    block. Growth writes only past these prefixes."""
 
     primes: memoryview  # bytes of the odd-prime bitmap
     prime_counts: memoryview  # int32 counts
-    splits: memoryview  # bytes of the bitmap of the odd primes that split
-    split_counts: memoryview
+    split_counts: memoryview  # int32 counts of the odd primes that split
     extras: tuple[int, ...]  # quadratic._extra_norms(capacity)
     extra_ranks: tuple[int, ...]  # the rank of each extra's canonical prime
-    sieved: int  # every number up to sieved is in the bitmaps
+    sieved: int  # every number up to sieved is in the bitmap
     capacity: int  # every canonical prime of norm up to capacity is paired
     pair_count: int
 
@@ -233,7 +211,7 @@ def _canonical_at(held: _Held, r: int) -> QuadInt:
         n = extras[j - 1]
         return _primes_of_norm(n)[int(j > 1 and extras[j - 2] == n)]
     s = r - j
-    n = 2 * _select(held.splits, held.split_counts, s >> 1) + 1
+    n = 2 * _select(held.primes, held.split_counts, s >> 1, _SPLIT_MASKS) + 1
     return _primes_of_norm(n)[s & 1]
 
 
@@ -243,16 +221,17 @@ class PrimeCorrespondence:
     The canonical primes of norm up to the capacity, in (norm, a, b) order,
     are two for each odd split prime p (of norm p), merged with a short
     sorted list of the others (19, the inert squares; quadratic's
-    _extra_norms). So two bitmaps over the odd numbers hold both sides:
-    the primes, and the primes that split. Each keeps an int32 count per
-    512-slot block, so the rank of a number is a count and one block's
-    popcount, and the number of a rank is a bisection of the counts and a
-    descent in one block. image_of_prime takes p's rank among the primes
-    and selects that rank among the canonical primes; preimage_of_prime
-    counts the canonical primes before its own and selects that rank
-    among the primes.
+    _extra_norms). So one bitmap over the odd numbers, the primes, holds
+    both sides: a prime splits by its residue alone, so a block's split
+    primes are its primes under one of quadratic's split masks. Two int32
+    counts per 512-slot block, of its primes and of its split primes, make
+    the rank of a number a count and one block's popcount, and the number
+    of a rank a bisection of the counts and a descent in one block.
+    image_of_prime takes p's rank among the primes and selects that rank
+    among the canonical primes; preimage_of_prime counts the canonical
+    primes before its own and selects that rank among the primes.
 
-    The bitmaps and counts are allocated once, at a proven bound on what is
+    The bitmap and counts are allocated once, at a proven bound on what is
     sieved (see _buffer_sizes; pages never written cost no memory). Growth
     is append-only: raising the norm ceiling sieves only the new segment
     of integers and packs it after the held bits, and never reorders the
@@ -279,7 +258,6 @@ class PrimeCorrespondence:
         self._lock = threading.Lock()
         self._prime_buf = _lazy(nbytes, np.uint8)
         self._prime_count_buf = _lazy(ncounts, np.int32)
-        self._split_buf = _lazy(nbytes, np.uint8)
         self._split_count_buf = _lazy(ncounts, np.int32)
         self._data = self._publish(1, 0, ())
         self._images: dict[int, QuadInt] = {}  # p -> image, for primes p <= TRIAL_CAP
@@ -290,44 +268,59 @@ class PrimeCorrespondence:
         return self._data.pair_count
 
     def _publish(self, sieved: int, capacity: int, extras: list[int] | tuple[int, ...]) -> _Held:
-        """The held state once the bitmaps are filled to sieved, for the
+        """The held state once the bitmap is filled to sieved, for the
         canonical primes of norm up to capacity, whose extra norms are
         extras: the filled prefixes, each extra's rank, and the pair count."""
         slots = (sieved + 1) // 2
         primes = memoryview(self._prime_buf[: (slots + 7) // 8])
-        splits = memoryview(self._split_buf[: (slots + 7) // 8])
         prime_counts = memoryview(self._prime_count_buf[: slots // _BLOCK + 1])
         split_counts = memoryview(self._split_count_buf[: slots // _BLOCK + 1])
         # an extra n comes after the two primes of each odd split prime below n
-        ranks = tuple(2 * _rank(splits, split_counts, n // 2) + i for i, n in enumerate(extras))
-        pairs = 2 * _rank(splits, split_counts, (capacity + 1) // 2) + len(extras)
-        return _Held(
-            primes, prime_counts, splits, split_counts, tuple(extras), ranks, sieved, capacity, pairs
+        ranks = tuple(
+            2 * _rank(primes, split_counts, n // 2, _SPLIT_MASKS) + i for i, n in enumerate(extras)
         )
+        pairs = 2 * _rank(primes, split_counts, (capacity + 1) // 2, _SPLIT_MASKS) + len(extras)
+        return _Held(primes, prime_counts, split_counts, tuple(extras), ranks, sieved, capacity, pairs)
 
     def _sieve(self, lo: int, hi: int) -> None:
-        """Pack the primes in (lo, hi] and the split ones among them into
-        the bitmaps, one sieve segment at a time, after the held bits."""
+        """Pack the primes in (lo, hi] into the bitmap after the held bits, a
+        sieve segment at a time, and count its primes and split primes in each
+        block a segment completes. Held bits in a segment's first byte stay
+        set, so a reader of the published prefix never sees a bit drop.
+        Refuses rather than write past a buffer."""
+        bits = self._prime_buf
+        counts = (self._prime_count_buf, self._split_count_buf)
         for first, mask in _prime_masks(lo, hi):
             start = first // 2  # the slot of first
-            end = start + len(mask)
+            end, byte = start + len(mask), start // 8
             if start % 8:  # pad to the byte that holds start
                 mask = np.concatenate((np.zeros(start % 8, dtype=bool), mask))
-            primes = np.packbits(mask, bitorder="little")
-            _pack(self._prime_buf, self._prime_count_buf, start, end, primes)
-            _pack(self._split_buf, self._split_count_buf, start, end, _split_bits(primes, start // 8))
+            new = np.packbits(mask, bitorder="little")
+            if byte + len(new) > len(bits) or end // _BLOCK >= min(map(len, counts)):
+                raise IntegrityError("bitmap past its proven buffer bound")
+            if len(new):
+                new[0] |= bits[byte]
+            bits[byte : byte + len(new)] = new
+            b0, b1 = start // _BLOCK, end // _BLOCK  # the blocks b0 .. b1 - 1 are now whole
+            if b1 > b0:
+                whole = bits[b0 * _BLOCK_BYTES : b1 * _BLOCK_BYTES]
+                for c, marked in zip(counts, (whole, _split_bits(whole, b0 * _BLOCK_BYTES))):
+                    per = _BYTE_BITS[marked].reshape(-1, _BLOCK_BYTES).sum(axis=1, dtype=np.int64)
+                    c[b0 + 1 : b1 + 1] = per.cumsum() + int(c[b0])
 
     def _pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The rational primes and the canonical norms of the held pairs, in
-        rank order, as arrays read off the whole bitmaps at once."""
+        rank order, read off the whole bitmap at once, and off its split
+        primes."""
         held = self._data
         n = held.pair_count
+        primes = np.asarray(held.primes)
 
-        def odd(bits: memoryview, count: int) -> np.ndarray:  # the first count set slots, as numbers
-            return 2 * np.flatnonzero(np.unpackbits(np.asarray(bits), bitorder="little"))[:count] + 1
+        def odd(bits: np.ndarray, count: int) -> np.ndarray:  # the first count set slots, as numbers
+            return 2 * np.flatnonzero(np.unpackbits(bits, bitorder="little"))[:count] + 1
 
-        rat = np.concatenate(([2], odd(held.primes, max(n - 1, 0))))[:n]
-        split = np.repeat(odd(held.splits, (n - len(held.extras)) // 2), 2)
+        rat = np.concatenate(([2], odd(primes, max(n - 1, 0))))[:n]
+        split = np.repeat(odd(_split_bits(primes, 0), (n - len(held.extras)) // 2), 2)
         return rat, np.insert(split, np.searchsorted(split, held.extras), held.extras)
 
     def pairs(self) -> list[tuple[int, QuadInt]]:
@@ -431,12 +424,12 @@ class PrimeCorrespondence:
             held = self._data
         elif not _in_canonical_form(pi):
             raise DomainError(f"{pi!r} is not a canonical prime")
-        primes, prime_counts, splits, split_counts, extras, _, _, _, _ = held
+        primes, prime_counts, split_counts, extras, _, _, _, _ = held
         k = bisect_left(extras, n) + _place_in_norm(pi)
-        split = n & 1 and _odd_bit(splits, n)
+        split = n & 1 and _splits(n) and _odd_bit(primes, n)
         if not split and (k >= len(extras) or extras[k] != n):
             raise DomainError(f"{pi!r} is not a canonical prime")
-        r = 2 * _rank(splits, split_counts, n >> 1) + k
+        r = 2 * _rank(primes, split_counts, n >> 1, _SPLIT_MASKS) + k
         p = 2 if r == 0 else 2 * _select(primes, prime_counts, r - 1) + 1
         if p <= TRIAL_CAP:
             self._preimages[pi] = p

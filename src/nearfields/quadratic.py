@@ -31,11 +31,11 @@ Among the two associates {x, -x} of a prime, the canonical one has b > 0,
 or b == 0 and a > 0. Conjugates of non-rational primes are canonicalized
 separately, so a split rational prime owns two distinct canonical primes.
 Canonical primes are ordered by (norm, a, b). The splitting law and that
-order are known here only: the prime correspondence in maps keeps a bitmap
-of the odd split primes, packed from its prime bitmap by _split_bits, and
-the few other norms from _extra_norms (19 and the inert squares), and
-reads a prime back from its norm through _primes_of_norm and
-_place_in_norm.
+order are known here only: the prime correspondence in maps keeps one
+bitmap, of the odd primes, and reads the split ones under the masks of
+_split_block_masks (counting them by _split_bits as it grows), the few
+other norms from _extra_norms (19 and the inert squares), and a prime back
+from its norm through _primes_of_norm and _place_in_norm.
 
 QuadInt and QuadRat take their integers through operator.index, so a float
 or a Fraction raises TypeError instead of being truncated, and
@@ -58,9 +58,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import (
-    _SEGMENT, Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime, primes_upto
-)
+from .rationals import Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime, primes_upto
 
 __all__ = [
     "QuadInt",
@@ -361,9 +359,14 @@ def _coerce_rat(x) -> QuadRat | None:
 _SPLIT_RESIDUES = frozenset(x * x % RAMIFIED for x in range(1, RAMIFIED))
 
 
+def _splits(p: int) -> bool:
+    """Whether the rational prime p splits in Z[w]."""
+    return p % RAMIFIED in _SPLIT_RESIDUES
+
+
 def _is_inert(p: int) -> bool:
     """Whether the rational prime p stays prime in Z[w]."""
-    return p != RAMIFIED and p % RAMIFIED not in _SPLIT_RESIDUES
+    return p != RAMIFIED and not _splits(p)
 
 
 @lru_cache(maxsize=1)
@@ -443,27 +446,30 @@ def _primes_of_norm(n: int) -> tuple[QuadInt, ...]:
     return pair[:1] if n == RAMIFIED else pair
 
 
-@lru_cache(maxsize=1)
-def _split_byte_pattern() -> np.ndarray:
-    """Bytes of a bitmap over the odd numbers (slot k for 2k + 1, bit k % 8
-    of byte k // 8) with the bit of each number set whose residue mod
-    RAMIFIED lets a prime split. The byte pattern repeats every RAMIFIED
-    bytes (RAMIFIED is odd); it is held for one segment's bytes plus one
-    period, so any phase is a slice."""
-    slots = np.arange(8 * RAMIFIED)
-    period = np.packbits(np.isin((2 * slots + 1) % RAMIFIED, sorted(_SPLIT_RESIDUES)), bitorder="little")
-    return np.tile(period, _SEGMENT // 16 // RAMIFIED + 2)
+# The splitting law over one period of a bitmap over the odd numbers (slot
+# k for 2k + 1, bit k % 8 of byte k // 8), which repeats every RAMIFIED bytes.
+_SPLIT_PERIOD = np.packbits([_splits(2 * k + 1) for k in range(8 * RAMIFIED)], bitorder="little")
 
 
 def _split_bits(primes: np.ndarray, byte: int) -> np.ndarray:
-    """The split primes among the odd primes of a packed mask. primes holds
-    bytes byte, byte + 1, ... of a bitmap over the odd numbers (slot k for
-    2k + 1, bit k % 8 of byte k // 8), set for each prime, at most one
-    sieve segment's worth; the answer has the same layout, set for each
-    prime that splits. A slice of the residue pattern at the mask's phase,
-    so no per-segment pattern is built."""
+    """The split primes among the odd primes of a packed bitmap. primes holds
+    bytes byte, byte + 1, ... of a bitmap over the odd numbers, set for
+    each prime; the answer has the same layout, set for each prime that
+    splits: the period from the bitmap's phase on, tiled to its length and
+    ANDed with it in place, so the answer is the one array built."""
     phase = byte % RAMIFIED
-    return primes & _split_byte_pattern()[phase : phase + len(primes)]
+    out = np.tile(_SPLIT_PERIOD, (len(primes) + phase) // RAMIFIED + 1)[phase : phase + len(primes)]
+    out &= primes
+    return out
+
+
+def _split_block_masks(nbytes: int) -> tuple[int, ...]:
+    """The splitting law over a block of nbytes bytes of the bitmap, as an
+    int (bit k for the block's slot k), for each phase j = 0 .. RAMIFIED - 1:
+    a block that starts at byte i takes mask i % RAMIFIED, and its split
+    primes are its primes ANDed with that mask."""
+    ones = np.full(nbytes, 0xFF, dtype=np.uint8)
+    return tuple(int.from_bytes(_split_bits(ones, j).tobytes(), "little") for j in range(RAMIFIED))
 
 
 def _extra_norms(limit: int) -> list[int]:
@@ -476,7 +482,7 @@ def _extra_norms(limit: int) -> list[int]:
     norms = [q * q for q in primes_upto(math.isqrt(limit)) if _is_inert(q)]
     if limit >= RAMIFIED:
         insort(norms, RAMIFIED)
-    if limit >= 2 and 2 % RAMIFIED in _SPLIT_RESIDUES:
+    if limit >= 2 and _splits(2):
         norms[:0] = (2, 2)
     return norms
 

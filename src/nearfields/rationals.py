@@ -25,7 +25,7 @@ hands over through _shared_sieve (this module never imports maps); and
 Miller-Rabin past that. Every prime, here and in maps, comes off the one sieve,
 prime_mask, in segments of 2**22 numbers cut by _prime_masks: primes_upto
 reads them off as primes, adding the one even prime, and the correspondence
-in maps packs them into bitmaps. One call sieves one segment, by its own
+in maps packs them into its bitmap. One call sieves one segment, by its own
 small sieve to the square root of its end, and holds its odd numbers only,
 one byte each.
 

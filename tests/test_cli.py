@@ -44,6 +44,13 @@ GOLDEN_CASES = [
         "isom_check_f27_native_5.json",
     ),
     (["modnear-check", "--json"], "modnear_check.json"),
+    # the last two pairs of the default bitmap: a select and a rank among
+    # the split primes in its last, partial block
+    (
+        ["sigma", "--json", "--height-bound", "50000000", "49988849/49988843"],
+        "sigma_49988849_49988843.json",
+    ),
+    (["sigma-inv", "5367", "1591", "--json"], "sigma_inv_5367_1591.json"),
 ]
 
 BROKEN_F4_TABLE = "table:0,1,2,3,1,0,2,3,2,3,0,1,3,2,1,0"
@@ -79,7 +86,7 @@ def test_golden_lists_agree():
         assert name not in ci, name
         ci[name] = argv[prefix:]
     cases = dict((name, argv) for argv, name in GOLDEN_CASES)
-    assert len(cases) == len(GOLDEN_CASES) == 15
+    assert len(cases) == len(GOLDEN_CASES) == 17
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(cases)
     assert ci == cases
 

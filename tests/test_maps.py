@@ -525,22 +525,34 @@ def test_uneven_growth_matches_one_step():
 @pytest.mark.parametrize("ceiling", [10, 10**4, 2 * 10**6, DEFAULT_CORRESPONDENCE_CEILING])
 def test_buffers_hold_growth_to_the_ceiling(ceiling):
     # the bounds of _buffer_sizes hold on every step, through the top-ups
-    # of the rational side (at ceiling 10 there are 6 pairs but 4 primes)
+    # of the rational side (at ceiling 10 there are 6 pairs but 4 primes).
+    # One bitmap, of the odd primes, and two int32 counts per 512-slot
+    # block: of its primes, and of its split primes; no split bitmap.
     nbytes, ncounts, top = maps._buffer_sizes(ceiling)
     corr = PrimeCorrespondence(max_norm=ceiling)
-    bufs = (corr._prime_buf, corr._prime_count_buf, corr._split_buf, corr._split_count_buf)
-    assert [len(b) for b in bufs] == [nbytes, ncounts, nbytes, ncounts]
+    bufs = (corr._prime_buf, corr._prime_count_buf, corr._split_count_buf)
+    assert [len(b) for b in bufs] == [nbytes, ncounts, ncounts]
+    assert not hasattr(corr, "_split_buf")
+    assert maps._Held._fields[:3] == ("primes", "prime_counts", "split_counts")
     while corr._data.capacity < ceiling:
         corr.extend_to_norm(corr._data.capacity + 1)
         held = corr._data
         assert held.prime_count >= held.pair_count
-        assert len(held.primes) == len(held.splits) == (held.sieved + 15) // 16 <= nbytes
-        assert len(held.prime_counts) == len(held.split_counts) <= ncounts
+        assert len(held.primes) == (held.sieved + 15) // 16 <= nbytes
+        assert len(held.prime_counts) == len(held.split_counts) == (held.sieved + 1) // 1024 + 1 <= ncounts
         assert held.capacity <= held.sieved < top <= 2**31 - 1
+    # each count is the running total over the whole blocks of the odd
+    # primes, and of those that split by Euler's criterion mod 19
+    slots = np.flatnonzero(np.unpackbits(np.asarray(held.primes), bitorder="little"))
+    split = slots[((2 * slots + 1) % 19) ** 9 % 19 == 1]
+    blocks = len(held.prime_counts) - 1
+    for counts, marked in ((held.prime_counts, slots), (held.split_counts, split)):
+        per_block = np.bincount(marked // 512, minlength=blocks + 1)[:blocks]
+        assert np.array_equal(np.asarray(counts), np.concatenate(([0], per_block.cumsum())))
     # the published views read the buffers themselves, not copies
-    assert corr._prime_buf.dtype == corr._split_buf.dtype == np.uint8
+    assert corr._prime_buf.dtype == np.uint8
     assert corr._prime_count_buf.dtype == corr._split_count_buf.dtype == np.int32
-    for view, buf in zip(held[:4], bufs):
+    for view, buf in zip(held[:3], bufs):
         assert np.shares_memory(np.asarray(view), buf)
     if ceiling == DEFAULT_CORRESPONDENCE_CEILING:
         assert corr.pair_count == 3_000_526
@@ -696,13 +708,61 @@ def test_growth_refuses_a_short_rational_side(monkeypatch):
 
 def test_growth_refuses_to_write_past_a_buffer():
     # 10**4 needs 5,000 slots: more than 100 bytes of bits (800 slots) or 3
-    # counts (1,536 slots) hold
-    for buf, size in (("_prime_buf", 100), ("_prime_count_buf", 3), ("_split_buf", 100), ("_split_count_buf", 3)):
+    # counts of either kind (1,536 slots) hold; the refusal comes before
+    # any write
+    bufs = ("_prime_buf", "_prime_count_buf", "_split_count_buf")
+    for buf, size in zip(bufs, (100, 3, 3)):
         corr = PrimeCorrespondence(max_norm=10**4)
         setattr(corr, buf, getattr(corr, buf)[:size])
         with pytest.raises(IntegrityError):
             corr.extend_to_norm(10**4)
         assert corr._data.capacity == corr.pair_count == 0
+        assert not any(getattr(corr, name).any() for name in bufs), buf
+
+
+def test_split_masks_follow_eulers_criterion():
+    # Mask j covers a block that starts at byte j mod 19, whose slot k is
+    # an odd number n = 16j + 2k + 1 mod 19: its bit is set exactly when n
+    # is a nonzero square mod 19, so 19 itself, which ramifies, is never set.
+    masks = maps._SPLIT_MASKS
+    assert len(masks) == 19
+    for j, mask in enumerate(masks):
+        assert mask >> 512 == 0
+        for k in range(512):
+            assert mask >> k & 1 == (pow(16 * j + 2 * k + 1, 9, 19) == 1), (j, k)
+    # block b starts at byte 64b and takes mask (64b) % 19: under it are
+    # the block's split primes, as many as its split count says
+    corr = PrimeCorrespondence()
+    corr.extend_to_norm(10**5)
+    held = corr._data
+    for b in range(len(held.split_counts) - 1):
+        block = int.from_bytes(held.primes[64 * b : 64 * b + 64], "little")
+        numbers = [1024 * b + 2 * k + 1 for k in range(512) if block >> k & 1]
+        split = [n for n in numbers if pow(n, 9, 19) == 1]
+        assert numbers == [n for n in range(1024 * b + 1, 1024 * b + 1024, 2) if is_prime(n)], b
+        assert (block & masks[64 * b % 19]).bit_count() == len(split), b
+        assert held.split_counts[b + 1] - held.split_counts[b] == len(split), b
+
+
+def test_a_full_segment_after_a_held_block_at_phase_18_matches_one_step():
+    # The first step sieves to L, which ends in slot 505 of block 103, at
+    # byte phase 64 * 103 % 19 == 18; the second sieves one whole segment
+    # of 2**21 odd numbers from there, so the split counts of its 4,096
+    # completed blocks read the residue pattern from phase 18 on, past the
+    # held partial block.
+    L = 2 * (512 * 103 + 505)
+    stepped = PrimeCorrespondence()
+    stepped.extend_to_norm(L)
+    assert stepped._data.sieved == L and 64 * 103 % 19 == 18
+    stepped.extend_to_norm(L + rationals._SEGMENT)
+    whole = PrimeCorrespondence()
+    whole.extend_to_norm(L + rationals._SEGMENT)
+    a, b = stepped._data, whole._data
+    assert (a.sieved, a.capacity) == (b.sieved, b.capacity)
+    for name in ("prime_counts", "split_counts"):
+        assert np.array_equal(np.asarray(getattr(a, name)), np.asarray(getattr(b, name))), name
+    assert stepped.pair_count == whole.pair_count
+    assert stepped.pairs() == whole.pairs()
 
 
 def _traced_peak(call, *args):

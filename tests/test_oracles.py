@@ -350,7 +350,8 @@ def test_rank_and_select_match_primepi_and_prime_at_the_edges():
     for x in xs:
         pi_x = int(sympy.primepi(x))
         assert 1 + maps._rank(held.primes, held.prime_counts, (x + 1) // 2) == pi_x, x
-        assert maps._rank(held.splits, held.split_counts, (x + 1) // 2) == split_upto[x], x
+        # the split primes are the primes under the split masks
+        assert maps._rank(held.primes, held.split_counts, (x + 1) // 2, maps._SPLIT_MASKS) == split_upto[x], x
         if x == 2 or not sympy.isprime(x):
             continue
         primes_seen += 1
@@ -358,7 +359,7 @@ def test_rank_and_select_match_primepi_and_prime_at_the_edges():
         if pow(x, 9, 19) != 1:
             continue
         split_seen += 1
-        assert 2 * maps._select(held.splits, held.split_counts, split_upto[x] - 1) + 1 == x
+        assert 2 * maps._select(held.primes, held.split_counts, split_upto[x] - 1, maps._SPLIT_MASKS) + 1 == x
         # the canonical primes of norm x come after two per smaller split
         # prime, 19 and the inert squares below x
         inert = [q for q in sympy.primerange(2, math.isqrt(x - 1) + 1) if sympy.kronecker_symbol(-19, q) == -1]
@@ -474,11 +475,14 @@ def test_pairs_hash_to_the_digests_of_the_int32_layout(full):
         assert full.preimage_of_prime(pi) == p, i
 
 
-def test_bitmaps_at_the_default_ceiling_hold_under_7_mb(full):
+def test_bitmap_at_the_default_ceiling_holds_under_3_6_mb(full):
     # The int32 arrays held 24.0 MB there: 3,000,526 norms and 3,001,134
-    # rational primes. The bitmaps and counts hold their written prefixes.
+    # rational primes; a second bitmap, of the split primes, held 6.64 MB
+    # in all. The prime bitmap (3,125,000 bytes) and its two count arrays
+    # (195,316 bytes each) hold their written prefixes, and nothing else
+    # held is a buffer view.
     held = full._data
-    assert sum(view.nbytes for view in held[:4]) < 7 * 10**6
+    assert sum(v.nbytes for v in held if isinstance(v, memoryview)) <= 3_125_000 + 2 * 195_316
 
 
 def norm_equation(m):

@@ -245,11 +245,12 @@ def test_norm_helpers_agree_with_primes_above():
 
 
 def test_split_bits_slices_its_pattern_in_place():
-    # A whole segment's bits (2**18 bytes) take one slice of the cached
-    # residue pattern; np.resize of the pattern per segment would build a
+    # A whole segment's bits (2**18 bytes) cost one array: the residue
+    # pattern tiled to their length, sliced at their phase and ANDed with
+    # them in place; np.resize of the pattern per segment would build a
     # second pattern, and cost 23 ms a segment.
     packed = np.full(_SEGMENT // 16 + 1, 0xFF, dtype=np.uint8)
-    _split_bits(packed, 0)  # builds the pattern once
+    _split_bits(packed, 0)
     tracemalloc.start()
     try:
         split = _split_bits(packed, 12_345)
@@ -262,6 +263,18 @@ def test_split_bits_slices_its_pattern_in_place():
     slots = 8 * 12_345 + np.arange(8 * len(packed))
     want = np.isin((2 * slots + 1) % 19, [x * x % 19 for x in range(1, 19)])
     assert np.array_equal(np.unpackbits(split, bitorder="little").astype(bool), want)
+
+
+def test_split_bits_reads_a_bitmap_of_any_length_at_any_phase():
+    # the correspondence masks its whole bitmap at once to read its pairs
+    # off, and the blocks a sieve segment completes from the phase of the
+    # first: 262,144 bytes at phase 18 in the worst case
+    for length, byte in ((0, 3), (1, 18), (262_144, 18), (262_145, 64 * 103), (3_125_000, 12_345)):
+        split = _split_bits(np.full(length, 0xFF, dtype=np.uint8), byte)
+        slots = 8 * byte + np.arange(8 * length)
+        want = ((2 * slots + 1) % 19) ** 9 % 19 == 1
+        assert split.dtype == np.uint8 and len(split) == length
+        assert np.array_equal(np.unpackbits(split, bitorder="little").astype(bool), want), (length, byte)
 
 
 def test_factor_quad_examples():
