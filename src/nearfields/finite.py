@@ -293,14 +293,19 @@ def verify_addition_table(t: AdditionTable) -> Report:
     distributivities over all m**3 index triples (at most 19,683 for the
     supported fields), commutativity, the neutral element and inverses over
     all pairs. A failing cubic sweep reports its lexicographically first
-    failing triple as the witness.
+    failing triple as the witness. A table that is not m-by-m with entries
+    in [0, m) fails closure, and nothing is swept on it.
     """
     f = t.field
     tab = t.table
     rep = Report(f"field axioms for {t.provenance} on {f!r}")
     m = f.m
 
-    rep.add("closure", bool(((tab >= 0) & (tab < m)).all()))
+    closed = tab.shape == (m, m) and bool(((tab >= 0) & (tab < m)).all())
+    rep.add("closure", closed)
+    if not closed:
+        rep.counts["triples"] = 0
+        return rep
     w = kernels._first_false(tab == tab.T)
     rep.add("commutativity", w is None, witness=w)
     zero_rows = [e for e in range(m) if (tab[e] == np.arange(m)).all()]
@@ -376,7 +381,10 @@ def check_isomorphic_additions(field: FiniteField, t1: AdditionTable, t2: Additi
     if t1.field is not field or t2.field is not field:
         raise DomainError(f"{t1.provenance} on {t1.field!r} and {t2.provenance} on {t2.field!r} "
                           f"are not both additions on {field!r}")
-    tab1, tab2 = t1.table.astype(np.intp), t2.table.astype(np.intp)  # intp gathers beat uint8 ones
+    # tab1 is an index array, so intp as in the kernels. Unlike the kernels'
+    # gathers, which compare two uint8 sides, tab2's gather is compared with
+    # pk's int64 values, so it is widened once here rather than on every k.
+    tab1, tab2 = t1.table.astype(np.intp), t2.table.astype(np.intp)
     for k in field.exponent_units():
         pk = field.power_table(k)
         if np.array_equal(pk[tab1], tab2[np.ix_(pk, pk)]):

@@ -2,18 +2,25 @@
 
 Everything here answers one question shape: does an identity hold at every
 point of a finite index table, and if not, at which first witness? Tables
-are m-by-m integer arrays mapping index pairs to indices. The table kernels
-evaluate both sides of their identity on the whole (m, m, m) index cube with
-numpy fancy indexing and return the lexicographically first failing index
-triple, or None. The largest table swept is the 81-member modnear-ring, so
-a sweep covers at most 81**3 = 531,441 triples. The homomorphism kernel
-does not sweep its (h, f, g, x) cube: it tests each (h, f(x), g(x)) of
-values once, and gathers over (f, g, x) only for an h with a bad pair.
+are m-by-m arrays mapping index pairs to indices in [0, m); an entry
+outside that range is refused with DomainError. Each table is swept in
+the smallest unsigned dtype that holds its indices, one byte per entry for
+every supported table (m <= 81). The table kernels evaluate both sides of
+their identity at every triple of the (m, m, m) index cube as byte cubes,
+built by row gathers such as t[t] and by gathers whose index arrays alone
+are intp (an index like a * m + b outgrows a byte), and return the
+lexicographically first failing index triple, or None. The largest table
+swept is the 81-member modnear-ring, so a sweep covers at most 81**3 =
+531,441 triples. The homomorphism kernel does not sweep its (h, f, g, x)
+cube: it tests each (h, f(x), g(x)) of values once, and gathers over
+(f, g, x) only for an h with a bad pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = [
     "HAS_NUMBA",
@@ -33,32 +40,61 @@ def backend() -> str:
     return "numpy"
 
 
-def _table(t) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(t, dtype=np.int64))
+def _table(t, name: str) -> np.ndarray:
+    """t as a C-contiguous array in the smallest unsigned dtype that holds
+    an index below m, the length of t's last axis. An entry outside
+    [0, m) raises DomainError naming the table, since it would wrap."""
+    t = np.asarray(t)
+    m = t.shape[-1]
+    if t.dtype.kind not in "iu":
+        raise DomainError(f"{name} is not an integer table (dtype {t.dtype})")
+    if t.size and (t.min() < 0 or t.max() >= m):
+        raise DomainError(f"{name} has entries outside [0, {m}): min {t.min()}, max {t.max()}")
+    return np.ascontiguousarray(t, dtype=np.min_scalar_type(m - 1))
+
+
+def _square(t, name: str, m: int | None = None) -> np.ndarray:
+    """_table for an m-by-m table, m by default its own side."""
+    t = np.asarray(t)
+    m = len(t) if m is None else m
+    if t.shape != (m, m):
+        raise DomainError(f"{name} has shape {t.shape}, not ({m}, {m})")
+    return _table(t, name)
 
 
 def _first_false(eq: np.ndarray):
+    """The row-major first index at which eq is False, or None."""
     if eq.all():
         return None
-    return tuple(int(v) for v in np.argwhere(~eq)[0])
+    return tuple(int(v) for v in np.unravel_index(eq.argmin(), eq.shape))
 
 
 def assoc_witness(t):
     """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None."""
-    t = _table(t)
-    return _first_false(t[t] == t[:, t])
+    t = _square(t, "table")
+    # t[:, t] from a row gather of t's columns: (j, k, i) moved to (i, j, k).
+    return _first_false(t[t] == np.ascontiguousarray(t.T)[t].transpose(2, 0, 1))
 
 
 def left_distrib_witness(mul, add):
     """First failure of mul[i, add[j,k]] == add[mul[i,j], mul[i,k]]."""
-    mul, add = _table(mul), _table(add)
-    return _first_false(mul[:, add] == add[mul[:, :, None], mul[:, None, :]])
+    mul = _square(mul, "multiplication")
+    add = _square(add, "addition", len(mul))
+    lhs = np.ascontiguousarray(mul.T)[add].transpose(2, 0, 1)  # mul[:, add], as in assoc_witness
+    rhs = add.ravel()[mul.astype(np.intp)[:, :, None] * len(mul) + mul[:, None, :]]
+    return _first_false(lhs == rhs)
 
 
 def right_distrib_witness(mul, add):
     """First failure of mul[add[i,j], k] == add[mul[i,k], mul[j,k]]."""
-    mul, add = _table(mul), _table(add)
-    return _first_false(mul[add, :] == add[mul[:, None, :], mul[None, :, :]])
+    mul = _square(mul, "multiplication")
+    add = _square(add, "addition", len(mul))
+    m = len(mul)
+    # rows[i, k*m + x] = add[mul[i,k], x], and the right side at (i, j, k)
+    # is its column k*m + mul[j,k]: an (m, m) index, where a flat gather
+    # of add would need an (m, m, m) one.
+    rows = add[mul].reshape(m, m * m)
+    return _first_false(mul[add] == np.take(rows, np.arange(0, m * m, m) + mul.astype(np.intp), axis=1))
 
 
 def hom_left_distrib_witness(maps, add_native, add_box):
@@ -74,7 +110,9 @@ def hom_left_distrib_witness(maps, add_native, add_box):
     them is the witness, as a sweep of all n**3 * m points would find it.
     A bad pair that no (f(x), g(x)) realizes makes no failure.
     """
-    maps, add_native, add_box = _table(maps), _table(add_native), _table(add_box)
+    maps = _table(maps, "maps")
+    m = maps.shape[-1]
+    add_native, add_box = _square(add_native, "native addition", m), _square(add_box, "box addition", m)
     bad = maps[:, add_native] != add_box[maps[:, :, None], maps[:, None, :]]  # (n, m, m)
     for hi in np.flatnonzero(bad.any(axis=(1, 2))):
         fails = bad[hi][maps[:, None, :], maps[None, :, :]].any(axis=2)  # (n, n)

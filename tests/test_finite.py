@@ -217,6 +217,22 @@ def test_verify_addition_table_catches_mutation():
     assert any(c.witness is not None for c in rep.failures())
 
 
+def test_verify_addition_table_fails_closure_without_sweeping():
+    # An entry outside [0, m) is a failed report, not a crash or a verdict
+    # on an index that wrapped around; a table of the wrong shape likewise.
+    f9 = make_field(3, 2)
+    native = f9.add.astype(np.int64)
+    for bad_entry in (-1, 9):
+        broken = native.copy()
+        broken[4, 6] = bad_entry
+        rep = verify_addition_table(AdditionTable(f9, broken, f"entry {bad_entry}"))
+        assert [c.name for c in rep.failures()] == ["closure"]
+        assert [c.name for c in rep.checks] == ["closure"]
+        assert rep.counts["triples"] == 0
+    rep = verify_addition_table(AdditionTable(f9, native[:8, :8].copy(), "8 by 8"))
+    assert [c.name for c in rep.checks] == ["closure"] and not rep.ok
+
+
 def test_enumerate_all_supported_fields():
     for key, expected in EXPECTED_CLASSES.items():
         res = enumerate_additions(make_field(*key))

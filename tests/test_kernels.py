@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from nearfields import kernels
+from nearfields.errors import DomainError
 from nearfields.finite import make_field
 
 
@@ -170,3 +172,111 @@ def test_hom_left_distrib_witness_on_the_modnear_members():
         assert w == _hom_per_h(maps, add, box), box.tolist()
         witnesses += w is not None
     assert witnesses > 30
+
+
+# --- oracles over input forms, sizes up to the modnear-ring's 81 ---------
+
+def _forms(t):
+    """The same table as int64, int32 and uint8 arrays, a nested list, and a
+    transposed view that is not C-contiguous."""
+    t = np.asarray(t, dtype=np.int64)
+    view = np.ascontiguousarray(t.T).T
+    assert not view.flags["C_CONTIGUOUS"] or len(t) == 1
+    return [t, t.astype(np.int32), t.astype(np.uint8), t.tolist(), view]
+
+
+def _cube_first(eq):
+    bad = np.argwhere(~eq)
+    return None if len(bad) == 0 else tuple(int(v) for v in bad[0])
+
+
+def _assoc_cube(t):
+    """The int64 full-cube sweep the byte kernels replaced."""
+    return _cube_first(t[t] == t[:, t])
+
+
+def _ldist_cube(mul, add):
+    return _cube_first(mul[:, add] == add[mul[:, :, None], mul[:, None, :]])
+
+
+def _rdist_cube(mul, add):
+    return _cube_first(mul[add, :] == add[mul[:, None, :], mul[None, :, :]])
+
+
+def _mutated(t, rng):
+    t = t.copy()
+    m = len(t)
+    for _ in range(rng.integers(1, 4)):
+        t[rng.integers(m), rng.integers(m)] = rng.integers(m)
+    return t
+
+
+def _check_against(assoc_ref, ldist_ref, rdist_ref, add, mul):
+    for t in (add, mul):
+        want = assoc_ref(t)
+        for form in _forms(t):
+            assert kernels.assoc_witness(form) == want
+    for ref, kernel in ((ldist_ref, kernels.left_distrib_witness), (rdist_ref, kernels.right_distrib_witness)):
+        want = ref(mul, add)
+        for mul_form, add_form in zip(_forms(mul), _forms(add)):
+            assert kernel(mul_form, add_form) == want
+        assert kernel(mul.astype(np.uint8), add.tolist()) == want  # mixed forms
+
+
+def test_kernels_match_the_triple_loop_on_every_input_form():
+    rng = np.random.default_rng(34)
+    for m in (1, 2, 9, 27):
+        add, mul = _mod_tables(m)
+        _check_against(_assoc_ref, _ldist_ref, _rdist_ref, add, mul)
+        for _ in range(3):
+            _check_against(_assoc_ref, _ldist_ref, _rdist_ref, _mutated(add, rng), _mutated(mul, rng))
+
+
+def test_kernels_match_the_int64_cube_at_81():
+    add, mul = _mod_tables(81)
+    _check_against(_assoc_cube, _ldist_cube, _rdist_cube, add, mul)
+    rng = np.random.default_rng(81)
+    witnesses = 0
+    for _ in range(3):
+        bad_add, bad_mul = _mutated(add, rng), _mutated(mul, rng)
+        _check_against(_assoc_cube, _ldist_cube, _rdist_cube, bad_add, mul)
+        _check_against(_assoc_cube, _ldist_cube, _rdist_cube, add, bad_mul)
+        witnesses += kernels.assoc_witness(bad_add) is not None
+    assert witnesses > 0
+
+
+def test_distrib_kernels_read_pairs_past_a_byte():
+    # bad[80, 79] sits at 80 * 81 + 79 = 6559 of bad.ravel(); an index to
+    # it held in a byte would wrap to 159 and read bad[1, 78] instead.
+    add, mul = _mod_tables(81)
+    bad = add.copy()
+    bad[80, 79] = 0
+    assert bad.ravel()[6559 % 256] == bad[1, 78] != bad[80, 79]
+    for kernel, ref in ((kernels.left_distrib_witness, _ldist_cube), (kernels.right_distrib_witness, _rdist_cube)):
+        w = kernel(mul.astype(np.uint8), bad.astype(np.uint8))
+        assert w is not None and w == ref(mul, bad)
+    assert kernels.assoc_witness(bad) == _assoc_cube(bad) is not None
+
+
+def test_kernels_refuse_entries_outside_the_carrier():
+    # -1 once wrapped to the last row, so this non-table passed as associative.
+    with pytest.raises(DomainError, match="table"):
+        kernels.assoc_witness(np.array([[0, -1], [-1, 0]]))
+    add, mul = _mod_tables(9)
+    for bad_entry in (-1, 9):
+        bad = add.copy()
+        bad[3, 5] = bad_entry
+        with pytest.raises(DomainError, match=r"outside \[0, 9\)"):
+            kernels.assoc_witness(bad)
+        with pytest.raises(DomainError, match="addition"):
+            kernels.left_distrib_witness(mul, bad)
+        with pytest.raises(DomainError, match="multiplication"):
+            kernels.right_distrib_witness(bad, add)
+        maps = np.array([(c * np.arange(9)) % 9 for c in range(9)])
+        maps[2, 4] = bad_entry
+        with pytest.raises(DomainError, match="maps"):
+            kernels.hom_left_distrib_witness(maps, add, add)
+    with pytest.raises(DomainError, match="shape"):
+        kernels.right_distrib_witness(mul, add[:8, :8])
+    with pytest.raises(DomainError, match="integer"):
+        kernels.assoc_witness(add + 0.5)  # would truncate to a valid table
