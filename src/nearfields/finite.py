@@ -308,10 +308,9 @@ def verify_addition_table(t: AdditionTable) -> Report:
         return rep
     w = kernels._first_false(tab == tab.T)
     rep.add("commutativity", w is None, witness=w)
-    zero_rows = [e for e in range(m) if (tab[e] == np.arange(m)).all()]
+    zero_rows = np.flatnonzero((tab == np.arange(m)).all(axis=1)).tolist()
     rep.add("zero", zero_rows == [f.zero], witness=zero_rows)
-    inv_ok = all((tab[i] == f.zero).any() for i in range(m))
-    rep.add("inverses", inv_ok)
+    rep.add("inverses", bool((tab == f.zero).any(axis=1).all()))
 
     w = kernels.assoc_witness(tab)
     rep.add("associativity", w is None, witness=w)
@@ -463,7 +462,7 @@ def modnear_ring_check() -> Report:
         rep.add(f"group_assoc[{name}]", w is None, witness=w)
         if abelian:
             rep.add(f"group_comm[{name}]", bool((idx == idx.T).all()))
-        zeros = [e for e in range(n) if (idx[e] == np.arange(n)).all()]
+        zeros = np.flatnonzero((idx == np.arange(n)).all(axis=1)).tolist()
         rep.add(f"group_zero[{name}]", len(zeros) == 1, witness=zeros)
         if len(zeros) == 1:
             rep.add(f"group_inverses[{name}]", bool((idx == zeros[0]).any(axis=1).all()))

@@ -14,9 +14,23 @@ swept is the 81-member modnear-ring, so a sweep covers at most 81**3 =
 531,441 triples. The homomorphism kernel does not sweep its (h, f, g, x)
 cube: it tests each (h, f(x), g(x)) of values once, and gathers over
 (f, g, x) only for an h with a bad pair.
+
+The cubes of a sweep are written into work arrays that each thread keeps
+between calls, instead of fresh arrays: a fresh 531 KB cube is above
+glibc's default mmap threshold (128 KB), so every sweep would map it and
+fault in its pages again. A thread holds one flat byte buffer per slot, at most
+_WORK_SLOTS of them, each grown to the largest cube swept and never past
+81**3 bytes; a cube larger than that (an intp index cube at m = 81, or any
+cube at m > 81) is allocated per call as before. The gathers write into
+them with np.take(..., out=..., mode="clip") and the comparisons with
+np.equal(..., out=...). "clip" never clips here, since _table has proved
+every index lies in [0, m); it is chosen because np.take with the default
+mode="raise" gathers into a temporary and copies it into out.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -62,6 +76,27 @@ def _square(t, name: str, m: int | None = None) -> np.ndarray:
     return _table(t, name)
 
 
+# Slots of per-thread work arrays, and the largest one in bytes.
+_WORK_SLOTS = 4
+_WORK_BYTES = 81**3
+_work = threading.local()
+
+
+def _cube(slot: int, m: int, dtype) -> np.ndarray:
+    """An (m, m, m) array of dtype to overwrite, this thread's work array
+    in slot when it fits in _WORK_BYTES and a fresh one otherwise."""
+    dtype = np.dtype(dtype)
+    nbytes = m**3 * dtype.itemsize
+    if nbytes > _WORK_BYTES:
+        return np.empty((m, m, m), dtype)
+    bufs = getattr(_work, "bufs", None)
+    if bufs is None:
+        bufs = _work.bufs = [np.empty(0, np.uint8)] * _WORK_SLOTS
+    if bufs[slot].size < nbytes:
+        bufs[slot] = np.empty(nbytes, np.uint8)
+    return bufs[slot][:nbytes].view(dtype).reshape(m, m, m)
+
+
 def _first_false(eq: np.ndarray):
     """The row-major first index at which eq is False, or None."""
     if eq.all():
@@ -69,20 +104,35 @@ def _first_false(eq: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(eq.argmin(), eq.shape))
 
 
+def _rows(t: np.ndarray, idx: np.ndarray, slot: int) -> np.ndarray:
+    """t[idx] for an (m, m) idx, gathered into slot's work array."""
+    return np.take(t, idx, axis=0, out=_cube(slot, len(idx), t.dtype), mode="clip")
+
+
+def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs == rhs for two (m, m, m) cubes, into the last slot's work array."""
+    return np.equal(lhs, rhs, out=_cube(_WORK_SLOTS - 1, len(lhs), np.bool_))
+
+
 def assoc_witness(t):
     """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None."""
     t = _square(t, "table")
     # t[:, t] from a row gather of t's columns: (j, k, i) moved to (i, j, k).
-    return _first_false(t[t] == np.ascontiguousarray(t.T)[t].transpose(2, 0, 1))
+    return _first_false(_equal(_rows(t, t, 0), _rows(np.ascontiguousarray(t.T), t, 1).transpose(2, 0, 1)))
 
 
 def left_distrib_witness(mul, add):
     """First failure of mul[i, add[j,k]] == add[mul[i,j], mul[i,k]]."""
     mul = _square(mul, "multiplication")
     add = _square(add, "addition", len(mul))
-    lhs = np.ascontiguousarray(mul.T)[add].transpose(2, 0, 1)  # mul[:, add], as in assoc_witness
-    rhs = add.ravel()[mul.astype(np.intp)[:, :, None] * len(mul) + mul[:, None, :]]
-    return _first_false(lhs == rhs)
+    m = len(mul)
+    lhs = _rows(np.ascontiguousarray(mul.T), add, 0).transpose(2, 0, 1)  # mul[:, add], as in assoc_witness
+    # The flat index mul[i,j]*m + mul[i,k] of add is an intp cube, held in
+    # a work array up to m = 40 (every field swept here) and fresh above.
+    a = mul.astype(np.intp)
+    idx = np.add((a * m)[:, :, None], a[:, None, :], out=_cube(2, m, np.intp))
+    rhs = np.take(add.ravel(), idx, out=_cube(1, m, add.dtype), mode="clip")
+    return _first_false(_equal(lhs, rhs))
 
 
 def right_distrib_witness(mul, add):
@@ -93,8 +143,10 @@ def right_distrib_witness(mul, add):
     # rows[i, k*m + x] = add[mul[i,k], x], and the right side at (i, j, k)
     # is its column k*m + mul[j,k]: an (m, m) index, where a flat gather
     # of add would need an (m, m, m) one.
-    rows = add[mul].reshape(m, m * m)
-    return _first_false(mul[add] == np.take(rows, np.arange(0, m * m, m) + mul.astype(np.intp), axis=1))
+    rows = _rows(add, mul, 0).reshape(m, m * m)
+    cols = np.arange(0, m * m, m) + mul.astype(np.intp)
+    rhs = np.take(rows, cols, axis=1, out=_cube(1, m, add.dtype), mode="clip")
+    return _first_false(_equal(_rows(mul, add, 2), rhs))
 
 
 def hom_left_distrib_witness(maps, add_native, add_box):

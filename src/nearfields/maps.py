@@ -535,6 +535,10 @@ class QmcResult:
         return all(self.conditions.values())
 
 
+# The detail of each condition, shared by every result a pass keeps.
+_HOLDS = {True: "holds: True", False: "holds: False"}
+
+
 def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
     """Evaluate the five equivalent characterizations of a right
     quasi-multiplicative bijection, each independently and exhaustively.
@@ -574,7 +578,7 @@ def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
 
     rep = Report("quasi-multiplicative equivalence")
     for name, ok in conds.items():
-        rep.add(name, True, detail=f"holds: {ok}")
+        rep.add(name, True, detail=_HOLDS[ok])
     agree = len(set(conds.values())) == 1
     rep.add("conditions_agree", agree, witness=None if agree else conds)
     rep.counts["pairs"] = m * m

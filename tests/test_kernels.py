@@ -280,3 +280,94 @@ def test_kernels_refuse_entries_outside_the_carrier():
         kernels.right_distrib_witness(mul, add[:8, :8])
     with pytest.raises(DomainError, match="integer"):
         kernels.assoc_witness(add + 0.5)  # would truncate to a valid table
+
+
+# --- per-thread work arrays ----------------------------------------------
+
+def _check_sweeps(add, mul, assoc_ref, ldist_ref, rdist_ref):
+    assert kernels.assoc_witness(add) == assoc_ref(add)
+    assert kernels.assoc_witness(mul) == assoc_ref(mul)
+    assert kernels.left_distrib_witness(mul, add) == ldist_ref(mul, add)
+    assert kernels.right_distrib_witness(mul, add) == rdist_ref(mul, add)
+
+
+def test_work_arrays_leak_nothing_between_sizes():
+    # A smaller sweep views the front of the buffers a larger one filled,
+    # and a larger one regrows them: each answer is the oracle's whatever
+    # ran before it, failing or not.
+    rng = np.random.default_rng(35)
+    oracles = {81: (_assoc_cube, _ldist_cube, _rdist_cube)}
+    for m in (81, 9, 27, 81, 9):
+        add, mul = _mod_tables(m)
+        refs = oracles.get(m, (_assoc_ref, _ldist_ref, _rdist_ref))
+        _check_sweeps(add, mul, *refs)
+        for _ in range(2):
+            _check_sweeps(_mutated(add, rng), _mutated(mul, rng), *refs)
+            _check_sweeps(add, mul, *refs)
+
+
+def test_threads_sweep_their_own_tables_at_once():
+    import sys
+    import threading
+
+    add, mul = _mod_tables(81)
+    cases = []
+    for i, j in ((3, 5), (10, 2), (40, 70), (80, 79)):
+        bad = add.copy()
+        bad[i, j] = (bad[i, j] + 1) % 81
+        cases.append((bad, _assoc_cube(bad), _rdist_cube(mul, bad)))
+    assert len({(w_a, w_r) for _, w_a, w_r in cases}) == len(cases)
+    barrier = threading.Barrier(len(cases))
+    wrong = []
+
+    def sweep(bad, want_assoc, want_rdist):
+        barrier.wait(timeout=30)
+        for _ in range(10):
+            got = (kernels.assoc_witness(bad), kernels.right_distrib_witness(mul, bad))
+            if got != (want_assoc, want_rdist):
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep, args=case) for case in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_repeat_sweeps_allocate_less_than_a_cube():
+    import tracemalloc
+
+    add, mul = _mod_tables(81)
+    add, mul = add.astype(np.uint8), mul.astype(np.uint8)
+    for kernel, args in ((kernels.assoc_witness, (add,)), (kernels.right_distrib_witness, (mul, add))):
+        kernel(*args)
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 81**3, (kernel.__name__, peak)
+
+
+def test_work_arrays_stay_within_their_bound():
+    def held():
+        return [(id(b), b.nbytes) for b in kernels._work.bufs]
+
+    add, mul = _mod_tables(81)
+    _check_sweeps(add, mul, _assoc_cube, _ldist_cube, _rdist_cube)
+    small_add, small_mul = _mod_tables(27)
+    kernels.left_distrib_witness(small_mul, small_add)  # an intp index cube in a work array
+    before = held()
+    assert sum(nbytes for _, nbytes in before) <= 5 * 81**3
+    # Past 81 every cube is allocated per call, and the work arrays stay.
+    big_add, big_mul = _mod_tables(90)
+    _check_sweeps(big_add, big_mul, _assoc_cube, _ldist_cube, _rdist_cube)
+    assert held() == before
