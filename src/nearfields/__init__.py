@@ -4,22 +4,24 @@ The package builds a second field addition on the rationals by pulling the
 addition of an imaginary quadratic field back through a prime-by-prime
 multiplicative bijection, then verifies the result, and every related finite
 structure, with exact arithmetic: no floats anywhere except the complex
-epsilon maps, which carry an explicit tolerance.
+epsilon maps, which hold no tolerance but refuse any value that is not finite.
 
 Entry points by theme:
 
 - rationals / quadratic: factorization in Z, in Q, and in the quadratic ring.
-- maps: the prime correspondence, sigma, endobijections of Q*,
-  quasi-multiplicative maps, the complex epsilon family.
+- maps: the prime correspondence, sigma, endobijections of Q*.
+- epsilon: the complex epsilon family.
 - induced: the exotic addition on Q, ring-isomorphism and field-axiom
   verifiers.
 - rho: near-field addition maps, the characteristic map, additions recovered
   from unary data.
 - finite / nvs: complete enumeration of exponent additions on small fields,
-  power-map isomorphisms, the modnear-ring, elementary near-vector spaces.
+  power-map isomorphisms, the modnear-ring, elementary near-vector spaces,
+  quasi-multiplicative maps.
 - cli: one command per construction, reproducible via seeds and goldens.
 """
 
+from .epsilon import epsilon_inverse_param, eval_epsilon
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .finite import (
     AdditionTable,
@@ -45,22 +47,20 @@ from .maps import (
     DEFAULT_CORRESPONDENCE_CEILING,
     EndoBijectionSpecQ,
     PrimeCorrespondence,
-    QmcResult,
-    QuasiMultSpec,
-    check_qmc_equivalence,
     default_correspondence,
     endo_q_apply,
-    epsilon_inverse_param,
-    eval_epsilon,
-    qm_compose,
-    qm_invert,
     sigma_apply,
     sigma_invert,
 )
 from .nvs import (
     ElementaryNVS,
+    QmcResult,
+    QuasiMultSpec,
     build_elementary,
     check_elementary_box1,
+    check_qmc_equivalence,
+    qm_compose,
+    qm_invert,
     verify_nvs_axioms,
 )
 from .quadratic import (

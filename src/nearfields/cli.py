@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .epsilon import epsilon_inverse_param, eval_epsilon
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .finite import (
     FiniteField,
@@ -36,15 +37,12 @@ from .finite import (
 from .induced import DEFAULT_SUM_NORM_CEILING, _rand_rat, check_norm_ceiling, exotic_add_q
 from .maps import (
     EndoBijectionSpecQ,
-    check_qmc_equivalence,
     default_correspondence,
     endo_q_apply,
-    epsilon_inverse_param,
-    eval_epsilon,
     sigma_apply,
     sigma_invert,
 )
-from .nvs import build_elementary, check_elementary_box1, verify_nvs_axioms
+from .nvs import build_elementary, check_elementary_box1, check_qmc_equivalence, verify_nvs_axioms
 from .quadratic import QuadInt, QuadRat, factor_quad
 from .rationals import factor_int, factor_rat
 from .rho import char_map, field_carrier, rational_carrier, rho_from_add, verify_rho_axioms

@@ -54,14 +54,20 @@ def backend() -> str:
     return "numpy"
 
 
+def _integer(t, name: str) -> np.ndarray:
+    """t as an array, refused unless its dtype is an integer one."""
+    t = np.asarray(t)
+    if t.dtype.kind not in "iu":
+        raise DomainError(f"{name} is not an integer table (dtype {t.dtype})")
+    return t
+
+
 def _table(t, name: str) -> np.ndarray:
     """t as a C-contiguous array in the smallest unsigned dtype that holds
     an index below m, the length of t's last axis. An entry outside
     [0, m) raises DomainError naming the table, since it would wrap."""
-    t = np.asarray(t)
+    t = _integer(t, name)
     m = t.shape[-1]
-    if t.dtype.kind not in "iu":
-        raise DomainError(f"{name} is not an integer table (dtype {t.dtype})")
     if t.size and (t.min() < 0 or t.max() >= m):
         raise DomainError(f"{name} has entries outside [0, {m}): min {t.min()}, max {t.max()}")
     return np.ascontiguousarray(t, dtype=np.min_scalar_type(m - 1))

@@ -26,16 +26,10 @@ out, sigma through the product loop of Z[w] (quadratic._product, on plain
 integers) and sigma^-1 through the one of Q (rationals._value). The exotic
 sum in induced does not go through sigma_apply: it images each operand
 prime once, inline, and multiplies with the ring product itself.
-
-Also here: finitely supported multiplicative endobijections of Q (prime
-permutation with sign and inversion twists), the five-way equivalence test
-for quasi-multiplicative maps on a finite carrier, the group operations on
-quasi-multiplicative specs, and the complex epsilon maps.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from bisect import bisect_left, bisect_right
@@ -47,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
-from .finite import FiniteField, is_mult_bijection, is_permutation
+# Unused here: it lives in nvs, but the benchmark's tracer names it under maps.
+from .nvs import check_qmc_equivalence  # noqa: F401
 from .quadratic import (
     QuadInt,
     QuadRat,
@@ -74,7 +69,6 @@ from .rationals import (
     factor_rat,
     is_prime,
 )
-from .report import Report
 
 __all__ = [
     "PrimeCorrespondence",
@@ -83,13 +77,6 @@ __all__ = [
     "sigma_invert",
     "EndoBijectionSpecQ",
     "endo_q_apply",
-    "QmcResult",
-    "check_qmc_equivalence",
-    "QuasiMultSpec",
-    "qm_compose",
-    "qm_invert",
-    "eval_epsilon",
-    "epsilon_inverse_param",
     "DEFAULT_CORRESPONDENCE_CEILING",
 ]
 
@@ -521,152 +508,3 @@ def endo_q_apply(spec: EndoBijectionSpecQ, q: Rat | int) -> Rat:
     flips = sum(e % 2 for p, e in f.exponents.items() if spec.eta.get(p, 1) == -1)
     exps = {p: spec.nu.get(p, 1) * e for p, e in f.exponents.items()}
     return _value((-1) ** flips * f.sign, exps, lambda p: spec.perm.get(p, p))
-
-
-@dataclass
-class QmcResult:
-    report: Report
-    conditions: dict[str, bool]
-    lam: int
-    gamma: int
-
-    @property
-    def is_quasi_multiplicative(self) -> bool:
-        return all(self.conditions.values())
-
-
-# The detail of each condition, shared by every result a pass keeps.
-_HOLDS = {True: "holds: True", False: "holds: False"}
-
-
-def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
-    """Evaluate the five equivalent characterizations of a right
-    quasi-multiplicative bijection, each independently and exhaustively.
-
-    The characterizations must agree (that is the lemma); disagreement is
-    reported as a failed agreement check, never papered over.
-    """
-    phi = np.asarray(phi, dtype=np.int64)
-    M = field_.mul
-    m = field_.m
-    if not is_permutation(phi, m):
-        raise DomainError("phi must be a bijection of the carrier")
-    phi_inv = np.argsort(phi)
-    lam = int(phi[field_.one])
-    gamma = int(phi_inv[field_.one])
-    invertible = lam != field_.zero and gamma != field_.zero
-
-    conds: dict[str, bool] = {}
-    if not invertible:
-        conds = {f"condition_{i}": False for i in range(1, 6)}
-    else:
-        # 1: phi = (mult bijection) * lam, with the candidate forced as phi/lam
-        cand = M[phi, field_.inv[lam]]
-        conds["condition_1"] = is_mult_bijection(field_, cand) and bool(
-            np.array_equal(M[cand, lam], phi)
-        )
-        # 2: phi(x y) = phi(x) phi(gamma y)
-        pg = phi[M[gamma]]
-        conds["condition_2"] = bool(np.array_equal(phi[M], M[np.ix_(phi, pg)]))
-        # 3: phi(x y) = phi(x gamma) phi(y)
-        pmg = phi[M[:, gamma]]
-        conds["condition_3"] = bool(np.array_equal(phi[M], M[np.ix_(pmg, phi)]))
-        # 4: x -> phi(x gamma) is a multiplicative bijection
-        conds["condition_4"] = is_mult_bijection(field_, phi[M[:, gamma]])
-        # 5: x -> phi(gamma x) is a multiplicative bijection
-        conds["condition_5"] = is_mult_bijection(field_, phi[M[gamma]])
-
-    rep = Report("quasi-multiplicative equivalence")
-    for name, ok in conds.items():
-        rep.add(name, True, detail=_HOLDS[ok])
-    agree = len(set(conds.values())) == 1
-    rep.add("conditions_agree", agree, witness=None if agree else conds)
-    rep.counts["pairs"] = m * m
-    return QmcResult(rep, conds, lam, gamma)
-
-
-@dataclass(frozen=True)
-class QuasiMultSpec:
-    """A right quasi-multiplicative endobijection, as (mult part, lambda)."""
-
-    field_: FiniteField
-    phi_mult: np.ndarray
-    lam: int
-
-    def __post_init__(self):
-        phi_mult = np.array(self.phi_mult, dtype=np.int64)  # the caller keeps its array
-        if not is_mult_bijection(self.field_, phi_mult):
-            raise DomainError("phi_mult is not a multiplicative bijection")
-        if not 0 < self.lam < self.field_.m:
-            raise DomainError(
-                f"lambda must index an invertible element (1..{self.field_.m - 1}), got {self.lam}"
-            )
-        phi_mult.flags.writeable = False
-        object.__setattr__(self, "phi_mult", phi_mult)
-
-    def as_table(self) -> np.ndarray:
-        return self.field_.mul[self.phi_mult, self.lam]
-
-
-def qm_compose(f: QuasiMultSpec, g: QuasiMultSpec) -> QuasiMultSpec:
-    """f after g, verified extensionally against pointwise composition."""
-    fld = f.field_
-    out = QuasiMultSpec(fld, f.phi_mult[g.phi_mult], int(fld.mul[f.phi_mult[g.lam], f.lam]))
-    if not np.array_equal(out.as_table(), f.as_table()[g.as_table()]):
-        raise IntegrityError("composition formula disagrees with pointwise composition")
-    return out
-
-
-def qm_invert(f: QuasiMultSpec) -> QuasiMultSpec:
-    """Group inverse, verified extensionally."""
-    fld = f.field_
-    phi_inv = np.argsort(f.phi_mult)
-    out = QuasiMultSpec(fld, phi_inv, int(phi_inv[fld.inv[f.lam]]))
-    if not np.array_equal(out.as_table()[f.as_table()], np.arange(fld.m)):
-        raise IntegrityError("inverse formula disagrees with pointwise inverse")
-    return out
-
-
-def _finite(x: complex, name: str) -> complex:
-    """x as a complex, refused unless both of its parts are finite."""
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise DomainError(f"{name} is not finite: {x}")
-    return x
-
-
-def eval_epsilon(alpha: complex, z: complex, *, conjugate: bool = False) -> complex:
-    """epsilon_alpha(z) = r**alpha * s for z = r*s, r > 0, |s| = 1.
-
-    The conjugate flag gives the mirrored family r**alpha * conj(s). Real
-    alpha restricted to real z recovers the signed power map on R. Purely
-    imaginary alpha collapses the modulus and is rejected, as are an
-    alpha, z or value that is not finite.
-    """
-    alpha = _finite(alpha, "alpha")
-    if alpha.real == 0:
-        raise DomainError("alpha must have nonzero real part")
-    z = _finite(z, "z")
-    if z == 0:
-        return 0j
-    r = abs(z)
-    s = z / r
-    try:
-        w = cmath.exp(alpha * math.log(r))
-    except OverflowError:
-        w = complex(math.inf)
-    return _finite(w * (s.conjugate() if conjugate else s), "epsilon_alpha(z)")
-
-
-def epsilon_inverse_param(alpha: complex, *, conjugate: bool = False) -> complex:
-    """The beta with epsilon_beta inverting epsilon_alpha (same flag).
-
-    Plain family: beta = (1 - i Im(alpha)) / Re(alpha). The conjugated
-    family flips the sign of the imaginary part. A beta that is not finite
-    (Re(alpha) so small that 1/Re(alpha) overflows) is refused.
-    """
-    alpha = _finite(alpha, "alpha")
-    if alpha.real == 0:
-        raise DomainError("alpha must have nonzero real part")
-    im = alpha.imag
-    return _finite(complex(1, im if conjugate else -im) / alpha.real, "beta")

@@ -9,18 +9,21 @@ twists the scalar action. The derived operations are
 
 and every structural claim about them (abelian group, action laws,
 freeness, quasi-kernel generation, the addition at the vector 1) is
-checked exhaustively, never assumed. Only finite carriers live here.
+checked exhaustively, never assumed. Also here, since the addition at 1
+is pulled back through one: the five-way test of a right quasi-multiplicative
+bijection, and the group of (mult part, lambda) specs. Finite carriers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, IntegrityError
 from .finite import FiniteField, is_mult_bijection, is_permutation, transport
-from .kernels import _first_false, assoc_witness, left_distrib_witness
+from .kernels import _first_false, _integer, assoc_witness, left_distrib_witness
 from .report import Report
 
 __all__ = [
@@ -28,6 +31,11 @@ __all__ = [
     "build_elementary",
     "verify_nvs_axioms",
     "check_elementary_box1",
+    "QmcResult",
+    "check_qmc_equivalence",
+    "QuasiMultSpec",
+    "qm_compose",
+    "qm_invert",
 ]
 
 
@@ -60,8 +68,8 @@ def _assemble(field: FiniteField, psi: np.ndarray, phi: np.ndarray) -> Elementar
 
 def build_elementary(field: FiniteField, psi: np.ndarray, phi: np.ndarray) -> ElementaryNVS:
     """Assemble the space, validating the hypotheses exhaustively."""
-    psi = np.asarray(psi, dtype=np.int64)
-    phi = np.asarray(phi, dtype=np.int64)
+    psi = np.asarray(_integer(psi, "psi"), dtype=np.int64)
+    phi = np.asarray(_integer(phi, "phi"), dtype=np.int64)
     if not is_permutation(psi, field.m):
         raise DomainError("psi is not a bijection of the carrier")
     if psi[field.zero] != field.zero:
@@ -156,3 +164,110 @@ def check_elementary_box1(s: ElementaryNVS) -> Report:
     rep.add("box_one_equals_pullback", ij is None, witness=wit)
     rep.counts["pairs"] = F.m**2
     return rep
+
+
+@dataclass
+class QmcResult:
+    report: Report
+    conditions: dict[str, bool]
+    lam: int
+    gamma: int
+
+    @property
+    def is_quasi_multiplicative(self) -> bool:
+        return all(self.conditions.values())
+
+
+# The detail of each condition, shared by every result a pass keeps.
+_HOLDS = {True: "holds: True", False: "holds: False"}
+
+
+def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
+    """Evaluate the five equivalent characterizations of a right
+    quasi-multiplicative bijection, each independently and exhaustively.
+
+    The characterizations must agree (that is the lemma); disagreement is
+    reported as a failed agreement check, never papered over.
+    """
+    phi = np.asarray(_integer(phi, "phi"), dtype=np.int64)
+    M = field_.mul
+    m = field_.m
+    if not is_permutation(phi, m):
+        raise DomainError("phi must be a bijection of the carrier")
+    phi_inv = np.argsort(phi)
+    lam = int(phi[field_.one])
+    gamma = int(phi_inv[field_.one])
+    invertible = lam != field_.zero and gamma != field_.zero
+
+    conds: dict[str, bool] = {}
+    if not invertible:
+        conds = {f"condition_{i}": False for i in range(1, 6)}
+    else:
+        # 1: phi = (mult bijection) * lam, with the candidate forced as phi/lam
+        cand = M[phi, field_.inv[lam]]
+        conds["condition_1"] = is_mult_bijection(field_, cand) and bool(
+            np.array_equal(M[cand, lam], phi)
+        )
+        # 2: phi(x y) = phi(x) phi(gamma y)
+        pg = phi[M[gamma]]
+        conds["condition_2"] = bool(np.array_equal(phi[M], M[np.ix_(phi, pg)]))
+        # 3: phi(x y) = phi(x gamma) phi(y)
+        pmg = phi[M[:, gamma]]
+        conds["condition_3"] = bool(np.array_equal(phi[M], M[np.ix_(pmg, phi)]))
+        # 4: x -> phi(x gamma) is a multiplicative bijection
+        conds["condition_4"] = is_mult_bijection(field_, phi[M[:, gamma]])
+        # 5: x -> phi(gamma x) is a multiplicative bijection
+        conds["condition_5"] = is_mult_bijection(field_, phi[M[gamma]])
+
+    rep = Report("quasi-multiplicative equivalence")
+    for name, ok in conds.items():
+        rep.add(name, True, detail=_HOLDS[ok])
+    agree = len(set(conds.values())) == 1
+    rep.add("conditions_agree", agree, witness=None if agree else conds)
+    rep.counts["pairs"] = m * m
+    return QmcResult(rep, conds, lam, gamma)
+
+
+@dataclass(frozen=True)
+class QuasiMultSpec:
+    """A right quasi-multiplicative endobijection, as (mult part, lambda)."""
+
+    field_: FiniteField
+    phi_mult: np.ndarray
+    lam: int
+
+    def __post_init__(self):
+        # a copy, so the caller keeps its array
+        phi_mult = np.array(_integer(self.phi_mult, "phi_mult"), dtype=np.int64)
+        if not is_mult_bijection(self.field_, phi_mult):
+            raise DomainError("phi_mult is not a multiplicative bijection")
+        lam = index(self.lam)
+        if not 0 < lam < self.field_.m:
+            raise DomainError(
+                f"lambda must index an invertible element (1..{self.field_.m - 1}), got {lam}"
+            )
+        phi_mult.flags.writeable = False
+        object.__setattr__(self, "phi_mult", phi_mult)
+        object.__setattr__(self, "lam", lam)
+
+    def as_table(self) -> np.ndarray:
+        return self.field_.mul[self.phi_mult, self.lam]
+
+
+def qm_compose(f: QuasiMultSpec, g: QuasiMultSpec) -> QuasiMultSpec:
+    """f after g, verified extensionally against pointwise composition."""
+    fld = f.field_
+    out = QuasiMultSpec(fld, f.phi_mult[g.phi_mult], int(fld.mul[f.phi_mult[g.lam], f.lam]))
+    if not np.array_equal(out.as_table(), f.as_table()[g.as_table()]):
+        raise IntegrityError("composition formula disagrees with pointwise composition")
+    return out
+
+
+def qm_invert(f: QuasiMultSpec) -> QuasiMultSpec:
+    """Group inverse, verified extensionally."""
+    fld = f.field_
+    phi_inv = np.argsort(f.phi_mult)
+    out = QuasiMultSpec(fld, phi_inv, int(phi_inv[fld.inv[f.lam]]))
+    if not np.array_equal(out.as_table()[f.as_table()], np.arange(fld.m)):
+        raise IntegrityError("inverse formula disagrees with pointwise inverse")
+    return out

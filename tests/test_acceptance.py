@@ -14,6 +14,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from nearfields.epsilon import epsilon_inverse_param, eval_epsilon
 from nearfields.finite import (
     addition_from_exponent,
     check_isomorphic_additions,
@@ -29,18 +30,17 @@ from nearfields.induced import (
     find_add_witness,
     verify_exotic_field_axioms,
 )
-from nearfields.maps import (
+from nearfields.maps import default_correspondence, sigma_apply, sigma_invert
+from nearfields.nvs import (
     QuasiMultSpec,
+    _assemble,
+    build_elementary,
+    check_elementary_box1,
     check_qmc_equivalence,
-    default_correspondence,
-    epsilon_inverse_param,
-    eval_epsilon,
     qm_compose,
     qm_invert,
-    sigma_apply,
-    sigma_invert,
+    verify_nvs_axioms,
 )
-from nearfields.nvs import _assemble, build_elementary, check_elementary_box1, verify_nvs_axioms
 from nearfields.quadratic import QuadInt, QuadRat, factor_quad, primes_above, rebuild_quad
 from nearfields.rationals import primes_upto
 from nearfields.rho import (

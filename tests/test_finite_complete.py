@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nearfields.finite import SUPPORTED_FIELDS, enumerate_additions, make_field
-from nearfields.maps import check_qmc_equivalence
+from nearfields.nvs import check_qmc_equivalence
 
 
 def test_qmc_equivalence_on_every_bijection_of_f9_fixing_0():

@@ -14,22 +14,18 @@ import pytest
 
 from nearfields import maps, quadratic, rationals
 from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
+from nearfields.epsilon import epsilon_inverse_param, eval_epsilon
 from nearfields.finite import make_field
 from nearfields.maps import (
     DEFAULT_CORRESPONDENCE_CEILING,
     EndoBijectionSpecQ,
     PrimeCorrespondence,
-    QuasiMultSpec,
-    check_qmc_equivalence,
     default_correspondence,
     endo_q_apply,
-    epsilon_inverse_param,
-    eval_epsilon,
-    qm_compose,
-    qm_invert,
     sigma_apply,
     sigma_invert,
 )
+from nearfields.nvs import QuasiMultSpec, check_qmc_equivalence, qm_compose, qm_invert
 from nearfields.quadratic import QuadInt, QuadRat, factor_quad, primes_above
 from nearfields.rationals import TRIAL_CAP, factor_int, is_prime, primes_upto
 

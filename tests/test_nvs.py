@@ -10,9 +10,11 @@ from nearfields.errors import DomainError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import StructureOps, check_ringisom
 from nearfields.nvs import (
+    QuasiMultSpec,
     _assemble,
     build_elementary,
     check_elementary_box1,
+    check_qmc_equivalence,
     verify_nvs_axioms,
 )
 
@@ -107,6 +109,23 @@ def test_validation_names_the_property(F):
     bad_phi[2], bad_phi[5] = 5, 2
     with pytest.raises(DomainError, match="multiplicative|one"):
         build_elementary(F, np.arange(9), bad_phi)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda F: check_qmc_equivalence(F, np.arange(9) + 0.5), DomainError),
+        (lambda F: QuasiMultSpec(F, np.arange(9) + 0.7, 1), DomainError),
+        (lambda F: QuasiMultSpec(F, np.arange(9), 2.5), TypeError),
+        (lambda F: build_elementary(F, np.arange(9) + 0.5, np.arange(9)), DomainError),
+        (lambda F: build_elementary(F, np.arange(9), np.arange(9) + 0.5), DomainError),
+    ],
+    ids=["qmc_phi", "spec_phi_mult", "spec_lam", "nvs_psi", "nvs_phi"],
+)
+def test_non_integer_input_is_refused_not_truncated(F, call, error):
+    # Cast to int64, each of these floats would truncate to a valid input.
+    with pytest.raises(error, match="integer"):
+        call(F)
 
 
 def test_mutated_phi_fails_with_witness(F):
