@@ -6,31 +6,23 @@ are m-by-m arrays mapping index pairs to indices in [0, m); an entry
 outside that range is refused with DomainError. Each table is swept in
 the smallest unsigned dtype that holds its indices, one byte per entry for
 every supported table (m <= 81). The table kernels evaluate both sides of
-their identity at every triple of the (m, m, m) index cube as byte cubes,
-built by row gathers such as t[t] and by gathers whose index arrays alone
-are intp (an index like a * m + b outgrows a byte), and return the
-lexicographically first failing index triple, or None. The largest table
-swept is the 81-member modnear-ring, so a sweep covers at most 81**3 =
-531,441 triples. The homomorphism kernel does not sweep its (h, f, g, x)
-cube: it tests each (h, f(x), g(x)) of values once, and gathers over
-(f, g, x) only for an h with a bad pair.
+their identity over the (m, m, m) index cube, by row gathers such as t[t]
+and by gathers whose index arrays alone are intp (an index like a * m + b
+outgrows a byte), and return the lexicographically first failing index
+triple, or None. The largest table swept is the 81-member modnear-ring:
+81**3 = 531,441 triples. The homomorphism kernel does not sweep its
+(h, f, g, x) cube: it tests each (h, f(x), g(x)) of values once, and
+gathers over (f, g, x) only for an h with a bad pair.
 
-The cubes of a sweep are written into work arrays that each thread keeps
-between calls, instead of fresh arrays: a fresh 531 KB cube is above
-glibc's default mmap threshold (128 KB), so every sweep would map it and
-fault in its pages again. A thread holds one flat byte buffer per slot, at most
-_WORK_SLOTS of them, each grown to the largest cube swept and never past
-81**3 bytes; a cube larger than that (an intp index cube at m = 81, or any
-cube at m > 81) is allocated per call as before. The gathers write into
-them with np.take(..., out=..., mode="clip") and the comparisons with
-np.equal(..., out=...). "clip" never clips here, since _table has proved
-every index lies in [0, m); it is chosen because np.take with the default
-mode="raise" gathers into a temporary and copies it into out.
+A cube is swept a slab of rows at a time, up to the first slab that fails.
+A slab has the most rows whose widest temporary fits in _SLAB_BYTES, under
+glibc's default 128 KiB mmap threshold (18 rows of an 81**3 byte cube, 2
+of an intp one), so it reuses heap that the slab before it freed, where a
+whole 531 KB cube would be mapped and faulted in afresh on every sweep.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -82,25 +74,7 @@ def _square(t, name: str, m: int | None = None) -> np.ndarray:
     return _table(t, name)
 
 
-# Slots of per-thread work arrays, and the largest one in bytes.
-_WORK_SLOTS = 4
-_WORK_BYTES = 81**3
-_work = threading.local()
-
-
-def _cube(slot: int, m: int, dtype) -> np.ndarray:
-    """An (m, m, m) array of dtype to overwrite, this thread's work array
-    in slot when it fits in _WORK_BYTES and a fresh one otherwise."""
-    dtype = np.dtype(dtype)
-    nbytes = m**3 * dtype.itemsize
-    if nbytes > _WORK_BYTES:
-        return np.empty((m, m, m), dtype)
-    bufs = getattr(_work, "bufs", None)
-    if bufs is None:
-        bufs = _work.bufs = [np.empty(0, np.uint8)] * _WORK_SLOTS
-    if bufs[slot].size < nbytes:
-        bufs[slot] = np.empty(nbytes, np.uint8)
-    return bufs[slot][:nbytes].view(dtype).reshape(m, m, m)
+_SLAB_BYTES = 120_000  # a slab's widest temporary, under the mmap threshold
 
 
 def _first_false(eq: np.ndarray):
@@ -110,35 +84,38 @@ def _first_false(eq: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(eq.argmin(), eq.shape))
 
 
-def _rows(t: np.ndarray, idx: np.ndarray, slot: int) -> np.ndarray:
-    """t[idx] for an (m, m) idx, gathered into slot's work array."""
-    return np.take(t, idx, axis=0, out=_cube(slot, len(idx), t.dtype), mode="clip")
-
-
-def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lhs == rhs for two (m, m, m) cubes, into the last slot's work array."""
-    return np.equal(lhs, rhs, out=_cube(_WORK_SLOTS - 1, len(lhs), np.bool_))
+def _sweep(m: int, slab, itemsize: int):
+    """The row-major first (i, j, k) at which an identity fails, or None.
+    slab(i0, i1) is its (i1 - i0, m, m) truth over rows i0:i1, whose widest
+    temporary takes itemsize bytes an entry."""
+    rows = max(1, _SLAB_BYTES // max(1, itemsize * m * m))
+    for i0 in range(0, m, rows):
+        w = _first_false(slab(i0, min(i0 + rows, m)))
+        if w is not None:
+            return (i0 + w[0], w[1], w[2])
+    return None
 
 
 def assoc_witness(t):
     """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None."""
     t = _square(t, "table")
-    # t[:, t] from a row gather of t's columns: (j, k, i) moved to (i, j, k).
-    return _first_false(_equal(_rows(t, t, 0), _rows(np.ascontiguousarray(t.T), t, 1).transpose(2, 0, 1)))
+    # t[t[i0:i1]] against t[i0:i1][:, t], both (i, j, k) row-major.
+    return _sweep(len(t), lambda i0, i1: t[t[i0:i1]] == np.take(t[i0:i1], t, axis=1), t.itemsize)
 
 
 def left_distrib_witness(mul, add):
     """First failure of mul[i, add[j,k]] == add[mul[i,j], mul[i,k]]."""
     mul = _square(mul, "multiplication")
     add = _square(add, "addition", len(mul))
-    m = len(mul)
-    lhs = _rows(np.ascontiguousarray(mul.T), add, 0).transpose(2, 0, 1)  # mul[:, add], as in assoc_witness
-    # The flat index mul[i,j]*m + mul[i,k] of add is an intp cube, held in
-    # a work array up to m = 40 (every field swept here) and fresh above.
-    a = mul.astype(np.intp)
-    idx = np.add((a * m)[:, :, None], a[:, None, :], out=_cube(2, m, np.intp))
-    rhs = np.take(add.ravel(), idx, out=_cube(1, m, add.dtype), mode="clip")
-    return _first_false(_equal(lhs, rhs))
+    m, a = len(mul), mul.astype(np.intp)
+    am, flat = a * m, add.ravel()
+    # The right side is one gather of add at the flat index
+    # mul[i,j]*m + mul[i,k], which outgrows a byte: an intp slab.
+    return _sweep(
+        m,
+        lambda i0, i1: np.take(mul[i0:i1], add, axis=1) == flat[am[i0:i1, :, None] + a[i0:i1, None, :]],
+        np.dtype(np.intp).itemsize,
+    )
 
 
 def right_distrib_witness(mul, add):
@@ -146,13 +123,16 @@ def right_distrib_witness(mul, add):
     mul = _square(mul, "multiplication")
     add = _square(add, "addition", len(mul))
     m = len(mul)
-    # rows[i, k*m + x] = add[mul[i,k], x], and the right side at (i, j, k)
-    # is its column k*m + mul[j,k]: an (m, m) index, where a flat gather
-    # of add would need an (m, m, m) one.
-    rows = _rows(add, mul, 0).reshape(m, m * m)
+    # Row i of add[mul] as an (m, m*m) array holds add[mul[i,k], x] at
+    # k*m + x, so the right side at (i, j, k) is its column k*m + mul[j,k]:
+    # an (m, m) index, where a flat gather of add would need a cube.
     cols = np.arange(0, m * m, m) + mul.astype(np.intp)
-    rhs = np.take(rows, cols, axis=1, out=_cube(1, m, add.dtype), mode="clip")
-    return _first_false(_equal(_rows(mul, add, 2), rhs))
+
+    def slab(i0, i1):
+        rhs = np.take(add[mul[i0:i1]].reshape(i1 - i0, m * m), cols, axis=1)
+        return mul[add[i0:i1]] == rhs
+
+    return _sweep(m, slab, add.itemsize)
 
 
 def hom_left_distrib_witness(maps, add_native, add_box):

@@ -391,7 +391,9 @@ class PrimeCorrespondence:
         split prime, the extra at index k must be n (the inert q has norm
         q**2, and nothing else of that norm is canonical), or pi is not a
         canonical prime. Only a pi past the capacity is tested for
-        primality, before growth, which refuses a norm past the ceiling.
+        primality, before growth, and not one in canonical form past the
+        ceiling, which growth refuses untested: a refused sum's factoring
+        has already proved that norm prime.
         A canonical prime found to pair with a p <= TRIAL_CAP is kept, like
         image_of_prime's answers: the memo holds canonical primes only, so
         any other pi misses it and is refused as before. A non-QuadInt is
@@ -405,7 +407,8 @@ class PrimeCorrespondence:
         held = self._data
         n = pi.norm()
         if n > held.capacity:
-            if not is_canonical_prime(pi):
+            # past the ceiling, growth refuses a canonical-form pi untested
+            if (n <= self.max_norm or not _in_canonical_form(pi)) and not is_canonical_prime(pi):
                 raise DomainError(f"{pi!r} is not a canonical prime")
             self.extend_to_norm(n)
             held = self._data

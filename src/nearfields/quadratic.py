@@ -58,7 +58,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime, primes_upto
+from .rationals import TRIAL_CAP, Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime, primes_upto
 
 __all__ = [
     "QuadInt",
@@ -587,16 +587,18 @@ def _add_primitive(a: int, b: int, out: dict[QuadInt, int]) -> int:
     Only primes over the rational primes of N(z) divide z. No rational
     prime divides z, so no inert q divides even N(z) (q | z * conj(z)):
     N(z) is read off the factor table up to TRIAL_CAP, and past it
-    trial-divided by _norm_primes alone, to its cube root, then settled by
-    one primality test or by resuming the trial. Over a split p, pi divides
-    z exactly when z maps to 0 under Z[w]/pi = Z/p, w -> -pi.a / pi.b, i.e.
-    p | a*pi.b - b*pi.a (0 < pi.b < p); then it takes all of p's exponent,
-    stored once, since distinct rational primes give distinct pi. Each
-    pi**e is multiplied into the rebuild as it is picked, and the rebuild
-    must equal z or -z, proving the factorization exact.
+    trial-divided by _norm_primes alone (built for the first such norm), to
+    its cube root, then settled by one primality test or by resuming the
+    trial. Over a split p, pi divides z exactly when z maps to 0 under
+    Z[w]/pi = Z/p, w -> -pi.a / pi.b, i.e. p | a*pi.b - b*pi.a
+    (0 < pi.b < p); then it takes all of p's exponent, stored once, since
+    distinct rational primes give distinct pi. Each pi**e is multiplied
+    into the rebuild as it is picked, and the rebuild must equal z or -z,
+    proving the factorization exact.
     """
     ra, rb = 1, 0  # the rebuild, prime power by prime power
-    for p, e in _exponents(_norm(a, b), _norm_primes()).items():
+    n = _norm(a, b)
+    for p, e in _exponents(n, _norm_primes() if n > TRIAL_CAP else None).items():
         try:
             s = primes_above(p)
         except DomainError:

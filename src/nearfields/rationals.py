@@ -40,7 +40,6 @@ import math
 import mmap
 import numbers
 from array import array
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -114,10 +113,9 @@ def _trial_primes() -> array:
 def _factor_table() -> memoryview:
     """The least prime factor of each odd number up to TRIAL_CAP, 0 for a
     prime (and for 1): slot k for 2k + 1, as uint16 (1 MB). Built once,
-    from the odd trial primes up to isqrt(TRIAL_CAP), so no other sieve
-    runs."""
-    primes = _trial_primes()
-    return _least_factors(primes[1 : bisect_right(primes, math.isqrt(TRIAL_CAP))])
+    from the 167 odd primes up to isqrt(TRIAL_CAP), so the trial primes
+    are sieved only when a number past TRIAL_CAP needs them."""
+    return _least_factors(primes_upto(math.isqrt(TRIAL_CAP))[1:])
 
 
 def _least_factors(primes: Sequence[int]) -> memoryview:

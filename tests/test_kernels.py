@@ -282,7 +282,7 @@ def test_kernels_refuse_entries_outside_the_carrier():
         kernels.assoc_witness(add + 0.5)  # would truncate to a valid table
 
 
-# --- per-thread work arrays ----------------------------------------------
+# --- row slabs ------------------------------------------------------------
 
 def _check_sweeps(add, mul, assoc_ref, ldist_ref, rdist_ref):
     assert kernels.assoc_witness(add) == assoc_ref(add)
@@ -291,10 +291,10 @@ def _check_sweeps(add, mul, assoc_ref, ldist_ref, rdist_ref):
     assert kernels.right_distrib_witness(mul, add) == rdist_ref(mul, add)
 
 
-def test_work_arrays_leak_nothing_between_sizes():
-    # A smaller sweep views the front of the buffers a larger one filled,
-    # and a larger one regrows them: each answer is the oracle's whatever
-    # ran before it, failing or not.
+def test_slabs_leak_nothing_between_sizes():
+    # Each size cuts its rows into slabs of its own, from heap that the
+    # sweeps before it freed: each answer is the oracle's whatever ran
+    # before it, failing or not.
     rng = np.random.default_rng(35)
     oracles = {81: (_assoc_cube, _ldist_cube, _rdist_cube)}
     for m in (81, 9, 27, 81, 9):
@@ -357,17 +357,62 @@ def test_repeat_sweeps_allocate_less_than_a_cube():
         assert peak < 81**3, (kernel.__name__, peak)
 
 
-def test_work_arrays_stay_within_their_bound():
-    def held():
-        return [(id(b), b.nbytes) for b in kernels._work.bufs]
+def test_slabs_stay_within_their_bound():
+    # A slab's widest temporary takes at most _SLAB_BYTES, under glibc's
+    # 128 KiB mmap threshold: 18 rows of an 81**3 byte cube, 2 of an intp
+    # one. A repeat sweep holds a few slabs at once and never a whole cube,
+    # at m = 81 and past it (a byte cube at m = 90 is 729,000 bytes).
+    import tracemalloc
 
+    assert kernels._SLAB_BYTES < 128 * 1024
+    assert kernels._SLAB_BYTES // 81**2 == 18 and kernels._SLAB_BYTES // (8 * 81**2) == 2
+    for m in (81, 90):
+        add, mul = _mod_tables(m)
+        late_add, late_mul = _failing_from_row(m - 1, m)  # witnesses in the last row
+        for kernel, args in (
+            (kernels.assoc_witness, (add,)),
+            (kernels.left_distrib_witness, (mul, add)),
+            (kernels.right_distrib_witness, (mul, add)),
+            (kernels.assoc_witness, (late_add,)),
+            (kernels.left_distrib_witness, (late_mul, late_add)),
+            (kernels.right_distrib_witness, (late_mul, late_add)),
+        ):
+            want = kernel(*args)
+            assert want is None or want[0] == m - 1
+            tracemalloc.start()
+            try:
+                for _ in range(3):
+                    assert kernel(*args) == want
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * kernels._SLAB_BYTES, (m, kernel.__name__, peak)
+
+
+def _failing_from_row(r, m=81):
+    """Tables on range(m) whose rows below r satisfy every identity swept
+    here (add's are left identities, mul's are zero) and whose rows from r
+    on are those of Z/m, so that each sweep first fails in row r (r >= 2)."""
+    x = np.arange(m)
+    add = np.where(x[:, None] < r, x[None, :], (x[:, None] + x[None, :]) % m)
+    mul = np.where(x[:, None] < r, 0, (x[:, None] * x[None, :]) % m)
+    return add, mul
+
+
+def _witnesses(add, mul):
+    return [_assoc_cube(add), _assoc_cube(mul), _ldist_cube(mul, add), _rdist_cube(mul, add)]
+
+
+def test_witnesses_in_the_first_and_the_last_slab():
+    # Row 0 broken: the first failure lies in the first slab of every sweep.
     add, mul = _mod_tables(81)
+    add[0, 5], mul[0, 5] = 2, 1
+    assert [w[0] for w in _witnesses(add, mul)] == [0, 0, 0, 0]
     _check_sweeps(add, mul, _assoc_cube, _ldist_cube, _rdist_cube)
-    small_add, small_mul = _mod_tables(27)
-    kernels.left_distrib_witness(small_mul, small_add)  # an intp index cube in a work array
-    before = held()
-    assert sum(nbytes for _, nbytes in before) <= 5 * 81**3
-    # Past 81 every cube is allocated per call, and the work arrays stay.
-    big_add, big_mul = _mod_tables(90)
-    _check_sweeps(big_add, big_mul, _assoc_cube, _ldist_cube, _rdist_cube)
-    assert held() == before
+    # Byte slabs hold rows 0-17, 18-35, ..., 72-80, and intp slabs rows
+    # 0-1, ..., 78-79, 80: first failures at the edges of the first and
+    # the last byte slab, and in the last intp slab.
+    for r in (2, 17, 18, 71, 72, 80):
+        add, mul = _failing_from_row(r)
+        assert [w[0] for w in _witnesses(add, mul)] == [r] * 4
+        _check_sweeps(add, mul, _assoc_cube, _ldist_cube, _rdist_cube)

@@ -14,8 +14,6 @@ import pytest
 
 from nearfields import maps, quadratic, rationals
 from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
-from nearfields.epsilon import epsilon_inverse_param, eval_epsilon
-from nearfields.finite import make_field
 from nearfields.maps import (
     DEFAULT_CORRESPONDENCE_CEILING,
     EndoBijectionSpecQ,
@@ -25,7 +23,6 @@ from nearfields.maps import (
     sigma_apply,
     sigma_invert,
 )
-from nearfields.nvs import QuasiMultSpec, check_qmc_equivalence, qm_compose, qm_invert
 from nearfields.quadratic import QuadInt, QuadRat, factor_quad, primes_above
 from nearfields.rationals import TRIAL_CAP, factor_int, is_prime, primes_upto
 
@@ -200,18 +197,31 @@ def test_preimage_of_prime_refusals_below_capacity(monkeypatch):
     assert tested == [] and grown == [] and corr._lock.entered == 0
 
 
-def test_preimage_of_prime_past_capacity():
+def test_preimage_of_prime_past_capacity(monkeypatch):
+    # 101 splits, so QuadInt(101, 0) is in canonical form but composite,
+    # of norm 10201. Past the capacity and under the ceiling it is tested
+    # and is not a prime; past the ceiling growth refuses it untested, as
+    # it refuses a prime there, so a refused sum proves its norm once.
+    tested = []
+    monkeypatch.setattr(maps, "is_canonical_prime", lambda pi: tested.append(pi) or quadratic.is_canonical_prime(pi))
+    roomy = PrimeCorrespondence(max_norm=10**5)
+    roomy.extend_to_norm(10**4)
+    assert roomy._data.capacity == 10**4
+    with pytest.raises(DomainError):
+        roomy.preimage_of_prime(QuadInt(101, 0))
+    assert tested == [QuadInt(101, 0)]
     corr = PrimeCorrespondence(max_norm=10**4)
     corr.extend_to_norm(10**4)
-    # 101 splits, so QuadInt(101, 0) is composite; its norm 10201 is past
-    # both the capacity and the ceiling, and it is still not a prime
-    with pytest.raises(DomainError):
-        corr.preimage_of_prime(QuadInt(101, 0))
     big = primes_above(10037)  # 10037 = 5 mod 19 splits
     assert big.kind == "split"
-    with pytest.raises(ResourceLimitError) as exc:
-        corr.preimage_of_prime(big.primes[0])
-    assert exc.value.ceiling == 10**4
+    for pi in (QuadInt(101, 0), big.primes[0]):
+        with pytest.raises(ResourceLimitError) as exc:
+            corr.preimage_of_prime(pi)
+        assert exc.value.ceiling == 10**4
+    assert tested == [QuadInt(101, 0)]
+    # out of canonical form, it is no canonical prime at any norm
+    with pytest.raises(DomainError):
+        corr.preimage_of_prime(QuadInt(-101, 0))
 
 
 def test_resource_ceiling():
@@ -857,139 +867,3 @@ def test_endo_bijection_matches_fraction_arithmetic():
         got = endo_q_apply(spec, q)
         assert type(got) is Fraction and type(got.numerator) is int
         assert got == want, q
-
-
-def test_qmc_scaling_and_frobenius_pass():
-    F = make_field(3, 2)
-    for lam in range(1, 9):
-        res = check_qmc_equivalence(F, F.mul[np.arange(9), lam])
-        assert res.report.ok
-        assert res.is_quasi_multiplicative
-        assert res.lam == lam
-    res = check_qmc_equivalence(F, F.power_table(3))
-    assert res.is_quasi_multiplicative and res.report.ok
-    # Frobenius composed with a scaling is still quasi-multiplicative
-    res = check_qmc_equivalence(F, F.mul[F.power_table(3), 5])
-    assert res.is_quasi_multiplicative and res.report.ok
-
-
-def test_qmc_rejects_non_examples_with_agreement():
-    F = make_field(3, 2)
-    rng = np.random.default_rng(23)
-    rejected = 0
-    for _ in range(60):
-        perm = np.concatenate(([0], rng.permutation(np.arange(1, 9)))).astype(np.int64)
-        res = check_qmc_equivalence(F, perm)
-        assert res.report.ok, "the five conditions must agree"
-        assert len(set(res.conditions.values())) == 1
-        if not res.is_quasi_multiplicative:
-            rejected += 1
-    assert rejected > 40
-
-
-def test_qmc_zero_moving_map_is_all_false():
-    F = make_field(3, 2)
-    perm = np.arange(9)
-    perm[0], perm[1] = 1, 0  # sends zero to one
-    res = check_qmc_equivalence(F, perm)
-    assert not res.is_quasi_multiplicative
-    assert res.report.ok
-    with pytest.raises(DomainError):
-        check_qmc_equivalence(F, np.zeros(9, dtype=np.int64))
-
-
-def test_qm_spec_group_laws():
-    F = make_field(3, 2)
-    ident = QuasiMultSpec(F, np.arange(9), F.one)
-    specs = [
-        QuasiMultSpec(F, F.power_table(3), 4),
-        QuasiMultSpec(F, np.arange(9), 2),
-        QuasiMultSpec(F, F.power_table(3), 7),
-    ]
-    for f in specs:
-        inv = qm_invert(f)
-        left = qm_compose(inv, f)
-        right = qm_compose(f, inv)
-        assert np.array_equal(left.as_table(), ident.as_table())
-        assert np.array_equal(right.as_table(), ident.as_table())
-    for f in specs:
-        for g in specs:
-            h = qm_compose(f, g)
-            assert np.array_equal(h.as_table(), f.as_table()[g.as_table()])
-            assert check_qmc_equivalence(F, h.as_table()).is_quasi_multiplicative
-
-
-def test_qm_spec_keeps_a_copy_of_the_callers_table():
-    F = make_field(3, 2)
-    phi = F.power_table(3)
-    spec = QuasiMultSpec(F, phi, 4)
-    phi[2] = 0
-    assert np.array_equal(spec.phi_mult, F.power_table(3))
-    assert not spec.phi_mult.flags.writeable
-
-
-def test_qm_spec_validation():
-    F = make_field(3, 2)
-    for lam in (-1, 0, 9, F.m):  # -1 would otherwise read as element 8
-        with pytest.raises(DomainError, match="lambda"):
-            QuasiMultSpec(F, F.power_table(3), lam)
-    bad = np.arange(9)
-    bad[1], bad[4] = 4, 1  # moves one, so not multiplicative
-    with pytest.raises(DomainError):
-        QuasiMultSpec(F, bad, 2)
-
-
-def test_epsilon_basics():
-    rng = np.random.default_rng(41)
-    for _ in range(50):
-        z = complex(rng.normal(), rng.normal())
-        if z == 0:
-            continue
-        assert eval_epsilon(1, z) == pytest.approx(z)
-    assert eval_epsilon(2.5 + 1j, 1) == pytest.approx(1)
-    assert eval_epsilon(2.5 + 1j, 0) == 0
-    with pytest.raises(DomainError):
-        eval_epsilon(1j, 2.0)
-    with pytest.raises(DomainError):
-        epsilon_inverse_param(3j)
-    for alpha, z in ((math.nan, 1), (1, math.inf), (complex(1, math.nan), 2), (2, complex(1, -math.inf))):
-        with pytest.raises(DomainError, match="not finite"):
-            eval_epsilon(alpha, z)
-    with pytest.raises(DomainError, match="alpha is not finite"):
-        epsilon_inverse_param(math.nan)
-    # 1 / 1e-320 overflows, so the inverse map has no finite parameter.
-    assert eval_epsilon(1e-320, 2) == pytest.approx(1)
-    for conj in (False, True):
-        with pytest.raises(DomainError, match="beta is not finite"):
-            epsilon_inverse_param(1e-320, conjugate=conj)
-    # r**alpha past the float range is refused, not raised as OverflowError.
-    with pytest.raises(DomainError, match="not finite"):
-        eval_epsilon(1000, 1e10)
-
-
-def test_epsilon_multiplicative_and_inverse():
-    rng = np.random.default_rng(7)
-    alphas = [2, -1, 0.5 + 1j, 3 - 2j, -1.25 + 0.5j]
-    for alpha in alphas:
-        for conj in (False, True):
-            beta = epsilon_inverse_param(alpha, conjugate=conj)
-            for _ in range(40):
-                z = complex(rng.normal(), rng.normal())
-                w = complex(rng.normal(), rng.normal())
-                if abs(z) < 1e-6 or abs(w) < 1e-6:
-                    continue
-                lhs = eval_epsilon(alpha, z * w, conjugate=conj)
-                rhs = eval_epsilon(alpha, z, conjugate=conj) * eval_epsilon(
-                    alpha, w, conjugate=conj
-                )
-                assert abs(lhs - rhs) < 1e-9
-                back = eval_epsilon(beta, eval_epsilon(alpha, z, conjugate=conj), conjugate=conj)
-                assert abs(back - z) < 1e-9
-
-
-def test_epsilon_real_restriction_is_signed_power():
-    for x in (0.5, 2.0, -3.0, -0.25):
-        got = eval_epsilon(3, x)
-        want = abs(x) ** 3 * (1 if x > 0 else -1)
-        assert got.imag == pytest.approx(0)
-        assert got.real == pytest.approx(want)

@@ -15,6 +15,8 @@ from nearfields.nvs import (
     build_elementary,
     check_elementary_box1,
     check_qmc_equivalence,
+    qm_compose,
+    qm_invert,
     verify_nvs_axioms,
 )
 
@@ -169,3 +171,83 @@ def test_elemtheo_corollary_via_ringisom(F):
         rng=np.random.default_rng(6),
     )
     assert rep.ok, rep.failures()
+
+
+def test_qmc_scaling_and_frobenius_pass():
+    F = make_field(3, 2)
+    for lam in range(1, 9):
+        res = check_qmc_equivalence(F, F.mul[np.arange(9), lam])
+        assert res.report.ok
+        assert res.is_quasi_multiplicative
+        assert res.lam == lam
+    res = check_qmc_equivalence(F, F.power_table(3))
+    assert res.is_quasi_multiplicative and res.report.ok
+    # Frobenius composed with a scaling is still quasi-multiplicative
+    res = check_qmc_equivalence(F, F.mul[F.power_table(3), 5])
+    assert res.is_quasi_multiplicative and res.report.ok
+
+
+def test_qmc_rejects_non_examples_with_agreement():
+    F = make_field(3, 2)
+    rng = np.random.default_rng(23)
+    rejected = 0
+    for _ in range(60):
+        perm = np.concatenate(([0], rng.permutation(np.arange(1, 9)))).astype(np.int64)
+        res = check_qmc_equivalence(F, perm)
+        assert res.report.ok, "the five conditions must agree"
+        assert len(set(res.conditions.values())) == 1
+        if not res.is_quasi_multiplicative:
+            rejected += 1
+    assert rejected > 40
+
+
+def test_qmc_zero_moving_map_is_all_false():
+    F = make_field(3, 2)
+    perm = np.arange(9)
+    perm[0], perm[1] = 1, 0  # sends zero to one
+    res = check_qmc_equivalence(F, perm)
+    assert not res.is_quasi_multiplicative
+    assert res.report.ok
+    with pytest.raises(DomainError):
+        check_qmc_equivalence(F, np.zeros(9, dtype=np.int64))
+
+
+def test_qm_spec_group_laws():
+    F = make_field(3, 2)
+    ident = QuasiMultSpec(F, np.arange(9), F.one)
+    specs = [
+        QuasiMultSpec(F, F.power_table(3), 4),
+        QuasiMultSpec(F, np.arange(9), 2),
+        QuasiMultSpec(F, F.power_table(3), 7),
+    ]
+    for f in specs:
+        inv = qm_invert(f)
+        left = qm_compose(inv, f)
+        right = qm_compose(f, inv)
+        assert np.array_equal(left.as_table(), ident.as_table())
+        assert np.array_equal(right.as_table(), ident.as_table())
+    for f in specs:
+        for g in specs:
+            h = qm_compose(f, g)
+            assert np.array_equal(h.as_table(), f.as_table()[g.as_table()])
+            assert check_qmc_equivalence(F, h.as_table()).is_quasi_multiplicative
+
+
+def test_qm_spec_keeps_a_copy_of_the_callers_table():
+    F = make_field(3, 2)
+    phi = F.power_table(3)
+    spec = QuasiMultSpec(F, phi, 4)
+    phi[2] = 0
+    assert np.array_equal(spec.phi_mult, F.power_table(3))
+    assert not spec.phi_mult.flags.writeable
+
+
+def test_qm_spec_validation():
+    F = make_field(3, 2)
+    for lam in (-1, 0, 9, F.m):  # -1 would otherwise read as element 8
+        with pytest.raises(DomainError, match="lambda"):
+            QuasiMultSpec(F, F.power_table(3), lam)
+    bad = np.arange(9)
+    bad[1], bad[4] = 4, 1  # moves one, so not multiplicative
+    with pytest.raises(DomainError):
+        QuasiMultSpec(F, bad, 2)

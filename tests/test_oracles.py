@@ -626,15 +626,18 @@ def test_is_prime_table_path_matches_sympy():
     cases = [-7, 0, 1, 2, *range(20_001), *range(cap - 300, cap + 301)]
     want = [sympy.isprime(n) for n in cases]
     assert [is_prime(n) for n in cases] == want
-    # dropping the sieved table and the factor table struck from it, as in
-    # a fresh process: the first call builds both again and every answer
-    # stays the same
+    # dropping the trial primes and the factor table, as in a fresh
+    # process: a number up to the cap builds the factor table alone, from
+    # its own small sieve, and only a number past the cap that needs trial
+    # division builds the trial primes; every answer stays the same
     rationals._trial_primes.cache_clear()
     rationals._factor_table.cache_clear()
     assert is_prime(cap - 17) == sympy.isprime(cap - 17)
-    assert rationals._trial_primes.cache_info().currsize == 1
     assert rationals._factor_table.cache_info().currsize == 1
     assert [is_prime(n) for n in cases] == want
+    assert rationals._trial_primes.cache_info().currsize == 0
+    assert factor_int(997 * 1009).exponents == {997: 1, 1009: 1}  # 1,005,973
+    assert rationals._trial_primes.cache_info().currsize == 1
 
 
 def _sieved_range_cases(sieved):
