@@ -6,7 +6,8 @@ index c0 + c1*p + ... is c0 + c1*x + .... Every structure map is
 materialized as an index table so the kernels can sweep identities
 exhaustively. Sum and negation act digit by digit on the codes. Product,
 inverse and the logarithm tables all come from one generator's powers,
-walked once by polynomial multiplication mod the modulus.
+walked once by polynomial multiplication mod the modulus. That walk is also
+the field test: a modulus with no generator is reducible and is refused.
 
 The exotic additions are the exponent family a |-> (alpha**a + beta**a)
 raised to a**-1 (inverse taken mod p**n - 1, least positive representative),
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ __all__ = [
     "SUPPORTED_FIELDS",
 ]
 
-# Ascending coefficient tuples, constant term first; each passes Rabin's
-# irreducibility test in FiniteField.
+# Ascending coefficient tuples, constant term first; FiniteField's generator
+# walk finds a unit of order p**n - 1 for each, so each is irreducible.
 SUPPORTED_FIELDS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),  # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
@@ -73,67 +73,13 @@ def _poly_mul_mod(u: tuple, v: tuple, modulus: tuple, p: int) -> tuple:
     return tuple(prod[:deg])
 
 
-def _poly_pow_mod(u: tuple, e: int, modulus: tuple, p: int) -> tuple:
-    """u**e mod the monic modulus, for e >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if e & 1:
-            out = u if out is None else _poly_mul_mod(out, u, modulus, p)
-        e >>= 1
-        if not e:
-            return out
-        u = _poly_mul_mod(u, u, modulus, p)
-
-
-def _poly_trim(u: Sequence[int], p: int) -> list:
-    """u with its coefficients reduced mod p and its zero top terms dropped."""
-    u = [c % p for c in u]
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _poly_gcd_degree(u: Sequence[int], v: Sequence[int], p: int) -> int:
-    """The degree of gcd(u, v) mod the prime p, for u nonzero mod p:
-    Euclid's algorithm on ascending coefficient lists."""
-    u, v = _poly_trim(u, p), _poly_trim(v, p)
-    while v:
-        inv = pow(v[-1], -1, p)
-        while len(u) >= len(v):  # u -= c * x**k * v, clearing u's top term
-            c, k = u[-1] * inv % p, len(u) - len(v)
-            for j, vj in enumerate(v):
-                u[k + j] -= c * vj
-            u = _poly_trim(u, p)
-        u, v = v, u
-    return len(u) - 1
-
-
-def _is_irreducible(modulus: tuple, p: int) -> bool:
-    """Rabin's test (SIAM J. Comput. 9, 1980): a monic f of degree n over
-    F_p is irreducible iff x**(p**n) = x mod f and gcd(x**(p**(n/r)) - x, f)
-    = 1 for each prime r dividing n. Roots alone settle degrees 2 and 3
-    only: (x**2 + 1)**2 over F_3 has none."""
-    n = len(modulus) - 1
-    x = _poly_mul_mod((0, 1), (1,) + (0,) * (n - 1), modulus, p)  # x mod f
-    frobenius = [x]  # frobenius[k] = x**(p**k) mod f
-    for _ in range(n):
-        frobenius.append(_poly_pow_mod(frobenius[-1], p, modulus, p))
-    if frobenius[n] != x:
-        return False
-    for r in range(2, n + 1):
-        if n % r == 0 and all(r % d for d in range(2, r)):
-            h = [a - b for a, b in zip(frobenius[n // r], x)]
-            if _poly_gcd_degree(modulus, h, p) != 0:
-                return False
-    return True
-
-
 class FiniteField:
     """F_{p^n} with all structure maps as readonly index tables.
 
     A p that is not prime, or a modulus that is not monic, of degree n >= 1
-    and irreducible mod p (Rabin's test), is refused with DomainError before
-    any table is built."""
+    and irreducible mod p, is refused with DomainError before any table is
+    built. The walk for a generator of the unit group is the one
+    irreducibility test."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -144,22 +90,20 @@ class FiniteField:
             raise DomainError(f"characteristic must be a prime, got {p}")
         if n < 1 or len(modulus) != n + 1 or modulus[-1] != 1:
             raise DomainError("modulus must be monic of degree n >= 1")
-        if not _is_irreducible(modulus, p):
-            raise DomainError(f"modulus {modulus} is reducible mod {p}")
 
         m = self.m
         weights = p ** np.arange(n)
         digits = (np.arange(m)[:, None] // weights) % p  # digits[x, i] = (x // p**i) % p
-        self.add = ((digits[:, None] + digits[None, :]) % p) @ weights
-        self.neg = (-digits % p) @ weights
         self.zero = 0
         self.one = 1
 
-        # The first candidate whose powers reach every unit generates the
-        # unit group. Its m - 1 powers are distinct units, so they are all of
-        # them: they are exp, and every product and inverse is read off logs.
-        # The search starts at one, which generates the unit group of F_2
-        # alone.
+        # A ring of m elements is a field exactly when some element has
+        # order m - 1, and F_p[x]/(modulus) is a field exactly when the
+        # modulus is irreducible, so this walk is the field test. The first
+        # candidate whose powers reach every unit generates the unit group.
+        # Its m - 1 powers are distinct units, so they are all of them: they
+        # are exp, and every product and inverse is read off logs. The
+        # search starts at one, which generates the unit group of F_2 alone.
         one = (1,) + (0,) * (n - 1)
         for g in range(1, m):
             step = x = tuple(digits[g].tolist())
@@ -170,7 +114,10 @@ class FiniteField:
             if x == one and len(powers) == m - 1:
                 break
         else:
-            raise IntegrityError("no cyclic generator found")
+            raise DomainError(f"modulus {modulus} is reducible mod {p}")
+
+        self.add = ((digits[:, None] + digits[None, :]) % p) @ weights
+        self.neg = (-digits % p) @ weights
         self.generator = g
         self.exp = np.array(powers, dtype=np.int64)  # exp[e] = generator**e
         self.dlog = np.full(m, -1, dtype=np.int64)
@@ -293,15 +240,16 @@ def verify_addition_table(t: AdditionTable) -> Report:
     distributivities over all m**3 index triples (at most 19,683 for the
     supported fields), commutativity, the neutral element and inverses over
     all pairs. A failing cubic sweep reports its lexicographically first
-    failing triple as the witness. A table that is not m-by-m with entries
-    in [0, m) fails closure, and nothing is swept on it.
+    failing triple as the witness. A table that is not m-by-m, of an
+    integer dtype, with entries in [0, m) fails closure, and nothing is
+    swept on it.
     """
     f = t.field
     tab = t.table
     rep = Report(f"field axioms for {t.provenance} on {f!r}")
     m = f.m
 
-    closed = tab.shape == (m, m) and bool(((tab >= 0) & (tab < m)).all())
+    closed = tab.dtype.kind in "iu" and tab.shape == (m, m) and bool(((tab >= 0) & (tab < m)).all())
     rep.add("closure", closed)
     if not closed:
         rep.counts["triples"] = 0

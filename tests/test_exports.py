@@ -46,6 +46,21 @@ def test_maps_holds_only_the_q_side():
     assert maps.check_qmc_equivalence is nvs.check_qmc_equivalence
 
 
+def test_no_module_imports_a_test_oracle():
+    # sympy and hypothesis check the package in tests; the package itself
+    # never calls them at runtime.
+    oracles = {"sympy", "hypothesis"}
+    for path in sorted(Path(nearfields.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not roots & oracles, (path.name, roots & oracles)
+
+
 @pytest.mark.parametrize(
     "home, name",
     [

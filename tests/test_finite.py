@@ -9,7 +9,6 @@ from nearfields.finite import (
     SUPPORTED_FIELDS,
     AdditionTable,
     FiniteField,
-    _is_irreducible,
     addition_from_exponent,
     check_isomorphic_additions,
     enumerate_additions,
@@ -104,19 +103,25 @@ def test_modulus_without_roots_but_reducible_is_refused():
 
 
 def test_irreducibility_matches_sympy_on_every_small_monic_modulus():
-    # every monic modulus of degree 2 to 4 over F_2 and F_3: a reducible one
-    # is refused, an irreducible one builds (its self-check included)
+    # every monic modulus of every order p**n <= 81: an irreducible one
+    # builds (its self-check included), a reducible one is refused by the
+    # generator walk before any structure table exists
     x = sympy.Symbol("x")
-    for p, n in itertools.product((2, 3), (2, 3, 4)):
-        for low in itertools.product(range(p), repeat=n):
-            modulus = (*low, 1)
-            want = sympy.Poly(modulus[::-1], x, modulus=p).is_irreducible
-            assert _is_irreducible(modulus, p) == want, (p, modulus)
-            if want:
-                assert FiniteField(p, n, modulus).m == p**n
-            else:
-                with pytest.raises(DomainError, match="reducible"):
-                    FiniteField(p, n, modulus)
+    built = refused = 0
+    for p, top in ((2, 6), (3, 4), (5, 2), (7, 2)):
+        for n in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=n):
+                modulus = (*low, 1)
+                if sympy.Poly(modulus[::-1], x, modulus=p).is_irreducible:
+                    assert FiniteField(p, n, modulus).m == p**n
+                    built += 1
+                else:
+                    with pytest.raises(DomainError, match="reducible") as refusal:
+                        FiniteField(p, n, modulus)
+                    half_built = refusal.tb.tb_next.tb_frame.f_locals["self"]
+                    assert not hasattr(half_built, "add") and not hasattr(half_built, "neg"), (p, modulus)
+                    refused += 1
+    assert (built, refused) == (98, 234)
 
 
 def test_f2_builds_and_enumerates_its_one_addition():
@@ -231,6 +236,20 @@ def test_verify_addition_table_fails_closure_without_sweeping():
         assert rep.counts["triples"] == 0
     rep = verify_addition_table(AdditionTable(f9, native[:8, :8].copy(), "8 by 8"))
     assert [c.name for c in rep.checks] == ["closure"] and not rep.ok
+
+
+def test_verify_addition_table_fails_closure_on_a_float_table():
+    # A float table is not an index table, even when every entry is a whole
+    # number in [0, m): it fails closure like an entry out of range, and no
+    # kernel sees it.
+    f9 = make_field(3, 2)
+    whole = f9.add.astype(np.float64)
+    half = whole.copy()
+    half[4, 6] = 0.5
+    for table in (whole, half):
+        rep = verify_addition_table(AdditionTable(f9, table, f"float {table.dtype}"))
+        assert [c.name for c in rep.checks] == ["closure"] and not rep.ok
+        assert rep.counts["triples"] == 0
 
 
 def test_enumerate_all_supported_fields():

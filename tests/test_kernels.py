@@ -341,22 +341,6 @@ def test_threads_sweep_their_own_tables_at_once():
     assert wrong == []
 
 
-def test_repeat_sweeps_allocate_less_than_a_cube():
-    import tracemalloc
-
-    add, mul = _mod_tables(81)
-    add, mul = add.astype(np.uint8), mul.astype(np.uint8)
-    for kernel, args in ((kernels.assoc_witness, (add,)), (kernels.right_distrib_witness, (mul, add))):
-        kernel(*args)
-        tracemalloc.start()
-        try:
-            kernel(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 81**3, (kernel.__name__, peak)
-
-
 def test_slabs_stay_within_their_bound():
     # A slab's widest temporary takes at most _SLAB_BYTES, under glibc's
     # 128 KiB mmap threshold: 18 rows of an 81**3 byte cube, 2 of an intp
