@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -113,6 +114,14 @@ def _field_arg(name: str) -> FiniteField:
     return make_field(*_FIELDS[name])
 
 
+def _int_table(text: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The comma-separated integers of a table: spec, as an array of shape."""
+    vals = [_num(int, x) for x in text.split(",")]
+    if len(vals) != math.prod(shape):
+        raise DomainError(f"{what} needs {math.prod(shape)} entries, got {len(vals)}")
+    return np.array(vals, dtype=np.int64).reshape(shape)
+
+
 def _map_arg(field: FiniteField, spec: str) -> np.ndarray:
     """Index-table grammar: id, pow:K, scale:K, or table:i,j,..."""
     if spec == "id":
@@ -123,10 +132,7 @@ def _map_arg(field: FiniteField, spec: str) -> np.ndarray:
     if kind == "scale" and rest:
         return field.scale_table(_num(int, rest))
     if kind == "table" and rest:
-        t = np.array([_num(int, x) for x in rest.split(",")], dtype=np.int64)
-        if len(t) != field.m:
-            raise DomainError(f"table needs {field.m} entries, got {len(t)}")
-        return t
+        return _int_table(rest, (field.m,), "table")
     raise DomainError(f"bad map spec {spec!r}; use id, pow:K, scale:K or table:...")
 
 
@@ -149,28 +155,24 @@ def _gate_height(text: str, bound: int) -> Fraction:
     return q
 
 
-def _carrier_and_add(args, cfg: RunConfig):
-    """Shared --carrier/--addition plumbing for verify-rho and char-map."""
-    name = args.carrier
+def _rho_arg(args, cfg: RunConfig):
+    """The rho of --carrier and --addition, with the carrier's sampler (None
+    on a finite carrier), for verify-rho and char-map."""
+    name, spec = args.carrier, args.addition or "native"
     if name in _FIELDS:
         F = _field_arg(name)
-        spec = args.addition or "native"
         if spec == "native":
             table = native_addition(F).table
         elif spec.startswith("a="):
             table = addition_from_exponent(F, _num(int, spec[2:])).table
         elif spec.startswith("table:"):
-            vals = [_num(int, x) for x in spec[6:].split(",")]
-            if len(vals) != F.m * F.m:
-                raise DomainError(f"addition table needs {F.m * F.m} entries, got {len(vals)}")
-            table = np.array(vals, dtype=np.int64).reshape(F.m, F.m)
+            table = _int_table(spec[6:], (F.m, F.m), "addition table")
             if table.min() < 0 or table.max() >= F.m:
                 raise DomainError("addition table entries must index the carrier")
         else:
             raise DomainError(f"bad addition {spec!r} for a finite carrier")
-        return field_carrier(F), (lambda a, b: int(table[a, b])), None
+        return rho_from_add(field_carrier(F), lambda a, b: int(table[a, b])), None
     if name == "q":
-        spec = args.addition or "native"
         if spec == "native":
             add = lambda a, b: a + b
         elif spec == "exotic":
@@ -179,8 +181,15 @@ def _carrier_and_add(args, cfg: RunConfig):
             raise DomainError(f"bad addition {spec!r} for the rational carrier")
         h = min(60, cfg.height_bound)
         sampler = lambda rng: _rand_rat(rng, h)
-        return rational_carrier(), add, sampler
+        return rho_from_add(rational_carrier(), add), sampler
     raise DomainError(f"unknown carrier {name!r}; choose from {sorted(_FIELDS) + ['q']}")
+
+
+def _quad_arg(args, cfg: RunConfig) -> QuadRat:
+    """The (a + b*w)/den operand of factor-quad and sigma-inv, norm-gated."""
+    x = QuadRat(QuadInt(_num(int, args.a), _num(int, args.b)), _num(int, args.den))
+    check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
+    return x
 
 
 def _cmd_factor_int(args, cfg):
@@ -194,8 +203,7 @@ def _cmd_factor_rat(args, cfg):
 
 
 def _cmd_factor_quad(args, cfg):
-    x = QuadRat(QuadInt(_num(int, args.a), _num(int, args.b)), _num(int, args.den))
-    check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
+    x = _quad_arg(args, cfg)
     f = factor_quad(x)
     return {"input": x.to_json(), "result": f.to_json()}, True
 
@@ -207,8 +215,7 @@ def _cmd_sigma(args, cfg):
 
 
 def _cmd_sigma_inv(args, cfg):
-    x = QuadRat(QuadInt(_num(int, args.a), _num(int, args.b)), _num(int, args.den))
-    check_norm_ceiling(x.norm(), cfg.norm_ceiling, "input")
+    x = _quad_arg(args, cfg)
     q = sigma_invert(default_correspondence(), x)
     return {"input": x.to_json(), "result": str(q)}, True
 
@@ -229,8 +236,7 @@ def _cmd_endoq(args, cfg):
 
 
 def _cmd_verify_rho(args, cfg):
-    carrier, add, sampler = _carrier_and_add(args, cfg)
-    rho = rho_from_add(carrier, add)
+    rho, sampler = _rho_arg(args, cfg)
     rep = verify_rho_axioms(
         rho, sampler=sampler, trials=cfg.trials, rng=np.random.default_rng(cfg.seed)
     )
@@ -238,8 +244,7 @@ def _cmd_verify_rho(args, cfg):
 
 
 def _cmd_char_map(args, cfg):
-    carrier, add, sampler = _carrier_and_add(args, cfg)
-    rho = rho_from_add(carrier, add)
+    rho, _ = _rho_arg(args, cfg)
     res = char_map(rho, args.bound, seed=cfg.seed)
     payload = {
         "characteristic": res.characteristic,
@@ -363,6 +368,18 @@ def _build_parser() -> argparse.ArgumentParser:
     trials = _flag("--trials", "sample count for sampled checks")
     height = _flag("--height-bound", "largest accepted numerator/denominator")
     ceiling = _flag("--norm-ceiling", "largest norm this command will factor")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", required=True)
+    operands = argparse.ArgumentParser(add_help=False)
+    operands.add_argument("a")
+    operands.add_argument("b")
+    quad = argparse.ArgumentParser(add_help=False, parents=[operands])
+    quad.add_argument("--den", default="1")
+    carrier = argparse.ArgumentParser(add_help=False)
+    carrier.add_argument("--carrier", required=True,
+                         help=f"one of {sorted(_FIELDS)} or q")
+    carrier.add_argument("--addition", default=None,
+                         help="native (default), a=K for finite fields, exotic for q")
 
     p = argparse.ArgumentParser(
         prog="nearfields",
@@ -370,96 +387,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("factor-int", parents=[common], help="factor a nonzero integer")
+    def command(name, handler, help, *parents):
+        sp = sub.add_parser(name, parents=[common, *parents], help=help)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command("factor-int", _cmd_factor_int, "factor a nonzero integer")
     sp.add_argument("n")
-    sp.set_defaults(handler=_cmd_factor_int)
-
-    sp = sub.add_parser("factor-rat", parents=[common], help="factor a nonzero rational")
+    sp = command("factor-rat", _cmd_factor_rat, "factor a nonzero rational")
     sp.add_argument("q")
-    sp.set_defaults(handler=_cmd_factor_rat)
-
-    sp = sub.add_parser("factor-quad", parents=[common, ceiling],
-                        help="factor a nonzero quadratic integer (a + b*w)/den")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("--den", default="1")
-    sp.set_defaults(handler=_cmd_factor_quad)
-
-    sp = sub.add_parser("sigma", parents=[common, height], help="image of a rational under sigma")
+    command("factor-quad", _cmd_factor_quad,
+            "factor a nonzero quadratic integer (a + b*w)/den", ceiling, quad)
+    sp = command("sigma", _cmd_sigma, "image of a rational under sigma", height)
     sp.add_argument("q")
-    sp.set_defaults(handler=_cmd_sigma)
-
-    sp = sub.add_parser("sigma-inv", parents=[common, ceiling],
-                        help="rational preimage of (a + b*w)/den under sigma")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("--den", default="1")
-    sp.set_defaults(handler=_cmd_sigma_inv)
-
-    sp = sub.add_parser("exotic-add", parents=[common, height, ceiling],
-                        help="exotic sum of two rationals")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.set_defaults(handler=_cmd_exotic_add)
-
-    sp = sub.add_parser("endoq", parents=[common],
-                        help="apply a prime-twist multiplicative endobijection")
+    command("sigma-inv", _cmd_sigma_inv,
+            "rational preimage of (a + b*w)/den under sigma", ceiling, quad)
+    command("exotic-add", _cmd_exotic_add,
+            "exotic sum of two rationals", height, ceiling, operands)
+    sp = command("endoq", _cmd_endoq, "apply a prime-twist multiplicative endobijection")
     sp.add_argument("q")
     sp.add_argument("--perm", help="prime permutation, e.g. 2:3,3:2")
     sp.add_argument("--eta", help="sign twists, e.g. 5:-1")
     sp.add_argument("--nu", help="inversion twists, e.g. 7:-1")
-    sp.set_defaults(handler=_cmd_endoq)
 
-    carrier = argparse.ArgumentParser(add_help=False)
-    carrier.add_argument("--carrier", required=True,
-                         help=f"one of {sorted(_FIELDS)} or q")
-    carrier.add_argument("--addition", default=None,
-                         help="native (default), a=K for finite fields, exotic for q")
-
-    sp = sub.add_parser("verify-rho", parents=[common, seed, trials, height, ceiling, carrier],
-                        help="check the near-field-addition-map axioms")
-    sp.set_defaults(handler=_cmd_verify_rho)
-
-    sp = sub.add_parser("char-map", parents=[common, seed, ceiling, carrier],
-                        help="characteristic map and prime subfield")
+    command("verify-rho", _cmd_verify_rho, "check the near-field-addition-map axioms",
+            seed, trials, height, ceiling, carrier)
+    sp = command("char-map", _cmd_char_map, "characteristic map and prime subfield",
+                 seed, ceiling, carrier)
     sp.add_argument("--bound", type=int, default=20)
-    sp.set_defaults(handler=_cmd_char_map)
 
-    sp = sub.add_parser("enumerate-additions", parents=[common],
-                        help="all exponent additions on a finite field")
-    sp.add_argument("--field", required=True)
-    sp.set_defaults(handler=_cmd_enumerate_additions)
-
-    sp = sub.add_parser("isom-check", parents=[common],
-                        help="power-map isomorphism between two additions")
-    sp.add_argument("--field", required=True)
+    command("enumerate-additions", _cmd_enumerate_additions,
+            "all exponent additions on a finite field", field)
+    sp = command("isom-check", _cmd_isom_check,
+                 "power-map isomorphism between two additions", field)
     sp.add_argument("--a1", required=True, help="exponent or 'native'")
     sp.add_argument("--a2", required=True, help="exponent or 'native'")
-    sp.set_defaults(handler=_cmd_isom_check)
-
-    sp = sub.add_parser("modnear-check", parents=[common],
-                        help="right modnear-ring axioms for Hom((F9,+),(F9,+3))")
-    sp.set_defaults(handler=_cmd_modnear_check)
-
-    sp = sub.add_parser("nvs-verify", parents=[common],
-                        help="elementary near-vector-space axioms")
-    sp.add_argument("--field", required=True)
+    command("modnear-check", _cmd_modnear_check,
+            "right modnear-ring axioms for Hom((F9,+),(F9,+3))")
+    sp = command("nvs-verify", _cmd_nvs_verify, "elementary near-vector-space axioms", field)
     sp.add_argument("--psi", required=True, help="id, pow:K, scale:K or table:...")
     sp.add_argument("--phi", required=True, help="id, pow:K, scale:K or table:...")
-    sp.set_defaults(handler=_cmd_nvs_verify)
-
-    sp = sub.add_parser("qmc-check", parents=[common],
-                        help="five-way quasi-multiplicative equivalence")
-    sp.add_argument("--field", required=True)
+    sp = command("qmc-check", _cmd_qmc_check, "five-way quasi-multiplicative equivalence", field)
     sp.add_argument("--map", required=True, help="id, pow:K, scale:K or table:...")
-    sp.set_defaults(handler=_cmd_qmc_check)
 
-    sp = sub.add_parser("epsilon", parents=[common],
-                        help="evaluate the complex epsilon map")
+    sp = command("epsilon", _cmd_epsilon, "evaluate the complex epsilon map")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--conjugate", action="store_true")
-    sp.set_defaults(handler=_cmd_epsilon)
 
     return p
 

@@ -405,18 +405,17 @@ def modnear_ring_check() -> Report:
     if box_idx is None or nat_idx is None or comp_idx is None:
         return rep
 
-    def group_axioms(idx: np.ndarray, name: str, abelian: bool) -> None:
+    def group_axioms(idx: np.ndarray, name: str) -> None:
         w = kernels.assoc_witness(idx)
         rep.add(f"group_assoc[{name}]", w is None, witness=w)
-        if abelian:
-            rep.add(f"group_comm[{name}]", bool((idx == idx.T).all()))
+        rep.add(f"group_comm[{name}]", bool((idx == idx.T).all()))
         zeros = np.flatnonzero((idx == np.arange(n)).all(axis=1)).tolist()
         rep.add(f"group_zero[{name}]", len(zeros) == 1, witness=zeros)
         if len(zeros) == 1:
             rep.add(f"group_inverses[{name}]", bool((idx == zeros[0]).any(axis=1).all()))
 
-    group_axioms(box_idx, "boxplus", abelian=True)  # axiom 1, module side
-    group_axioms(nat_idx, "plus", abelian=True)  # axiom 1, ring side
+    group_axioms(box_idx, "boxplus")  # axiom 1, module side
+    group_axioms(nat_idx, "plus")  # axiom 1, ring side
 
     # Axiom 2: composition is a monoid with the identity map as 1.
     ident = int(member_of(np.arange(m)))

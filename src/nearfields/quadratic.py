@@ -39,7 +39,10 @@ from its norm through _primes_of_norm and _place_in_norm.
 
 QuadInt and QuadRat take their integers through operator.index, so a float
 or a Fraction raises TypeError instead of being truncated, and
-QuadRat.from_rat takes a numbers.Rational only. A factorization
+QuadRat.from_rat takes a numbers.Rational only. An operator takes its other
+operand through one rule per class, applied by _operand: _coerce for QuadInt
+(a QuadInt, an int or a whole Fraction), _coerce_rat for QuadRat (those, any
+Fraction or a QuadRat); anything else gets NotImplemented. A factorization
 is a KFactorization, a plain slotted record validated on construction (unit
 the int 1 or -1, no zero exponent) and, like rationals.SignedFactorization,
 not frozen.
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from fractions import Fraction
 from operator import index
 from typing import Any, Callable
@@ -121,6 +124,39 @@ def _product(unit: int, exponents: dict, prime: Callable[[Any], QuadInt]) -> tup
     return a, b, den
 
 
+def _coerce(x) -> QuadInt | None:
+    if isinstance(x, QuadInt):
+        return x
+    if isinstance(x, int):
+        return QuadInt(x, 0)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return QuadInt(x.numerator, 0)
+    return None
+
+
+def _coerce_rat(x) -> QuadRat | None:
+    if isinstance(x, QuadRat):
+        return x
+    if isinstance(x, QuadInt):
+        return QuadRat(x, 1)
+    if isinstance(x, (int, Fraction)):
+        return QuadRat.from_rat(x)
+    return None
+
+
+def _operand(coerce: Callable[[Any], Any]):
+    """Operator decorator: the method gets its other operand through coerce,
+    and NotImplemented goes back to Python when coerce returns None."""
+
+    def wrap(method):
+        @wraps(method)
+        def op(self, other):
+            other = coerce(other)
+            return NotImplemented if other is None else method(self, other)
+        return op
+    return wrap
+
+
 class QuadInt:
     """a + b*w with integer a, b."""
 
@@ -139,33 +175,25 @@ class QuadInt:
     def b(self) -> int:
         return self._b
 
+    @_operand(_coerce)
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return QuadInt(self._a + other._a, self._b + other._b)
 
     __radd__ = __add__
 
+    @_operand(_coerce)
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return QuadInt(self._a - other._a, self._b - other._b)
 
+    @_operand(_coerce)
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
     def __neg__(self):
         return QuadInt(-self._a, -self._b)
 
+    @_operand(_coerce)
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return QuadInt(*_mul(self._a, self._b, other._a, other._b))
 
     __rmul__ = __mul__
@@ -187,10 +215,8 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
+    @_operand(_coerce)
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return self._a == other._a and self._b == other._b
 
     def __hash__(self):
@@ -212,16 +238,6 @@ class QuadInt:
 
     def to_json(self) -> list[int]:
         return [self._a, self._b]
-
-
-def _coerce(x) -> QuadInt | None:
-    if isinstance(x, QuadInt):
-        return x
-    if isinstance(x, int):
-        return QuadInt(x, 0)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return QuadInt(x.numerator, 0)
-    return None
 
 
 class QuadRat:
@@ -271,41 +287,31 @@ class QuadRat:
     def conj(self) -> "QuadRat":
         return QuadRat(self._num.conj(), self._den)
 
+    @_operand(_coerce_rat)
     def __add__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         return QuadRat(self._num * other._den + other._num * self._den, self._den * other._den)
 
     __radd__ = __add__
 
+    @_operand(_coerce_rat)
     def __sub__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         return QuadRat(self._num * other._den - other._num * self._den, self._den * other._den)
 
+    @_operand(_coerce_rat)
     def __rsub__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
     def __neg__(self):
         return QuadRat(-self._num, self._den)
 
+    @_operand(_coerce_rat)
     def __mul__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         return QuadRat(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
+    @_operand(_coerce_rat)
     def __truediv__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         if other.is_zero():
             raise DomainError("division by zero")
         # 1/x = conj(x) * den / norm(num)
@@ -313,16 +319,12 @@ class QuadRat:
         num = self._num * other._num.conj() * other._den
         return QuadRat(num, self._den * n)
 
+    @_operand(_coerce_rat)
     def __rtruediv__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
+    @_operand(_coerce_rat)
     def __eq__(self, other):
-        other = _coerce_rat(other)
-        if other is None:
-            return NotImplemented
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
@@ -341,16 +343,6 @@ class QuadRat:
 
     def to_json(self) -> list[int]:
         return [self._num.a, self._num.b, self._den]
-
-
-def _coerce_rat(x) -> QuadRat | None:
-    if isinstance(x, QuadRat):
-        return x
-    if isinstance(x, QuadInt):
-        return QuadRat(x, 1)
-    if isinstance(x, (int, Fraction)):
-        return QuadRat.from_rat(x)
-    return None
 
 
 # -19 = 1 mod 4, so by reciprocity a prime p != 19 splits in Z[w] exactly

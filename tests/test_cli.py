@@ -176,6 +176,23 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error:"), argv
+    # The carrier name and both table: grammars, word for word.
+    f4_entry_4 = BROKEN_F4_TABLE[:-1] + "4"
+    pinned = [
+        (["verify-rho", "--carrier", "f7"],
+         "unknown carrier 'f7'; choose from ['f25', 'f27', 'f4', 'f8', 'f9', 'q']"),
+        (["nvs-verify", "--field", "f9", "--psi", "foo", "--phi", "id"],
+         "bad map spec 'foo'; use id, pow:K, scale:K or table:..."),
+        (["nvs-verify", "--field", "f9", "--psi", "table:0,1", "--phi", "id"],
+         "table needs 9 entries, got 2"),
+        (["verify-rho", "--carrier", "f4", "--addition", "table:0,1"],
+         "addition table needs 16 entries, got 2"),
+        (["verify-rho", "--carrier", "f4", "--addition", f4_entry_4],
+         "addition table entries must index the carrier"),
+    ]
+    for argv, message in pinned:
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_malformed_input_exits_two(capsys, tmp_path, monkeypatch):
@@ -196,13 +213,14 @@ def test_malformed_input_exits_two(capsys, tmp_path, monkeypatch):
         assert code == 2, argv
         assert out == "" and err.startswith("error:"), argv
     cfg = tmp_path / "cfg.json"
-    for content in (None, "{", '{"seed": "x"}', "[1]"):
+    for content in (None, "{", '{"seed": "x"}', "[1]", '{"output": "xml"}'):
         if content is not None:
             cfg.write_text(content)
         monkeypatch.setenv("NEARFIELDS_CONFIG", str(cfg))
         code, out, err = _run(capsys, ["verify-rho", "--carrier", "q"])
         assert code == 2, content
         assert out == "" and err.startswith("error:"), content
+    assert err == "error: unknown output mode 'xml'\n"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -100,6 +100,8 @@ def test_modulus_without_roots_but_reducible_is_refused():
     for p, modulus in ((4, (1, 1, 1)), (6, (1, 0, 1))):
         with pytest.raises(DomainError, match="must be a prime"):
             FiniteField(p, 2, modulus)
+    with pytest.raises(DomainError, match="monic"):
+        FiniteField(3, 2, (1, 0, 2))  # 1 + 2x**2
 
 
 def test_irreducibility_matches_sympy_on_every_small_monic_modulus():

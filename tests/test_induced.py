@@ -502,6 +502,30 @@ def test_field_axiom_suite_fails_on_a_wrong_exotic_sum(monkeypatch):
     assert verify_exotic_field_axioms(trials=300, seed=0).ok
 
 
+class _SwappedImages(PrimeCorrespondence):
+    """Pairs 2 with 3's image and 3 with 2's; preimages are left alone."""
+
+    def image_of_prime(self, p):
+        return super().image_of_prime({2: 3, 3: 2}.get(p, p))
+
+
+def test_field_axiom_suite_fails_on_a_broken_correspondence():
+    # sigma no longer inverts, and the sums it pulls back are no longer a
+    # field addition: sigma's round trip and additivity fail, and so does
+    # nested associativity; everything the suite checks on one side of
+    # sigma alone still holds.
+    rep = verify_exotic_field_axioms(
+        trials=40, height=50, seed=0, corr=_SwappedImages(max_norm=10**6)
+    )
+    witnesses = {c.name: c.witness for c in rep.failures()}
+    assert witnesses == {
+        "sigma_round_trip": Fraction(35, 32),
+        "sigma_additive": (Fraction(-50, 7), Fraction(-25, 17)),
+        "associativity_materialized": (4, -4, -7),
+    }
+    assert len(rep.checks) == 9
+
+
 def test_field_axiom_suite_fails_when_most_sums_are_skipped():
     # At sum-norm ceiling 1 the cross-order and distributivity re-checks
     # skip nearly every triple; nested associativity keeps its own ceiling.

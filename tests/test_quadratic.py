@@ -30,6 +30,9 @@ def test_ring_relations():
     assert W.conj() == QuadInt(1, -1)
     assert QuadInt(2, 1) + QuadInt(0, -1) == QuadInt(2, 0)
     assert (2 * W - 1) ** 2 == QuadInt(-19, 0)
+    assert 1 - QuadInt(3, 2) == QuadInt(-2, -2)
+    with pytest.raises(DomainError):
+        QuadInt(3, 2) ** -1
 
 
 def test_norms():
@@ -164,6 +167,9 @@ def test_ring_elements_refuse_non_integral_inputs():
     for num in (2.5, Fraction(1, 2)):
         with pytest.raises(TypeError):
             QuadRat(num)
+    # an operand outside Z[w] is NotImplemented on both sides
+    with pytest.raises(TypeError):
+        QuadInt(3, 2) - Fraction(1, 2)
     # Python and numpy ints still pass, as Python ints
     x = QuadInt(np.int64(3), np.int32(-2))
     assert x == QuadInt(3, -2) and type(x.a) is int and type(x.b) is int
@@ -429,6 +435,12 @@ def test_quadrat_field_ops():
             assert (x / y) * y == x
     one = QuadRat(QuadInt(1, 0))
     assert one / QuadRat(W) * QuadRat(W) == one
+    x = QuadRat(QuadInt(3, 2), 5)
+    assert 2 - x == QuadRat(QuadInt(7, -2), 5)
+    assert 2 / x == QuadRat(QuadInt(10, -4), 7)  # N(3 + 2w) = 35
+    for zero in (0, QuadInt(0, 0)):
+        with pytest.raises(DomainError, match="division by zero"):
+            x / zero
 
 
 def test_json_shapes():

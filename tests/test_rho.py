@@ -160,6 +160,8 @@ def test_rho_axioms_on_q_redraw_refused_pairs():
     assert err.value.ceiling == 100
     with pytest.raises(DomainError):
         verify_rho_axioms(r, sampler=sampler, trials=0, rng=np.random.default_rng(0))
+    with pytest.raises(DomainError, match="sampler"):
+        verify_rho_axioms(r, trials=5, rng=np.random.default_rng(0))
 
 
 def test_rho_axioms_on_q_refuse_rather_than_pass_on_skipped_pairs():
