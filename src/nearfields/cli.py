@@ -119,7 +119,10 @@ def _int_table(text: str, shape: tuple[int, ...], what: str) -> np.ndarray:
     vals = [_num(int, x) for x in text.split(",")]
     if len(vals) != math.prod(shape):
         raise DomainError(f"{what} needs {math.prod(shape)} entries, got {len(vals)}")
-    return np.array(vals, dtype=np.int64).reshape(shape)
+    try:
+        return np.array(vals, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        raise DomainError(f"{what} entries must fit in int64") from None
 
 
 def _map_arg(field: FiniteField, spec: str) -> np.ndarray:

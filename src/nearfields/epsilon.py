@@ -40,6 +40,8 @@ def eval_epsilon(alpha: complex, z: complex, *, conjugate: bool = False) -> comp
         w = cmath.exp(alpha * math.log(r))
     except OverflowError:
         w = complex(math.inf)
+    except ValueError:  # an infinite exponent whose angle is undefined
+        w = complex(math.nan)
     return _finite(w * (s.conjugate() if conjugate else s), "epsilon_alpha(z)")
 
 

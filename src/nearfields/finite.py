@@ -147,6 +147,7 @@ class FiniteField:
         """The zero-fixing power map x -> x**k as an index array, k >= 1."""
         if k < 1:
             raise DomainError("power maps need k >= 1")
+        k %= self.m - 1  # x**(m-1) = 1: the same map, and dlog * k fits in int64
         out = np.zeros(self.m, dtype=np.int64)
         nz = np.arange(self.m)[self.dlog >= 0]
         out[nz] = self.exp[(self.dlog[nz] * k) % (self.m - 1)]

@@ -160,7 +160,7 @@ def _operand(coerce: Callable[[Any], Any]):
 class QuadInt:
     """a + b*w with integer a, b."""
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_a", "_b", "_hash")
 
     def __init__(self, a: int, b: int):
         # index, not int: a float or a Fraction is refused, not truncated
@@ -223,7 +223,12 @@ class QuadInt:
         # Equal values hash alike, a rational one as its int. The step is odd
         # and not a power of two: int hashes reduce mod 2**61 - 1, where
         # 2**64 = 8, so a + (b << 64) would hash (8, 0) like (0, 1).
-        return hash(self._a + self._b * _HASH_STEP)
+        # Computed on the first call and kept: the value never changes.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._a + self._b * _HASH_STEP)
+            return h
 
     def __repr__(self):
         return f"QuadInt({self._a}, {self._b})"

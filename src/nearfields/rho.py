@@ -50,7 +50,9 @@ class Carrier:
     negation.
 
     Finite carriers list their elements (table indices); infinite ones set
-    elements to None and rely on samplers supplied at check time.
+    elements to None and rely on samplers supplied at check time. The
+    quotient div(beta, alpha) is alpha**-1 * beta, the t with alpha * t =
+    beta; field_carrier's beta * alpha**-1 is the same value on a field.
     """
 
     name: str

@@ -54,6 +54,7 @@ GOLDEN_CASES = [
 ]
 
 BROKEN_F4_TABLE = "table:0,1,2,3,1,0,2,3,2,3,0,1,3,2,1,0"
+BIG = 10**20 - 1  # 99999999999999999999, past int64
 
 
 def _run(capsys, argv):
@@ -189,10 +190,32 @@ def test_usage_errors_exit_two(capsys):
          "addition table needs 16 entries, got 2"),
         (["verify-rho", "--carrier", "f4", "--addition", f4_entry_4],
          "addition table entries must index the carrier"),
+        # an entry past int64, in both table: grammars
+        (["nvs-verify", "--field", "f9", "--psi", f"table:{BIG},1,2,3,4,5,6,7,8", "--phi", "id"],
+         "table entries must fit in int64"),
+        (["verify-rho", "--carrier", "f4", "--addition", f"table:{BIG}" + ",0" * 15],
+         "addition table entries must fit in int64"),
+        # pow:K past int64 is reduced mod 8 on F9: 10**20 gives x**8, no bijection
+        (["nvs-verify", "--field", "f9", "--psi", f"pow:{10**20}", "--phi", "id"],
+         "psi is not a bijection of the carrier"),
+        (["qmc-check", "--field", "f9", "--map", f"pow:{10**20}"],
+         "phi must be a bijection of the carrier"),
+        # exp of an infinite exponent with an infinite angle has no value
+        (["epsilon", "--alpha", "1e308+1e308j", "--z", "1e308"],
+         "epsilon_alpha(z) is not finite: (nan+nanj)"),
     ]
     for argv, message in pinned:
         code, out, err = _run(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_power_spec_past_int64_is_the_reduced_power(capsys):
+    # 10**20 - 1 = 7 mod 8, and x**7 is a bijection of F9: the same report
+    # as pow:7, where the unreduced k overflowed int64.
+    for argv in (["nvs-verify", "--field", "f9", "--phi", "id", "--json", "--psi"],
+                 ["qmc-check", "--field", "f9", "--json", "--map"]):
+        big, seven = _run(capsys, argv + [f"pow:{BIG}"]), _run(capsys, argv + ["pow:7"])
+        assert big == seven and seven[0] == 0, argv
 
 
 def test_malformed_input_exits_two(capsys, tmp_path, monkeypatch):

@@ -38,6 +38,12 @@ def test_epsilon_basics():
     # r**alpha past the float range is refused, not raised as OverflowError.
     with pytest.raises(DomainError, match="not finite"):
         eval_epsilon(1000, 1e10)
+    # An infinite exponent with an infinite angle has no value at all
+    # (cmath.exp raises ValueError); it is refused the same way. With a
+    # real part of -inf the value is 0, which is finite and kept.
+    with pytest.raises(DomainError, match=r"^epsilon_alpha\(z\) is not finite: \(nan\+nanj\)$"):
+        eval_epsilon(1e308 + 1e308j, 1e308)
+    assert eval_epsilon(1e308 + 1e308j, 1e-308) == 0
 
 
 def test_epsilon_multiplicative_and_inverse():

@@ -149,6 +149,15 @@ def test_power_table():
         f.power_table(0)
 
 
+def test_power_table_past_int64_reduces_k():
+    # x**(m-1) = 1 on the units, so k and the k' in [1, m - 1] with
+    # k' = k mod m - 1 give one map; a k past int64 no longer overflows.
+    for f in (make_field(3, 2), make_field(3, 3)):
+        for k in (2**63, 10**20, 10**20 - 1, 3**100, 2**200 + 5):
+            k1 = (k - 1) % (f.m - 1) + 1
+            assert f.power_table(k).tolist() == f.power_table(k1).tolist(), (f, k)
+
+
 def test_scale_table_refuses_an_index_outside_the_carrier():
     f = make_field(3, 2)
     assert np.array_equal(f.scale_table(4), f.mul[4])

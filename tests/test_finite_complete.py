@@ -53,7 +53,7 @@ def _addition_maps(F) -> set[tuple[int, ...]]:
     near-field with F's product. A backtracking search that reads only
     F.mul and F.inv, so it shares no code with the additions it checks.
 
-    An addition is x + y = x * rho(y / x) for x != 0, and 0 + y = y. It
+    An addition is x + y = x * rho(x**-1 * y) for x != 0, and 0 + y = y. It
     distributes over * by construction, so rho gives a near-field exactly
     when rho(0) = 1, rho(-1) = 0, rho is a bijection, rho(1/t) = rho(t) / t
     (commutativity), and (1 + x) + y = 1 + (x + y) for every pair x, y
@@ -75,7 +75,7 @@ def _addition_maps(F) -> set[tuple[int, ...]]:
             return None
         if a == zero:
             return b
-        r = rho[mul[b][inv[a]]]
+        r = rho[mul[inv[a]][b]]
         return None if r is None else mul[a][r]
 
     def assign(t, v, trail):  # rho(t) = v and rho(1/t) = v / t; False on a clash

@@ -422,6 +422,17 @@ def test_hash_agrees_with_equality():
     assert len({hash(x) for x in small if x != -1}) == len(small) - 1
 
 
+def test_hash_is_kept_and_unchanged():
+    # A QuadInt keeps its hash after the first call; the value is still
+    # hash(a + b * _HASH_STEP), on the first call and on every later one.
+    rng = random.Random(41)
+    pairs = [(rng.randint(-(2**70), 2**70), rng.randint(-(2**70), 2**70)) for _ in range(50)]
+    pairs += [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    for a, b in pairs:
+        x = QuadInt(a, b)
+        assert hash(x) == hash(x) == hash(a + b * 0x9E3779B9) == hash(QuadInt(a, b)), (a, b)
+
+
 def test_quadrat_field_ops():
     rng = random.Random(6)
     for _ in range(150):
