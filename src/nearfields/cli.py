@@ -81,7 +81,7 @@ def _load_config(args) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
             raise DomainError(f"cannot read {CONFIG_ENV}={path}: {exc}") from None
         if not isinstance(raw, dict):
             raise DomainError(f"{CONFIG_ENV}={path} must hold a JSON object")

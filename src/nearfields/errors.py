@@ -9,10 +9,10 @@ class ResourceLimitError(RuntimeError):
     """A configured search or factorization ceiling was exceeded.
 
     The message always states the ceiling that was hit, so callers can rerun
-    with a larger one.
+    with a larger one; the required ceiling attribute holds it.
     """
 
-    def __init__(self, message: str, *, ceiling: int | None = None):
+    def __init__(self, message: str, *, ceiling: int):
         super().__init__(message)
         self.ceiling = ceiling
 

@@ -78,8 +78,8 @@ class FiniteField:
 
     A p that is not prime, or a modulus that is not monic, of degree n >= 1
     and irreducible mod p, is refused with DomainError before any table is
-    built. The walk for a generator of the unit group is the one
-    irreducibility test."""
+    built; the generator walk is the one irreducibility test. The tables it
+    builds pass verify_addition_table, or IntegrityError names the failure."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -131,17 +131,13 @@ class FiniteField:
 
         for t in (self.add, self.mul, self.neg, self.inv, self.dlog, self.exp):
             t.flags.writeable = False
-        self._self_check()
-
-    def _self_check(self) -> None:
-        if kernels.assoc_witness(self.add) or kernels.assoc_witness(self.mul):
-            raise IntegrityError("construction produced a non-associative table")
-        if kernels.left_distrib_witness(self.mul, self.add) or kernels.right_distrib_witness(
-            self.mul, self.add
-        ):
-            raise IntegrityError("construction broke distributivity")
-        if not (self.add == self.add.T).all() or not (self.mul == self.mul.T).all():
-            raise IntegrityError("construction broke commutativity")
+        rep = verify_addition_table(native_addition(self))
+        w = kernels.assoc_witness(self.mul)
+        rep.add("product_associativity", w is None, witness=w)
+        w = kernels._first_false(self.mul == self.mul.T)
+        rep.add("product_commutativity", w is None, witness=w)
+        if bad := rep.first_failure():
+            raise IntegrityError(f"construction of {self!r} fails {bad.name}, witness {bad.witness}")
 
     def power_table(self, k: int) -> np.ndarray:
         """The zero-fixing power map x -> x**k as an index array, k >= 1."""

@@ -277,12 +277,10 @@ def _factor_hard(m: int, out: dict[int, int]) -> None:
     stack = [m]
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             out[v] = out.get(v, 0) + 1
             continue
-        d = _brent_rho(v)
+        d = _brent_rho(v)  # 1 < d < v, so the stack never holds a 1
         stack.append(d)
         stack.append(v // d)
 

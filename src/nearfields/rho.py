@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .finite import FiniteField, is_permutation
 from .rationals import is_prime
 from .report import Report, redraw
@@ -230,7 +230,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     """Tabulate chi(n) = sgn(n) rho^|n|(0) for |n| <= bound and analyze it.
 
     The characteristic is the least n > 0 with chi(n) = 0 when one exists
-    within the bound (it must then be prime), otherwise 0 with the
+    within the bound (characteristic_prime checks it), otherwise 0 with the
     evidence_bounded flag raised. chi is verified to be additive and
     multiplicative on the tabulated range, exhaustively when the number of
     in-range pairs is at most RING_HOM_CAP, on a seeded sample otherwise.
@@ -243,8 +243,9 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     Finite carriers additionally get the prime-subfield checks: the chi
     image is a commutative multiplicative subgroup distributing over the
     induced addition on both sides, and the field order is a power of the
-    characteristic. A finite carrier with no vanishing chi(n) raises
-    DomainError when the bound is below its size, IntegrityError otherwise.
+    characteristic, when that is prime. A finite carrier with no vanishing
+    chi(n) raises DomainError when the bound is below its size, and fails
+    chi_vanishes_on_a_finite_carrier otherwise.
     """
     if bound < 2:
         raise DomainError("bound must be at least 2")
@@ -264,11 +265,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
 
     characteristic = next((n for n in range(1, bound + 1) if pos[n] == c.zero), 0)
     if characteristic:
-        if not is_prime(characteristic):
-            raise IntegrityError(
-                f"smallest vanishing index {characteristic} is not prime"
-            )
-        rep.add("characteristic_prime", True, witness=characteristic)
+        rep.add("characteristic_prime", is_prime(characteristic), witness=characteristic)
     rep.add("chi_zero", chi[0] == c.zero)
     rep.add("chi_one", chi[1] == c.one)
 
@@ -293,14 +290,16 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
         skips += skipped
     rep.counts["skipped"] = skips
 
-    if c.is_finite:
+    if c.is_finite and not is_prime(characteristic):  # no prime subfield to check
         if characteristic == 0:
             if bound < len(c.elements):
                 raise DomainError(
                     f"no chi(n) vanishes for n <= {bound}; the characteristic "
                     f"of {c.name} may lie past the bound"
                 )
-            raise IntegrityError("finite carrier with no characteristic in bound")
+            rep.add("chi_vanishes_on_a_finite_carrier", False, witness=bound)
+        subfield, evidence_bounded = (), False
+    elif c.is_finite:
         p = characteristic
         core = [chi[n] for n in range(p)]
         rep.add("chi_injective_mod_p", len(set(core)) == p)

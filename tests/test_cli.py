@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nearfields
-from nearfields.cli import _build_parser, main
+from nearfields.cli import CONFIG_ENV, _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,7 +241,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, monkeypatch):
         assert code == 2, argv
         assert out == "" and err.startswith("error:"), argv
     cfg = tmp_path / "cfg.json"
-    for content in (None, "{", '{"seed": "x"}', "[1]", '{"output": "xml"}'):
+    for content in (None, "{", "[" * 100_000, '{"seed": "x"}', "[1]", '{"output": "xml"}'):
         if content is not None:
             cfg.write_text(content)
         monkeypatch.setenv("NEARFIELDS_CONFIG", str(cfg))
@@ -448,3 +453,141 @@ def test_reader_closing_early_exits_one_when_unbuffered(mode):
     assert code == 1
     assert err == b""
     assert len(head) == 400
+
+
+# The fuzz test's grammar. Each subcommand's arguments are drawn with the
+# edges first: integers past int64 and past the primality test's bound,
+# fractions with a zero or negative denominator, map and table specs of the
+# wrong length or range, complex parts that are inf, nan or near overflow,
+# and config files that are not JSON objects or hold values of the wrong
+# type. Every example stays cheap: char-map bounds are small, trial counts
+# tiny, and no F27 enumeration is drawn.
+_EDGE_INTS = [0, 1, -1, 2, 7, 2**31 - 1, 2**63 - 1, 2**63, -(2**63) - 1, 2**64 + 1,
+              10**20, 2**89 - 1, -(10**100), 3**200]
+_ints = st.integers(-10**6, 10**6) | st.sampled_from(_EDGE_INTS)
+_int_text = _ints.map(str) | st.sampled_from(["", "abc", "1.5", "0x1f", "1_0", " 7", "1e400", "nan"])
+_rat_text = _int_text | st.builds("{}/{}".format, _ints, _ints)
+_part = st.sampled_from(["0", "1", "-2.5", "1e308", "-1e308", "1e-320", "inf", "-inf", "nan"])
+_complex_text = _part | _part.map("{}j".format) | st.builds("{}+{}j".format, _part, _part)
+
+
+def _table_text(entries, lengths):
+    return st.sampled_from(lengths).flatmap(
+        lambda n: st.lists(entries, min_size=n, max_size=n)
+    ).map(lambda v: "table:" + ",".join(map(str, v)))
+
+
+_map_spec = st.one_of(
+    st.sampled_from(["id", "pow:", "scale:", "table:", "table:1,,2", "bogus"]),
+    _ints.map("pow:{}".format),
+    _ints.map("scale:{}".format),
+    _table_text(st.integers(-1, 9) | st.sampled_from([2**63]), [3, 4, 8, 9, 10, 27]),
+    st.permutations(range(9)).map(lambda v: "table:" + ",".join(map(str, v))),
+)
+_addition = st.one_of(
+    st.sampled_from(["native", "exotic", "a=", "bogus"]),
+    _ints.map("a={}".format),
+    _table_text(st.integers(0, 3), [16]),  # in range on F4, rarely an addition
+    _table_text(st.integers(-1, 9) | st.sampled_from([2**63]), [15, 16, 81, 82]),
+)
+_prime_dict = st.sampled_from(["2", "2:", ":3", "a:b"]) | st.lists(
+    st.builds("{}:{}".format, st.sampled_from([0, 1, 2, 3, 4, 7, -3, 2**61 - 1, 2**89 - 1]),
+              st.sampled_from([-1, 0, 1, 2, 3, 5])),
+    max_size=3,
+).map(",".join)
+_exponent = st.just("native") | _int_text
+_fields = ["f4", "f8", "f9", "f25", "f27", "f2", "f81", "F9", ""]
+
+
+def _opt(flag, values):
+    return values.map(f"{flag}={{}}".format)
+
+
+def _maybe(token):
+    return st.none() | token
+
+
+def _command(name, *tokens, positionals=()):
+    """One subcommand's argv: its option tokens (a None drops an optional
+    one), then '--' and its positionals, so a leading '-' reaches them."""
+    return st.tuples(st.tuples(*tokens), st.tuples(*positionals)).map(
+        lambda t: [name, *(x for x in t[0] if x is not None), *(["--", *t[1]] if t[1] else [])]
+    )
+
+
+_sizes = st.integers(0, 10**6) | st.sampled_from(_EDGE_INTS)  # mostly in range
+_den = _maybe(_opt("--den", _int_text))
+_height = _maybe(_opt("--height-bound", _sizes))
+_ceiling = _maybe(_opt("--norm-ceiling", _sizes))
+_seed = _maybe(_opt("--seed", _sizes))
+_carrier = _opt("--carrier", st.sampled_from(["f4", "f9", "f27", "q", "f7"]))
+_rho_addition = _maybe(_opt("--addition", _addition))
+_field = _opt("--field", st.sampled_from(_fields))
+
+_ARGV = st.one_of(
+    _command("factor-int", positionals=[_int_text]),
+    _command("factor-rat", positionals=[_rat_text]),
+    _command("factor-quad", _den, _ceiling, positionals=[_int_text, _int_text]),
+    _command("sigma", _height, positionals=[_rat_text]),
+    _command("sigma-inv", _den, _ceiling, positionals=[_int_text, _int_text]),
+    _command("exotic-add", _height, _ceiling, positionals=[_rat_text, _rat_text]),
+    _command("endoq", *(_maybe(_opt(f, _prime_dict)) for f in ("--perm", "--eta", "--nu")),
+             positionals=[_rat_text]),
+    _command("verify-rho", _carrier, _rho_addition, _seed,
+             _maybe(_opt("--trials", st.integers(1, 4) | st.sampled_from([-2, 0]))), _height, _ceiling),
+    _command("char-map", _carrier, _rho_addition, _seed, _ceiling,
+             _maybe(_opt("--bound", st.integers(-2, 30) | st.sampled_from([100_001, 10**20])))),
+    _command("enumerate-additions", _opt("--field", st.sampled_from([f for f in _fields if f != "f27"]))),
+    _command("isom-check", _field, _opt("--a1", _exponent), _opt("--a2", _exponent)),
+    _command("modnear-check"),
+    _command("nvs-verify", _field, _opt("--psi", _map_spec), _opt("--phi", _map_spec)),
+    _command("qmc-check", _field, _opt("--map", _map_spec)),
+    _command("epsilon", _opt("--alpha", _complex_text), _opt("--z", _complex_text),
+             _maybe(st.just("--conjugate"))),
+)
+
+_wrong_value = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_CONFIG_KEYS = ["seed", "height_bound", "norm_ceiling", "trials", "output", "colour"]
+_config_file = st.sampled_from([b"", b"{", b"[" * 100_000, b"\xff\xfe", b"[1]", b'"seed"', b"null"]) | st.builds(
+    lambda wrong, right: json.dumps({**right, **wrong}).encode(),
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS), _wrong_value, max_size=2),
+    st.fixed_dictionaries({}, optional={
+        "seed": _ints, "height_bound": _ints, "norm_ceiling": _ints,
+        "trials": st.integers(-2, 4), "output": st.sampled_from(["text", "json", "xml"]),
+    }),
+)
+_config = st.integers(0, 3).flatmap(lambda k: st.none() if k else _config_file)  # one in four
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+# Its two finds: a config nested past json's recursion limit, and a table
+# whose chi vanishes first at 1, once an IntegrityError with no report.
+@example(argv=["exotic-add", "--", "1", "2"], config=b"[" * 100_000, as_json=False)
+@example(argv=["char-map", "--carrier=f4", "--addition=table:" + ",".join(["0"] * 16)],
+         config=None, as_json=True)
+@given(argv=_ARGV, config=_config, as_json=st.booleans())
+def test_no_input_ends_in_a_traceback(tmp_path_factory, argv, config, as_json):
+    # Every call exits 0, 1 or 2 from main; exit 1 is a failed check, so it
+    # comes with a report whose ok is false.
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    env = {}
+    if config is not None:
+        path.write_bytes(config)
+        env[CONFIG_ENV] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if config is None:
+            os.environ.pop(CONFIG_ENV, None)
+        try:
+            code = main([argv[0], *["--json"] * as_json, *argv[1:]])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 1:
+        failed = json.loads(out)["ok"] is False if out.startswith("{") else "ok: False" in out.splitlines()
+        assert failed, (argv, out, err)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from nearfields import finite
 from nearfields.errors import DomainError, IntegrityError
 from nearfields.finite import (
     SUPPORTED_FIELDS,
@@ -104,9 +105,21 @@ def test_modulus_without_roots_but_reducible_is_refused():
         FiniteField(3, 2, (1, 0, 2))  # 1 + 2x**2
 
 
+def test_construction_is_checked_by_the_field_axiom_suite(monkeypatch):
+    # A walk that meets every unit of F9 once, as 1, 2, 3, ..., 8, passes
+    # as a generator's powers, but 2 = -1 squares to 3 in the product it
+    # builds, so that product does not distribute over the digit sum:
+    # 2 * (1 + 1) = 3 while 2 * 1 + 2 * 1 = 1.
+    walk = iter([(c % 3, c // 3) for c in range(3, 9)] + [(1, 0)])
+    monkeypatch.setattr(finite, "_poly_mul_mod", lambda *args: next(walk))
+    expected = r"FiniteField\(3, 2\) fails left_distributivity, witness \(2, 1, 1\)"
+    with pytest.raises(IntegrityError, match=expected):
+        FiniteField(3, 2, SUPPORTED_FIELDS[3, 2])
+
+
 def test_irreducibility_matches_sympy_on_every_small_monic_modulus():
     # every monic modulus of every order p**n <= 81: an irreducible one
-    # builds (its self-check included), a reducible one is refused by the
+    # builds (its field-axiom check included), a reducible one is refused by the
     # generator walk before any structure table exists
     x = sympy.Symbol("x")
     built = refused = 0

@@ -3,11 +3,21 @@ verifier and the addition-at-one comparison."""
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nearfields.errors import DomainError
-from nearfields.finite import addition_from_exponent, make_field
+from nearfields.finite import (
+    addition_from_exponent,
+    enumerate_additions,
+    is_mult_bijection,
+    make_field,
+    transport,
+)
 from nearfields.induced import StructureOps, check_ringisom
 from nearfields.nvs import (
     QuasiMultSpec,
@@ -139,6 +149,65 @@ def test_mutated_phi_fails_with_witness(F):
         rep = verify_nvs_axioms(s)
         assert not rep.ok, name
         assert any(c.witness is not None for c in rep.failures()), name
+
+
+def test_a_fixed_point_action_has_a_quasi_kernel_that_generates_nothing(F):
+    # a (.) v = v for every a != 0: the orbit of v is {0, v}, closed under
+    # (+) only for v = 0, so the quasi-kernel is [0] and spans [0] alone.
+    s = _assemble(F, np.arange(9), np.arange(9))
+    fixed = np.tile(np.arange(9), (9, 1))
+    fixed[F.zero] = F.zero
+    checks = {c.name: c for c in verify_nvs_axioms(replace(s, box_smul=fixed)).checks}
+    assert not checks["quasi_kernel_is_everything"].ok
+    assert checks["quasi_kernel_is_everything"].witness == [0]
+    assert not checks["quasi_kernel_generates"].ok
+
+
+def _accepted_pairs(field):
+    """Every (psi, phi) that build_elementary accepts on field: psi a
+    bijection fixing zero that commutes with negation, phi a
+    multiplicative bijection, each found by a walk over all bijections
+    fixing zero (and one, for phi)."""
+    neg = field.neg.tolist()
+    rest = range(1, field.m)
+    psis = [
+        psi for psi in ([0, *perm] for perm in itertools.permutations(rest))
+        if all(psi[neg[a]] == neg[psi[a]] for a in rest)
+    ]
+    phis = [
+        phi for phi in (np.array([0, 1, *perm]) for perm in itertools.permutations(range(2, field.m)))
+        if is_mult_bijection(field, phi)
+    ]
+    return [(np.array(psi), phi) for psi in psis for phi in phis]
+
+
+@pytest.mark.parametrize("key, count, classes", [
+    ((2, 2), 12, {(1, 2): 12}),
+    ((3, 2), 1536, {(1, 3): 768, (5, 7): 768}),
+], ids=["f4", "f9"])
+def test_every_accepted_space_on_f4_and_f9(key, count, classes):
+    field = make_field(*key)
+    enum = enumerate_additions(field)
+    class_of = {t.table.astype(np.int64).tobytes(): tuple(c) for t, c in zip(enum.tables, enum.classes)}
+    pairs = _accepted_pairs(field)
+    assert len(pairs) == count
+    seen = Counter()
+    for psi, phi in pairs:
+        s = build_elementary(field, psi, phi)
+        rep, box1 = verify_nvs_axioms(s), check_elementary_box1(s)
+        assert rep.ok and box1.ok, (psi, phi, rep.first_failure() or box1.first_failure())
+        at_one = transport(s.box_add, s.box_smul[:, field.one])
+        seen[class_of[at_one.tobytes()]] += 1
+
+        # criterion 8's mutation: swap phi at the first two points other
+        # than one and phi(one)
+        bad_phi = phi.copy()
+        i, j = [x for x in range(field.m) if x not in (field.one, int(phi[field.one]))][:2]
+        bad_phi[i], bad_phi[j] = bad_phi[j], bad_phi[i]
+        broken = _assemble(field, psi, bad_phi)
+        failed = verify_nvs_axioms(broken).failures() or check_elementary_box1(broken).failures()
+        assert any(c.witness is not None for c in failed), (psi, phi)
+    assert seen == classes
 
 
 def test_mutated_psi_fails(F):

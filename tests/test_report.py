@@ -73,6 +73,12 @@ def test_redraw_reraises_the_skip_past_trials_unchanged():
     assert seen == [0, 1, 2, 3, 4]
 
 
+def test_a_refusal_names_its_ceiling():
+    assert ResourceLimitError("refused", ceiling=7).ceiling == 7
+    with pytest.raises(TypeError, match="ceiling"):
+        ResourceLimitError("refused")
+
+
 def test_redraw_does_not_count_other_errors():
     draw, check, seen, _ = _scripted(set(), fail_on=1)
     with pytest.raises(IntegrityError):

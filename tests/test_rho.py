@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nearfields import rho as rho_module
-from nearfields.errors import DomainError, IntegrityError, ResourceLimitError
+from nearfields.errors import DomainError, ResourceLimitError
 from nearfields.finite import addition_from_exponent, make_field
 from nearfields.induced import exotic_add_q
 from nearfields.rho import (
@@ -218,8 +218,10 @@ def test_char_map_validation_and_integrity():
     fake = np.arange(9, dtype=np.int64)
     fake[0], fake[1], fake[4], fake[5] = 1, 4, 5, 0
     bad = RhoMap(field_carrier(F), lambda x: int(fake[x]))
-    with pytest.raises(IntegrityError):
-        char_map(bad, 8)
+    res = char_map(bad, 8)
+    first = res.report.first_failure()
+    assert (first.name, first.witness) == ("characteristic_prime", 4)
+    assert (res.characteristic, res.prime_subfield) == (4, ())
     # no vanishing index: below the carrier's size the bound may be too
     # small, at it the rho map is at fault
     shift = np.roll(np.arange(9, dtype=np.int64), -1)
@@ -227,8 +229,14 @@ def test_char_map_validation_and_integrity():
     never = RhoMap(field_carrier(F), lambda x: int(shift[x]))
     with pytest.raises(DomainError, match="past the bound"):
         char_map(never, 8)
-    with pytest.raises(IntegrityError, match="no characteristic"):
-        char_map(never, 9)
+    res = char_map(never, 9)
+    (vanishes,) = [c for c in res.report.checks if c.name == "chi_vanishes_on_a_finite_carrier"]
+    assert (vanishes.ok, vanishes.witness) == (False, 9)
+    assert (res.characteristic, res.prime_subfield) == (0, ())
+    # rho(0) = 0 gives characteristic 1, which has no prime subfield
+    fixed = RhoMap(field_carrier(F), lambda x: 0 if x == 0 else int(shift[x]))
+    first = char_map(fixed, 9).report.first_failure()
+    assert (first.name, first.witness) == ("characteristic_prime", 1)
 
 
 def test_char_map_refuses_a_bound_past_its_ceiling_before_evaluating_rho():
