@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all nearfields modules."""
 
+from functools import partial
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's mathematical domain."""
@@ -15,6 +17,11 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message: str, *, ceiling: int):
         super().__init__(message)
         self.ceiling = ceiling
+
+    def __reduce__(self):
+        # The default rebuild calls the class with args alone, and the
+        # ceiling is keyword-only, so pickle and copy pass it here.
+        return partial(type(self), ceiling=self.ceiling), self.args, self.__dict__
 
 
 class IntegrityError(RuntimeError):

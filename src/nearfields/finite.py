@@ -210,14 +210,20 @@ def is_mult_bijection(field: FiniteField, t: np.ndarray) -> bool:
     return (
         is_permutation(t, field.m)
         and int(t[field.one]) == field.one
-        and bool(np.array_equal(t[field.mul], field.mul[np.ix_(t, t)]))
+        and bool(np.array_equal(t[field.mul], _grid(field.mul, t, t)))
     )
+
+
+def _grid(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The table t[rows[i], cols[j]] over every (i, j), which is
+    t[np.ix_(rows, cols)]; two takes skip building the index grid."""
+    return t.take(rows, axis=0).take(cols, axis=1)
 
 
 def transport(op: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The operation the bijection f pulls back from op:
     alpha (op_f) beta = f^-1(op(f(alpha), f(beta)))."""
-    return np.argsort(f)[op[np.ix_(f, f)]]
+    return np.argsort(f)[_grid(op, f, f)]
 
 
 def addition_from_exponent(field: FiniteField, a: int) -> AdditionTable:
@@ -331,7 +337,7 @@ def check_isomorphic_additions(field: FiniteField, t1: AdditionTable, t2: Additi
     tab1, tab2 = t1.table.astype(np.intp), t2.table.astype(np.intp)
     for k in field.exponent_units():
         pk = field.power_table(k)
-        if np.array_equal(pk[tab1], tab2[np.ix_(pk, pk)]):
+        if np.array_equal(pk[tab1], _grid(tab2, pk, pk)):
             return k
     raise IntegrityError(
         f"no power-map isomorphism between {t1.provenance} and {t2.provenance} on {field!r}"

@@ -31,6 +31,15 @@ GOLDEN_CASES = [
         "char_map_exotic_12.json",
     ),
     (["qmc-check", "--field", "f9", "--map", "scale:4", "--json"], "qmc_scale4_f9.json"),
+    # 2 and 3 swapped on F27: all five conditions false, and they agree
+    (
+        [
+            "qmc-check", "--field", "f27", "--map",
+            "table:0,1,3,2,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26", "--json",
+        ],
+        "qmc_f27_swap23.json",
+    ),
+    (["qmc-check", "--field", "f25", "--map", "scale:7", "--json"], "qmc_scale7_f25.json"),
     (["verify-rho", "--carrier", "f9", "--addition", "a=5", "--json"], "verify_rho_f9_a5.json"),
     (["factor-quad", "7", "3", "--den", "10", "--json"], "factor_quad_7_3_den10.json"),
     (["factor-int", "-360", "--json"], "factor_int_neg360.json"),
@@ -43,6 +52,10 @@ GOLDEN_CASES = [
     (
         ["nvs-verify", "--field", "f9", "--psi", "pow:5", "--phi", "pow:3", "--json"],
         "nvs_verify_f9_pow5_pow3.json",
+    ),
+    (
+        ["nvs-verify", "--field", "f25", "--psi", "pow:5", "--phi", "pow:5", "--json"],
+        "nvs_verify_f25_pow5_pow5.json",
     ),
     (
         ["isom-check", "--field", "f27", "--a1", "native", "--a2", "5", "--json"],
@@ -92,7 +105,7 @@ def test_golden_lists_agree():
         assert name not in ci, name
         ci[name] = argv[prefix:]
     cases = dict((name, argv) for argv, name in GOLDEN_CASES)
-    assert len(cases) == len(GOLDEN_CASES) == 17
+    assert len(cases) == len(GOLDEN_CASES) == 20
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(cases)
     assert ci == cases
 

@@ -61,6 +61,17 @@ def test_no_module_imports_a_test_oracle():
             assert not roots & oracles, (path.name, roots & oracles)
 
 
+def test_no_module_calls_np_ix():
+    # Every two-dimensional gather goes through finite._grid, whose two takes
+    # skip building np.ix_'s index grid.
+    for path in sorted(Path(nearfields.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "ix_", (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert "ix_" not in {alias.name for alias in node.names}, (path.name, node.lineno)
+
+
 @pytest.mark.parametrize(
     "home, name",
     [

@@ -20,6 +20,7 @@ from nearfields.finite import (
     transport,
     verify_addition_table,
 )
+from nearfields.nvs import build_elementary
 
 # Distinct additions correspond to cosets of <p> in the units mod p**n - 1;
 # these lists were worked out by hand before the enumeration existed.
@@ -216,6 +217,27 @@ def test_built_addition_tables_are_compact():
         _assert_compact(native_addition(f), f.add)
         for a in f.exponent_units():
             _assert_compact(addition_from_exponent(f, a), transport(f.add, f.power_table(a)))
+
+
+def test_grid_gather_equals_ix_gather():
+    # Rows and columns of different lengths: negative row indices, and a
+    # column of the action table as a strided view into it.
+    for p, n in SUPPORTED_FIELDS:
+        f = make_field(p, n)
+        frob = f.power_table(p)
+        cols = build_elementary(f, frob, frob).box_smul[:, f.one]
+        assert not cols.flags.contiguous
+        rows = frob[: f.m // 2] - f.m
+        for t in (f.mul, native_addition(f).table):
+            got, expected = finite._grid(t, rows, cols), t[np.ix_(rows, cols)]
+            assert got.dtype == expected.dtype == t.dtype
+            assert np.array_equal(got, expected)
+            for bad in (f.m, -f.m - 1):
+                for r, c in ((np.array([bad]), cols), (rows, np.array([0, bad]))):
+                    with pytest.raises(IndexError):
+                        finite._grid(t, r, c)
+                    with pytest.raises(IndexError):
+                        t[np.ix_(r, c)]
 
 
 def test_is_permutation():

@@ -4,6 +4,9 @@ one that redraws its refused samples."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from nearfields.errors import IntegrityError, ResourceLimitError
@@ -77,6 +80,12 @@ def test_a_refusal_names_its_ceiling():
     assert ResourceLimitError("refused", ceiling=7).ceiling == 7
     with pytest.raises(TypeError, match="ceiling"):
         ResourceLimitError("refused")
+    # pickle and copy rebuild it with its type, message and ceiling
+    err = ResourceLimitError("refused at 7", ceiling=7)
+    for twin in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+        assert type(twin) is ResourceLimitError
+        assert str(twin) == "refused at 7" and twin.args == err.args
+        assert twin.ceiling == 7
 
 
 def test_redraw_does_not_count_other_errors():
