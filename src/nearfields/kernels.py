@@ -9,10 +9,22 @@ every supported table (m <= 81). The table kernels evaluate both sides of
 their identity over the (m, m, m) index cube, by row gathers such as t[t]
 and by gathers whose index arrays alone are intp (an index like a * m + b
 outgrows a byte), and return the lexicographically first failing index
-triple, or None. The largest table swept is the 81-member modnear-ring:
+triple, or None. The largest table checked is the 81-member modnear-ring:
 81**3 = 531,441 triples. The homomorphism kernel does not sweep its
 (h, f, g, x) cube: it tests each (h, f(x), g(x)) of values once, and
 gathers over (f, g, x) only for an h with a bad pair.
+
+Given a generating set of the table (gens=, as generators() reads one off
+it), assoc_witness and right_distrib_witness first decide their identity
+from it: Light's associativity test, and its analogue for a product that
+distributes over an associative sum, each over |gens| * m**2 pairs. Only a
+reduced test that fails leads to the sweep, which then finds the first
+failing triple. The modnear-ring passes generators; the field tables
+(m <= 27) do not, since at that size finding the greedy generators costs
+more than the whole cube. Median of 300 calls in process on a 2-core x86
+VM, sweep against generators found and tested, on F9, F25 and F27:
+associativity 15, 40, 43 us against 68, 92, 96 us; right distributivity
+26, 60, 64 us against 88, 118, 130 us.
 
 A cube is swept a slab of rows at a time, up to the first slab that fails.
 A slab has the most rows whose widest temporary fits in _SLAB_BYTES, under
@@ -35,6 +47,7 @@ __all__ = [
     "left_distrib_witness",
     "right_distrib_witness",
     "hom_left_distrib_witness",
+    "generators",
 ]
 
 # Read by the benchmark's environment stamp; there is one kernel path.
@@ -96,9 +109,59 @@ def _sweep(m: int, slab, itemsize: int):
     return None
 
 
-def assoc_witness(t):
-    """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None."""
+def _grid(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The table t[rows[i], cols[j]] over every (i, j), which is
+    t[np.ix_(rows, cols)]; two takes skip building the index grid."""
+    return t.take(rows, axis=0).take(cols, axis=1)
+
+
+def _close(t: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The boolean mask span grown, in place, to the closure of its members
+    under the table t, and returned."""
+    # The gather takes the members: take would read the mask as 0 and 1.
+    while not span[sums := _grid(t, members := np.flatnonzero(span), members)].all():
+        span[sums] = True
+    return span
+
+
+def generators(t) -> list[int]:
+    """A generating set of the magma t, read off the table: take the least
+    index not yet in the closure, close the set again, and repeat until
+    every index is in it. [] for an empty table."""
     t = _square(t, "table")
+    span = np.zeros(len(t), dtype=bool)
+    gens = []
+    while not span.all():
+        gens.append(g := int(span.argmin()))
+        span[g] = True
+        _close(t, span)
+    return gens
+
+
+def _holds_at(gens, m: int, itemsize: int, holds) -> bool:
+    """Whether holds(s), an (m, len(s), m) truth, is True everywhere for
+    each run s of gens, as intp. A run has the most generators whose widest
+    temporary, itemsize bytes an entry, fits in _SLAB_BYTES, as in _sweep."""
+    gens = np.asarray(gens, dtype=np.intp)
+    step = max(1, _SLAB_BYTES // max(1, itemsize * m * m))
+    return all(holds(gens[g0:g0 + step]).all() for g0 in range(0, len(gens), step))
+
+
+def _light(t: np.ndarray, gens) -> bool:
+    """Light's test: (x t s) t y == x t (s t y) for every x, y and each s
+    in gens. The middles s for which this holds are closed under t, so
+    when gens generate t it proves t associative."""
+    return _holds_at(gens, len(t), t.itemsize, lambda s: t[t[:, s]] == np.take(t, t[s], axis=1))
+
+
+def assoc_witness(t, *, gens=None):
+    """First (i, j, k) with t[t[i,j],k] != t[i,t[j,k]], or None.
+
+    With gens, a generating set of t, Light's test decides it, and the
+    cube is swept only if that test fails."""
+    t = _square(t, "table")
+    if gens is not None and _light(t, gens):
+        return None
     # t[t[i0:i1]] against t[i0:i1][:, t], both (i, j, k) row-major.
     return _sweep(len(t), lambda i0, i1: t[t[i0:i1]] == np.take(t[i0:i1], t, axis=1), t.itemsize)
 
@@ -118,11 +181,23 @@ def left_distrib_witness(mul, add):
     )
 
 
-def right_distrib_witness(mul, add):
-    """First failure of mul[add[i,j], k] == add[mul[i,k], mul[j,k]]."""
+def right_distrib_witness(mul, add, *, gens=None):
+    """First failure of mul[add[i,j], k] == add[mul[i,k], mul[j,k]].
+
+    With gens, a generating set of add, it is decided from them when add
+    is associative (Light's test): for each k, the j at which x -> mul[x,k]
+    is additive for every i are closed under an associative add, so the
+    identity holds everywhere if it holds at j in gens. The cube is swept
+    only if either test fails."""
     mul = _square(mul, "multiplication")
     add = _square(add, "addition", len(mul))
     m = len(mul)
+    if gens is not None and _light(add, gens):
+        # (i, s, k): mul[add[i, s], k] against add[mul[i, k], mul[s, k]],
+        # the latter one flat gather of add at the intp mul[i, k] * m + mul[s, k].
+        am, flat = mul.astype(np.intp)[:, None, :] * m, add.ravel()
+        if _holds_at(gens, m, am.itemsize, lambda s: mul[add[:, s]] == flat.take(am + mul[s])):
+            return None
     # Row i of add[mul] as an (m, m*m) array holds add[mul[i,k], x] at
     # k*m + x, so the right side at (i, j, k) is its column k*m + mul[j,k]:
     # an (m, m) index, where a flat gather of add would need a cube.

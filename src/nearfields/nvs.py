@@ -22,8 +22,8 @@ from operator import index
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .finite import FiniteField, _grid, is_mult_bijection, is_permutation, transport
-from .kernels import _first_false, _integer, assoc_witness, left_distrib_witness
+from .finite import FiniteField, is_mult_bijection, is_permutation, transport
+from .kernels import _close, _first_false, _grid, _integer, assoc_witness, left_distrib_witness
 from .report import Report
 
 __all__ = [
@@ -127,10 +127,7 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     quasi = [v for v, orbit in enumerate(S.T) if np.isin(_grid(A, orbit, orbit), orbit).all()]
     rep.add("quasi_kernel_is_everything", quasi == list(range(m)), witness=quasi)
     # In a finite group, the closure under (+) alone is the subgroup generated.
-    # The gather takes the span's members: take would read the mask as 0 and 1.
-    span = np.isin(np.arange(m), quasi)
-    while not span[sums := _grid(A, members := np.flatnonzero(span), members)].all():
-        span[sums] = True
+    span = _close(A, np.isin(np.arange(m), quasi))
     rep.add("quasi_kernel_generates", bool(span.all()))
     rep.add("orbit_of_one_full", is_permutation(S[:, F.one], m))
 

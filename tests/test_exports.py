@@ -62,7 +62,7 @@ def test_no_module_imports_a_test_oracle():
 
 
 def test_no_module_calls_np_ix():
-    # Every two-dimensional gather goes through finite._grid, whose two takes
+    # Every two-dimensional gather goes through kernels._grid, whose two takes
     # skip building np.ix_'s index grid.
     for path in sorted(Path(nearfields.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

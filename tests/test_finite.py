@@ -362,6 +362,35 @@ def test_modnear_ring():
     assert rep.counts["triples"] == 81**3
 
 
+def test_modnear_closure_tables_match_a_dict_naming():
+    # The member tables named by the two basis values and a whole-row
+    # check equal a naming by each map's bytes; a map off by one value is
+    # no member and gets -1.
+    f = make_field(3, 2)
+    box, native = addition_from_exponent(f, 3).table, native_addition(f).table
+    maps = finite._plane_homs(f, box)
+    assert len(maps) == 81
+    member_of = finite._member_namer(maps, (f.one, f.p))
+    rows = finite._pointwise_rows(maps, box, native)
+    assert list(rows) == ["boxplus", "plus", "compose"]
+    name = {m.astype(np.int64).tobytes(): i for i, m in enumerate(maps)}
+    ops = {"boxplus": lambda g, h: box[g, h], "plus": lambda g, h: native[g, h], "compose": lambda g, h: g[h]}
+    rng = np.random.default_rng(44)
+    for key, op in ops.items():
+        want = np.array([[name.get(op(g, h).astype(np.int64).tobytes(), -1) for h in maps] for g in maps])
+        assert (want >= 0).all()
+        got = member_of(rows[key])
+        assert np.array_equal(got, want), key
+        for _ in range(20):
+            x, i, j = rng.integers(9), rng.integers(81), rng.integers(81)
+            bad = rows[key].copy()
+            bad[x, i, j] = (bad[x, i, j] + rng.integers(1, 9)) % 9
+            expect = want.copy()
+            expect[i, j] = -1
+            assert np.array_equal(member_of(bad), expect), (key, x, i, j)
+    assert int(member_of(np.arange(9))) == name[np.arange(9, dtype=np.int64).tobytes()]
+
+
 def test_enumeration_json():
     js = enumerate_additions(make_field(3, 2)).to_json()
     assert js["classes"] == [[1, 3], [5, 7]]

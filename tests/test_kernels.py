@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfields import kernels
 from nearfields.errors import DomainError
-from nearfields.finite import make_field
+from nearfields.finite import addition_from_exponent, make_field
 
 
 def _first_failure(m, holds):
@@ -153,14 +155,22 @@ def _hom_per_h(maps, add_native, add_box):
     return None
 
 
-def test_hom_left_distrib_witness_on_the_modnear_members():
-    # The 81 additive maps of F9 = (Z/3)^2, x = c0 + 3*c1 -> c0*u + c1*v,
-    # against box tables with one to three entries scrambled.
+def _f9_additive_maps():
+    """The 81 additive maps of F9 = (Z/3)^2, x = c0 + 3*c1 -> c0*u + c1*v,
+    as an int64 (81, 9) array in u-major order."""
     add = make_field(3, 2).add
     mult = np.stack([np.zeros(9, dtype=np.int64), np.arange(9), add[np.arange(9), np.arange(9)]])  # c*u
     c0, c1 = np.arange(9) % 3, np.arange(9) // 3
     maps = np.array([add[mult[c0, u], mult[c1, v]] for u in range(9) for v in range(9)])
     assert len({m.tobytes() for m in maps}) == 81
+    return maps
+
+
+def test_hom_left_distrib_witness_on_the_modnear_members():
+    # The 81 additive maps of F9 against box tables with one to three
+    # entries scrambled.
+    add = make_field(3, 2).add
+    maps = _f9_additive_maps()
     assert kernels.hom_left_distrib_witness(maps, add, add) is None
     rng = np.random.default_rng(7)
     witnesses = 0
@@ -400,3 +410,133 @@ def test_witnesses_in_the_first_and_the_last_slab():
         add, mul = _failing_from_row(r)
         assert [w[0] for w in _witnesses(add, mul)] == [r] * 4
         _check_sweeps(add, mul, _assoc_cube, _ldist_cube, _rdist_cube)
+
+
+# --- decided from generators ----------------------------------------------
+
+def _closure_ref(t, gens):
+    """The closure of gens under t, by a plain loop over pairs."""
+    span = set(gens)
+    while True:
+        grown = span | {int(t[a][b]) for a in span for b in span}
+        if grown == span:
+            return span
+        span = grown
+
+
+def _modnear_tables():
+    """The boxplus, plus and composition tables of the modnear-ring's 81
+    members, each named by a dict from a map's values to its index."""
+    f = make_field(3, 2)
+    box = addition_from_exponent(f, 3).table.astype(np.int64)
+    maps = _f9_additive_maps()
+    name = {m.tobytes(): i for i, m in enumerate(maps)}
+
+    def table(op):
+        return np.array([[name[op(g, h).tobytes()] for h in maps] for g in maps])
+
+    return {
+        "boxplus": table(lambda g, h: box[g, h]),
+        "plus": table(lambda g, h: f.add[g, h]),
+        "compose": table(lambda g, h: g[h]),
+    }
+
+
+def test_generators_generate_every_table():
+    for m in (1, 2, 9, 27, 81):
+        for t in _mod_tables(m):
+            gens = kernels.generators(t)
+            assert gens == sorted(gens) and gens[0] == 0
+            assert _closure_ref(t, gens) == set(range(m)), (m, gens)
+    tables = _modnear_tables()
+    assert kernels.generators(tables["boxplus"]) == [0, 1, 3, 9, 27]
+    for t in tables.values():
+        assert _closure_ref(t, kernels.generators(t)) == set(range(81))
+    assert kernels.generators(np.zeros((0, 0), dtype=np.int64)) == []
+
+
+def _check_from_generators(add, mul):
+    """With generators, both kernels give the full sweep's answer."""
+    assert kernels.assoc_witness(add, gens=kernels.generators(add)) == kernels.assoc_witness(add)
+    assert kernels.assoc_witness(mul, gens=kernels.generators(mul)) == kernels.assoc_witness(mul)
+    want = kernels.right_distrib_witness(mul, add)
+    assert kernels.right_distrib_witness(mul, add, gens=kernels.generators(add)) == want
+    return want
+
+
+def test_generators_decide_the_modnear_tables_as_the_sweep_does():
+    tables = _modnear_tables()
+    mul = tables["compose"]
+    for name in ("boxplus", "plus"):
+        assert _check_from_generators(tables[name], mul) is None
+    assert kernels.assoc_witness(mul) is None
+    # One to three entries scrambled, in the sum or in the composition.
+    rng = np.random.default_rng(44)
+    fallbacks = failures = 0
+    for name in ("boxplus", "plus"):
+        for _ in range(40):
+            bad = _mutated(tables[name], rng)
+            failures += _check_from_generators(bad, mul) is not None
+            fallbacks += kernels.assoc_witness(bad) is not None
+    for _ in range(40):
+        failures += _check_from_generators(tables["plus"], _mutated(mul, rng)) is not None
+    # Sums no longer associative, where right distributivity falls back to
+    # the sweep, and products that break it over an associative sum.
+    assert fallbacks > 40 and failures > 100, (fallbacks, failures)
+
+
+@st.composite
+def _magmas(draw):
+    """A sum and a product on range(m), m in 1..7: either random tables, or
+    Z/m's sum and a product distributing over it on the right (k-th column
+    x -> c_k * x), relabelled by a permutation; then a few entries set."""
+    m = draw(st.integers(1, 7))
+    entries = st.lists(st.integers(0, m - 1), min_size=m * m, max_size=m * m)
+    if draw(st.booleans()):
+        add = np.array(draw(entries)).reshape(m, m)
+        mul = np.array(draw(entries)).reshape(m, m)
+    else:
+        add, _ = _mod_tables(m)
+        mul = (np.arange(m)[:, None] * np.array(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))) % m
+        perm = np.array(draw(st.permutations(range(m))))
+        inv = np.argsort(perm)
+        add, mul = perm[add[inv][:, inv]], perm[mul[inv][:, inv]]
+    for table in (add, mul):
+        for i, j, v in draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * 3), max_size=2)):
+            table[i, j] = v
+    return add, mul
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_magmas())
+def test_generators_decide_random_magmas_as_the_triple_loop_does(tables):
+    add, mul = tables
+    gens = kernels.generators(add)
+    assert kernels.assoc_witness(add, gens=gens) == _assoc_ref(add)
+    assert kernels.right_distrib_witness(mul, add, gens=gens) == _rdist_ref(mul, add)
+    assert kernels.assoc_witness(mul, gens=kernels.generators(mul)) == _assoc_ref(mul)
+
+
+def test_tests_from_generators_stay_within_the_slab_bound():
+    # The reduced tests take their generators in runs whose widest
+    # temporary fits in _SLAB_BYTES, however many generators there are:
+    # a left-zero table t[i, j] = i needs all 81 of its indices.
+    import tracemalloc
+
+    add, mul = _mod_tables(81)
+    left_zero = np.repeat(np.arange(81)[:, None], 81, axis=1)
+    for t in (add, mul, left_zero):
+        gens = kernels.generators(t)
+        cases = [(kernels.assoc_witness, (t,))]
+        if t is add:
+            cases.append((kernels.right_distrib_witness, (mul, t)))
+        for kernel, args in cases:
+            want = kernel(*args)
+            tracemalloc.start()
+            try:
+                assert kernel(*args, gens=gens) == want
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * kernels._SLAB_BYTES, (len(gens), kernel.__name__, peak)
+    assert len(kernels.generators(left_zero)) == 81
