@@ -23,15 +23,16 @@ failing triple. The modnear-ring passes generators; the field tables
 (m <= 27) do not, since at that size finding the greedy generators costs
 more than the whole cube. Median of 300 calls in process on a 2-core x86
 VM, sweep against generators found and tested, on F9, F25 and F27:
-associativity 15, 40, 43 us against 68, 92, 96 us; right distributivity
-26, 60, 64 us against 88, 118, 130 us.
+associativity 13, 33, 38 us against 58, 79, 86 us; right distributivity
+22, 50, 57 us against 77, 103, 112 us.
 
-A cube is swept a slab of rows at a time, up to the first slab that fails.
-A slab has the most rows whose widest temporary fits in _SLAB_BYTES, under
-glibc's default 128 KiB mmap threshold (18 rows of an 81**3 byte cube, 2
-of an intp one), so it reuses heap that the slab before it freed, where a
-whole 531 KB cube would be mapped and faulted in afresh on every sweep.
-Nothing is kept between calls.
+One loop, _sweep, runs every test a slab at a time, up to the first slab
+that fails. A slab is rows of the cube, or a run of generators of a reduced
+test, each an (m, m) plane. It has the most rows whose widest temporary fits
+in _SLAB_BYTES, under glibc's default 128 KiB mmap threshold (18 rows of an
+81**3 byte cube, 2 of an intp one), so it reuses heap that the slab before
+it freed, where a whole 531 KB cube would be mapped and faulted in afresh
+on every sweep. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -97,13 +98,15 @@ def _first_false(eq: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(eq.argmin(), eq.shape))
 
 
-def _sweep(m: int, slab, itemsize: int):
+def _sweep(n: int, m: int, slab, itemsize: int):
     """The row-major first (i, j, k) at which an identity fails, or None.
-    slab(i0, i1) is its (i1 - i0, m, m) truth over rows i0:i1, whose widest
-    temporary takes itemsize bytes an entry."""
+    slab(rows) is its truth at the rows of range(n) in the slice rows, one
+    (m, m) plane a row, whose widest temporary takes itemsize bytes an
+    entry. A row is a row of the index cube, or a generator of a reduced
+    test."""
     rows = max(1, _SLAB_BYTES // max(1, itemsize * m * m))
-    for i0 in range(0, m, rows):
-        w = _first_false(slab(i0, min(i0 + rows, m)))
+    for i0 in range(0, n, rows):
+        w = _first_false(slab(slice(i0, i0 + rows)))
         if w is not None:
             return (i0 + w[0], w[1], w[2])
     return None
@@ -138,20 +141,15 @@ def generators(t) -> list[int]:
     return gens
 
 
-def _holds_at(gens, m: int, itemsize: int, holds) -> bool:
-    """Whether holds(s), an (m, len(s), m) truth, is True everywhere for
-    each run s of gens, as intp. A run has the most generators whose widest
-    temporary, itemsize bytes an entry, fits in _SLAB_BYTES, as in _sweep."""
-    gens = np.asarray(gens, dtype=np.intp)
-    step = max(1, _SLAB_BYTES // max(1, itemsize * m * m))
-    return all(holds(gens[g0:g0 + step]).all() for g0 in range(0, len(gens), step))
-
-
 def _light(t: np.ndarray, gens) -> bool:
     """Light's test: (x t s) t y == x t (s t y) for every x, y and each s
     in gens. The middles s for which this holds are closed under t, so
     when gens generate t it proves t associative."""
-    return _holds_at(gens, len(t), t.itemsize, lambda s: t[t[:, s]] == np.take(t, t[s], axis=1))
+    tT, gens = t.T.copy(), np.asarray(gens, dtype=np.intp)
+    # (s, x, y), each side a row gather: t[t[x, s], y] against t[x, t[s, y]],
+    # which tT[t[s]] holds at (s, y, x).
+    return _sweep(len(gens), len(t), lambda r: t[tT[gens[r]]] == tT[t[gens[r]]].transpose(0, 2, 1),
+                  t.itemsize) is None
 
 
 def assoc_witness(t, *, gens=None):
@@ -162,8 +160,8 @@ def assoc_witness(t, *, gens=None):
     t = _square(t, "table")
     if gens is not None and _light(t, gens):
         return None
-    # t[t[i0:i1]] against t[i0:i1][:, t], both (i, j, k) row-major.
-    return _sweep(len(t), lambda i0, i1: t[t[i0:i1]] == np.take(t[i0:i1], t, axis=1), t.itemsize)
+    # t[t[r]] against t[r][:, t], both (i, j, k) row-major over rows r.
+    return _sweep(len(t), len(t), lambda r: t[t[r]] == np.take(t[r], t, axis=1), t.itemsize)
 
 
 def left_distrib_witness(mul, add):
@@ -175,8 +173,8 @@ def left_distrib_witness(mul, add):
     # The right side is one gather of add at the flat index
     # mul[i,j]*m + mul[i,k], which outgrows a byte: an intp slab.
     return _sweep(
-        m,
-        lambda i0, i1: np.take(mul[i0:i1], add, axis=1) == flat[am[i0:i1, :, None] + a[i0:i1, None, :]],
+        m, m,
+        lambda r: np.take(mul[r], add, axis=1) == flat[am[r, :, None] + a[r, None, :]],
         np.dtype(np.intp).itemsize,
     )
 
@@ -192,22 +190,21 @@ def right_distrib_witness(mul, add, *, gens=None):
     mul = _square(mul, "multiplication")
     add = _square(add, "addition", len(mul))
     m = len(mul)
-    if gens is not None and _light(add, gens):
-        # (i, s, k): mul[add[i, s], k] against add[mul[i, k], mul[s, k]],
-        # the latter one flat gather of add at the intp mul[i, k] * m + mul[s, k].
-        am, flat = mul.astype(np.intp)[:, None, :] * m, add.ravel()
-        if _holds_at(gens, m, am.itemsize, lambda s: mul[add[:, s]] == flat.take(am + mul[s])):
-            return None
-    # Row i of add[mul] as an (m, m*m) array holds add[mul[i,k], x] at
-    # k*m + x, so the right side at (i, j, k) is its column k*m + mul[j,k]:
-    # an (m, m) index, where a flat gather of add would need a cube.
+    # Row i of a[mul] as an (m, m*m) array holds a[mul[i,k], x] at k*m + x,
+    # so the right side at (i, j, k) is its column k*m + mul[j,k]: an (m, m)
+    # index, where a flat gather of a would need a cube.
     cols = np.arange(0, m * m, m) + mul.astype(np.intp)
 
-    def slab(i0, i1):
-        rhs = np.take(add[mul[i0:i1]].reshape(i1 - i0, m * m), cols, axis=1)
-        return mul[add[i0:i1]] == rhs
+    def truth(a, rows):  # the identity over a, at rows i of the cube
+        return mul[a[rows]] == np.take(a[mul[rows]].reshape(-1, m * m), cols, axis=1)
 
-    return _sweep(m, slab, add.itemsize)
+    # Over add.T the identity holds at (s, i, k) exactly when it holds over
+    # add at (i, s, k), so the reduced test is add.T's at rows s in gens.
+    if gens is not None and _light(add, gens):
+        gens, addT = np.asarray(gens, dtype=np.intp), add.T.copy()
+        if _sweep(len(gens), m, lambda r: truth(addT, gens[r]), add.itemsize) is None:
+            return None
+    return _sweep(m, m, lambda r: truth(add, r), add.itemsize)
 
 
 def hom_left_distrib_witness(maps, add_native, add_box):

@@ -268,6 +268,47 @@ def test_verify_addition_table_catches_mutation():
     assert any(c.witness is not None for c in rep.failures())
 
 
+def _edited(table, *entries):
+    """A copy of table with each (i, j, v) of entries set: t[i, j] = v."""
+    table = table.copy()
+    for i, j, v in entries:
+        table[i, j] = v
+    return table
+
+
+def _crafted_additions():
+    """One table for each check of the field-axiom suite that fails it, with
+    the witness that check carries (None for closure and inverses)."""
+    f4, f9 = make_field(2, 2), make_field(3, 2)
+    x4 = np.arange(f4.m)
+    swap = np.arange(f9.m)
+    swap[[1, 2]] = [2, 1]  # fixes 0, but is not multiplicative
+    group = transport(f9.add, swap)  # an abelian group with zero 0 that the product does not distribute over
+    return [
+        ("closure", f4, _edited(f4.add, (1, 2, 4)), None),
+        ("commutativity", f4, _edited(f4.add, (1, 2, 0)), (1, 2)),
+        ("zero", f9, transport(f9.add, f9.add[1]), [2]),  # x + y + 1, whose zero is -1 = 2
+        ("inverses", f4, x4[:, None] | x4[None, :], None),  # bitwise or: 1 has no inverse
+        ("associativity", f4, _edited(f4.add, (2, 3, 2), (3, 2, 2)), (1, 2, 2)),
+        ("left_distributivity", f9, group, (3, 1, 3)),
+        ("right_distributivity", f9, group, (1, 3, 3)),
+    ]
+
+
+CRAFTED_ADDITIONS = _crafted_additions()
+
+
+@pytest.mark.parametrize("name, field, table, witness", CRAFTED_ADDITIONS, ids=[c[0] for c in CRAFTED_ADDITIONS])
+def test_each_field_axiom_check_fails_on_a_crafted_table(name, field, table, witness):
+    rep = verify_addition_table(AdditionTable(field, table, f"crafted for {name}"))
+    (check,) = [c for c in rep.checks if c.name == name]
+    assert not check.ok and check.witness == witness, check
+    # Together the crafted tables fail every check that the suite makes.
+    assert [c.name for c in verify_addition_table(native_addition(field)).checks] == [
+        c[0] for c in CRAFTED_ADDITIONS
+    ]
+
+
 def test_verify_addition_table_fails_closure_without_sweeping():
     # An entry outside [0, m) is a failed report, not a crash or a verdict
     # on an index that wrapped around; a table of the wrong shape likewise.

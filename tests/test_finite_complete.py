@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nearfields import kernels
 from nearfields.finite import SUPPORTED_FIELDS, enumerate_additions, make_field
 from nearfields.nvs import check_qmc_equivalence
 
@@ -55,8 +57,9 @@ def _addition_maps(F) -> set[tuple[int, ...]]:
 
     An addition is x + y = x * rho(x**-1 * y) for x != 0, and 0 + y = y. It
     distributes over * by construction, so rho gives a near-field exactly
-    when rho(0) = 1, rho(-1) = 0, rho is a bijection, rho(1/t) = rho(t) / t
-    (commutativity), and (1 + x) + y = 1 + (x + y) for every pair x, y
+    when rho(0) = 1, rho(-1) = 0, rho is a bijection, rho(1/t) = t**-1 *
+    rho(t) (commutativity: rho(t) = t + 1 = t * rho(1/t); the product need
+    not commute), and (1 + x) + y = 1 + (x + y) for every pair x, y
     (associativity: every other triple scales to one that starts at 1).
     -1 is the unit other than 1 whose square is 1, or 1 where none is.
     A pair whose left side is set while rho(x + y) is not sets it.
@@ -78,8 +81,8 @@ def _addition_maps(F) -> set[tuple[int, ...]]:
         r = rho[mul[inv[a]][b]]
         return None if r is None else mul[a][r]
 
-    def assign(t, v, trail):  # rho(t) = v and rho(1/t) = v / t; False on a clash
-        s, w = inv[t], mul[v][inv[t]]
+    def assign(t, v, trail):  # rho(t) = v and rho(1/t) = t**-1 * v; False on a clash
+        s, w = inv[t], mul[inv[t]][v]
         if taken[v] or taken[w] or (s == t and w != v):
             return False
         for k, x in {t: v, s: w}.items():
@@ -139,3 +142,33 @@ def test_exponent_additions_are_every_addition(p, n):
     phi = sum(1 for k in range(1, F.m - 1) if gcd(k, F.m - 1) == 1)
     assert len(expected) == phi // n
     assert _addition_maps(F) == expected
+
+
+def _dickson_9():
+    """Dickson's near-field of order 9 on F9's carrier, with the m, zero,
+    one, mul and inv that _addition_maps reads: x o y = x * y**(3**[x is
+    not a square]), where y -> y**3 is F9's Frobenius. Its units form Q8."""
+    F = make_field(3, 2)
+    square = (F.dlog >= 0) & (F.dlog % 2 == 0)
+    mul = np.where(square[:, None], F.mul, F.mul[:, F.power_table(3)])  # row 0 is 0 either way
+    inv = (mul == F.one).argmax(axis=1)  # inv[0] = 0, as F.inv
+    return SimpleNamespace(m=F.m, zero=F.zero, one=F.one, mul=mul, inv=inv)
+
+
+def test_every_addition_on_dickson_near_field_of_order_9():
+    # Its product does not commute, so no addition makes it a field: each
+    # of its 4 additions distributes on the left only. F9's + is one.
+    D, F = _dickson_9(), make_field(3, 2)
+    assert not np.array_equal(D.mul, D.mul.T)
+    maps = _addition_maps(D)
+    assert len(maps) == 4 and tuple(F.add[F.one].tolist()) in maps
+    x = np.arange(D.m)[:, None]
+    for rho in maps:
+        add = D.mul[x, np.array(rho)[D.mul[D.inv[x], x.T]]]  # x * rho(x**-1 * y)
+        add[D.zero] = x.T  # 0 + y = y
+        assert kernels.assoc_witness(add) is None
+        assert np.array_equal(add, add.T)
+        assert np.flatnonzero((add == x.T).all(axis=1)).tolist() == [D.zero]
+        assert (add == D.zero).any(axis=1).all()
+        assert kernels.left_distrib_witness(D.mul, add) is None
+        assert kernels.right_distrib_witness(D.mul, add) is not None

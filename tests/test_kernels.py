@@ -540,3 +540,47 @@ def test_tests_from_generators_stay_within_the_slab_bound():
                 tracemalloc.stop()
             assert peak < 4 * kernels._SLAB_BYTES, (len(gens), kernel.__name__, peak)
     assert len(kernels.generators(left_zero)) == 81
+
+
+def _failing_at_the_last_generators():
+    """Tables at m = 81 with 81 generators each, 18 a run, whose reduced
+    tests fail only at generators in the last run:
+
+    - for assoc_witness, x o y = x, except 80 o 0 = 1 and 80 o y = 0 for
+      y != 0, so that Light's test fails only with 80 in the middle;
+    - for right_distrib_witness, the sum max(x, y) and a product whose
+      columns are x -> x, except that column 0 swaps 79 and 80, so that it
+      distributes over max except at the pairs {79, 80}."""
+    x = np.arange(81)
+    left_zero = np.repeat(x[:, None], 81, axis=1)
+    left_zero[80] = np.where(x == 0, 1, 0)
+    mul = np.repeat(x[:, None], 81, axis=1)
+    mul[[79, 80], 0] = [80, 79]
+    return left_zero, np.maximum(x[:, None], x[None, :]), mul
+
+
+def test_a_reduced_test_that_fails_in_its_last_run_finds_the_sweeps_witness():
+    # The slab loop runs every generator run before it: each reduced test
+    # fails only in its last run, whereupon the sweep finds the first
+    # failing triple, all within the slab bound.
+    import tracemalloc
+
+    left_zero, add, mul = _failing_at_the_last_generators()
+    gens_t, gens_add = kernels.generators(left_zero), kernels.generators(add)
+    assert gens_t == gens_add == list(range(81))
+    light_fails = [s for s in gens_t if (left_zero[left_zero[:, s]] != left_zero[:, left_zero[s]]).any()]
+    rdist_fails = [s for s in gens_add if (mul[add[:, s]] != add[mul, mul[s]]).any()]
+    assert light_fails == [80] and rdist_fails == [79, 80] and _assoc_cube(add) is None
+    for kernel, args, gens, want in (
+        (kernels.assoc_witness, (left_zero,), gens_t, (80, 80, 1)),
+        (kernels.right_distrib_witness, (mul, add), gens_add, (79, 80, 0)),
+    ):
+        assert kernel(*args) == want
+        tracemalloc.start()
+        try:
+            assert kernel(*args, gens=gens) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * kernels._SLAB_BYTES, (kernel.__name__, peak)
+    assert (_assoc_cube(left_zero), _rdist_cube(mul, add)) == ((80, 80, 1), (79, 80, 0))
