@@ -2,6 +2,8 @@
 
 from functools import partial
 
+__all__ = ["DomainError", "IntegrityError", "ResourceLimitError"]
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's mathematical domain."""

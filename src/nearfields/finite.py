@@ -257,7 +257,8 @@ def verify_addition_table(t: AdditionTable) -> Report:
     rep.add("commutativity", w is None, witness=w)
     zero_rows = np.flatnonzero((tab == np.arange(m)).all(axis=1)).tolist()
     rep.add("zero", zero_rows == [f.zero], witness=zero_rows)
-    rep.add("inverses", bool((tab == f.zero).any(axis=1).all()))
+    (w,) = kernels._first_false((tab == f.zero).any(axis=1)) or (None,)  # the first row with no zero
+    rep.add("inverses", w is None, witness=w)
 
     w = kernels.assoc_witness(tab)
     rep.add("associativity", w is None, witness=w)
@@ -443,7 +444,8 @@ def modnear_ring_check() -> Report:
         zeros = np.flatnonzero((idx == np.arange(n)).all(axis=1)).tolist()
         rep.add(f"group_zero[{name}]", len(zeros) == 1, witness=zeros)
         if len(zeros) == 1:
-            rep.add(f"group_inverses[{name}]", bool((idx == zeros[0]).any(axis=1).all()))
+            (w,) = kernels._first_false((idx == zeros[0]).any(axis=1)) or (None,)
+            rep.add(f"group_inverses[{name}]", w is None, witness=w)
 
     group_axioms(box_idx, box_gens, "boxplus")  # axiom 1, module side
     group_axioms(nat_idx, nat_gens, "plus")  # axiom 1, ring side
@@ -459,6 +461,7 @@ def modnear_ring_check() -> Report:
             witness=ident)
 
     # Axiom 3': h(f + g) = h(f) boxplus h(g), pointwise over all 81^3 triples.
+    # It cannot fail: _plane_homs kept just the maps that hold it, on these tables.
     w = kernels.hom_left_distrib_witness(maps, native, box)
     rep.add("axiom_3_left_distrib", w is None, witness=w)
     rep.counts["triples"] = n**3

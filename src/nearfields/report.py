@@ -16,6 +16,8 @@ from typing import Callable
 
 from .errors import ResourceLimitError
 
+__all__ = ["Check", "Report"]
+
 
 def _skips_outweigh(checked: int, skipped: int) -> bool:
     """Whether a scan of a fixed list of samples checked none of them, or

@@ -266,6 +266,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
     characteristic = next((n for n in range(1, bound + 1) if pos[n] == c.zero), 0)
     if characteristic:
         rep.add("characteristic_prime", is_prime(characteristic), witness=characteristic)
+    # Informational, kept for char_map_exotic_12.json: chi(0) starts the orbit.
     rep.add("chi_zero", chi[0] == c.zero)
     rep.add("chi_one", chi[1] == c.one)
 
@@ -301,8 +302,8 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
         subfield, evidence_bounded = (), False
     elif c.is_finite:
         p = characteristic
+        # Distinct: a repeat rho^i(0) = rho^j(0), i < j < p, reaches 0 before p.
         core = [chi[n] for n in range(p)]
-        rep.add("chi_injective_mod_p", len(set(core)) == p)
         units = [x for x in core if x != c.zero]
         closed = all(c.mul(a, b) in core for a in units for b in units)
         has_inv = all(c.inv(a) in units for a in units)
@@ -328,6 +329,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
         subfield = tuple(v for _, v in table)
         evidence_bounded = characteristic == 0
         if characteristic == 0:
+            # Informational, kept for char_map_exotic_12.json: no pos[n], n > 0, is 0.
             rep.add(
                 "no_zero_in_bound",
                 all(pos[n] != c.zero for n in range(1, bound + 1)),

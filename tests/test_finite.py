@@ -278,7 +278,8 @@ def _edited(table, *entries):
 
 def _crafted_additions():
     """One table for each check of the field-axiom suite that fails it, with
-    the witness that check carries (None for closure and inverses)."""
+    the witness that check carries (None for closure, and for inverses the
+    first element whose row holds no zero)."""
     f4, f9 = make_field(2, 2), make_field(3, 2)
     x4 = np.arange(f4.m)
     swap = np.arange(f9.m)
@@ -288,7 +289,7 @@ def _crafted_additions():
         ("closure", f4, _edited(f4.add, (1, 2, 4)), None),
         ("commutativity", f4, _edited(f4.add, (1, 2, 0)), (1, 2)),
         ("zero", f9, transport(f9.add, f9.add[1]), [2]),  # x + y + 1, whose zero is -1 = 2
-        ("inverses", f4, x4[:, None] | x4[None, :], None),  # bitwise or: 1 has no inverse
+        ("inverses", f4, x4[:, None] | x4[None, :], 1),  # bitwise or: row 1 is [1, 1, 3, 3]
         ("associativity", f4, _edited(f4.add, (2, 3, 2), (3, 2, 2)), (1, 2, 2)),
         ("left_distributivity", f9, group, (3, 1, 3)),
         ("right_distributivity", f9, group, (1, 3, 3)),
@@ -430,6 +431,68 @@ def test_modnear_closure_tables_match_a_dict_naming():
             expect[i, j] = -1
             assert np.array_equal(member_of(bad), expect), (key, x, i, j)
     assert int(member_of(np.arange(9))) == name[np.arange(9, dtype=np.int64).tobytes()]
+
+
+# One edit of a table that modnear_ring_check names for each of its checks
+# that fails it: (table, key, value, {check: witness}). The check takes no
+# input, so its tables are reached through the namer that names them, whose
+# member_of it calls on the boxplus, plus and compose rows, in that order,
+# and then on the identity map (the table "identity", with key ()). The
+# zero map is member 0.
+MODNEAR_EDITS = [
+    ("boxplus", (1, 2), 5, {"group_assoc[boxplus]": (1, 1, 1), "group_comm[boxplus]": None,
+                            "group_inverses[boxplus]": 1, "axiom_6_right_distrib": (1, 2, 6)}),
+    ("plus", (1, 2), 5, {"group_assoc[plus]": (1, 1, 1), "group_comm[plus]": None,
+                         "group_inverses[plus]": 1, "parenthetical_right_distrib_plus": (1, 2, 6)}),
+    ("compose", (3, 4), 7, {"monoid_assoc[compose]": (1, 3, 4), "axiom_6_right_distrib": (1, 3, 4),
+                            "parenthetical_right_distrib_plus": (1, 3, 4)}),
+    ("boxplus", (1, 2), -1, {"closure[boxplus]": (1, 2)}),
+    ("plus", (1, 2), -1, {"closure[plus]": (1, 2)}),
+    ("compose", (1, 2), -1, {"closure[compose]": (1, 2)}),
+    ("identity", (), 5, {"monoid_identity[compose]": 5, "axiom_5_unit_action_bijective": None}),
+    ("boxplus", (0, 1), 0, {"group_zero[boxplus]": []}),  # no identity row
+    ("plus", 1, np.arange(81), {"group_zero[plus]": [0, 1]}),  # two identity rows
+]
+
+
+def _modnear_with_edit(monkeypatch, table, key, value):
+    namer = finite._member_namer
+
+    def tampered_namer(maps, basis):
+        member_of, names = namer(maps, basis), iter(["boxplus", "plus", "compose", "identity"])
+
+        def tampered(rows):
+            out = member_of(rows)
+            if next(names) == table:
+                out = out.copy()
+                out[key] = value
+            return out
+
+        return tampered
+
+    monkeypatch.setattr(finite, "_member_namer", tampered_namer)
+    return modnear_ring_check()
+
+
+@pytest.mark.parametrize("table, key, value, fails", MODNEAR_EDITS, ids=[next(iter(e[3])) for e in MODNEAR_EDITS])
+def test_each_modnear_check_fails_on_an_edited_table(monkeypatch, table, key, value, fails):
+    got = {c.name: c.witness for c in _modnear_with_edit(monkeypatch, table, key, value).failures()}
+    assert {name: got.get(name, "passed") for name in fails} == fails
+
+
+def test_modnear_check_fails_member_count_on_a_missing_hom(monkeypatch):
+    homs = finite._plane_homs
+    monkeypatch.setattr(finite, "_plane_homs", lambda f, box: homs(f, box)[:-1])
+    (first, *_) = modnear_ring_check().failures()
+    assert (first.name, first.witness) == ("member_count", 80)
+
+
+def test_modnear_edits_fail_every_check_but_two():
+    # cubing_addition_is_native is informational, and axiom_3_left_distrib
+    # cannot fail: _plane_homs keeps exactly the maps that it holds for.
+    failed = {name for *_, fails in MODNEAR_EDITS for name in fails} | {"member_count"}
+    names = {c.name for c in modnear_ring_check().checks}
+    assert names - failed == {"cubing_addition_is_native", "axiom_3_left_distrib"}
 
 
 def test_enumeration_json():

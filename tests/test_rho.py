@@ -18,6 +18,7 @@ from nearfields.induced import exotic_add_q
 from nearfields.rho import (
     CHAR_MAP_MAX_BOUND,
     RING_HOM_CAP,
+    Carrier,
     RhoMap,
     add_from_rho,
     char_map,
@@ -26,6 +27,7 @@ from nearfields.rho import (
     rho_from_add,
     verify_rho_axioms,
 )
+from test_finite_complete import _dickson_9
 
 # chi on (Q, exotic +) for n = 1..12, frozen from the sigma pipeline and
 # checked by hand against the correspondence prefix: 5 = -pi2 pi3 gives
@@ -237,6 +239,56 @@ def test_char_map_validation_and_integrity():
     fixed = RhoMap(field_carrier(F), lambda x: 0 if x == 0 else int(shift[x]))
     first = char_map(fixed, 9).report.first_failure()
     assert (first.name, first.witness) == ("characteristic_prime", 1)
+
+
+def _orbit_rho(carrier, *orbit):
+    """A rho at fault: it sends each element of orbit to the next, and fixes
+    every other element."""
+    steps = dict(zip(orbit, orbit[1:]))
+    return RhoMap(carrier, lambda x: steps.get(x, x))
+
+
+def _char_map_faults():
+    """One rho on a finite carrier for each prime-subfield check of char_map
+    that fails it, with its bound and the witness that check carries.
+    core_commutative and core_two_sided_distributive cannot fail over a
+    commutative product, where alpha * rho(alpha**-1 * beta) distributes on
+    both sides, so they fail on Dickson's near-field of order 9."""
+    F9, D = make_field(3, 2), _dickson_9()
+    f9 = field_carrier(F9)
+    dickson = Carrier(
+        "D9", D.zero, D.one, int(F9.minus_one),
+        mul=lambda a, b: int(D.mul[a, b]),
+        inv=lambda a: int(D.inv[a]),
+        div=lambda b, a: int(D.mul[D.inv[a], b]),
+        neg=lambda a: int(F9.neg[a]),  # the additive group of F9
+        elements=f9.elements,
+    )
+    return [
+        ("characteristic_prime", _orbit_rho(f9, 0, 1, 2, 3, 0), 8, 4),
+        ("order_is_power_of_characteristic", _orbit_rho(f9, 0, 1, 2, 3, 4, 0), 8, None),
+        ("chi_one", _orbit_rho(f9, 0, 3, 4, 0), 8, None),
+        ("core_multiplicative_subgroup", _orbit_rho(f9, 0, 3, 4, 0), 8, None),
+        ("chi_vanishes_on_a_finite_carrier", _orbit_rho(f9, 0, 1, 2, 1), 12, 12),
+        ("core_commutative", _orbit_rho(dickson, 0, 3, 4, 0), 8, None),
+        ("core_two_sided_distributive", _orbit_rho(dickson, 0, 3, 4, 0), 8, (3, 1, 3)),
+    ]
+
+
+CHAR_MAP_FAULTS = _char_map_faults()
+
+
+@pytest.mark.parametrize("name, r, bound, witness", CHAR_MAP_FAULTS, ids=[c[0] for c in CHAR_MAP_FAULTS])
+def test_each_finite_char_map_check_fails_on_a_rho_at_fault(name, r, bound, witness):
+    (check,) = [c for c in char_map(r, bound).report.checks if c.name == name]
+    assert not check.ok and check.witness == witness, check
+
+
+def test_char_map_faults_fail_every_finite_carrier_check():
+    # chi_zero alone cannot fail: chi(0) is where the orbit starts.
+    names = {c.name for c in char_map(_field_rho()[1], 6).report.checks}
+    failed = {c.name for _, r, bound, _ in CHAR_MAP_FAULTS for c in char_map(r, bound).report.failures()}
+    assert names - failed == {"chi_zero"}
 
 
 def test_char_map_refuses_a_bound_past_its_ceiling_before_evaluating_rho():
