@@ -440,7 +440,8 @@ def modnear_ring_check() -> Report:
     def group_axioms(idx: np.ndarray, gens: list[int], name: str) -> None:
         w = kernels.assoc_witness(idx, gens=gens)
         rep.add(f"group_assoc[{name}]", w is None, witness=w)
-        rep.add(f"group_comm[{name}]", bool((idx == idx.T).all()))
+        w = kernels._first_false(idx == idx.T)
+        rep.add(f"group_comm[{name}]", w is None, witness=w)
         zeros = np.flatnonzero((idx == np.arange(n)).all(axis=1)).tolist()
         rep.add(f"group_zero[{name}]", len(zeros) == 1, witness=zeros)
         if len(zeros) == 1:
@@ -467,7 +468,8 @@ def modnear_ring_check() -> Report:
     rep.counts["triples"] = n**3
 
     # Axiom 5': f -> 1 boxdot f is a bijection; the identity acts as 1.
-    rep.add("axiom_5_unit_action_bijective", bool((comp_idx[ident] == np.arange(n)).all()))
+    (w,) = kernels._first_false(comp_idx[ident] == np.arange(n)) or (None,)
+    rep.add("axiom_5_unit_action_bijective", w is None, witness=w)
 
     # Axiom 6': (f boxplus g) o h = (f o h) boxplus (g o h), over all triples.
     w = kernels.right_distrib_witness(comp_idx, box_idx, gens=box_gens)

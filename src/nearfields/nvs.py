@@ -95,44 +95,64 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     Also re-derives the transport identities psi(a (.) b) = phi(a) psi(b)
     and psi(a (+) b) = psi(a) + psi(b) pointwise, which double as a check
     that the tables were assembled from the inputs they claim.
+
+    Each check is whole-table work, and carries its first failing pair
+    (i, j) or vector v where it has one. The free action is one comparison,
+    S.T == arange(m)[:, None], whose first True off the zero row and the
+    column of one is the witness (alpha, gamma), gamma-major. The orbits
+    are the rows O = S.T, O[v] = F (.) v: one scatter marks which x lie in
+    each, and one (m, m, m) gather A[O[:, :, None], O[:, None, :]] holds
+    every orbit's sums, so v is in the quasi-kernel when all of row v's
+    sums are marked. That mask seeds the closure of the quasi-kernel.
     """
     F = s.field
     m = F.m
     rep = Report("elementary near-vector-space axioms")
     A, S = s.box_add, s.box_smul
+    rows = np.arange(m)
+
+    def check(name: str, eq: np.ndarray) -> None:
+        """The check that eq holds everywhere, witnessed by its first
+        failing pair (i, j), or vector v where eq is one row."""
+        w = _first_false(eq)
+        rep.add(name, w is None, witness=w if w is None or eq.ndim > 1 else w[0])
 
     wit = assoc_witness(A)
     rep.add("add_associative", wit is None, witness=wit)
-    rep.add("add_commutative", bool(np.array_equal(A, A.T)))
-    rep.add("add_zero", bool(np.array_equal(A[F.zero], np.arange(m))))
+    check("add_commutative", A == A.T)
+    check("add_zero", A[F.zero] == rows)
     box_neg = s.psi_inv[F.neg[s.psi]]
-    rep.add(
-        "add_inverses",
-        bool(np.array_equal(A[np.arange(m), box_neg], np.full(m, F.zero))),
-    )
+    check("add_inverses", A[rows, box_neg] == F.zero)
 
-    rep.add("action_identity", bool(np.array_equal(S[F.one], np.arange(m))))
-    rep.add("action_minus_one", bool(np.array_equal(S[F.minus_one], box_neg)))
-    rep.add("action_zero", bool((S[F.zero] == F.zero).all()))
+    check("action_identity", S[F.one] == rows)
+    check("action_minus_one", S[F.minus_one] == box_neg)
+    check("action_zero", S[F.zero] == F.zero)
     wit = _first_false(S[F.mul] == S[:, S])
     rep.add("action_associative", wit is None, witness=wit)
     wit = left_distrib_witness(S, A)
     rep.add("action_distributes", wit is None, witness=wit)
 
-    pairs = ((alpha, gamma) for gamma in range(m) if gamma != F.zero for alpha in range(m))
-    bad = next(((a, g) for a, g in pairs if S[a, g] == g and a != F.one), None)
-    rep.add("action_free_off_zero", bad is None, witness=bad)
+    orbits = S.T
+    fixed = orbits == rows[:, None]  # fixed[gamma, alpha]: alpha (.) gamma == gamma
+    fixed[F.zero] = False
+    fixed[:, F.one] = False
+    wit = _first_false(~fixed)
+    rep.add("action_free_off_zero", wit is None, witness=None if wit is None else wit[::-1])
 
     # v is in the quasi-kernel when its orbit F (.) v is closed under (+).
-    quasi = [v for v, orbit in enumerate(S.T) if np.isin(_grid(A, orbit, orbit), orbit).all()]
+    in_orbit = np.zeros((m, m), dtype=bool)
+    in_orbit[rows[:, None], orbits] = True
+    sums = A[orbits[:, :, None], orbits[:, None, :]]  # sums[v, a, b] = (a (.) v) (+) (b (.) v)
+    closed = in_orbit[rows[:, None, None], sums].all(axis=(1, 2))
+    quasi = np.flatnonzero(closed).tolist()
     rep.add("quasi_kernel_is_everything", quasi == list(range(m)), witness=quasi)
     # In a finite group, the closure under (+) alone is the subgroup generated.
-    span = _close(A, np.isin(np.arange(m), quasi))
+    span = _close(A, closed)
     rep.add("quasi_kernel_generates", bool(span.all()))
     rep.add("orbit_of_one_full", is_permutation(S[:, F.one], m))
 
-    rep.add("transport_multiplicative", bool(np.array_equal(s.psi[S], _grid(F.mul, s.phi, s.psi))))
-    rep.add("transport_additive", bool(np.array_equal(s.psi[A], _grid(F.add, s.psi, s.psi))))
+    check("transport_multiplicative", s.psi[S] == _grid(F.mul, s.phi, s.psi))
+    check("transport_additive", s.psi[A] == _grid(F.add, s.psi, s.psi))
     rep.counts["triples"] = m**3
     return rep
 

@@ -117,15 +117,28 @@ def test_no_module_imports_a_test_oracle():
             assert not roots & oracles, (path.name, roots & oracles)
 
 
+def _uses_of(name: str) -> list[tuple[str, int]]:
+    """(module, line) of every attribute or from-import named name in the
+    package's modules."""
+    uses = []
+    for path in sorted(Path(nearfields.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.ImportFrom) and name in {alias.name for alias in node.names}):
+                uses.append((path.name, node.lineno))
+    return uses
+
+
 def test_no_module_calls_np_ix():
     # Every two-dimensional gather goes through kernels._grid, whose two takes
     # skip building np.ix_'s index grid.
-    for path in sorted(Path(nearfields.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
-                assert node.attr != "ix_", (path.name, node.lineno)
-            elif isinstance(node, ast.ImportFrom):
-                assert "ix_" not in {alias.name for alias in node.names}, (path.name, node.lineno)
+    assert _uses_of("ix_") == []
+
+
+def test_no_module_calls_np_isin():
+    # Membership is read off a mask by one gather, as verify_nvs_axioms reads
+    # its orbits, never tested one element or one vector at a time.
+    assert _uses_of("isin") == []
 
 
 @pytest.mark.parametrize(

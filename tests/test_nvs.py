@@ -29,6 +29,7 @@ from nearfields.nvs import (
     qm_invert,
     verify_nvs_axioms,
 )
+from test_finite import _edited
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,101 @@ def test_a_fixed_point_action_has_a_quasi_kernel_that_generates_nothing(F):
     assert not checks["quasi_kernel_generates"].ok
 
 
+def _crafted_spaces():
+    """One space on F9 for each check of verify_nvs_axioms that fails it,
+    with the witness that check carries (None where it carries none). Each
+    is the native space (psi and phi the identity, so (+) is + and (.) is
+    the product) with tables swapped in by dataclasses.replace."""
+    f9 = make_field(3, 2)
+    x = np.arange(f9.m)
+    native = build_elementary(f9, x, x)
+    line = np.tile(x, (f9.m, 1))  # a (.) v = v for every a != 0, so no orbit {0, v} is closed,
+    line[f9.zero] = f9.zero
+    sign = np.where(f9.dlog % 2 == 0, f9.one, f9.minus_one)  # the quadratic character
+    sign[f9.zero] = f9.zero
+    line[:, [3, 6]] = f9.mul[sign[:, None], [3, 6]]  # but a (.) v = +-v on the line {0, 3, 6}
+    swap = x.copy()
+    swap[[1, 2]] = [2, 1]  # fixes 0, but is not multiplicative
+    bad_phi = x[[0, 1, 3, 2, 4, 5, 6, 7, 8]]  # criterion 8's swap of phi at 2 and 3
+    p5 = f9.power_table(5)
+    return [
+        ("add_associative", replace(native, box_add=_edited(f9.add, (1, 2, 4), (2, 1, 4))), (1, 1, 2)),
+        ("add_commutative", replace(native, box_add=_edited(f9.add, (1, 2, 4))), (1, 2)),
+        ("add_zero", replace(native, box_add=_edited(f9.add, (0, 3, 4))), 3),
+        ("add_inverses", replace(native, box_add=_edited(f9.add, (3, 6, 1))), 3),  # -3 = 6
+        ("action_identity", replace(native, box_smul=_edited(f9.mul, (1, 3, 4))), 3),
+        ("action_minus_one", replace(native, box_smul=_edited(f9.mul, (2, 3, 4))), 3),  # -1 = 2
+        ("action_zero", replace(native, box_smul=_edited(f9.mul, (0, 3, 3))), 3),
+        ("action_associative", _assemble(f9, x, bad_phi), (2, 2, 1)),
+        ("action_distributes", replace(native, box_add=transport(f9.add, swap)), (3, 1, 3)),
+        # gamma-major, the first of the fixed points (4, 3) and (3, 5)
+        ("action_free_off_zero", replace(native, box_smul=_edited(f9.mul, (4, 3, 3), (3, 5, 5))), (4, 3)),
+        ("quasi_kernel_is_everything", replace(native, box_smul=_edited(f9.mul, (1, 3, 4))), [0, 1, 2, 4, 5, 6, 7, 8]),
+        ("quasi_kernel_generates", replace(native, box_smul=line), None),
+        ("orbit_of_one_full", replace(native, box_smul=_edited(f9.mul, (2, 1, 3))), None),
+        ("transport_multiplicative", replace(native, phi=f9.power_table(3)), (3, 1)),
+        ("transport_additive", replace(native, psi=p5, psi_inv=np.argsort(p5)), (1, 3)),
+    ]
+
+
+CRAFTED_SPACES = _crafted_spaces()
+
+
+@pytest.mark.parametrize("name, space, witness", CRAFTED_SPACES, ids=[c[0] for c in CRAFTED_SPACES])
+def test_each_nvs_check_fails_on_a_crafted_space(name, space, witness):
+    rep = verify_nvs_axioms(space)
+    (check,) = [c for c in rep.checks if c.name == name]
+    assert not check.ok and check.witness == witness, check
+    _assert_matches_oracle(space, rep)
+    # Together the crafted spaces fail every check that the verifier makes.
+    native = build_elementary(space.field, np.arange(9), np.arange(9))
+    assert [c.name for c in verify_nvs_axioms(native).checks] == [c[0] for c in CRAFTED_SPACES]
+
+
+def _oracle_readings(s):
+    """The quasi-kernel, whether it generates (V, (+)), and the first fixed
+    point (alpha, gamma) of the action off zero, read one vector at a time:
+    an np.isin per orbit, a closure of sets, and the pairs walked
+    gamma-major."""
+    F, A, S = s.field, s.box_add, s.box_smul
+    quasi = [v for v, orbit in enumerate(S.T) if np.isin(A[np.ix_(orbit, orbit)], orbit).all()]
+    span = set(quasi)
+    while (grown := span | {int(A[a, b]) for a in span for b in span}) != span:
+        span = grown
+    pairs = ((alpha, gamma) for gamma in range(F.m) if gamma != F.zero for alpha in range(F.m))
+    free = next(((a, g) for a, g in pairs if S[a, g] == g and a != F.one), None)
+    return quasi, len(span) == F.m, free
+
+
+def _assert_matches_oracle(s, rep):
+    """rep, verify_nvs_axioms's report on s, agrees with the oracle's
+    readings, which are returned."""
+    checks = {c.name: c for c in rep.checks}
+    quasi, generates, free = _oracle_readings(s)
+    assert checks["quasi_kernel_is_everything"].witness == quasi
+    assert checks["quasi_kernel_generates"].ok == generates
+    assert checks["action_free_off_zero"].witness == free
+    return tuple(quasi), generates, free
+
+
+@pytest.mark.parametrize("table", ["box_smul", "box_add"])
+@pytest.mark.parametrize("key, k_psi, k_phi", [((3, 2), 5, 3), ((5, 2), 7, 5)], ids=["f9", "f25"])
+def test_quasi_kernel_and_free_action_match_the_oracle_after_one_edit(key, k_psi, k_phi, table):
+    field = make_field(*key)
+    s = build_elementary(field, field.power_table(k_psi), field.power_table(k_phi))
+    rng = np.random.default_rng(48)
+    readings = set()
+    for _ in range(200):
+        i, j, step = rng.integers(field.m), rng.integers(field.m), rng.integers(1, field.m)
+        t = getattr(s, table)
+        edited = replace(s, **{table: _edited(t, (i, j, (t[i, j] + step) % field.m))})
+        readings.add(_assert_matches_oracle(edited, verify_nvs_axioms(edited)))
+    # For v != 0 the orbit F (.) v is all of V, so only an edit of (.), or
+    # of 0 (+) 0, can leave an orbit open or give the action a fixed point.
+    if table == "box_smul":
+        assert len(readings) > 1
+
+
 def _accepted_pairs(field):
     """Every (psi, phi) that build_elementary accepts on field: psi a
     bijection fixing zero that commutes with negation, phi a
@@ -196,6 +292,7 @@ def test_every_accepted_space_on_f4_and_f9(key, count, classes):
         s = build_elementary(field, psi, phi)
         rep, box1 = verify_nvs_axioms(s), check_elementary_box1(s)
         assert rep.ok and box1.ok, (psi, phi, rep.first_failure() or box1.first_failure())
+        _assert_matches_oracle(s, rep)
         at_one = transport(s.box_add, s.box_smul[:, field.one])
         seen[class_of[at_one.tobytes()]] += 1
 
@@ -205,7 +302,9 @@ def test_every_accepted_space_on_f4_and_f9(key, count, classes):
         i, j = [x for x in range(field.m) if x not in (field.one, int(phi[field.one]))][:2]
         bad_phi[i], bad_phi[j] = bad_phi[j], bad_phi[i]
         broken = _assemble(field, psi, bad_phi)
-        failed = verify_nvs_axioms(broken).failures() or check_elementary_box1(broken).failures()
+        broken_rep = verify_nvs_axioms(broken)
+        _assert_matches_oracle(broken, broken_rep)
+        failed = broken_rep.failures() or check_elementary_box1(broken).failures()
         assert any(c.witness is not None for c in failed), (psi, phi)
     assert seen == classes
 
