@@ -241,31 +241,31 @@ def verify_addition_table(t: AdditionTable) -> Report:
     all pairs. A failing cubic sweep reports its lexicographically first
     failing triple as the witness. A table that is not m-by-m, of an
     integer dtype, with entries in [0, m) fails closure, and nothing is
-    swept on it.
+    swept on it; closure's witness is the dtype's name, the shape, or the
+    first (i, j) whose entry is outside [0, m), in that order.
     """
     f = t.field
     tab = t.table
     rep = Report(f"field axioms for {t.provenance} on {f!r}")
     m = f.m
 
-    closed = tab.dtype.kind in "iu" and tab.shape == (m, m) and bool(((tab >= 0) & (tab < m)).all())
-    rep.add("closure", closed)
-    if not closed:
+    if tab.dtype.kind not in "iu":
+        outside = tab.dtype.name
+    elif tab.shape != (m, m):
+        outside = tab.shape
+    else:
+        outside = kernels._first_false((tab >= 0) & (tab < m))
+    if not rep.holds("closure", outside).ok:
         rep.counts["triples"] = 0
         return rep
-    w = kernels._first_false(tab == tab.T)
-    rep.add("commutativity", w is None, witness=w)
+    rep.holds("commutativity", kernels._first_false(tab == tab.T))
     zero_rows = np.flatnonzero((tab == np.arange(m)).all(axis=1)).tolist()
     rep.add("zero", zero_rows == [f.zero], witness=zero_rows)
-    (w,) = kernels._first_false((tab == f.zero).any(axis=1)) or (None,)  # the first row with no zero
-    rep.add("inverses", w is None, witness=w)
+    rep.holds("inverses", kernels._first_false((tab == f.zero).any(axis=1)))  # the first row with no zero
 
-    w = kernels.assoc_witness(tab)
-    rep.add("associativity", w is None, witness=w)
-    wl = kernels.left_distrib_witness(f.mul, tab)
-    rep.add("left_distributivity", wl is None, witness=wl)
-    wr = kernels.right_distrib_witness(f.mul, tab)
-    rep.add("right_distributivity", wr is None, witness=wr)
+    rep.holds("associativity", kernels.assoc_witness(tab))
+    rep.holds("left_distributivity", kernels.left_distrib_witness(f.mul, tab))
+    rep.holds("right_distributivity", kernels.right_distrib_witness(f.mul, tab))
     rep.counts["triples"] = m**3
     return rep
 
@@ -310,7 +310,7 @@ def enumerate_additions(field: FiniteField) -> EnumerationResult:
     report.add("native_in_class_of_1", by_exp[1].same_table(native_addition(field)), witness=native_class)
     for t in tables:
         sub = verify_addition_table(t)
-        report.add(f"axioms[{t.provenance}]", sub.ok, witness=None if sub.ok else sub.first_failure())
+        report.holds(f"axioms[{t.provenance}]", sub.first_failure())
         report.counts[f"triples[{t.provenance}]"] = sub.counts["triples"]
     report.counts["units"] = len(units)
     report.counts["distinct_tables"] = len(tables)
@@ -427,9 +427,7 @@ def modnear_ring_check() -> Report:
         """Index table of a pointwise operation, or None if not closed;
         rows[:, i, j] is the map that member i and member j give."""
         out = member_of(rows)
-        w = kernels._first_false(out >= 0)
-        rep.add(f"closure[{name}]", w is None, witness=w)
-        return out if w is None else None
+        return out if rep.holds(f"closure[{name}]", kernels._first_false(out >= 0)).ok else None
 
     box_idx, nat_idx, comp_idx = (table_of(r, k) for k, r in _pointwise_rows(maps, box, native).items())
     if box_idx is None or nat_idx is None or comp_idx is None:
@@ -438,44 +436,37 @@ def modnear_ring_check() -> Report:
     box_gens, nat_gens, comp_gens = (kernels.generators(t) for t in (box_idx, nat_idx, comp_idx))
 
     def group_axioms(idx: np.ndarray, gens: list[int], name: str) -> None:
-        w = kernels.assoc_witness(idx, gens=gens)
-        rep.add(f"group_assoc[{name}]", w is None, witness=w)
-        w = kernels._first_false(idx == idx.T)
-        rep.add(f"group_comm[{name}]", w is None, witness=w)
+        rep.holds(f"group_assoc[{name}]", kernels.assoc_witness(idx, gens=gens))
+        rep.holds(f"group_comm[{name}]", kernels._first_false(idx == idx.T))
         zeros = np.flatnonzero((idx == np.arange(n)).all(axis=1)).tolist()
         rep.add(f"group_zero[{name}]", len(zeros) == 1, witness=zeros)
         if len(zeros) == 1:
-            (w,) = kernels._first_false((idx == zeros[0]).any(axis=1)) or (None,)
-            rep.add(f"group_inverses[{name}]", w is None, witness=w)
+            rep.holds(f"group_inverses[{name}]", kernels._first_false((idx == zeros[0]).any(axis=1)))
 
     group_axioms(box_idx, box_gens, "boxplus")  # axiom 1, module side
     group_axioms(nat_idx, nat_gens, "plus")  # axiom 1, ring side
 
     # Axiom 2: composition is a monoid with the identity map as 1.
     ident = int(member_of(np.arange(m)))
-    w = kernels.assoc_witness(comp_idx, gens=comp_gens)
-    rep.add("monoid_assoc[compose]", w is None, witness=w,
-            detail="also discharges axiom 4': with the action equal to ring "
-                   "multiplication, gamma(f.g) = gamma(f boxdot g) is associativity")
+    rep.holds("monoid_assoc[compose]", kernels.assoc_witness(comp_idx, gens=comp_gens),
+              "also discharges axiom 4': with the action equal to ring "
+              "multiplication, gamma(f.g) = gamma(f boxdot g) is associativity")
     rep.add("monoid_identity[compose]",
             bool((comp_idx[ident] == np.arange(n)).all() and (comp_idx[:, ident] == np.arange(n)).all()),
             witness=ident)
 
     # Axiom 3': h(f + g) = h(f) boxplus h(g), pointwise over all 81^3 triples.
     # It cannot fail: _plane_homs kept just the maps that hold it, on these tables.
-    w = kernels.hom_left_distrib_witness(maps, native, box)
-    rep.add("axiom_3_left_distrib", w is None, witness=w)
+    rep.holds("axiom_3_left_distrib", kernels.hom_left_distrib_witness(maps, native, box))
     rep.counts["triples"] = n**3
 
     # Axiom 5': f -> 1 boxdot f is a bijection; the identity acts as 1.
-    (w,) = kernels._first_false(comp_idx[ident] == np.arange(n)) or (None,)
-    rep.add("axiom_5_unit_action_bijective", w is None, witness=w)
+    rep.holds("axiom_5_unit_action_bijective", kernels._first_false(comp_idx[ident] == np.arange(n)))
 
     # Axiom 6': (f boxplus g) o h = (f o h) boxplus (g o h), over all triples.
-    w = kernels.right_distrib_witness(comp_idx, box_idx, gens=box_gens)
-    rep.add("axiom_6_right_distrib", w is None, witness=w)
+    rep.holds("axiom_6_right_distrib", kernels.right_distrib_witness(comp_idx, box_idx, gens=box_gens))
 
     # Parenthetical: (f + g) o h = (f o h) + (g o h) as well.
-    w = kernels.right_distrib_witness(comp_idx, nat_idx, gens=nat_gens)
-    rep.add("parenthetical_right_distrib_plus", w is None, witness=w)
+    rep.holds("parenthetical_right_distrib_plus",
+              kernels.right_distrib_witness(comp_idx, nat_idx, gens=nat_gens))
     return rep

@@ -201,10 +201,9 @@ def check_ringisom(
     skipped = redraw(lambda: (sampler(rng), sampler(rng)), check, trials)
     rep = Report(f"isomorphism check: {src.name} -> {dst.name}")
     for name in names:
-        rep.add(name, name not in bad, witness=bad.get(name))
-    verdicts = {i: name not in bad for i, name in enumerate(names, 1)}
-    agree = len(set(verdicts.values())) == 1
-    rep.add("conditions_agree", agree, witness=None if agree else verdicts)
+        rep.holds(name, bad.get(name))
+    verdicts = {i: check.ok for i, check in enumerate(rep.checks, 1)}
+    rep.holds("conditions_agree", None if len(set(verdicts.values())) == 1 else verdicts)
     rep.counts["pairs"] = trials
     rep.counts["skipped"] = skipped
     return rep
@@ -358,7 +357,7 @@ def verify_exotic_field_axioms(
 
     for name in ("sigma_round_trip", "sigma_multiplicative", "zero_element",
                  "additive_inverse", "doubling_identity", "sigma_additive"):
-        rep.add(name, name not in bad, witness=bad.get(name))
+        rep.holds(name, bad.get(name))
     for form in ("commutativity", "distributivity", "associativity"):
         rep.add_sampled(
             f"{form}_materialized", bad.get(form), checked=hits[form], skipped=skips[form]

@@ -92,10 +92,12 @@ _SLAB_BYTES = 120_000  # a slab's widest temporary, under the mmap threshold
 
 
 def _first_false(eq: np.ndarray):
-    """The row-major first index at which eq is False, or None."""
+    """The row-major first index at which eq is False, or None: an int for
+    a 1-D eq, a tuple of ints for more axes."""
     if eq.all():
         return None
-    return tuple(int(v) for v in np.unravel_index(eq.argmin(), eq.shape))
+    i = int(eq.argmin())
+    return i if eq.ndim == 1 else tuple(int(v) for v in np.unravel_index(i, eq.shape))
 
 
 def _sweep(n: int, m: int, slab, itemsize: int):

@@ -96,8 +96,9 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     and psi(a (+) b) = psi(a) + psi(b) pointwise, which double as a check
     that the tables were assembled from the inputs they claim.
 
-    Each check is whole-table work, and carries its first failing pair
-    (i, j) or vector v where it has one. The free action is one comparison,
+    Each check is whole-table work, and where it has a witness, its first
+    failing triple, pair (i, j) or vector v, it fails exactly on that
+    witness (Report.holds). The free action is one comparison,
     S.T == arange(m)[:, None], whose first True off the zero row and the
     column of one is the witness (alpha, gamma), gamma-major. The orbits
     are the rows O = S.T, O[v] = F (.) v: one scatter marks which x lie in
@@ -111,33 +112,24 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     A, S = s.box_add, s.box_smul
     rows = np.arange(m)
 
-    def check(name: str, eq: np.ndarray) -> None:
-        """The check that eq holds everywhere, witnessed by its first
-        failing pair (i, j), or vector v where eq is one row."""
-        w = _first_false(eq)
-        rep.add(name, w is None, witness=w if w is None or eq.ndim > 1 else w[0])
-
-    wit = assoc_witness(A)
-    rep.add("add_associative", wit is None, witness=wit)
-    check("add_commutative", A == A.T)
-    check("add_zero", A[F.zero] == rows)
+    rep.holds("add_associative", assoc_witness(A))
+    rep.holds("add_commutative", _first_false(A == A.T))
+    rep.holds("add_zero", _first_false(A[F.zero] == rows))
     box_neg = s.psi_inv[F.neg[s.psi]]
-    check("add_inverses", A[rows, box_neg] == F.zero)
+    rep.holds("add_inverses", _first_false(A[rows, box_neg] == F.zero))
 
-    check("action_identity", S[F.one] == rows)
-    check("action_minus_one", S[F.minus_one] == box_neg)
-    check("action_zero", S[F.zero] == F.zero)
-    wit = _first_false(S[F.mul] == S[:, S])
-    rep.add("action_associative", wit is None, witness=wit)
-    wit = left_distrib_witness(S, A)
-    rep.add("action_distributes", wit is None, witness=wit)
+    rep.holds("action_identity", _first_false(S[F.one] == rows))
+    rep.holds("action_minus_one", _first_false(S[F.minus_one] == box_neg))
+    rep.holds("action_zero", _first_false(S[F.zero] == F.zero))
+    rep.holds("action_associative", _first_false(S[F.mul] == S[:, S]))
+    rep.holds("action_distributes", left_distrib_witness(S, A))
 
     orbits = S.T
     fixed = orbits == rows[:, None]  # fixed[gamma, alpha]: alpha (.) gamma == gamma
     fixed[F.zero] = False
     fixed[:, F.one] = False
-    wit = _first_false(~fixed)
-    rep.add("action_free_off_zero", wit is None, witness=None if wit is None else wit[::-1])
+    wit = _first_false(~fixed)  # (gamma, alpha), gamma-major
+    rep.holds("action_free_off_zero", None if wit is None else wit[::-1])
 
     # v is in the quasi-kernel when its orbit F (.) v is closed under (+).
     in_orbit = np.zeros((m, m), dtype=bool)
@@ -151,8 +143,8 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     rep.add("quasi_kernel_generates", bool(span.all()))
     rep.add("orbit_of_one_full", is_permutation(S[:, F.one], m))
 
-    check("transport_multiplicative", s.psi[S] == _grid(F.mul, s.phi, s.psi))
-    check("transport_additive", s.psi[A] == _grid(F.add, s.psi, s.psi))
+    rep.holds("transport_multiplicative", _first_false(s.psi[S] == _grid(F.mul, s.phi, s.psi)))
+    rep.holds("transport_additive", _first_false(s.psi[A] == _grid(F.add, s.psi, s.psi)))
     rep.counts["triples"] = m**3
     return rep
 
@@ -167,8 +159,7 @@ def check_elementary_box1(s: ElementaryNVS) -> Report:
     rep.add("phi_prime_bijective", is_permutation(phi_prime, F.m))
     pulled = transport(F.add, phi_prime)
     ij = _first_false(t1 == pulled)
-    wit = None if ij is None else (*ij, int(t1[ij]), int(pulled[ij]))
-    rep.add("box_one_equals_pullback", ij is None, witness=wit)
+    rep.holds("box_one_equals_pullback", None if ij is None else (*ij, int(t1[ij]), int(pulled[ij])))
     rep.counts["pairs"] = F.m**2
     return rep
 
@@ -229,8 +220,7 @@ def check_qmc_equivalence(field_: FiniteField, phi: np.ndarray) -> QmcResult:
     rep = Report("quasi-multiplicative equivalence")
     for name, ok in conds.items():
         rep.add(name, True, detail=_HOLDS[ok])
-    agree = len(set(conds.values())) == 1
-    rep.add("conditions_agree", agree, witness=None if agree else conds)
+    rep.holds("conditions_agree", None if len(set(conds.values())) == 1 else conds)
     rep.counts["pairs"] = m * m
     return QmcResult(rep, conds, lam, gamma)
 

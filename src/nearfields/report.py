@@ -2,7 +2,10 @@
 
 Every verifier returns a Report: a list of named checks, each carrying an
 optional witness for failures and a free-form detail string. Reports are
-JSON-friendly so the command line can emit them verbatim. The skip rule,
+JSON-friendly so the command line can emit them verbatim. A check that
+has a witness fails exactly when it has one: Report.holds is that rule,
+and a verdict that is not a witness's absence goes through Report.add,
+with the witness only informing. The skip rule,
 that a verdict may rest neither on no checked sample nor on fewer checked
 samples than skipped ones, lives here alone: _skips_outweigh states it
 for a fixed list of samples, Report.add_sampled rules on such a check with
@@ -47,6 +50,11 @@ class Report:
         check = Check(name, bool(ok), witness, detail)
         self.checks.append(check)
         return check
+
+    def holds(self, name: str, witness: object, detail: str = "") -> Check:
+        """A check that fails exactly on a witness: it passes when witness
+        is None."""
+        return self.add(name, witness is None, witness=witness, detail=detail)
 
     def add_sampled(self, name: str, witness: object, *, checked: int, skipped: int) -> Check:
         """A check over a fixed list of samples, some skipped at a resource

@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .finite import FiniteField, is_permutation
+from .finite import FiniteField
 from .rationals import is_prime
 from .report import Report, redraw
 
@@ -137,8 +137,10 @@ def verify_rho_axioms(
     formula, plus commutativity of the induced addition.
 
     Commutativity already follows from the four properties; it is checked
-    anyway as a cheap cross-validation of the derivation. Each check keeps
-    its first witness.
+    anyway as a cheap cross-validation of the derivation. Each check fails
+    exactly on its first witness: rho(0) for the identity, rho(-1) for the
+    inverse, and for bijectivity the first element whose image leaves the
+    carrier or repeats an earlier one's.
 
     A finite carrier is checked on every pair, and its bijectivity on every
     element. An infinite one is checked on trials sampled pairs through
@@ -152,8 +154,9 @@ def verify_rho_axioms(
     if not c.is_finite and trials < 1:
         raise DomainError("infinite carriers need at least one trial")
     rep = Report(f"rho axioms on {c.name}")
-    rep.add("identity_property", r(c.zero) == c.one)
-    rep.add("inverse_property", r(c.minus_one) == c.zero)
+    at_zero, at_minus_one = r(c.zero), r(c.minus_one)
+    rep.holds("identity_property", None if at_zero == c.one else at_zero)
+    rep.holds("inverse_property", None if at_minus_one == c.zero else at_minus_one)
 
     add = add_from_rho(r)
     bad: dict[str, Any] = {}
@@ -180,15 +183,18 @@ def verify_rho_axioms(
         pairs = trials
         skipped = redraw(lambda: (sampler(rng), sampler(rng)), check, trials)
     for name in ("abelian_property", "associative_property", "inverse_formula"):
-        rep.add(name, name not in bad, witness=bad.get(name))
-    rep.add(
-        "induced_add_commutative",
-        "induced_add_commutative" not in bad,
-        witness=bad.get("induced_add_commutative"),
-        detail="follows from the four properties; cross-checked anyway",
-    )
-    if c.is_finite:
-        rep.add("bijective", is_permutation(np.array([r(x) for x in c.elements]), len(c.elements)))
+        rep.holds(name, bad.get(name))
+    rep.holds("induced_add_commutative", bad.get("induced_add_commutative"),
+              "follows from the four properties; cross-checked anyway")
+    if c.is_finite:  # a map of a finite set into itself is onto when it is one-to-one
+        seen, carrier = set(), range(len(c.elements))
+        for x in c.elements:
+            if (y := r(x)) in seen or y not in carrier:
+                break
+            seen.add(y)
+        else:
+            x = None
+        rep.holds("bijective", x)
     rep.counts["pairs"] = pairs
     rep.counts["skipped"] = skipped
     return rep
@@ -268,7 +274,7 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
         rep.add("characteristic_prime", is_prime(characteristic), witness=characteristic)
     # Informational, kept for char_map_exotic_12.json: chi(0) starts the orbit.
     rep.add("chi_zero", chi[0] == c.zero)
-    rep.add("chi_one", chi[1] == c.one)
+    rep.holds("chi_one", None if chi[1] == c.one else chi[1])
 
     add = add_from_rho(r)
     rng = np.random.default_rng(seed)
@@ -305,11 +311,13 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
         # Distinct: a repeat rho^i(0) = rho^j(0), i < j < p, reaches 0 before p.
         core = [chi[n] for n in range(p)]
         units = [x for x in core if x != c.zero]
-        closed = all(c.mul(a, b) in core for a in units for b in units)
-        has_inv = all(c.inv(a) in units for a in units)
-        comm = all(c.mul(a, b) == c.mul(b, a) for a in units for b in units)
-        rep.add("core_multiplicative_subgroup", closed and has_inv and c.one in units)
-        rep.add("core_commutative", comm)
+        # A product leaving the core, else a unit with no inverse in it, else 1.
+        outside = [(a, b) for a in units for b in units if c.mul(a, b) not in core]
+        outside += [a for a in units if c.inv(a) not in units]
+        outside += [] if c.one in units else [c.one]
+        rep.holds("core_multiplicative_subgroup", outside[0] if outside else None)
+        rep.holds("core_commutative",
+                  next(((a, b) for a in units for b in units if c.mul(a, b) != c.mul(b, a)), None))
         def distributes(s, a, b):
             t = add(a, b)
             left = c.mul(s, t) == add(c.mul(s, a), c.mul(s, b))
@@ -317,12 +325,11 @@ def char_map(r: RhoMap, bound: int, *, seed: int = 0) -> CharMapResult:
 
         triples = ((s, a, b) for s in core for a in c.elements for b in c.elements)
         bad = next((x for x in triples if not distributes(*x)), None)
-        rep.add("core_two_sided_distributive", bad is None, witness=bad)
-        size = len(c.elements)
-        power_of_p = size > 1
-        while size % p == 0:
-            size //= p
-        rep.add("order_is_power_of_characteristic", power_of_p and size == 1)
+        rep.holds("core_two_sided_distributive", bad)
+        size = rest = len(c.elements)
+        while rest % p == 0:
+            rest //= p
+        rep.holds("order_is_power_of_characteristic", None if size > 1 and rest == 1 else size)
         subfield = tuple(core)
         evidence_bounded = False
     else:

@@ -117,15 +117,26 @@ def test_no_module_imports_a_test_oracle():
             assert not roots & oracles, (path.name, roots & oracles)
 
 
-def _uses_of(name: str) -> list[tuple[str, int]]:
-    """(module, line) of every attribute or from-import named name in the
-    package's modules."""
+def _trees() -> list[tuple[str, ast.Module]]:
+    """(module, syntax tree) of each of the package's modules."""
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(Path(nearfields.__file__).parent.glob("*.py"))]
+
+
+def _uses_of(name: str, *, outside: tuple[str, ...] = ()) -> list[tuple[str, int, ast.AST]]:
+    """(module, line, node) of every attribute or from-import named name in
+    the package's modules, outside the bodies of the functions named in
+    outside. Where the attribute is called, node is the call."""
     uses = []
-    for path in sorted(Path(nearfields.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr == name
+    for module, tree in _trees():
+        skipped = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in outside
+                   for node in ast.walk(f)}
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if id(node) not in skipped and (
+                    isinstance(node, ast.Attribute) and node.attr == name
                     or isinstance(node, ast.ImportFrom) and name in {alias.name for alias in node.names}):
-                uses.append((path.name, node.lineno))
+                uses.append((module, node.lineno, calls.get(id(node), node)))
     return uses
 
 
@@ -139,6 +150,34 @@ def test_no_module_calls_np_isin():
     # Membership is read off a mask by one gather, as verify_nvs_axioms reads
     # its orbits, never tested one element or one vector at a time.
     assert _uses_of("isin") == []
+
+
+def _tests_a_witness(verdict: ast.AST) -> bool:
+    """Whether verdict holds an `X is None` compare or a `not in` test."""
+    return any(
+        isinstance(op, ast.NotIn) or isinstance(op, ast.Is) and ast.unparse(right) == "None"
+        for node in ast.walk(verdict) if isinstance(node, ast.Compare)
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
+def test_no_verdict_is_read_off_a_witness_by_hand():
+    # A check with a witness fails exactly on it through Report.holds. Only
+    # add_sampled, whose verdict adds the skip rule, tests the witness itself.
+    by_hand = []
+    for module, line, node in _uses_of("add", outside=("holds", "add_sampled")):
+        if isinstance(node, ast.Call):
+            verdicts = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ok"]
+            by_hand += [(module, line) for v in verdicts if _tests_a_witness(v)]
+    assert by_hand == []
+    # Nor is a one-axis first failure unpacked from a tuple: _first_false
+    # gives an int there.
+    unpacked = [
+        (module, node.lineno) for module, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.BoolOp)
+        and ast.unparse(node.value.values[-1]) == "(None,)"
+    ]
+    assert unpacked == []
 
 
 @pytest.mark.parametrize(

@@ -278,15 +278,15 @@ def _edited(table, *entries):
 
 def _crafted_additions():
     """One table for each check of the field-axiom suite that fails it, with
-    the witness that check carries (None for closure, and for inverses the
-    first element whose row holds no zero)."""
+    the witness that check carries (for closure the first entry outside
+    [0, m), and for inverses the first element whose row holds no zero)."""
     f4, f9 = make_field(2, 2), make_field(3, 2)
     x4 = np.arange(f4.m)
     swap = np.arange(f9.m)
     swap[[1, 2]] = [2, 1]  # fixes 0, but is not multiplicative
     group = transport(f9.add, swap)  # an abelian group with zero 0 that the product does not distribute over
     return [
-        ("closure", f4, _edited(f4.add, (1, 2, 4)), None),
+        ("closure", f4, _edited(f4.add, (1, 2, 4)), (1, 2)),
         ("commutativity", f4, _edited(f4.add, (1, 2, 0)), (1, 2)),
         ("zero", f9, transport(f9.add, f9.add[1]), [2]),  # x + y + 1, whose zero is -1 = 2
         ("inverses", f4, x4[:, None] | x4[None, :], 1),  # bitwise or: row 1 is [1, 1, 3, 3]
@@ -320,10 +320,10 @@ def test_verify_addition_table_fails_closure_without_sweeping():
         broken[4, 6] = bad_entry
         rep = verify_addition_table(AdditionTable(f9, broken, f"entry {bad_entry}"))
         assert [c.name for c in rep.failures()] == ["closure"]
-        assert [c.name for c in rep.checks] == ["closure"]
+        assert [(c.name, c.witness) for c in rep.checks] == [("closure", (4, 6))]
         assert rep.counts["triples"] == 0
     rep = verify_addition_table(AdditionTable(f9, native[:8, :8].copy(), "8 by 8"))
-    assert [c.name for c in rep.checks] == ["closure"] and not rep.ok
+    assert [(c.name, c.witness) for c in rep.checks] == [("closure", (8, 8))] and not rep.ok
 
 
 def test_verify_addition_table_fails_closure_on_a_float_table():
@@ -336,7 +336,7 @@ def test_verify_addition_table_fails_closure_on_a_float_table():
     half[4, 6] = 0.5
     for table in (whole, half):
         rep = verify_addition_table(AdditionTable(f9, table, f"float {table.dtype}"))
-        assert [c.name for c in rep.checks] == ["closure"] and not rep.ok
+        assert [(c.name, c.witness) for c in rep.checks] == [("closure", "float64")] and not rep.ok
         assert rep.counts["triples"] == 0
 
 

@@ -54,6 +54,21 @@ def _mod_tables(m):
     return add, mul
 
 
+@pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 4, 5)])
+def test_first_false_is_an_int_on_one_axis_and_a_tuple_of_ints_on_more(shape):
+    assert kernels._first_false(np.ones(shape, dtype=bool)) is None
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        eq = rng.random(shape) < 0.9
+        eq.flat[rng.integers(eq.size)] = False
+        first = tuple(np.argwhere(~eq)[0].tolist())  # row-major
+        got = kernels._first_false(eq)
+        if len(shape) == 1:
+            assert type(got) is int and (got,) == first
+        else:
+            assert type(got) is tuple and all(type(v) is int for v in got) and got == first
+
+
 def test_assoc_passes_on_modular_addition():
     add, _ = _mod_tables(7)
     assert kernels.assoc_witness(add) is None

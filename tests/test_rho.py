@@ -85,6 +85,38 @@ def test_rho_mutation_fails_with_witness():
     ]
 
 
+def _rho_faults():
+    """One rho on F9 for each check of verify_rho_axioms that fails it, with
+    the witness that check carries: native rho, x -> 1 + x, which is
+    [1, 2, 0, 4, 5, 3, 7, 8, 6], with the values in edits set."""
+    F, r = _field_rho()
+    native = [r(x) for x in range(F.m)]
+
+    def edited(edits):
+        return RhoMap(r.carrier, [edits.get(x, v) for x, v in enumerate(native)].__getitem__)
+
+    return [
+        ("identity_property", edited({0: 2, 1: 1}), 2),  # rho(0) = 2
+        ("inverse_property", edited({2: 4, 3: 0}), 4),  # rho(-1) = rho(2) = 4
+        ("abelian_property", edited({3: 6, 8: 4}), 3),
+        ("associative_property", edited({1: 0}), (2, 1)),
+        ("inverse_formula", edited({1: 0}), 2),
+        ("induced_add_commutative", edited({3: 6, 8: 4}), (1, 3)),
+        ("bijective", edited({1: 3}), 5),  # rho(5) = 3 = rho(1)
+    ]
+
+
+RHO_FAULTS = _rho_faults()
+
+
+@pytest.mark.parametrize("name, r, witness", RHO_FAULTS, ids=[c[0] for c in RHO_FAULTS])
+def test_each_rho_axiom_check_fails_on_a_rho_at_fault(name, r, witness):
+    (check,) = [c for c in verify_rho_axioms(r).checks if c.name == name]
+    assert not check.ok and check.witness == witness, check
+    # Together the faults fail every check that the axioms make on F9.
+    assert [c.name for c in verify_rho_axioms(_field_rho()[1]).checks] == [c[0] for c in RHO_FAULTS]
+
+
 def test_add_rho_round_trips_finite():
     for a in (None, 5):
         F, r = _field_rho(a)
@@ -266,11 +298,11 @@ def _char_map_faults():
     )
     return [
         ("characteristic_prime", _orbit_rho(f9, 0, 1, 2, 3, 0), 8, 4),
-        ("order_is_power_of_characteristic", _orbit_rho(f9, 0, 1, 2, 3, 4, 0), 8, None),
-        ("chi_one", _orbit_rho(f9, 0, 3, 4, 0), 8, None),
-        ("core_multiplicative_subgroup", _orbit_rho(f9, 0, 3, 4, 0), 8, None),
+        ("order_is_power_of_characteristic", _orbit_rho(f9, 0, 1, 2, 3, 4, 0), 8, 9),
+        ("chi_one", _orbit_rho(f9, 0, 3, 4, 0), 8, 3),
+        ("core_multiplicative_subgroup", _orbit_rho(f9, 0, 3, 4, 0), 8, (3, 3)),
         ("chi_vanishes_on_a_finite_carrier", _orbit_rho(f9, 0, 1, 2, 1), 12, 12),
-        ("core_commutative", _orbit_rho(dickson, 0, 3, 4, 0), 8, None),
+        ("core_commutative", _orbit_rho(dickson, 0, 3, 4, 0), 8, (3, 4)),
         ("core_two_sided_distributive", _orbit_rho(dickson, 0, 3, 4, 0), 8, (3, 1, 3)),
     ]
 
