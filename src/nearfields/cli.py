@@ -4,8 +4,9 @@ One executable, fifteen subcommands, every verifier and constructor in the
 package behind reproducible seeds. Reports go to standard output (JSON with
 --json, plain text otherwise), diagnostics to standard error. Exit status:
 0 for success/pass, 1 for a verification failure (the report carries a
-witness), 2 for usage or domain errors, including inputs beyond the
-configured resource ceilings; a reader that closes early ends the run
+witness) or an integrity failure (IntegrityError: its message on standard
+error, no report), 2 for usage or domain errors, including inputs beyond
+the configured resource ceilings; a reader that closes early ends the run
 with 1 and no traceback. The tuning flags (--seed, --trials,
 --height-bound, --norm-ceiling) exist only on the subcommands that read
 them, so a flag that would be ignored is a usage error instead.

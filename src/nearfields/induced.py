@@ -99,7 +99,7 @@ def exotic_add_q(
     # image per prime. Every operand prime is imaged before the zero test,
     # so a sum to 0 still refuses where sigma(alpha) or sigma(beta) would.
     g_num = g_den = n_num = n_den = 1
-    xa, xb, ya, yb = fa.sign, 0, fb.sign, 0
+    xa, xb, ya, yb = fa.unit, 0, fb.unit, 0
     ea, eb, image = fa.exponents, fb.exponents, corr.image_of_prime
     for p, i in ea.items():
         j = eb.get(p, 0)

@@ -459,7 +459,7 @@ def sigma_apply(corr: PrimeCorrespondence, q: Rat | int) -> QuadRat:
     if q == 0:
         return QuadRat(QuadInt(0, 0))
     f = factor_rat(q)
-    a, b, den = _product(f.sign, f.exponents, corr.image_of_prime)
+    a, b, den = _product(f.unit, f.exponents, corr.image_of_prime)
     return QuadRat(QuadInt(a, b), den)
 
 
@@ -510,4 +510,4 @@ def endo_q_apply(spec: EndoBijectionSpecQ, q: Rat | int) -> Rat:
     f = factor_rat(q)
     flips = sum(e % 2 for p, e in f.exponents.items() if spec.eta.get(p, 1) == -1)
     exps = {p: spec.nu.get(p, 1) * e for p, e in f.exponents.items()}
-    return _value((-1) ** flips * f.sign, exps, lambda p: spec.perm.get(p, p))
+    return _value((-1) ** flips * f.unit, exps, lambda p: spec.perm.get(p, p))

@@ -22,7 +22,7 @@ from operator import index
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .finite import FiniteField, is_mult_bijection, is_permutation, transport
+from .finite import FiniteField, _first_repeat, is_mult_bijection, is_permutation, transport
 from .kernels import _close, _first_false, _grid, _integer, assoc_witness, left_distrib_witness
 from .report import Report
 
@@ -104,7 +104,8 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     are the rows O = S.T, O[v] = F (.) v: one scatter marks which x lie in
     each, and one (m, m, m) gather A[O[:, :, None], O[:, None, :]] holds
     every orbit's sums, so v is in the quasi-kernel when all of row v's
-    sums are marked. That mask seeds the closure of the quasi-kernel.
+    sums are marked. That mask seeds the closure of the quasi-kernel, the
+    first vector outside which is quasi_kernel_generates' witness.
     """
     F = s.field
     m = F.m
@@ -140,8 +141,8 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
     rep.add("quasi_kernel_is_everything", quasi == list(range(m)), witness=quasi)
     # In a finite group, the closure under (+) alone is the subgroup generated.
     span = _close(A, closed)
-    rep.add("quasi_kernel_generates", bool(span.all()))
-    rep.add("orbit_of_one_full", is_permutation(S[:, F.one], m))
+    rep.holds("quasi_kernel_generates", _first_false(span))
+    rep.holds("orbit_of_one_full", _first_repeat(S[:, F.one].tolist(), m))
 
     rep.holds("transport_multiplicative", _first_false(s.psi[S] == _grid(F.mul, s.phi, s.psi)))
     rep.holds("transport_additive", _first_false(s.psi[A] == _grid(F.add, s.psi, s.psi)))
@@ -151,12 +152,13 @@ def verify_nvs_axioms(s: ElementaryNVS) -> Report:
 
 def check_elementary_box1(s: ElementaryNVS) -> Report:
     """Compare the addition at 1 against the pullback of native addition
-    through phi'(alpha) = phi(alpha) * psi(1), computed independently."""
+    through phi'(alpha) = phi(alpha) * psi(1), computed independently; an
+    alpha whose phi'(alpha) repeats fails phi_prime_bijective."""
     F = s.field
     rep = Report("addition at one vs quasi-multiplicative pullback")
     t1 = transport(s.box_add, s.box_smul[:, F.one])  # (+) pulled back through alpha (.) 1
     phi_prime = F.mul[s.phi, s.psi[F.one]]
-    rep.add("phi_prime_bijective", is_permutation(phi_prime, F.m))
+    rep.holds("phi_prime_bijective", _first_repeat(phi_prime.tolist(), F.m))
     pulled = transport(F.add, phi_prime)
     ij = _first_false(t1 == pulled)
     rep.holds("box_one_equals_pullback", None if ij is None else (*ij, int(t1[ij]), int(pulled[ij])))

@@ -43,9 +43,7 @@ QuadRat.from_rat takes a numbers.Rational only. An operator takes its other
 operand through one rule per class, applied by _operand: _coerce for QuadInt
 (a QuadInt, an int or a whole Fraction), _coerce_rat for QuadRat (those, any
 Fraction or a QuadRat); anything else gets NotImplemented. A factorization
-is a KFactorization, a plain slotted record validated on construction (unit
-the int 1 or -1, no zero exponent) and, like rationals.SignedFactorization,
-not frozen.
+is a KFactorization, rationals' one factorization record keyed by prime.
 """
 
 from __future__ import annotations
@@ -61,7 +59,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, IntegrityError
-from .rationals import TRIAL_CAP, Rat, _as_rat, _exponents, _trial_primes, factor_int, is_prime, primes_upto
+from .rationals import TRIAL_CAP, Rat, _as_rat, _exponents, _Factorization, _trial_primes
+from .rationals import factor_int, is_prime, primes_upto
 
 __all__ = [
     "QuadInt",
@@ -525,31 +524,10 @@ def primes_above(p: int) -> Splitting:
     return Splitting(kind, _primes_of_norm(p * p if kind == "inert" else p))
 
 
-class KFactorization:
-    """unit * prod(pi**e) over canonical primes, nonzero exponents.
+class KFactorization(_Factorization):
+    """unit * prod(pi**e) over canonical primes, nonzero exponents."""
 
-    A plain slotted record like rationals.SignedFactorization: validated on
-    construction (unit the int 1 or -1, no zero exponent), not frozen, not
-    hashable, and equal only to a record of its own class with equal fields.
-    """
-
-    __slots__ = ("unit", "exponents")
-
-    def __init__(self, unit: int, exponents: dict[QuadInt, int]):
-        if unit.__class__ is not int or (unit != 1 and unit != -1):
-            raise DomainError(f"unit must be +1 or -1, got {unit!r}")
-        if 0 in exponents.values():
-            raise DomainError("zero exponents are not stored")
-        self.unit = unit
-        self.exponents = exponents
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.unit == other.unit and self.exponents == other.exponents
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(unit={self.unit!r}, exponents={self.exponents!r})"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         # canonical primes in their order: by norm, then (a, b)

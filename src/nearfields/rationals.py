@@ -4,9 +4,8 @@ Rational values are carried by fractions.Fraction, which already maintains
 the lowest-terms, positive-denominator normal form everything here relies
 on. This module adds the multiplicative view of a nonzero rational: a sign
 together with a finite map from primes to nonzero integer exponents, held
-in SignedFactorization, a plain slotted record that is validated on
-construction (sign the int 1 or -1, no zero exponent) and not frozen, since
-a frozen record's per-field setattr is most of its build cost on the sum.
+in SignedFactorization, which with quadratic.KFactorization is the one
+validated record of a factorization, _Factorization.
 
 Factoring is one loop, _exponents, behind both factor_int and factor_rat.
 Up to TRIAL_CAP = 1e6 it reads a table of least prime factors over the odd
@@ -161,40 +160,52 @@ def _value(lead: int, exponents: dict, base: Callable[[Any], int]) -> Rat:
     return Fraction(lead * num, den)
 
 
-class SignedFactorization:
-    """A nonzero rational as sign * prod(p**e) with nonzero exponents.
+class _Factorization:
+    """unit * prod(k**e), nonzero exponents, in a ring whose units are +-1:
+    the one factorization record, validated on construction (unit the int
+    1 or -1, no zero exponent). Not frozen, since a frozen record's
+    per-field setattr is most of its build cost on the sum, and not
+    hashable: it equals only a record of its own class with equal fields.
+    _unit_name names the unit in the repr and the refusal."""
 
-    A plain slotted record, validated on construction: the sign is the int
-    1 or -1 and no exponent is zero. It is not frozen, and not hashable; it
-    equals only a record of its own class with equal fields.
-    """
+    __slots__ = ("unit", "exponents")
+    _unit_name = "unit"
 
-    __slots__ = ("sign", "exponents")
-
-    def __init__(self, sign: int, exponents: dict[int, int] | None = None):
-        if sign.__class__ is not int or (sign != 1 and sign != -1):
-            raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    def __init__(self, unit: int, exponents: dict | None = None):
+        if unit.__class__ is not int or (unit != 1 and unit != -1):
+            raise DomainError(f"{self._unit_name} must be +1 or -1, got {unit!r}")
         if exponents is None:
             exponents = {}
         elif 0 in exponents.values():
             raise DomainError("zero exponents are not stored")
-        self.sign = sign
+        self.unit = unit
         self.exponents = exponents
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.sign == other.sign and self.exponents == other.exponents
+        return self.unit == other.unit and self.exponents == other.exponents
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(sign={self.sign!r}, exponents={self.exponents!r})"
+        return f"{type(self).__qualname__}({self._unit_name}={self.unit!r}, exponents={self.exponents!r})"
+
+
+class SignedFactorization(_Factorization):
+    """A nonzero rational as sign * prod(p**e), the unit called its sign."""
+
+    __slots__ = ()
+    _unit_name = "sign"
+
+    @property
+    def sign(self) -> int:
+        return self.unit
 
     def value(self) -> Rat:
-        return _value(self.sign, self.exponents, lambda p: p)
+        return _value(self.unit, self.exponents, lambda p: p)
 
     def to_json(self) -> dict:
         return {
-            "sign": self.sign,
+            "sign": self.unit,
             "factors": [[p, e] for p, e in sorted(self.exponents.items())],
         }
 

@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .finite import FiniteField
+from .finite import FiniteField, _first_repeat
 from .rationals import is_prime
 from .report import Report, redraw
 
@@ -187,14 +187,7 @@ def verify_rho_axioms(
     rep.holds("induced_add_commutative", bad.get("induced_add_commutative"),
               "follows from the four properties; cross-checked anyway")
     if c.is_finite:  # a map of a finite set into itself is onto when it is one-to-one
-        seen, carrier = set(), range(len(c.elements))
-        for x in c.elements:
-            if (y := r(x)) in seen or y not in carrier:
-                break
-            seen.add(y)
-        else:
-            x = None
-        rep.holds("bijective", x)
+        rep.holds("bijective", _first_repeat(map(r, c.elements), len(c.elements)))
     rep.counts["pairs"] = pairs
     rep.counts["skipped"] = skipped
     return rep

@@ -17,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearfields
+from nearfields import cli
 from nearfields.cli import CONFIG_ENV, _build_parser, main
+from nearfields.errors import IntegrityError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,6 +174,19 @@ def test_failing_verification_exits_one(capsys):
     assert payload["ok"] is False
     bad = [c for c in payload["report"]["checks"] if not c["ok"]]
     assert bad and all(c["witness"] is not None for c in bad)
+
+
+def test_integrity_failure_exits_one_with_no_report(capsys, monkeypatch):
+    # IntegrityError is the package's own fault, as when a factorization
+    # does not rebuild its input: exit 1, the message on stderr, no report.
+    def unfaithful(x):
+        raise IntegrityError(f"primes over the norm rebuild 1, not +-{x!r}")
+
+    monkeypatch.setattr(cli, "factor_quad", unfaithful)
+    for argv in (["factor-quad", "7", "3"], ["factor-quad", "7", "3", "--json"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "integrity failure: primes over the norm rebuild 1, not +-QuadRat(QuadInt(7, 3), 1)\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -180,6 +180,26 @@ def test_no_verdict_is_read_off_a_witness_by_hand():
     assert unpacked == []
 
 
+@pytest.mark.parametrize("record", [rationals.SignedFactorization, quadratic.KFactorization])
+def test_each_factorization_is_the_one_record(record):
+    # Validation, equality and the repr are written once, in _Factorization.
+    assert record.__bases__ == (rationals._Factorization,)
+    assert not {"__init__", "__eq__", "__repr__"} & set(vars(record))
+    assert record.__hash__ is None
+
+
+def test_no_other_class_declares_an_exponents_slot():
+    # A ring added later keys its factorizations in _Factorization too.
+    declares = [
+        (module, node.name) for module, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+        and "exponents" in {c.value for c in ast.walk(item.value) if isinstance(c, ast.Constant)}
+    ]
+    assert declares == [("rationals.py", "_Factorization")]
+
+
 @pytest.mark.parametrize(
     "home, name",
     [

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -308,6 +309,22 @@ def test_each_field_axiom_check_fails_on_a_crafted_table(name, field, table, wit
     assert [c.name for c in verify_addition_table(native_addition(field)).checks] == [
         c[0] for c in CRAFTED_ADDITIONS
     ]
+
+
+def test_each_enumeration_check_fails_on_a_field_with_an_edited_sum():
+    # 1 + 2 = 2 + 1 = 5 in place of 0 on a copy of F9: 1 loses its inverse
+    # under every exponent addition, since each is + pulled back through a
+    # power map that fixes 1, and the collapse a ~ 3a no longer holds.
+    broken = copy.copy(make_field(3, 2))
+    broken.add = _edited(broken.add, (1, 2, 5), (2, 1, 5))
+    rep = enumerate_additions(broken).report
+    failed = {c.name: c.witness for c in rep.failures()}
+    assert failed.pop("frobenius_collapse") == 1
+    assert sorted(failed) == ["axioms[a=1]", "axioms[a=3]", "axioms[a=5]", "axioms[a=7]"]
+    assert {(c.name, c.witness) for c in failed.values()} == {("inverses", 1)}
+    # native_in_class_of_1 cannot fail: exponent 1's power map is the
+    # identity, so its table is the field's own + (informational).
+    assert [c.name for c in rep.checks if c.ok] == ["native_in_class_of_1"]
 
 
 def test_verify_addition_table_fails_closure_without_sweeping():

@@ -429,6 +429,22 @@ def test_ringisom_identity_all_false():
     assert names["conditions_agree"].ok
 
 
+def test_ringisom_conditions_disagree_when_phi_inv_is_not_phis_inverse():
+    # phi the identity respects both operations, but phi_inv = negation
+    # pulls the sum and the product back wrong: renderings 2 and 3 fail on
+    # the first pair, rendering 1 holds, and the verdicts disagree.
+    native = StructureOps("Q native", add=lambda a, b: a + b, mul=lambda a, b: a * b)
+    rep = check_ringisom(
+        lambda q: q, lambda q: -q, native, native, _rational_sampler(40), 40, rng=np.random.default_rng(4)
+    )
+    first = (Fraction(9, 19), Fraction(31, 21))
+    assert {c.name: c.witness for c in rep.failures()} == {
+        "multiplicative_and_induced_add": first,
+        "additive_and_induced_mul": first,
+        "conditions_agree": {1: True, 2: False, 3: False},
+    }
+
+
 def test_ringisom_redraws_refused_pairs():
     # At sum-norm ceiling 100, height-12 pairs of seed 0 are refused 10
     # times on the way to 20 checked ones; each is redrawn and counted.
@@ -524,6 +540,53 @@ def test_field_axiom_suite_fails_on_a_broken_correspondence():
         "associativity_materialized": (4, -4, -7),
     }
     assert len(rep.checks) == 9
+
+
+FORMS = ("commutativity", "distributivity", "associativity")
+
+
+def _exotic_faults():
+    """One fault for each check of verify_exotic_field_axioms, as (patches
+    of induced's names, keywords of the suite, the witnesses of the checks
+    it is there to fail). No input reaches the exotic sum or sigma of the
+    suite but the correspondence, so the first three faults patch them."""
+    real_add, real_sigma = exotic_add_q, sigma_apply
+    return [
+        ("sum_plus_one_when_a_gt_b",
+         {"exotic_add_q": lambda a, b, **kw: real_add(a, b, **kw) + (a > b)}, {},
+         {"zero_element": Fraction(35, 32), "additive_inverse": Fraction(35, 32),
+          "commutativity_materialized": (Fraction(35, 32), Fraction(2, 27)),
+          "distributivity_materialized": (Fraction(35, 32), Fraction(2, 27), Fraction(-39, 5))}),
+        ("sum_plus_one_off_zero",
+         {"exotic_add_q": lambda a, b, **kw: real_add(a, b, **kw) + (a != 0 and b != 0)}, {},
+         {"doubling_identity": Fraction(35, 32)}),
+        ("sigma_doubled_off_integers",
+         {"sigma_apply": lambda corr, q: real_sigma(corr, q) * (1 if Fraction(q).denominator == 1 else 2)},
+         {}, {"sigma_multiplicative": (Fraction(35, 32), Fraction(2, 27))}),
+        ("swapped_images", {}, {"corr": _SwappedImages(max_norm=10**6)},
+         {"sigma_round_trip": Fraction(35, 32), "sigma_additive": (Fraction(-99, 13), Fraction(-99, 68)),
+          "associativity_materialized": (4, -4, -7)}),
+        # 40 trials materialize each form at most 40 times
+        ("floors_past_the_trials", {}, {"floors": dict.fromkeys(FORMS, 41)},
+         {f"floor_{form}": None for form in FORMS}),
+    ]
+
+
+EXOTIC_FAULTS = _exotic_faults()
+
+
+@pytest.mark.parametrize("patches, kwargs, witnesses", [c[1:] for c in EXOTIC_FAULTS],
+                         ids=[c[0] for c in EXOTIC_FAULTS])
+def test_each_exotic_axiom_check_fails_on_a_fault(monkeypatch, patches, kwargs, witnesses):
+    for name, fake in patches.items():
+        monkeypatch.setattr(induced, name, fake)
+    rep = verify_exotic_field_axioms(trials=40, height=100, seed=0, **kwargs)
+    failed = {c.name: c.witness for c in rep.failures()}
+    assert {name: failed.get(name, "passed") for name in witnesses} == witnesses
+    # Together the faults fail every check that the suite makes.
+    monkeypatch.undo()
+    every = verify_exotic_field_axioms(trials=40, height=100, seed=0, floors=dict.fromkeys(FORMS, 1))
+    assert sorted(c.name for c in every.checks) == sorted(name for c in EXOTIC_FAULTS for name in c[3])
 
 
 def test_field_axiom_suite_fails_when_most_sums_are_skipped():

@@ -3,6 +3,7 @@ verifier and the addition-at-one comparison."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -166,9 +167,9 @@ def test_a_fixed_point_action_has_a_quasi_kernel_that_generates_nothing(F):
 
 def _crafted_spaces():
     """One space on F9 for each check of verify_nvs_axioms that fails it,
-    with the witness that check carries (None where it carries none). Each
-    is the native space (psi and phi the identity, so (+) is + and (.) is
-    the product) with tables swapped in by dataclasses.replace."""
+    with the witness that check carries. Each is the native space (psi and
+    phi the identity, so (+) is + and (.) is the product) with tables
+    swapped in by dataclasses.replace."""
     f9 = make_field(3, 2)
     x = np.arange(f9.m)
     native = build_elementary(f9, x, x)
@@ -194,8 +195,8 @@ def _crafted_spaces():
         # gamma-major, the first of the fixed points (4, 3) and (3, 5)
         ("action_free_off_zero", replace(native, box_smul=_edited(f9.mul, (4, 3, 3), (3, 5, 5))), (4, 3)),
         ("quasi_kernel_is_everything", replace(native, box_smul=_edited(f9.mul, (1, 3, 4))), [0, 1, 2, 4, 5, 6, 7, 8]),
-        ("quasi_kernel_generates", replace(native, box_smul=line), None),
-        ("orbit_of_one_full", replace(native, box_smul=_edited(f9.mul, (2, 1, 3))), None),
+        ("quasi_kernel_generates", replace(native, box_smul=line), 1),
+        ("orbit_of_one_full", replace(native, box_smul=_edited(f9.mul, (2, 1, 3))), 3),  # 3 . 1 = 3 = 2 . 1
         ("transport_multiplicative", replace(native, phi=f9.power_table(3)), (3, 1)),
         ("transport_additive", replace(native, psi=p5, psi_inv=np.argsort(p5)), (1, 3)),
     ]
@@ -213,6 +214,21 @@ def test_each_nvs_check_fails_on_a_crafted_space(name, space, witness):
     # Together the crafted spaces fail every check that the verifier makes.
     native = build_elementary(space.field, np.arange(9), np.arange(9))
     assert [c.name for c in verify_nvs_axioms(native).checks] == [c[0] for c in CRAFTED_SPACES]
+
+
+BOX1_EDITS = [
+    ("phi_prime_bijective", {"phi": np.zeros(9, dtype=np.int64)}, 1),  # phi'(1) = 0 = phi'(0)
+    ("box_one_equals_pullback", {"box_add": _edited(make_field(3, 2).add, (1, 2, 5), (2, 1, 5))}, (1, 2, 5, 0)),
+]
+
+
+@pytest.mark.parametrize("name, edit, witness", BOX1_EDITS, ids=[c[0] for c in BOX1_EDITS])
+def test_each_box1_check_fails_on_a_crafted_space(name, edit, witness):
+    native = build_elementary(make_field(3, 2), np.arange(9), np.arange(9))
+    (check,) = [c for c in check_elementary_box1(replace(native, **edit)).checks if c.name == name]
+    assert not check.ok and check.witness == witness, check
+    # Together the edits fail both checks that the comparison makes.
+    assert [c.name for c in check_elementary_box1(native).checks] == [c[0] for c in BOX1_EDITS]
 
 
 def _oracle_readings(s):
@@ -378,6 +394,19 @@ def test_qmc_zero_moving_map_is_all_false():
     assert res.report.ok
     with pytest.raises(DomainError):
         check_qmc_equivalence(F, np.zeros(9, dtype=np.int64))
+
+
+def test_qmc_conditions_disagree_on_a_product_that_is_no_group():
+    # F9 with 7 * 1 = 1 * 7 = 2, a product that is no group's: there this
+    # phi meets conditions 1, 4 and 5 and misses 2 and 3. The condition_i
+    # checks themselves only inform, and pass whatever their condition.
+    F = copy.copy(make_field(3, 2))
+    F.mul = _edited(F.mul, (7, 1, 2), (1, 7, 2))
+    res = check_qmc_equivalence(F, np.array([0, 4, 8, 5, 6, 1, 7, 2, 3]))
+    failed = {c.name: c.witness for c in res.report.failures()}
+    want = {"condition_1": True, "condition_2": False, "condition_3": False,
+            "condition_4": True, "condition_5": True}
+    assert res.conditions == want and failed == {"conditions_agree": want}
 
 
 def test_qm_spec_group_laws():

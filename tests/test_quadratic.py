@@ -390,6 +390,17 @@ def test_quadrat_normal_form():
         QuadRat(W, 0)
 
 
+def test_quadrat_conj_conjugates_the_numerator():
+    # conj(x / d) = conj(x) / d, in normal form; x * conj(x) is the norm.
+    rng = random.Random(50)
+    for _ in range(100):
+        num, den = QuadInt(rng.randint(-99, 99), rng.randint(-99, 99)), rng.randint(-99, 99) or 1
+        x = QuadRat(num, den)
+        assert x.conj() == QuadRat(num.conj(), den)
+        assert x * x.conj() == x.norm() and x.conj().conj() == x
+    assert QuadRat(W, 2).conj() == QuadRat(QuadInt(1, -1), 2)
+
+
 def test_hash_agrees_with_equality():
     # Equal values must hash alike, or a set holds one value twice.
     rng = random.Random(7)
